@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-paper sweep-bench figures validate \
-	examples clean lint lint-static lint-types sanitize
+.PHONY: install test bench bench-paper figures validate \
+	examples clean lint lint-static lint-types
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -33,16 +33,6 @@ lint-types:
 		echo "mypy not installed (pip install -e .[lint]); skipping"; \
 	fi
 
-# sanitizer mode: the full test suite with runtime shadow tracking of
-# every shm segment and pool batch, then the aggregated verdict (any
-# R1xx finding in a per-process dump fails the lint step)
-sanitize:
-	rm -rf .sanitize && mkdir -p .sanitize
-	REPRO_SANITIZE=1 REPRO_SANITIZE_DIR=$(CURDIR)/.sanitize \
-		PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
-	PYTHONPATH=src $(PYTHON) -m repro.lint --family concurrency \
-		--sanitize-report .sanitize
-
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
@@ -54,13 +44,6 @@ bench-output:
 
 bench-paper:
 	REPRO_BENCH_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# end-to-end sharded-scheduler bench (fig3, event engine, jobs=4):
-# records the sweep_e2e_fig3_event ledger series and the result table
-sweep-bench:
-	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest \
-		bench_sweep_scale.py -q
-	cat benchmarks/results/sweep_e2e_fig3_event.txt
 
 figures:
 	$(PYTHON) -m repro.cli fig3 --kernel all

@@ -84,17 +84,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-cache", default=None, metavar="DIR",
                    help="directory for the on-disk trace cache; repeated "
                         "runs skip kernel re-execution")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable the shared-memory trace plane (parallel "
-                        "serial-engine sweeps fall back to whole-"
-                        "implementation tasks; see docs/parallelism.md)")
-    p.add_argument("--shard-points", type=int, default=None, metavar="N",
-                   help="points per shard for parallel serial-engine "
-                        "sweeps (default: records x points cost model)")
-    p.add_argument("--classify", default=None, choices=("stack", "walk"),
-                   help="memory classification engine: 'stack' (vectorized "
-                        "stack-distance kernel, default) or 'walk' (the "
-                        "sequential reference walker); bit-identical output")
 
 
 def _add_emit(p: argparse.ArgumentParser) -> None:
@@ -226,12 +215,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if getattr(args, "classify", None):
-        # module-level default: every FpgaSdv built by this command (and,
-        # via the task-tuple plumbing, by its worker processes) uses it
-        from repro.memory.classify_fast import set_default_classifier
-        set_default_classifier(args.classify)
-
     if args.command == "lint":
         from repro.lint.runner import run_lint_cli
         return run_lint_cli(args)
@@ -274,9 +257,7 @@ def main(argv: list[str] | None = None) -> int:
                           kernels=_kernel_names(args.kernel),
                           verify=not args.no_verify,
                           engine=args.engine, jobs=args.jobs,
-                          trace_cache=args.trace_cache,
-                          shm=not args.no_shm,
-                          shard_points=args.shard_points)
+                          trace_cache=args.trace_cache)
         text = render_report(suite, seed=args.seed)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -330,8 +311,7 @@ def main(argv: list[str] | None = None) -> int:
                                include_scalar=not args.no_scalar,
                                verify=verify, trace_cache=args.trace_cache,
                                timelines=bool(args.emit_trace),
-                               engine_stats=args.engine_stats,
-                               jobs=args.jobs, shm=not args.no_shm)
+                               engine_stats=args.engine_stats)
             print(r.render(fractions=args.fractions))
             print()
             if args.engine_stats:
@@ -360,9 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         workload = spec.prepare(scale, args.seed)
         result = latency_sweep(spec, workload, vls=vls, verify=verify,
                                engine=args.engine, jobs=args.jobs,
-                               trace_cache=args.trace_cache,
-                               shm=not args.no_shm,
-                               shard_points=args.shard_points)
+                               trace_cache=args.trace_cache)
         print(render_headline(headline_numbers(result)))
         # Section 3.2 counter view at the longest VL: what fraction of
         # instructions were vector, what DRAM rate was sustained, and
@@ -446,9 +424,7 @@ def main(argv: list[str] | None = None) -> int:
                                    verify=verify, engine=args.engine,
                                    jobs=args.jobs,
                                    trace_cache=args.trace_cache,
-                                   attributions=attributions,
-                                   shm=not args.no_shm,
-                                   shard_points=args.shard_points)
+                                   attributions=attributions)
             if args.csv:
                 print(result.to_csv())
             elif args.plot:
@@ -461,9 +437,7 @@ def main(argv: list[str] | None = None) -> int:
                                    verify=verify, engine=args.engine,
                                    jobs=args.jobs,
                                    trace_cache=args.trace_cache,
-                                   attributions=attributions,
-                                   shm=not args.no_shm,
-                                   shard_points=args.shard_points)
+                                   attributions=attributions)
             print(result.to_csv() if args.csv
                   else render_figure4(result, color=args.color))
         elif args.command == "fig5":
@@ -472,9 +446,7 @@ def main(argv: list[str] | None = None) -> int:
                                      verify=verify, engine=args.engine,
                                      jobs=args.jobs,
                                      trace_cache=args.trace_cache,
-                                     attributions=attributions,
-                                     shm=not args.no_shm,
-                                     shard_points=args.shard_points)
+                                     attributions=attributions)
             if args.csv:
                 print(result.to_csv())
             elif args.plot:

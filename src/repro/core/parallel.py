@@ -40,11 +40,6 @@ from typing import Any, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: runtime-sanitizer hook: a ``repro.lint.sanitize.ShadowTracker`` when
-#: ``REPRO_SANITIZE=1`` (installed by repro.core.shm's import-time
-#: trigger), else ``None``
-_sanitizer: Any = None
-
 
 def default_jobs() -> int:
     """Worker count for ``jobs=0`` requests: one per available CPU."""
@@ -76,17 +71,14 @@ def _get_pool(workers: int, initializer: Callable[..., None] | None,
         # pool. Submitting here would race the parent's own dispatch,
         # and shutting it down would kill the parent's workers — so the
         # handle is abandoned (never shut down) and a fresh pool built.
-        if _sanitizer is not None:
-            _sanitizer.note_foreign_pool(_pool_pid)
         _pool = None
     if _pool is not None:
         if _pool[0] == key:
             return _pool[1]
         # wait for the old workers to exit before the new shape comes up:
-        # an abandoned worker still draining a task can race state the
-        # caller tears down right after this call returns — concretely, a
-        # shared-memory segment the sweep parent unlinks while the orphan
-        # is attaching it (see repro.core.shm)
+        # an abandoned worker still draining a task would outlive the
+        # pool that owned it and race whatever the caller tears down
+        # right after this call returns
         _pool[1].shutdown(wait=True, cancel_futures=True)
         _pool = None
     pool = ProcessPoolExecutor(max_workers=workers,
@@ -160,27 +152,11 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
 
     def _dispatch() -> list[R]:
         pool = _get_pool(jobs, initializer, initargs)
-        trk = _sanitizer
-        bid = trk.note_batch_begin(jobs, len(tasks)) if trk is not None \
-            else 0
-        completed = 0
-        status = "ok"
-        try:
-            futures = [pool.submit(fn, t) for t in tasks]
-            index = {f: i for i, f in enumerate(futures)}
-            for f in as_completed(futures):
-                _report(index[f], f.result())
-                completed += 1
-            return [f.result() for f in futures]
-        except BrokenProcessPool:
-            status = "broken"
-            raise
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            if trk is not None:
-                trk.note_batch_end(bid, status, completed, len(tasks))
+        futures = [pool.submit(fn, t) for t in tasks]
+        index = {f: i for i, f in enumerate(futures)}
+        for f in as_completed(futures):
+            _report(index[f], f.result())
+        return [f.result() for f in futures]
 
     try:
         try:

@@ -31,21 +31,15 @@ import pickle
 import pkgutil
 import sys
 import time
-import uuid
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.config import SdvConfig
-from repro.core import shm as shm_mod
 from repro.core.measurements import Measurement, SweepResult
 from repro.core.parallel import resolve_jobs, run_tasks
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
-from repro.memory.classify_fast import (
-    default_classifier,
-    set_default_classifier,
-)
 from repro.obs import engine_stats as engine_stats_mod
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.runlog import RunLog, get_runlog
@@ -79,18 +73,13 @@ def impl_label(vl: int | None) -> str:
     return "scalar" if vl is None else f"vl{vl}"
 
 
-def workload_fingerprint(workload, payload: bytes | None = None) -> str:
+def workload_fingerprint(workload) -> str:
     """Stable content hash of a prepared workload (trace-cache key part).
 
     Workloads are plain data (NumPy arrays, scipy matrices, graphs), so
     their pickle is deterministic for a given prepare(scale, seed).
-    ``payload`` lets a caller that already pickled the workload (the
-    sweep parent pickles once per kernel, not once per task) skip the
-    re-serialization.
     """
-    if payload is None:
-        payload = pickle.dumps(workload, protocol=4)
-    return hashlib.sha256(payload).hexdigest()[:16]
+    return hashlib.sha256(pickle.dumps(workload, protocol=4)).hexdigest()[:16]
 
 
 #: trace-machinery modules whose source co-determines every recorded
@@ -242,11 +231,6 @@ def _sweep_worker_init() -> None:
     # kernel registry here so the first task doesn't pay the import.
     import repro.kernels  # noqa: F401
 
-    # a forked worker inherits the parent's trace-plane object; give it a
-    # fresh one so it never unlinks segments it does not own (no-op when
-    # run in-process before a serial fallback)
-    shm_mod.reset_worker_plane()
-
 
 def _load_trace_memoized(cache_path):
     key = str(cache_path)
@@ -358,31 +342,6 @@ class _ImplOutcome:
     engine_stats: dict = field(default_factory=dict)
 
 
-def _task_obs(trace_spans: bool, runlog_on: bool, trace_id: str,
-              introspection: bool):
-    """Per-task observability bundle (worker-local instruments plus the
-    engine-stats baseline snapshot for delta shipping)."""
-    tracer = SpanTracer(enabled=trace_spans)
-    registry = MetricsRegistry()
-    # worker-local run log carrying the parent's trace id (the sweep
-    # adopts its records; in-process runs ship them back the same way)
-    log = RunLog(enabled=runlog_on, trace_id=trace_id or None)
-    # sync this process's introspection flag with the parent's; ship only
-    # the *delta* recorded by this task — workers are persistent, and in
-    # serial runs the parent collector already holds what we record
-    engine_stats_mod.set_introspection(introspection)
-    es_before = (engine_stats_mod.get_engine_stats().snapshot()
-                 if introspection else None)
-    return tracer, registry, log, es_before
-
-
-def _es_delta(introspection: bool, es_before) -> dict:
-    if not introspection:
-        return {}
-    return engine_stats_mod.snapshot_delta(
-        es_before, engine_stats_mod.get_engine_stats().snapshot())
-
-
 def _resolve_spec(spec_or_name) -> KernelSpec:
     """Registry kernels travel to workers by name; resolve either form."""
     if isinstance(spec_or_name, str):
@@ -392,32 +351,11 @@ def _resolve_spec(spec_or_name) -> KernelSpec:
     return spec_or_name
 
 
-def _resolve_plane(obj):
-    """A workload/reference task slot may carry a :class:`shm.PlaneRef`
-    instead of the object (published once per sweep, not pickled per
-    task); resolve it through the per-process plane memo."""
-    if isinstance(obj, shm_mod.PlaneRef):
-        got = shm_mod.attach_workload(obj)
-        if got is None:
-            raise TraceError(
-                f"shared workload segment '{obj.name}' is gone")
-        return got
-    return obj
-
-
 def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                  axis: str, points: Sequence[int], keep_reports: bool,
                  engine: str, attributions: bool, tracer: SpanTracer,
                  registry: MetricsRegistry) -> list[Measurement]:
-    """Time one trace at the given points of one axis.
-
-    The single re-timing code path shared by whole-implementation tasks
-    and point shards — sharding a sweep cannot change a Measurement
-    because every shard runs exactly this function on a slice of the
-    point axis (each point is timed under its own config, independent of
-    its neighbours on all serial engines; the batch engine is never
-    sharded).
-    """
+    """Time one trace at every point of one axis."""
     configs = _sweep_configs(sdv.config, axis, points)
     base_lat = sdv.extra_latency
     base_bpc = int(sdv.bandwidth_bpc)
@@ -481,8 +419,17 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
                    workload_fp: str | None = None) -> _ImplOutcome:
     """Generate + time one implementation across all points of one axis."""
     t_begin = time.perf_counter()
-    tracer, registry, log, es_before = _task_obs(
-        trace_spans, runlog_on, trace_id, introspection)
+    tracer = SpanTracer(enabled=trace_spans)
+    registry = MetricsRegistry()
+    # worker-local run log carrying the parent's trace id (the sweep
+    # adopts its records; in-process runs ship them back the same way)
+    log = RunLog(enabled=runlog_on, trace_id=trace_id or None)
+    # sync this process's introspection flag with the parent's; ship only
+    # the *delta* recorded by this task — workers are persistent, and in
+    # serial runs the parent collector already holds what we record
+    engine_stats_mod.set_introspection(introspection)
+    collector = engine_stats_mod.get_engine_stats()
+    es_before = collector.snapshot() if introspection else None
     label = impl_label(vl)
     log.event("impl.start", kernel=spec.name, impl=label, axis=axis,
               points=len(points), engine=engine)
@@ -515,7 +462,8 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
         pid=os.getpid(),
         wall_s=wall_s,
         log=log.records,
-        engine_stats=_es_delta(introspection, es_before),
+        engine_stats=(engine_stats_mod.snapshot_delta(
+            es_before, collector.snapshot()) if introspection else {}),
     )
 
 
@@ -523,411 +471,11 @@ def _impl_task(args) -> _ImplOutcome:
     """Module-level worker: one (kernel, implementation) per process task."""
     (spec_or_name, workload, vl, axis, points, config, verify, reference,
      keep_reports, engine, trace_cache, trace_spans, attributions,
-     runlog_on, trace_id, introspection, workload_fp,
-     classify_name) = args
-    set_default_classifier(classify_name)
-    return _time_one_impl(_resolve_spec(spec_or_name),
-                          _resolve_plane(workload), vl, axis, points,
-                          config, verify, _resolve_plane(reference),
-                          keep_reports, engine, trace_cache,
-                          trace_spans, attributions, runlog_on, trace_id,
-                          introspection, workload_fp)
-
-
-@dataclass
-class _GenOutcome:
-    """Phase-A result: the published trace ref (``None`` when the plane
-    degraded mid-flight), its classified sibling, plus the worker's
-    observability payload."""
-
-    ref: shm_mod.PlaneRef | None = None
-    cref: shm_mod.PlaneRef | None = None
-    records: int = 0
-    spans: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    pid: int = 0
-    wall_s: float = 0.0
-    log: list = field(default_factory=list)
-    engine_stats: dict = field(default_factory=dict)
-
-
-def _gen_task(args) -> _GenOutcome:
-    """Phase A: generate (or load) one implementation's trace and publish
-    it to the trace plane under the sweep parent's segment prefix."""
-    (spec_or_name, workload, vl, config, verify, reference, trace_cache,
-     workload_fp, prefix, key, trace_spans, runlog_on, trace_id,
-     introspection, classify_name) = args
-    set_default_classifier(classify_name)
-    t_begin = time.perf_counter()
-    spec = _resolve_spec(spec_or_name)
-    workload = _resolve_plane(workload)
-    reference = _resolve_plane(reference)
-    tracer, registry, log, es_before = _task_obs(
-        trace_spans, runlog_on, trace_id, introspection)
-    label = impl_label(vl)
-    with tracer.span(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
-                     impl=label):
-        t0 = time.perf_counter()
-        sdv, trace = run_implementation(spec, workload, vl, config=config,
-                                        verify=verify, reference=reference,
-                                        trace_cache=trace_cache,
-                                        workload_fp=workload_fp)
-        trace_gen_s = time.perf_counter() - t0
-        registry.histogram("sweep.trace_gen_s").observe(trace_gen_s)
-    # transfer=True: the parent adopts the segment as results arrive, so
-    # this (worker) process never unlinks it
-    ref = shm_mod.get_plane().publish_trace(key, trace, prefix=prefix,
-                                            transfer=True)
-    if ref is not None:
-        registry.counter("shm.traces_published").inc()
-        registry.counter("shm.bytes_published").inc(ref.size)
-    # publish the knob-independent classification alongside the trace,
-    # so phase-B shards attach it instead of reclassifying per shard
-    # (classify() serves the sidecar-seeded result on cache hits)
-    cref = None
-    if ref is not None:
-        with tracer.span(f"classify:{spec.name}:{label}",
-                         kernel=spec.name, impl=label):
-            ct = sdv.classify(trace)
-        cref = shm_mod.get_plane().publish_classified(
-            f"{key}:cls:{sdv.geometry_fingerprint()}", ct,
-            prefix=prefix, transfer=True)
-        if cref is not None:
-            registry.counter("shm.classified_published").inc()
-            registry.counter("shm.bytes_published").inc(cref.size)
-    log.event("impl.trace_ready", kernel=spec.name, impl=label,
-              records=len(trace), wall_s=round(trace_gen_s, 6),
-              published=ref is not None,
-              classified=cref is not None)
-    return _GenOutcome(
-        ref=ref,
-        cref=cref,
-        records=len(trace),
-        spans=tracer.spans,
-        metrics=registry.snapshot(),
-        pid=os.getpid(),
-        wall_s=time.perf_counter() - t_begin,
-        log=log.records,
-        engine_stats=_es_delta(introspection, es_before),
-    )
-
-
-def _shard_task(args) -> _ImplOutcome:
-    """Phase B: time one (kernel, impl, point-chunk) shard against a
-    plane-published trace. Carries no spec and no workload — everything
-    needed to rebuild the SDV is the config + VL, and the trace arrives
-    as zero-copy views."""
-    (kernel, vl, axis, points, config, keep_reports, engine, tref, cref,
-     attributions, trace_spans, runlog_on, trace_id, introspection,
-     classify_name) = args
-    set_default_classifier(classify_name)
-    t_begin = time.perf_counter()
-    tracer, registry, log, es_before = _task_obs(
-        trace_spans, runlog_on, trace_id, introspection)
-    label = impl_label(vl)
-    plane = shm_mod.get_plane()
-    pre_bytes = plane.stats["bytes_attached"]
-    trace = plane.attach_trace(tref)
-    if trace is None:
-        raise TraceError(
-            f"trace-plane segment '{tref.name}' for {kernel}/{label} "
-            "is gone")
-    mapped = plane.stats["bytes_attached"] - pre_bytes
-    if mapped:  # a real mapping, not the per-process memo serving a hit
-        registry.counter("shm.traces_attached").inc()
-        registry.counter("shm.bytes_attached").inc(mapped)
-    attached_cls = False
-    try:
-        sdv = FpgaSdv(config)
-        if vl is not None:
-            sdv.configure(max_vl=vl)
-        # seed the trace's classification from the plane instead of
-        # reclassifying this shard (a worker that already timed another
-        # shard of this trace serves it from the memoized trace object)
-        if cref is not None and not sdv.has_classification(trace):
-            ct = plane.attach_classified(cref, trace, sdv.config)
-            attached_cls = ct is not None
-            if ct is not None:
-                sdv.seed_classification(trace, ct)
-                registry.counter("shm.classified_attached").inc()
-                if introspection:
-                    engine_stats_mod.get_engine_stats().count(
-                        "classify.plane_attach_hits")
-            elif introspection:
-                engine_stats_mod.get_engine_stats().count(
-                    "classify.plane_attach_misses")
-        measurements = _time_points(sdv, trace, kernel, label, axis,
-                                    points, keep_reports, engine,
-                                    attributions, tracer, registry)
-    finally:
-        plane.detach(tref)
-        if attached_cls:
-            plane.detach(cref)
-    registry.counter("sweep.shards_timed").inc()
-    registry.counter("sweep.points_timed").inc(len(points))
-    wall_s = time.perf_counter() - t_begin
-    registry.histogram("sweep.shard_s").observe(wall_s)
-    log.event("shard.done", kernel=kernel, impl=label, axis=axis,
-              points=len(points), wall_s=round(wall_s, 6))
-    return _ImplOutcome(
-        measurements=measurements,
-        spans=tracer.spans,
-        metrics=registry.snapshot(),
-        pid=os.getpid(),
-        wall_s=wall_s,
-        log=log.records,
-        engine_stats=_es_delta(introspection, es_before),
-    )
-
-
-def _phase_b_task(args):
-    """Dispatcher for the mixed phase-B task list: point shards for
-    plane-published traces, whole-implementation fallbacks for traces
-    the plane could not take."""
-    kind, payload = args
-    if kind == "shard":
-        return _shard_task(payload)
-    return _impl_task(payload)
-
-
-def _plan_shards(n_points: int, records: int, total_cost: int,
-                 workers: int, shard_points: int | None,
-                 oversubscribe: int = 4) -> list[tuple[int, int]]:
-    """Chunk one implementation's point axis into ``[lo, hi)`` shards.
-
-    Cost model: re-timing one point of one implementation walks its
-    whole trace once, so an implementation's sweep costs
-    ``records x n_points`` and the grid costs ``total_cost`` (the sum
-    over implementations). The planner targets
-    ``total_cost / (workers x oversubscribe)`` per shard — about
-    ``oversubscribe`` shards per worker across the whole grid, enough
-    granularity for longest-first dispatch to level the heavy
-    implementations without drowning in per-task overhead. A cheap
-    implementation (few records) gets proportionally more points per
-    shard; ``shard_points`` overrides the computed chunk outright.
-    """
-    if shard_points is not None and shard_points > 0:
-        step = min(shard_points, n_points)
-    else:
-        target = max(1, total_cost // max(1, workers * oversubscribe))
-        step = max(1, min(n_points, round(target / max(1, records))))
-    return [(lo, min(lo + step, n_points))
-            for lo in range(0, n_points, step)]
-
-
-def _sweep_sharded(spec: KernelSpec, workload, axis: str,
-                   points: list[int], impls: list[int | None],
-                   config: SdvConfig | None, verify: bool,
-                   keep_reports: bool, engine: str, jobs: int,
-                   trace_cache, attributions: bool,
-                   shard_points: int | None, reference,
-                   workload_fp: str, wl_payload: bytes) -> SweepResult:
-    """The two-phase sharded pipeline over the trace plane.
-
-    Phase A fans trace generation out per implementation; each worker
-    publishes its sealed trace into shared memory and the parent adopts
-    the segment. Phase B re-times (impl, point-chunk) shards against
-    zero-copy attachments, dispatched longest-expected-first; an
-    implementation whose publish failed falls back to one
-    whole-implementation task. Measurement rows and their ordering are
-    bit-identical to the unsharded path (same ``_time_points`` on the
-    same traces, reassembled impl-major then point-major).
-    """
-    tracer = get_tracer()
-    registry = get_metrics()
-    runlog = get_runlog()
-    engine_stats = engine_stats_mod.get_engine_stats()
-    introspection = engine_stats_mod.introspection_enabled()
-    my_pid = os.getpid()
-    workers = resolve_jobs(jobs)
-    plane = shm_mod.get_plane()
-    prefix = shm_mod.plane_prefix()
-    # per-sweep nonce: a worker's publish memo must never serve a segment
-    # an earlier sweep's parent already unlinked
-    nonce = uuid.uuid4().hex[:8]
-    labels = [impl_label(v) for v in impls]
-    classify_name = default_classifier()
-    result = SweepResult(kernel=spec.name, axis=axis, points=points,
-                         impls=labels)
-    from repro.kernels import KERNELS
-
-    payload = spec.name if KERNELS.get(spec.name) is spec else spec
-    to_release: list[shm_mod.PlaneRef] = []
-
-    def _adopt(ref: shm_mod.PlaneRef | None) -> None:
-        if ref is not None and plane.adopt(ref) and ref not in to_release:
-            to_release.append(ref)
-
-    def _merge(outcome) -> None:
-        tracer.adopt(outcome.spans)
-        registry.merge(outcome.metrics)
-        runlog.adopt(outcome.log)
-        if outcome.pid != my_pid:
-            # in-process outcomes already recorded straight into this
-            # collector; only worker deltas need merging
-            engine_stats.merge(outcome.engine_stats)
-
-    try:
-        with tracer.span(f"sweep:{spec.name}:{axis}", kernel=spec.name,
-                         axis=axis, impls=len(impls), points=len(points),
-                         engine=engine, jobs=jobs, sharded=True), \
-             runlog.context(f"sweep:{spec.name}:{axis}", kernel=spec.name,
-                            axis=axis, impls=len(impls),
-                            points=len(points), engine=engine, jobs=jobs,
-                            sharded=True):
-            # ---------------- phase A: generate + publish every trace
-            wref = shm_mod.publish_workload(
-                workload, f"{nonce}:{spec.name}", payload=wl_payload)
-            if wref is not None:
-                to_release.append(wref)
-            rref = None
-            if verify and reference is not None:
-                rref = shm_mod.publish_workload(
-                    reference, f"{nonce}:{spec.name}:ref")
-                if rref is not None:
-                    to_release.append(rref)
-            gen_tasks = [
-                (payload, wref if wref is not None else workload, vl,
-                 config, verify, rref if rref is not None else reference,
-                 trace_cache, workload_fp, prefix,
-                 f"{nonce}:{spec.name}:{impl_label(vl)}",
-                 tracer.enabled, runlog.enabled, runlog.trace_id,
-                 introspection, classify_name)
-                for vl in impls
-            ]
-
-            def gen_heartbeat(idx: int, out: _GenOutcome) -> None:
-                _adopt(out.ref)
-                _adopt(out.cref)
-                runlog.event("sweep.trace_ready", kernel=spec.name,
-                             axis=axis, impl=labels[idx],
-                             records=out.records,
-                             published=out.ref is not None,
-                             classified=out.cref is not None,
-                             worker_pid=out.pid,
-                             wall_s=round(out.wall_s, 3))
-
-            gen_outs = run_tasks(_gen_task, gen_tasks, jobs=jobs,
-                                 on_result=gen_heartbeat,
-                                 initializer=_sweep_worker_init)
-            for out in gen_outs:
-                _merge(out)
-                _adopt(out.ref)
-                _adopt(out.cref)
-            runlog.event("sweep.shm_published", kernel=spec.name,
-                         axis=axis, segments=len(to_release),
-                         bytes=sum(r.size for r in to_release))
-
-            # ---------------- phase B: longest-first point shards
-            total_cost = sum(out.records for out in gen_outs
-                             if out.ref is not None) * len(points)
-            shard_specs = []  # (impl_idx, lo, hi, expected cost)
-            whole_impls = []
-            for i, out in enumerate(gen_outs):
-                if out.ref is None:
-                    whole_impls.append(i)
-                    continue
-                recs = max(1, out.records)
-                for lo, hi in _plan_shards(len(points), recs, total_cost,
-                                           workers, shard_points):
-                    shard_specs.append((i, lo, hi, recs * (hi - lo)))
-            # LPT: dispatch expected-longest shards first so the heavy
-            # (kernel, impl) tails run while short shards backfill
-            shard_specs.sort(key=lambda s: -s[3])
-            tasks = []
-            meta = []  # task order -> ("shard", impl_idx, lo)|("whole", i)
-            for i, lo, hi, _cost in shard_specs:
-                tasks.append(("shard", (
-                    spec.name, impls[i], axis, points[lo:hi], config,
-                    keep_reports, engine, gen_outs[i].ref,
-                    gen_outs[i].cref, attributions,
-                    tracer.enabled, runlog.enabled, runlog.trace_id,
-                    introspection, classify_name)))
-                meta.append(("shard", i, lo))
-            for i in whole_impls:
-                tasks.append(("whole", (
-                    payload, wref if wref is not None else workload,
-                    impls[i], axis, points, config, verify,
-                    rref if rref is not None else reference, keep_reports,
-                    engine, trace_cache, tracer.enabled, attributions,
-                    runlog.enabled, runlog.trace_id, introspection,
-                    workload_fp, classify_name)))
-                meta.append(("whole", i, 0))
-            runlog.event("sweep.shards_planned", kernel=spec.name,
-                         axis=axis, shards=len(shard_specs),
-                         whole_impls=len(whole_impls),
-                         points=len(points), workers=workers,
-                         total_cost=total_cost)
-            registry.counter("sweep.shards_planned").inc(len(shard_specs))
-
-            done = 0
-
-            def shard_heartbeat(idx: int, out: _ImplOutcome) -> None:
-                nonlocal done
-                done += 1
-                kind, i, lo = meta[idx]
-                chunk = (f"[{lo}:{lo + len(out.measurements)})"
-                         if kind == "shard" else "(all points)")
-                runlog.event("sweep.shard_done", kernel=spec.name,
-                             axis=axis, impl=labels[i], chunk=chunk,
-                             done=done, total=len(tasks),
-                             worker_pid=out.pid,
-                             wall_s=round(out.wall_s, 3))
-                print(f"[sweep {spec.name}/{axis}] {labels[i]}{chunk} "
-                      f"done ({done}/{len(tasks)}, worker pid {out.pid}, "
-                      f"{out.wall_s:.1f}s)", file=sys.stderr)
-
-            tb0 = time.perf_counter()
-            outs = run_tasks(_phase_b_task, tasks, jobs=jobs,
-                             on_result=shard_heartbeat,
-                             initializer=_sweep_worker_init)
-            phase_wall = time.perf_counter() - tb0
-
-            # ---------------- reassembly: impl-major, point-major
-            per_impl: dict[int, dict[int, list[Measurement]]] = {}
-            whole: dict[int, list[Measurement]] = {}
-            busy: dict[int, float] = {}
-            for (kind, i, lo), out in zip(meta, outs):
-                _merge(out)
-                busy[out.pid] = busy.get(out.pid, 0.0) + out.wall_s
-                if kind == "shard":
-                    per_impl.setdefault(i, {})[lo] = out.measurements
-                else:
-                    whole[i] = out.measurements
-            if busy:
-                vals = sorted(busy.values())
-                mean = sum(vals) / len(vals)
-                runlog.event(
-                    "sweep.load_balance", kernel=spec.name, axis=axis,
-                    workers=len(busy),
-                    busy_s=[round(v, 3) for v in vals],
-                    max_over_mean=round(vals[-1] / mean, 3) if mean else 1.0,
-                    busy_frac=(round(sum(vals) / (len(busy) * phase_wall), 3)
-                               if phase_wall > 0 else 1.0))
-                for v in vals:
-                    if phase_wall > 0:
-                        registry.histogram("sweep.worker_busy_frac") \
-                            .observe(v / phase_wall)
-            for i in range(len(impls)):
-                if i in whole:
-                    ms = whole[i]
-                else:
-                    chunks = per_impl.get(i, {})
-                    ms = [m for lo in sorted(chunks) for m in chunks[lo]]
-                if len(ms) != len(points):
-                    raise TraceError(
-                        f"sharded sweep reassembly for {spec.name}/"
-                        f"{labels[i]} produced {len(ms)} of "
-                        f"{len(points)} points")
-                if i not in whole:  # whole-impl tasks counted themselves
-                    registry.counter("sweep.impls_timed").inc()
-                for m in ms:
-                    result.add(m)
-    finally:
-        for r in to_release:
-            plane.release(r)
-    registry.counter("sweep.sweeps_run").inc()
-    return result
+     runlog_on, trace_id, introspection, workload_fp) = args
+    return _time_one_impl(_resolve_spec(spec_or_name), workload, vl, axis,
+                          points, config, verify, reference, keep_reports,
+                          engine, trace_cache, trace_spans, attributions,
+                          runlog_on, trace_id, introspection, workload_fp)
 
 
 def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
@@ -954,26 +502,13 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
            vls: Sequence[int], include_scalar: bool,
            config: SdvConfig | None, verify: bool, keep_reports: bool,
            engine: str, jobs: int, trace_cache,
-           attributions: bool = False, shm: bool = True,
-           shard_points: int | None = None) -> SweepResult:
+           attributions: bool = False) -> SweepResult:
     _validate_grid(axis, points, vls, config)
     impls = _impls(vls, include_scalar)
-    workers = resolve_jobs(jobs)
-    # hoisted per (kernel, workload): the reference is identical for
-    # every implementation, and the workload pickles exactly once (the
-    # fingerprint hash and the shm blob share the payload)
+    # hoisted per (kernel, workload): the reference and the workload
+    # fingerprint are identical for every implementation
     reference = spec.reference(workload) if verify else None
-    wl_payload = pickle.dumps(workload, protocol=4)
-    workload_fp = workload_fingerprint(workload, payload=wl_payload)
-    use_plane = shm and workers > 1 and shm_mod.shm_available()
-
-    if use_plane and engine != "batch" and len(points) > 1:
-        # serial engines walk the trace once per point: shard the point
-        # axis across workers over the trace plane
-        return _sweep_sharded(spec, workload, axis, points, impls, config,
-                              verify, keep_reports, engine, jobs,
-                              trace_cache, attributions, shard_points,
-                              reference, workload_fp, wl_payload)
+    workload_fp = workload_fingerprint(workload)
 
     result = SweepResult(
         kernel=spec.name, axis=axis, points=points,
@@ -990,26 +525,14 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
     from repro.kernels import KERNELS
 
     payload = spec.name if KERNELS.get(spec.name) is spec else spec
-    # with the plane available, the workload (and reference) cross the
-    # process boundary once as shared segments, not once per task tuple
-    plane = shm_mod.get_plane()
-    wref = rref = None
-    if use_plane and len(impls) > 1:
-        wref = shm_mod.publish_workload(workload, f"{spec.name}:{uuid.uuid4().hex[:8]}",
-                                        payload=wl_payload)
-        if verify and reference is not None:
-            rref = shm_mod.publish_workload(
-                reference, f"{spec.name}:ref:{uuid.uuid4().hex[:8]}")
     tasks = [
-        (payload, wref if wref is not None else workload, vl, axis,
-         points, config, verify, rref if rref is not None else reference,
+        (payload, workload, vl, axis, points, config, verify, reference,
          keep_reports, engine, trace_cache, tracer.enabled, attributions,
-         runlog.enabled, runlog.trace_id, introspection, workload_fp,
-         default_classifier())
+         runlog.enabled, runlog.trace_id, introspection, workload_fp)
         for vl in impls
     ]
     labels = [impl_label(v) for v in impls]
-    parallel = workers > 1
+    parallel = resolve_jobs(jobs) > 1
     done = 0
 
     def heartbeat(idx: int, outcome: _ImplOutcome) -> None:
@@ -1025,31 +548,25 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
                   f"({done}/{len(tasks)}, worker pid {outcome.pid}, "
                   f"{outcome.wall_s:.1f}s)", file=sys.stderr)
 
-    try:
-        with tracer.span(f"sweep:{spec.name}:{axis}", kernel=spec.name,
-                         axis=axis, impls=len(tasks), points=len(points),
-                         engine=engine, jobs=jobs):
-            with runlog.context(f"sweep:{spec.name}:{axis}",
-                                kernel=spec.name, axis=axis,
-                                impls=len(tasks), points=len(points),
-                                engine=engine, jobs=jobs):
-                for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
-                                         on_result=heartbeat,
-                                         initializer=_sweep_worker_init):
-                    tracer.adopt(outcome.spans)
-                    registry.merge(outcome.metrics)
-                    runlog.adopt(outcome.log)
-                    if outcome.pid != my_pid:
-                        # in-process outcomes already recorded straight
-                        # into this collector; only worker deltas need
-                        # merging
-                        engine_stats.merge(outcome.engine_stats)
-                    for m in outcome.measurements:
-                        result.add(m)
-    finally:
-        for r in (wref, rref):
-            if r is not None:
-                plane.release(r)
+    with tracer.span(f"sweep:{spec.name}:{axis}", kernel=spec.name,
+                     axis=axis, impls=len(tasks), points=len(points),
+                     engine=engine, jobs=jobs):
+        with runlog.context(f"sweep:{spec.name}:{axis}",
+                            kernel=spec.name, axis=axis,
+                            impls=len(tasks), points=len(points),
+                            engine=engine, jobs=jobs):
+            for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
+                                     on_result=heartbeat,
+                                     initializer=_sweep_worker_init):
+                tracer.adopt(outcome.spans)
+                registry.merge(outcome.metrics)
+                runlog.adopt(outcome.log)
+                if outcome.pid != my_pid:
+                    # in-process outcomes already recorded straight into
+                    # this collector; only worker deltas need merging
+                    engine_stats.merge(outcome.engine_stats)
+                for m in outcome.measurements:
+                    result.add(m)
     registry.counter("sweep.sweeps_run").inc()
     return result
 
@@ -1068,23 +585,18 @@ def latency_sweep(
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
     attributions: bool = False,
-    shm: bool = True,
-    shard_points: int | None = None,
 ) -> SweepResult:
     """Section 4.1: execution time vs. extra memory latency.
 
     ``attributions=True`` additionally decomposes every sweep point's
     cycles into the :mod:`repro.obs.attribution` buckets (attached per
     measurement) at the cost of ~3 extra vectorized walks per impl.
-    With ``jobs > 1`` and a serial engine, the sweep runs the sharded
-    scheduler over the shared-memory trace plane (see
-    ``docs/parallelism.md``); ``shm=False`` forces the plain per-impl
-    fan-out and ``shard_points`` overrides the cost model's point-chunk
-    size.
+    ``jobs > 1`` fans the implementations out across worker processes,
+    one task each (see ``docs/parallelism.md``).
     """
     return _sweep(spec, workload, "latency", list(latencies), vls,
                   include_scalar, config, verify, keep_reports, engine,
-                  jobs, trace_cache, attributions, shm, shard_points)
+                  jobs, trace_cache, attributions)
 
 
 def bandwidth_sweep(
@@ -1101,13 +613,11 @@ def bandwidth_sweep(
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
     attributions: bool = False,
-    shm: bool = True,
-    shard_points: int | None = None,
 ) -> SweepResult:
     """Section 4.2: execution time vs. the Bandwidth Limiter setting."""
     return _sweep(spec, workload, "bandwidth", list(bandwidths), vls,
                   include_scalar, config, verify, keep_reports, engine,
-                  jobs, trace_cache, attributions, shm, shard_points)
+                  jobs, trace_cache, attributions)
 
 
 def vl_sweep(

@@ -1,41 +1,22 @@
-"""Pass family: static concurrency/resource-lifecycle typestate analysis.
+"""Pass family: static concurrency analysis of the pool and span users.
 
-The shared-memory trace plane (:mod:`repro.core.shm`) hands out segment
-refs whose lifecycle is a typestate machine::
+The sweep harness fans work out through one persistent process pool
+(:func:`repro.core.parallel.run_tasks`). Three shapes break it silently:
 
-    created --publish--> published --attach--> attached
-       |                     |                    |
-       | transfer=True       | (owner)            | detach
-       v                     v                    v
-    handed off --adopt--> owned --release/unlink_all--> unlinked
+* a pool task that itself fans out deadlocks the persistent pool, and an
+  executor ``submit`` outside ``core/parallel.py`` bypasses its
+  broken-pool rebuild and serial fallback (P105);
+* a tracer span or runlog context that is not a ``with`` statement never
+  closes, so every later event nests under it (P106);
+* a file that cannot be parsed hides both (P100).
 
-Every consumer must walk that machine exactly: an attach without a
-guaranteed detach pins a mapping for the life of the process (P101); a
-use after release reads through a closed mapping (P102); a double
-unlink relies on EAFP error swallowing (P103); a ``transfer=True``
-publish whose ref nobody adopts leaks the segment outright (P104); a
-pool task that itself fans out deadlocks the persistent pool (P105);
-and a tracer span or runlog context that is not a ``with`` statement
-never closes (P106).
+This pass walks the AST of :func:`default_concurrency_paths` — the pool
+implementation, the sweep harness, plus every file in ``src/repro``
+that touches the pool or span API — and checks those shapes
+*syntactically*: no path-sensitive dataflow, but precise enough that the
+clean tree pins at zero findings (see ``tests/lint/``).
 
-This pass walks the AST of :func:`default_concurrency_paths` — the
-plane/pool implementation plus every file in ``src/repro`` that touches
-their APIs — and checks those shapes *syntactically*: no path-sensitive
-dataflow, but precise enough that the clean tree pins at zero findings
-while each seeded lifecycle mutation (dropped detach, skipped adopt,
-duplicated unlink) is caught (see ``tests/lint/``).
-
-Accepted attach shapes (P101)::
-
-    with plane.attached_trace(ref) as trace:   # context manager
-        ...
-    trace = plane.attach_trace(ref)            # try/finally pairing
-    try:
-        ...
-    finally:
-        plane.detach(ref)
-
-Suppressions reuse ``# repro-lint: disable=P101`` comments on the
+Suppressions reuse ``# repro-lint: disable=P105`` comments on the
 flagged line; stale or unknown suppressions surface as W001/W002 via
 :mod:`repro.lint.suppress`.
 """
@@ -49,27 +30,16 @@ from repro.lint.findings import Finding
 from repro.lint.rules import finding
 from repro.lint.suppress import SuppressionIndex
 
-#: raw attach calls that demand a paired detach (P101).
-_ATTACH = {"attach_trace", "attach_bytes"}
-#: the context-manager forms, safe by construction.
-_ATTACH_CM = {"attached_trace", "attached_bytes"}
-#: calls that end a segment's life (P102 kill set / P103 duplicates).
-_RELEASE = {"release", "detach"}
-_UNLINKISH = {"_raw_unlink", "unlink", "release"}
-#: publish calls that can hand ownership off (P104).
-_PUBLISH = {"publish_trace", "publish_bytes"}
-
-#: source tokens that mark a file as a plane/pool consumer.
-_TOKENS = ("attach_trace", "attach_bytes", "attached_trace",
-           "attached_bytes", "publish_trace", "publish_bytes",
-           "run_tasks", ".submit(", "plane_prefix", "adopt(")
+#: source tokens that mark a file for the pass: the pool API (P105) and
+#: the span/context API (P106).
+_TOKENS = ("run_tasks", ".submit(", ".span(", ".context(")
 
 #: transitive-closure depth when resolving a pool worker's helpers.
 _CLOSURE_DEPTH = 5
 
 
 def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted name of a call target ('plane.attach_trace')."""
+    """Best-effort dotted name of a call target ('tracer.span')."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -81,7 +51,7 @@ def _dotted(node: ast.expr) -> str:
 
 def _leaf_recv(call: ast.Call) -> tuple[str, str]:
     """(method leaf, dotted receiver) of a call; receiver '' for bare
-    names and non-name bases (``get_plane().attach_bytes`` -> '')."""
+    names and non-name bases (``get_tracer().span`` -> '')."""
     name = _dotted(call.func)
     if "." in name:
         recv, leaf = name.rsplit(".", 1)
@@ -90,159 +60,6 @@ def _leaf_recv(call: ast.Call) -> tuple[str, str]:
     if not isinstance(call.func, ast.Attribute):
         recv = ""
     return leaf, recv
-
-
-def _first_arg_dump(call: ast.Call) -> str:
-    return ast.dump(call.args[0]) if call.args else ""
-
-
-def _head_exprs(stmt: ast.stmt) -> list[ast.expr]:
-    """The expressions evaluated *by this statement itself*, excluding
-    anything belonging to its nested blocks."""
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.target, stmt.iter]
-    if isinstance(stmt, (ast.While, ast.If)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [i.context_expr for i in stmt.items]
-    if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        return []
-    return [stmt]  # simple statement: the whole node
-
-
-def _head_calls(stmt: ast.stmt) -> list[ast.Call]:
-    out: list[ast.Call] = []
-    for e in _head_exprs(stmt):
-        for n in ast.walk(e):
-            if isinstance(n, ast.Call):
-                out.append(n)
-    return out
-
-
-def _detach_args(block: list[ast.stmt]) -> set[str]:
-    """First-arg dumps of every ``detach``/``release`` call in a block
-    (used to decide what a ``finally`` protects)."""
-    out: set[str] = set()
-    for stmt in block:
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Call):
-                leaf, _ = _leaf_recv(n)
-                if leaf in _RELEASE and n.args:
-                    out.add(_first_arg_dump(n))
-    return out
-
-
-def _child_blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
-    blocks: list[list[ast.stmt]] = []
-    for field in ("body", "orelse", "finalbody"):
-        b = getattr(stmt, field, None)
-        if isinstance(b, list) and b and isinstance(b[0], ast.stmt):
-            blocks.append(b)
-    for h in getattr(stmt, "handlers", []) or []:
-        if h.body:
-            blocks.append(h.body)
-    return blocks
-
-
-class _FileScan:
-    """Per-file block scanner for P101/P102/P103."""
-
-    def __init__(self, path: str, sup: SuppressionIndex) -> None:
-        self.path = path
-        self.sup = sup
-        self.findings: list[Finding] = []
-
-    def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        lineno = getattr(node, "lineno", 0)
-        if self.sup.suppresses(lineno, rule):
-            return
-        self.findings.append(
-            finding(rule, f"{self.path}:{lineno}", message))
-
-    def scan(self, block: list[ast.stmt],
-             protected: frozenset[str]) -> None:
-        #: variable -> attach-arg dump, for assigns seen in this block
-        attached: dict[str, str] = {}
-        #: variables whose segment was released/detached earlier in block
-        dead: dict[str, ast.stmt] = {}
-        #: (leaf, recv, argdump) -> first unlink-like stmt in this block
-        unlinked: dict[tuple[str, str, str], ast.stmt] = {}
-
-        for i, stmt in enumerate(block):
-            # ---- P102: a use of an attach-bound var after its release
-            for name, origin in list(dead.items()):
-                if any(isinstance(n, ast.Name) and n.id == name
-                       and isinstance(n.ctx, ast.Load)
-                       for n in ast.walk(stmt)):
-                    self._report(
-                        "P102", stmt,
-                        f"'{name}' (attached from the plane) is used "
-                        "after its ref was released/detached at line "
-                        f"{origin.lineno}")
-                    del dead[name]
-
-            head = _head_calls(stmt)
-            for call in head:
-                leaf, recv = _leaf_recv(call)
-                arg = _first_arg_dump(call)
-
-                # ---- P101: raw attach without a guaranteed detach
-                if leaf in _ATTACH and recv not in ("self", "cls"):
-                    ok = arg and arg in protected
-                    if not ok and arg:
-                        for later in block[i + 1:]:
-                            if isinstance(later, ast.Try) and \
-                                    arg in _detach_args(later.finalbody):
-                                ok = True
-                                break
-                    if not ok:
-                        self._report(
-                            "P101", call,
-                            f"{leaf}(...) result is not protected by a "
-                            "try/finally detach or an attached_* "
-                            "context manager")
-                    elif isinstance(stmt, ast.Assign) and \
-                            len(stmt.targets) == 1 and \
-                            isinstance(stmt.targets[0], ast.Name):
-                        attached[stmt.targets[0].id] = arg
-
-                # ---- P103: literal duplicate unlink in one block
-                if leaf in _UNLINKISH:
-                    key = (leaf, recv, arg)
-                    first = unlinked.get(key)
-                    if first is not None and first is not stmt:
-                        self._report(
-                            "P103", call,
-                            f"{leaf}({ast.unparse(call.args[0]) if call.args else ''}) "
-                            "already ran in this block at line "
-                            f"{first.lineno}")
-                    else:
-                        unlinked[key] = stmt
-
-                # ---- P102 bookkeeping: the kill set
-                if leaf in _RELEASE and arg:
-                    for name, a in attached.items():
-                        if a == arg and name not in dead:
-                            dead[name] = stmt
-
-            # ---- recurse
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.scan(stmt.body, frozenset())
-            elif isinstance(stmt, ast.ClassDef):
-                self.scan(stmt.body, frozenset())
-            elif isinstance(stmt, ast.Try):
-                inner = protected | _detach_args(stmt.finalbody)
-                self.scan(stmt.body, frozenset(inner))
-                for h in stmt.handlers:
-                    self.scan(h.body, frozenset(inner))
-                if stmt.orelse:
-                    self.scan(stmt.orelse, frozenset(inner))
-                if stmt.finalbody:
-                    self.scan(stmt.finalbody, protected)
-            else:
-                for b in _child_blocks(stmt):
-                    self.scan(b, protected)
 
 
 def _scan_spans(path: str, tree: ast.AST, sup: SuppressionIndex,
@@ -267,21 +84,6 @@ def _scan_spans(path: str, tree: ast.AST, sup: SuppressionIndex,
                 "a with statement — the span/context never exits"))
 
 
-def _transfer_publishes(fn: ast.AST) -> bool:
-    """Does this function publish with ``transfer=True`` (or any
-    non-False transfer expression)?"""
-    for n in ast.walk(fn):
-        if isinstance(n, ast.Call):
-            leaf, _ = _leaf_recv(n)
-            if leaf in _PUBLISH:
-                for kw in n.keywords:
-                    if kw.arg == "transfer" and not (
-                            isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False):
-                        return True
-    return False
-
-
 def _closure(name: str, index: dict[str, tuple[str, ast.FunctionDef]],
              seen: set[str], depth: int = 0) -> None:
     """Transitively resolve a worker function's same-set helpers."""
@@ -292,45 +94,6 @@ def _closure(name: str, index: dict[str, tuple[str, ast.FunctionDef]],
     for n in ast.walk(fn):
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
             _closure(n.func.id, index, seen, depth + 1)
-
-
-def _enclosing_chain(tree: ast.Module,
-                     target: ast.Call) -> list[ast.FunctionDef]:
-    """Every FunctionDef whose subtree contains ``target``, outermost
-    first (empty for module-level calls)."""
-    chain: list[ast.FunctionDef] = []
-
-    def _descend(node: ast.AST) -> bool:
-        found = any(n is target for n in ast.walk(node))
-        if not found:
-            return False
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)) and \
-                    any(n is target for n in ast.walk(child)):
-                chain.append(child)  # type: ignore[arg-type]
-                _descend(child)
-                return True
-            if _descend(child):
-                return True
-        return True
-
-    _descend(tree)
-    return chain
-
-
-def _has_adopt(fns: list[ast.FunctionDef]) -> bool:
-    """A *plane* adopt call (``plane.adopt(...)`` or
-    ``get_plane().adopt(...)``) — tracer/runlog span adoption shares the
-    method name but transfers no segment ownership."""
-    for fn in fns:
-        for n in ast.walk(fn):
-            if isinstance(n, ast.Call):
-                leaf, recv = _leaf_recv(n)
-                if leaf == "adopt" and ("plane" in recv.lower()
-                                        or recv == ""):
-                    return True
-    return False
 
 
 def _run_tasks_calls(tree: ast.AST) -> list[ast.Call]:
@@ -345,14 +108,14 @@ def _run_tasks_calls(tree: ast.AST) -> list[ast.Call]:
 
 def default_concurrency_paths(
         root: str | Path | None = None) -> list[Path]:
-    """The sources this pass covers: the plane/pool implementation plus
-    every ``src/repro`` module whose text touches their APIs (the lint
-    package itself is excluded — rule tables quote the tokens)."""
+    """The sources this pass covers: the pool implementation and the
+    sweep harness plus every ``src/repro`` module whose text touches the
+    pool or span API (the lint package itself is excluded — rule tables
+    quote the tokens)."""
     if root is None:
         root = Path(__file__).resolve().parents[1]  # src/repro
     root = Path(root)
-    paths = [root / "core" / "shm.py", root / "core" / "parallel.py",
-             root / "core" / "sweeps.py"]
+    paths = [root / "core" / "parallel.py", root / "core" / "sweeps.py"]
     paths = [p for p in paths if p.exists()]
     have = set(paths)
     for p in sorted(root.rglob("*.py")):
@@ -368,8 +131,8 @@ def default_concurrency_paths(
 
 
 def lint_concurrency(paths: list[Path] | None = None) -> list[Finding]:
-    """Run the typestate pass over ``paths`` (default: every plane/pool
-    consumer under ``src/repro``)."""
+    """Run the pass over ``paths`` (default:
+    :func:`default_concurrency_paths`)."""
     out: list[Finding] = []
     parsed: list[tuple[str, ast.Module, SuppressionIndex]] = []
     #: module-level function index across the analyzed set, for
@@ -405,28 +168,7 @@ def lint_concurrency(paths: list[Path] | None = None) -> list[Finding]:
                 _closure(call.args[0].id, index, worker_fns)
 
     for posix, tree, sup in parsed:
-        scanner = _FileScan(posix, sup)
-        scanner.scan(tree.body, frozenset())
-        out.extend(scanner.findings)
         _scan_spans(posix, tree, sup, out)
-
-        # ---- P104: transfer-publishing fan-outs must adopt somewhere
-        for call in _run_tasks_calls(tree):
-            if not (call.args and isinstance(call.args[0], ast.Name)):
-                continue
-            closure: set[str] = set()
-            _closure(call.args[0].id, index, closure)
-            if not any(name in index and _transfer_publishes(index[name][1])
-                       for name in closure):
-                continue
-            chain = _enclosing_chain(tree, call)
-            if not _has_adopt(chain) and \
-                    not sup.suppresses(call.lineno, "P104"):
-                out.append(finding(
-                    "P104", f"{posix}:{call.lineno}",
-                    f"run_tasks({call.args[0].id}, ...) fans out a "
-                    "transfer=True publisher but no enclosing function "
-                    "ever adopts a ref — the handed-off segments leak"))
 
         # ---- P105: no fan-out from worker context, no raw submits
         for name, (fpath, fn) in index.items():

@@ -8,11 +8,9 @@ Rule ids are stable and grouped by pass family:
 * ``C0xx`` — sweep/config grid legality;
 * ``S0xx`` — trace-cache staleness;
 * ``O0xx`` — exported-artifact validation (``repro.obs.check``);
-* ``P1xx`` — static concurrency/resource-lifecycle typestate analysis
-  of the shared-memory plane and pool consumers;
-* ``R1xx`` — runtime sanitizer findings (``REPRO_SANITIZE=1`` shadow
-  tracking of segment lifecycles and pool batches);
-* ``W0xx`` — lint hygiene (suppression audit, missing sanitizer dumps).
+* ``P1xx`` — static concurrency analysis of the process-pool and span
+  consumers;
+* ``W0xx`` — lint hygiene (the suppression audit).
 
 ``docs/static-analysis.md`` is the prose catalog; this module is the
 machine-readable one (``repro-sdv lint --list-rules`` prints it). Each
@@ -214,34 +212,10 @@ _ALL_RULES = (
          "truncated, or references external resources (must be "
          "self-contained)",
          "regenerate it with repro-sdv dash"),
-    # ---- static concurrency typestate analysis (P1xx) -------------------
+    # ---- static concurrency analysis (P1xx) -----------------------------
     Rule("P100", _E, "unparseable source in concurrency pass",
-         "the file cannot be parsed as Python, so no lifecycle rule can "
-         "be checked", ""),
-    Rule("P101", _E, "shm attach without guaranteed detach",
-         "an attach_trace/attach_bytes result is not paired with a "
-         "detach in a try/finally of the same block — an exception "
-         "between the two pins the mapping (and its refcount) for the "
-         "life of the process",
-         "use plane.attached_trace/attached_bytes as a context manager, "
-         "or detach in a finally block"),
-    Rule("P102", _E, "use after release/detach",
-         "a value attached out of a plane segment is used after the "
-         "statement that released or detached its ref in the same "
-         "block — the mapping behind the views may be closed",
-         "move the use before the release, or re-attach"),
-    Rule("P103", _E, "double unlink",
-         "the same segment is unlinked (or released) twice in one "
-         "block — the second call relies on EAFP error swallowing and "
-         "hides real lifecycle bugs",
-         "unlink once; release() and _raw_unlink() are idempotent but "
-         "a literal duplicate is always a mistake"),
-    Rule("P104", _E, "ownership handoff skips adopt",
-         "a pool fan-out runs a worker that publishes transfer=True "
-         "segments, but the dispatching function never adopts a ref — "
-         "nobody ever unlinks the handed-off segments",
-         "adopt each returned ref in the parent (see "
-         "_sweep_sharded._adopt) before releasing it"),
+         "the file cannot be parsed as Python, so no concurrency rule "
+         "can be checked", ""),
     Rule("P105", _E, "pool submission from a worker context",
          "a function that runs as a pool task itself calls run_tasks "
          "or submits to an executor — nested pools deadlock the "
@@ -253,44 +227,6 @@ _ALL_RULES = (
          "expression of a with statement, so its exit never runs and "
          "every later event nests under a dangling span",
          "wrap the call in a with statement"),
-    # ---- runtime sanitizer (R1xx) ---------------------------------------
-    Rule("R101", _E, "leaked shared-memory segment",
-         "a segment this process owned (published or adopted) was never "
-         "unlinked by exit time, or exit cleanup had to reclaim "
-         "segments under this process's own prefix — a release path "
-         "was skipped",
-         "release every ref in a finally block; transfer publishes "
-         "must be adopted by the parent"),
-    Rule("R102", _E, "segment refcount imbalance",
-         "a process attached a segment more times than it detached it "
-         "(and never settled the segment by unlinking it) — the "
-         "mapping is pinned and the LRU cache cannot evict it",
-         "pair every attach with a detach (attached_trace/"
-         "attached_bytes context managers do this)"),
-    Rule("R103", _E, "double unlink attempt at runtime",
-         "this process tried to unlink a segment name it had already "
-         "unlinked — the first call's bookkeeping was bypassed or a "
-         "cleanup path ran twice",
-         "route unlinks through release()/unlink_all(); the "
-         "already-released fast path absorbs the duplicate but the "
-         "caller is buggy"),
-    Rule("R104", _E, "release from a process that never attached",
-         "release() was called for a segment this process never "
-         "published, attached or adopted — the ref crossed a process "
-         "boundary without its lifecycle",
-         "only release refs this process obtained via publish/attach/"
-         "adopt"),
-    Rule("R105", _E, "dangling pool futures",
-         "a pool batch finished with fewer completed futures than "
-         "submitted tasks (or was still open at exit) without a broken-"
-         "pool error — results were silently dropped",
-         "drain every future via as_completed before returning"),
-    Rule("R106", _E, "pool reused from a foreign process",
-         "a forked process submitted work to a pool its parent "
-         "created — the two processes race on one task queue and the "
-         "child can consume the parent's results",
-         "call run_tasks only from the process that owns the pool "
-         "(workers must never fan out)"),
     # ---- lint hygiene (W0xx) --------------------------------------------
     Rule("W001", _W, "suppression names unknown rule",
          "a # repro-lint: disable= comment lists a rule id that is not "
@@ -300,12 +236,6 @@ _ALL_RULES = (
          "a # repro-lint: disable= comment suppressed nothing this "
          "run — the finding it once silenced is gone",
          "delete the comment (or re-check the rule id)"),
-    Rule("W003", _W, "no sanitizer dumps found",
-         "--sanitize-report pointed at a directory with no "
-         "sanitize-*.json dumps — the sanitized run probably never "
-         "executed (or REPRO_SANITIZE_DIR pointed elsewhere)",
-         "run the workload with REPRO_SANITIZE=1 and "
-         "REPRO_SANITIZE_DIR set to this directory"),
 )
 
 #: rule id -> catalog entry, in catalog order.

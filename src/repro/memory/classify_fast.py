@@ -817,9 +817,8 @@ def pack_levels(levels: list[np.ndarray | None]
 
     ``lens[i]`` is the i-th record's level count, ``-1`` for records
     that carry no level data (barriers, vector arithmetic); ``flat`` is
-    the uint8 concatenation of the present arrays in record order. The
-    shared wire format of the shm classified plane and the on-disk
-    classified sidecar.
+    the uint8 concatenation of the present arrays in record order: the
+    wire format of the on-disk classified sidecar.
     """
     lens = np.fromiter(
         ((-1 if lv is None else lv.shape[0]) for lv in levels),
@@ -834,13 +833,13 @@ def pack_levels(levels: list[np.ndarray | None]
 def unpack_levels(lens: np.ndarray,
                   flat: np.ndarray) -> list[np.ndarray | None]:
     """Inverse of :func:`pack_levels`; the returned arrays are views
-    into ``flat`` (zero-copy when ``flat`` maps a shared segment)."""
+    into ``flat``."""
     present = np.maximum(lens, 0)
     ends = np.cumsum(present)
     starts = ends - present
     # single list comprehension over pre-materialized scalars: ~25% less
     # per-record overhead than scattering into a preallocated list, and
-    # this loop is the dominant cost of a plane attach
+    # this loop is the dominant cost of a sidecar load
     return [flat[s:e] if keep >= 0 else None
             for s, e, keep in zip(starts.tolist(), ends.tolist(),
                                   lens.tolist())]
@@ -856,19 +855,6 @@ CLASSIFIERS = {
     "walk": classify_trace,
 }
 
-_DEFAULT = "stack"
-
-
-def default_classifier() -> str:
-    """The process-wide default classification engine name."""
-    return _DEFAULT
-
-
-def set_default_classifier(name: str) -> None:
-    """Set the process-wide default (CLI ``--classify``); results are
-    bit-identical either way, only throughput differs."""
-    global _DEFAULT
-    if name not in CLASSIFIERS:
-        raise TraceError(
-            f"unknown classifier '{name}' (choose from {sorted(CLASSIFIERS)})")
-    _DEFAULT = name
+#: the engine an :class:`repro.soc.FpgaSdv` classifies with unless it is
+#: built with ``classify="walk"`` (results are bit-identical either way)
+DEFAULT_CLASSIFIER = "stack"

@@ -38,7 +38,7 @@ from repro.memory.classify import (
     KIND_VMEM,
     ClassifiedTrace,
 )
-from repro.memory.classify_fast import CLASSIFIERS, default_classifier
+from repro.memory.classify_fast import CLASSIFIERS, DEFAULT_CLASSIFIER
 from repro.soc.hwcounters import HwCounters
 from repro.trace.events import TraceBuffer
 
@@ -84,10 +84,8 @@ class FpgaSdv:
                 f"(choose from {sorted(CLASSIFIERS)})"
             )
         self.engine = engine
-        # None = follow the module-wide default (set_default_classifier),
-        # resolved at each classify() call so CLI overrides reach existing
-        # boards too
-        self._classify_name = classify
+        #: the active classification engine (``"stack"`` or ``"walk"``)
+        self.classify_name = classify or DEFAULT_CLASSIFIER
         self.counters = HwCounters()
 
     # ------------------------------------------------------------- knobs
@@ -152,8 +150,7 @@ class FpgaSdv:
 
     def geometry_fingerprint(self) -> str:
         """12-hex digest of :meth:`geometry_key` — the cache-geometry
-        fingerprint the classified trace sidecar and the shm classified
-        plane key their payloads on."""
+        fingerprint the classified trace sidecar keys its payload on."""
         import hashlib
 
         return hashlib.sha256(
@@ -161,15 +158,10 @@ class FpgaSdv:
 
     def has_classification(self, trace: TraceBuffer) -> bool:
         """True when ``trace`` already carries a classification for the
-        current engine + geometry (memoized, seeded, or attached)."""
+        current engine + geometry (memoized or seeded)."""
         cache = getattr(trace, "_classified_cache", None)
         return (cache is not None
                 and (self.classify_name, *self._geometry_key()) in cache)
-
-    @property
-    def classify_name(self) -> str:
-        """The active classification engine (``"stack"`` or ``"walk"``)."""
-        return self._classify_name or default_classifier()
 
     def classify(self, trace: TraceBuffer) -> ClassifiedTrace:
         """Classify (or fetch the cached classification of) a sealed trace.
@@ -197,8 +189,8 @@ class FpgaSdv:
     def seed_classification(self, trace: TraceBuffer,
                             ct: ClassifiedTrace) -> None:
         """Pre-load the classification cache with an externally computed
-        result (trace-cache sidecar reload or a shm classified-plane
-        attach), keyed under the current engine + geometry."""
+        result (a trace-cache sidecar reload), keyed under the current
+        engine + geometry."""
         cache = getattr(trace, "_classified_cache", None)
         if cache is None:
             cache = {}

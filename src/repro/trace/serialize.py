@@ -109,8 +109,9 @@ def save_classified(ct, path: str | os.PathLike, *,
     ``geometry_fp`` is the cache-geometry fingerprint
     (:meth:`repro.soc.sdv.FpgaSdv.geometry_fingerprint`) the
     classification was computed under — embedded so a loader never
-    trusts the filename alone. The ragged ``levels`` list is stored in
-    the same ``(lens, flat)`` wire format the shm classified plane uses.
+    trusts the filename alone. The ragged ``levels`` list is stored as
+    the ``(lens, flat)`` pair of
+    :func:`repro.memory.classify_fast.pack_levels`.
     """
     from repro.memory.classify_fast import pack_levels
 

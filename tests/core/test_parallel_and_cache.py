@@ -1,12 +1,15 @@
 """Sweep-harness infrastructure: process fan-out + on-disk trace cache.
 
-Covers the ``jobs=N`` worker-pool path (results identical to serial), the
+Covers the ``jobs=N`` worker-pool path (rows identical to serial across
+the kernel x engine x axis grid), the persistent pool's lifecycle, the
 ``trace_cache=DIR`` path (a repeat run must not re-execute the kernel, and
 an *edited* kernel must miss the cache), and the hoisted once-per-sweep
-reference.
+reference and workload fingerprint.
 """
 
 import dataclasses
+import multiprocessing
+import os
 
 import pytest
 
@@ -89,9 +92,8 @@ class TestPersistentPool:
 
     def test_shape_change_waits_for_old_workers(self):
         # regression: the old pool was torn down with wait=False, leaving
-        # orphaned workers that could race state the caller frees right
-        # after (e.g. a shared-memory segment the sweep parent unlinks
-        # while the orphan is still attaching it)
+        # orphaned workers that outlived their pool and could race state
+        # the caller frees right after
         shutdown_pool()
         calls = {}
 
@@ -125,6 +127,25 @@ class TestPersistentPool:
         out = run_tasks(_read_marker, [0], jobs=4,
                         initializer=_init_marker, initargs=("inline",))
         assert out == ["inline"]  # single task -> in-process + initializer
+
+    def test_forked_child_abandons_foreign_pool(self, monkeypatch):
+        # a forked child inherits the parent's pool handle: it must build
+        # its own pool and never shut the parent's down (that would kill
+        # the parent's workers mid-dispatch)
+        class _Foreign:
+            def shutdown(self, *a, **k):
+                raise AssertionError("foreign pool must not be shut down")
+
+        foreign = _Foreign()
+        monkeypatch.setattr(parallel_mod, "_pool", ((1, None, ()), foreign))
+        monkeypatch.setattr(parallel_mod, "_pool_pid", os.getpid() + 1)
+        try:
+            pool = parallel_mod._get_pool(1, None, ())
+            assert pool is not foreign
+            assert parallel_mod._pool[1] is pool
+            assert parallel_mod._pool_pid == os.getpid()
+        finally:
+            shutdown_pool()
 
 
 class _FakePool:
@@ -252,7 +273,137 @@ class TestWorkerTraceMemo:
         assert len(sweeps_mod._TRACE_MEMO) <= 2
 
 
+# small grids: more than one point and two VLs, cheap enough for the full
+# kernel x engine matrix at smoke scale
+LATS = (0, 128, 512)
+BWS = (4, 32)
+VLS = (8, 32)
+
+
+def _smoke(kernel):
+    spec = KERNELS[kernel]
+    return spec, spec.prepare(get_scale("smoke"), 7)
+
+
+def _rows(result):
+    """Every field a fanned-out sweep must reproduce, in result order."""
+    out = []
+    for m in result.measurements:
+        rep = None if m.report is None else m.report.cycles
+        att = None if m.attribution is None else \
+            (m.attribution.total, dict(m.attribution.buckets))
+        out.append((m.kernel, m.impl, m.extra_latency, m.bandwidth_bpc,
+                    m.cycles, rep, att))
+    return out
+
+
+def _shm_entries():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
 class TestParallelSweeps:
+    """``jobs=2`` (one pool task per implementation) returns exactly the
+    serial path's rows: same cycles, reports, attributions and order."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_latency_grid(self, kernel, engine):
+        spec, workload = _smoke(kernel)
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine=engine)
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine=engine, jobs=2)
+        assert _rows(serial) == _rows(fanned)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("engine", ["fast", "event"])
+    def test_bandwidth_grid(self, kernel, engine):
+        spec, workload = _smoke(kernel)
+        serial = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
+                                 verify=False, engine=engine)
+        fanned = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
+                                 verify=False, engine=engine, jobs=2)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_event_ref_engine(self):
+        # the coroutine reference DES, the slowest and most stateful engine
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="event-ref")
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="event-ref", jobs=2)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_batch_engine(self):
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine="batch")
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine="batch", jobs=2)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_keep_reports(self):
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="fast",
+                               keep_reports=True)
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="fast",
+                               keep_reports=True, jobs=2)
+        assert all(m.report is not None for m in fanned.measurements)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_attributions(self):
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="fast",
+                               attributions=True)
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=False, engine="fast",
+                               attributions=True, jobs=2)
+        assert all(m.attribution is not None for m in fanned.measurements)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_verified_sweep(self):
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=True, engine="fast")
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                               verify=True, engine="fast", jobs=2)
+        assert _rows(serial) == _rows(fanned)
+
+    def test_jobs2_matches_serial_and_leaks_nothing(self):
+        # the fan-out shares nothing through /dev/shm: a sweep must not
+        # leave a segment behind, and tearing the pool down must leave
+        # no worker process
+        before = _shm_entries()
+        spec, workload = _smoke("fft")
+        serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine="fast")
+        fanned = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                               verify=False, engine="fast", jobs=2)
+        assert _rows(serial) == _rows(fanned)
+        assert _shm_entries() <= before
+        shutdown_pool()
+        assert multiprocessing.active_children() == []
+
+    def test_restarted_pool_matches_serial(self):
+        shutdown_pool()  # the sweep below must build a fresh pool
+        try:
+            spec, workload = _smoke("fft")
+            serial = latency_sweep(spec, workload, latencies=LATS,
+                                   vls=(8,), verify=False, engine="fast")
+            fanned = latency_sweep(spec, workload, latencies=LATS,
+                                   vls=(8,), verify=False, engine="fast",
+                                   jobs=2)
+            assert parallel_mod._pool is not None
+            assert _rows(serial) == _rows(fanned)
+        finally:
+            shutdown_pool()
+
     def test_latency_sweep_jobs2_matches_serial(self):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
@@ -391,6 +542,40 @@ class TestTraceCache:
         first = vl_sweep(spec, workload, vls=(8,), trace_cache=tmp_path)
         second = vl_sweep(spec, workload, vls=(8,), trace_cache=tmp_path)
         assert first == second
+
+
+class TestFingerprintHoist:
+    def test_fingerprint_computed_once_per_sweep(self, monkeypatch):
+        # one workload pickle per (kernel, workload) in the parent, not
+        # one per implementation task
+        spec, workload = _smoke("fft")
+        calls = []
+        real = workload_fingerprint
+
+        def counting(w):
+            calls.append(1)
+            return real(w)
+
+        monkeypatch.setattr(sweeps_mod, "workload_fingerprint", counting)
+        latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                      verify=False, engine="fast")
+        assert len(calls) == 1
+
+    def test_hoisted_fp_reaches_cache_path(self, tmp_path, monkeypatch):
+        spec, workload = _smoke("fft")
+        calls = []
+        real = workload_fingerprint
+
+        def counting(w):
+            calls.append(1)
+            return real(w)
+
+        monkeypatch.setattr(sweeps_mod, "workload_fingerprint", counting)
+        latency_sweep(spec, workload, latencies=LATS, vls=(8,),
+                      verify=False, engine="fast", trace_cache=tmp_path)
+        # serial in-process run: the hoisted fp flows into every
+        # trace_cache_path call, so the workload pickles exactly once
+        assert len(calls) == 1
 
 
 class TestHoistedReference:

@@ -1,8 +1,7 @@
-"""The concurrency typestate pass (P1xx) and the suppression audit.
+"""The concurrency pass (P1xx) and the suppression audit.
 
-Each rule gets a minimal positive and negative source fragment; the
-clean-tree pin (zero P findings over the real ``src/repro``) lives in
-``test_concurrency_mutations.py`` next to the seeded-mutation checks.
+Each rule gets a minimal positive and negative source fragment, and the
+real ``src/repro`` tree pins at zero findings.
 """
 
 import textwrap
@@ -21,171 +20,6 @@ def _lint(tmp_path, src, name="mod.py"):
 
 def _rules(findings):
     return sorted(f.rule for f in findings)
-
-
-class TestP101AttachWithoutDetach:
-    def test_bare_attach_flagged(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)
-                return trace.cycles
-        """)
-        assert _rules(fs) == ["P101"]
-        assert "attach_trace" in fs[0].message
-
-    def test_try_finally_pairing_accepted(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)
-                try:
-                    return trace.cycles
-                finally:
-                    plane.detach(ref)
-        """)
-        assert fs == []
-
-    def test_attach_inside_protected_try_accepted(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                try:
-                    data = plane.attach_bytes(ref)
-                    return len(data)
-                finally:
-                    plane.detach(ref)
-        """)
-        assert fs == []
-
-    def test_context_manager_form_accepted(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                with plane.attached_trace(ref) as trace:
-                    return trace.cycles
-        """)
-        assert fs == []
-
-    def test_self_receiver_exempt(self, tmp_path):
-        # the plane's own internals compose attach primitives freely
-        fs = _lint(tmp_path, """
-            class Plane:
-                def helper(self, ref):
-                    return self.attach_trace(ref)
-        """)
-        assert fs == []
-
-    def test_finally_detaching_other_ref_still_flagged(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref, other):
-                trace = plane.attach_trace(ref)
-                try:
-                    return trace.cycles
-                finally:
-                    plane.detach(other)
-        """)
-        assert _rules(fs) == ["P101"]
-
-
-class TestP102UseAfterRelease:
-    def test_use_after_release_flagged(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)
-                try:
-                    total = trace.cycles
-                finally:
-                    plane.detach(ref)
-                plane.release(ref)
-                return trace.cycles
-        """)
-        assert "P102" in _rules(fs)
-
-    def test_use_before_release_clean(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)
-                try:
-                    total = trace.cycles
-                finally:
-                    plane.detach(ref)
-                plane.release(ref)
-                return total
-        """)
-        assert fs == []
-
-
-class TestP103DoubleUnlink:
-    def test_literal_duplicate_flagged(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(name):
-                _raw_unlink(name)
-                _raw_unlink(name)
-        """)
-        assert _rules(fs) == ["P103"]
-
-    def test_different_args_clean(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def f(a, b):
-                _raw_unlink(a)
-                _raw_unlink(b)
-        """)
-        assert fs == []
-
-    def test_separate_branches_clean(self, tmp_path):
-        # one unlink per execution path is fine
-        fs = _lint(tmp_path, """
-            def f(name, fast):
-                if fast:
-                    _raw_unlink(name)
-                else:
-                    _raw_unlink(name)
-        """)
-        assert fs == []
-
-
-_TRANSFER_WORKER = textwrap.dedent("""
-    def _work(task):
-        return plane.publish_trace("k", task, prefix=pfx,
-                                   transfer=True)
-""")
-
-
-class TestP104HandoffWithoutAdopt:
-    def test_missing_adopt_flagged(self, tmp_path):
-        fs = _lint(tmp_path, _TRANSFER_WORKER + textwrap.dedent("""
-            def sweep(tasks):
-                return run_tasks(_work, tasks, jobs=2)
-        """))
-        assert _rules(fs) == ["P104"]
-
-    def test_adopt_in_enclosing_function_accepted(self, tmp_path):
-        fs = _lint(tmp_path, _TRANSFER_WORKER + textwrap.dedent("""
-            def sweep(plane, tasks):
-                outs = run_tasks(_work, tasks, jobs=2)
-                for ref in outs:
-                    plane.adopt(ref)
-                return outs
-        """))
-        assert fs == []
-
-    def test_tracer_adopt_does_not_count(self, tmp_path):
-        # span adoption shares the method name but moves no segment
-        fs = _lint(tmp_path, _TRANSFER_WORKER + textwrap.dedent("""
-            def sweep(tracer, tasks):
-                outs = run_tasks(_work, tasks, jobs=2)
-                for out in outs:
-                    tracer.adopt(out.spans)
-                return outs
-        """))
-        assert _rules(fs) == ["P104"]
-
-    def test_non_transfer_publish_clean(self, tmp_path):
-        fs = _lint(tmp_path, """
-            def _work(task):
-                return plane.publish_trace("k", task, prefix=pfx)
-
-            def sweep(tasks):
-                return run_tasks(_work, tasks, jobs=2)
-        """)
-        assert fs == []
 
 
 class TestP105NestedFanout:
@@ -255,32 +89,30 @@ class TestP106UnscopedSpans:
 class TestSuppressionAudit:
     def test_used_suppression_silences_and_stays_quiet(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)  # repro-lint: disable=P101
-                return trace.cycles
+            def f(pool, fn):
+                return pool.submit(fn, 1)  # repro-lint: disable=P105
         """)
         assert fs == []
 
     def test_unknown_rule_is_w001(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(name):
-                _raw_unlink(name)
-                _raw_unlink(name)  # repro-lint: disable=P999,P103
+            def f(tracer):
+                tracer.span("phase")  # repro-lint: disable=P999,P106
         """)
         assert _rules(fs) == ["W001"]
 
     def test_stale_suppression_is_w002(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(name):
-                _raw_unlink(name)  # repro-lint: disable=P103
+            def f(tracer):
+                with tracer.span("phase"):  # repro-lint: disable=P106
+                    pass
         """)
         assert _rules(fs) == ["W002"]
 
     def test_disable_all(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(plane, ref):
-                trace = plane.attach_trace(ref)  # repro-lint: disable=all
-                return trace.cycles
+            def f(pool, fn):
+                return pool.submit(fn, 1)  # repro-lint: disable=all
         """)
         assert fs == []
 
@@ -288,7 +120,6 @@ class TestSuppressionAudit:
 class TestDefaultPaths:
     def test_core_modules_always_covered(self):
         paths = [p.as_posix() for p in default_concurrency_paths()]
-        assert any(p.endswith("core/shm.py") for p in paths)
         assert any(p.endswith("core/parallel.py") for p in paths)
         assert any(p.endswith("core/sweeps.py") for p in paths)
 
@@ -304,3 +135,9 @@ class TestDefaultPaths:
     def test_unparseable_source_is_p100(self, tmp_path):
         fs = _lint(tmp_path, "def broken(:\n")
         assert _rules(fs) == ["P100"]
+
+
+class TestCleanTree:
+    def test_static_pass_pins_at_zero(self):
+        report = lint_concurrency()
+        assert report == [], "\n".join(f.render() for f in report)

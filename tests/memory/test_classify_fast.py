@@ -15,16 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError
 from repro.memory.classify import classify_trace
 from repro.memory.classify_fast import (
     CLASSIFIERS,
+    DEFAULT_CLASSIFIER,
     classify_trace_fast,
-    default_classifier,
     first_touch_mask,
     pack_levels,
     prev_occurrence,
-    set_default_classifier,
     unpack_levels,
 )
 from repro.trace.events import (
@@ -172,11 +171,7 @@ class TestPropertySuite:
 class TestSelector:
     def test_registry_has_both_engines(self):
         assert set(CLASSIFIERS) == {"stack", "walk"}
-        assert default_classifier() in CLASSIFIERS
-
-    def test_unknown_default_rejected(self):
-        with pytest.raises(TraceError):
-            set_default_classifier("bogus")
+        assert DEFAULT_CLASSIFIER in CLASSIFIERS
 
     def test_sdv_selector_and_cache_keying(self):
         from repro.soc import FpgaSdv
