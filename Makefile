@@ -45,11 +45,10 @@ bench-output:
 bench-paper:
 	REPRO_BENCH_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# every paper artifact (Figures 3-5, headline, plateaus, roofline) from
+# one pass over the traces
 figures:
-	$(PYTHON) -m repro.cli fig3 --kernel all
-	$(PYTHON) -m repro.cli fig4 --kernel all
-	$(PYTHON) -m repro.cli fig5 --kernel all
-	$(PYTHON) -m repro.cli headline
+	$(PYTHON) -m repro.cli report --output REPORT.md
 
 validate:
 	$(PYTHON) -m repro.cli validate

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.sweeps import bandwidth_sweep, latency_sweep
+from repro.core.sweeps import figure_sweeps
 from repro.kernels import KERNELS
 from repro.workloads import get_scale
 
@@ -42,23 +42,27 @@ def workloads(scale):
 
 
 @pytest.fixture(scope="session")
-def latency_sweeps(workloads):
-    """Figure 3/4 data: full latency sweep for every kernel."""
+def study_sweeps(workloads):
+    """Figure 3/4 and Figure 5 data for every kernel: one two-grid sweep
+    per kernel, each trace generated and timed once for both figures."""
     return {
-        name: latency_sweep(KERNELS[name], workloads[name],
-                            latencies=LATENCIES, vls=VLS)
+        name: figure_sweeps(KERNELS[name], workloads[name],
+                            latencies=LATENCIES, bandwidths=BANDWIDTHS,
+                            vls=VLS)
         for name in KERNELS
     }
 
 
 @pytest.fixture(scope="session")
-def bandwidth_sweeps(workloads):
+def latency_sweeps(study_sweeps):
+    """Figure 3/4 data: full latency sweep for every kernel."""
+    return {name: s.latency for name, s in study_sweeps.items()}
+
+
+@pytest.fixture(scope="session")
+def bandwidth_sweeps(study_sweeps):
     """Figure 5 data: full bandwidth sweep for every kernel."""
-    return {
-        name: bandwidth_sweep(KERNELS[name], workloads[name],
-                              bandwidths=BANDWIDTHS, vls=VLS)
-        for name in KERNELS
-    }
+    return {name: s.bandwidth for name, s in study_sweeps.items()}
 
 
 def write_result(name: str, text: str) -> None:

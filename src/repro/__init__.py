@@ -35,12 +35,14 @@ from repro.core import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_LATENCIES,
     DEFAULT_VLS,
+    FigureSweeps,
     Measurement,
     SweepResult,
     bandwidth_sweep,
     figure3_series,
     figure4_table,
     figure5_series,
+    figure_sweeps,
     headline_numbers,
     latency_sweep,
     plateau_bandwidth,
@@ -85,6 +87,8 @@ __all__ = [
     "SweepResult",
     "bandwidth_sweep",
     "latency_sweep",
+    "figure_sweeps",
+    "FigureSweeps",
     "vl_sweep",
     "run_implementation",
     "figure3_series",

@@ -5,8 +5,9 @@ FPGA-SDV and the four kernels, it runs the paper's three sweeps and renders
 the paper's figures/tables:
 
 * :mod:`sweeps` — latency sweep (Section 4.1), bandwidth sweep (Section
-  4.2), and VL sweep; one trace per implementation, batch-engine re-timing
-  of all sweep points at once, optional on-disk trace cache;
+  4.2), both at once (``figure_sweeps``), and VL sweep; one trace per
+  implementation, batch-engine re-timing of all sweep points at once,
+  optional on-disk trace cache;
 * :mod:`parallel` — process-pool fan-out of trace generation (``jobs=N``);
 * :mod:`measurements` — result containers, CSV export;
 * :mod:`figures` — Figure 3 (time vs latency), Figure 4 (normalized
@@ -29,7 +30,9 @@ from repro.core.sweeps import (
     DEFAULT_LATENCIES,
     DEFAULT_SWEEP_ENGINE,
     DEFAULT_VLS,
+    FigureSweeps,
     bandwidth_sweep,
+    figure_sweeps,
     latency_sweep,
     run_implementation,
     vl_sweep,
@@ -64,8 +67,10 @@ __all__ = [
     "DEFAULT_LATENCIES",
     "DEFAULT_SWEEP_ENGINE",
     "DEFAULT_VLS",
+    "FigureSweeps",
     "bandwidth_sweep",
     "default_jobs",
+    "figure_sweeps",
     "latency_sweep",
     "resolve_jobs",
     "run_implementation",

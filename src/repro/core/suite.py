@@ -4,7 +4,14 @@
 and bandwidth sweeps for all four kernels, the headline numbers, the
 machine probes, and roofline characterization) and renders one
 self-contained Markdown report — the artifact a co-design meeting would
-read. Used by ``repro-sdv report``.
+read. Used by ``repro-sdv report`` and ``make figures``.
+
+Every artifact comes from one pass over the traces: per kernel, one
+two-grid :func:`repro.core.sweeps.figure_sweeps` call generates,
+classifies and lowers each implementation's trace once, times Figure 3's
+and Figure 5's points together, and characterizes the longest VL for the
+roofline table. ``render_report`` only renders; it re-runs nothing but
+the machine probes.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.config import SdvConfig
-from repro.core.analysis import characterize, roofline_bound
+from repro.core.analysis import Characterization, roofline_bound
 from repro.core.figures import headline_numbers, plateau_bandwidth
 from repro.core.measurements import SweepResult
 from repro.core.report import (
@@ -29,6 +36,7 @@ from repro.core.sweeps import (
     DEFAULT_SWEEP_ENGINE,
     DEFAULT_VLS,
     bandwidth_sweep,
+    figure_sweeps,
     latency_sweep,
     run_implementation,
 )
@@ -39,6 +47,18 @@ from repro.soc import FpgaSdv
 from repro.util.tables import TextTable
 from repro.workloads import get_scale
 
+#: the study surface: the suite plus the sweeps it is built from, which
+#: callers (and benchmark harnesses) reach through this module
+__all__ = [
+    "SuiteResult",
+    "bandwidth_sweep",
+    "figure_sweeps",
+    "latency_sweep",
+    "render_report",
+    "run_implementation",
+    "run_suite",
+]
+
 
 @dataclass
 class SuiteResult:
@@ -47,6 +67,9 @@ class SuiteResult:
     scale: str
     latency: dict[str, SweepResult] = field(default_factory=dict)
     bandwidth: dict[str, SweepResult] = field(default_factory=dict)
+    #: kernel -> roofline placement of its longest-VL trace at the
+    #: default knobs
+    roofline: dict[str, Characterization] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
 
@@ -59,11 +82,12 @@ def run_suite(*, scale_name: str = "ci", seed: int = 7,
               trace_cache: str | None = None) -> SuiteResult:
     """Run the full experimental matrix; returns all sweep results.
 
-    ``engine``/``jobs``/``trace_cache`` are forwarded to the sweeps: batch
-    re-timing by default, ``jobs=N`` fans trace generation across worker
-    processes, and a cache directory makes repeated runs skip functional
-    execution entirely (with a cache set, the bandwidth sweep reuses the
-    traces the latency sweep just recorded).
+    One :func:`figure_sweeps` call per kernel times both grids and
+    characterizes the longest VL in ``vls`` for the roofline table.
+    ``engine``/``jobs``/``trace_cache`` are forwarded to it: batch
+    re-timing by default, ``jobs=N`` fans the implementations across
+    worker processes, and a cache directory makes repeated runs skip
+    functional execution entirely.
     """
     t0 = time.time()
     scale = get_scale(scale_name)
@@ -75,24 +99,35 @@ def run_suite(*, scale_name: str = "ci", seed: int = 7,
         reset_figure_state()
         spec = KERNELS[name]
         workload = spec.prepare(scale, seed)
-        out.latency[name] = latency_sweep(
-            spec, workload, latencies=DEFAULT_LATENCIES, vls=vls,
-            verify=verify, engine=engine, jobs=jobs,
-            trace_cache=trace_cache)
-        out.bandwidth[name] = bandwidth_sweep(
-            spec, workload, bandwidths=DEFAULT_BANDWIDTHS, vls=vls,
-            verify=False, engine=engine, jobs=jobs,
-            trace_cache=trace_cache)
+        sweeps = figure_sweeps(
+            spec, workload, latencies=DEFAULT_LATENCIES,
+            bandwidths=DEFAULT_BANDWIDTHS, vls=vls, verify=verify,
+            engine=engine, jobs=jobs, trace_cache=trace_cache,
+            roofline=True)
+        out.latency[name] = sweeps.latency
+        out.bandwidth[name] = sweeps.bandwidth
+        if sweeps.roofline is not None:
+            out.roofline[name] = sweeps.roofline
     out.elapsed_s = time.time() - t0
     return out
 
 
-def render_report(suite: SuiteResult, *, seed: int = 7) -> str:
-    """Render the suite as one self-contained Markdown document."""
+def _longest_vl(impls: list[str]) -> str:
+    """Label of the longest-VL implementation (``vl256`` on the paper
+    grid)."""
+    return max((i for i in impls if i != "scalar"), key=lambda i: int(i[2:]))
+
+
+def render_report(suite: SuiteResult, *, seed: int | None = None) -> str:
+    """Render the suite as one self-contained Markdown document.
+
+    Pure rendering: every table comes from ``suite``. ``seed`` is accepted
+    for older callers and ignored — the roofline placement is the suite's
+    own, measured on the traces its sweeps ran.
+    """
     buf = io.StringIO()
     w = buf.write
     cfg = SdvConfig().validate()
-    scale = get_scale(suite.scale)
 
     w("# FPGA-SDV study report\n\n")
     w(f"Workload scale: `{suite.scale}`; knobs swept: extra latency "
@@ -110,9 +145,10 @@ def render_report(suite: SuiteResult, *, seed: int = 7) -> str:
     w(probe.render())
     w("\n```\n\n")
 
-    if "spmv" in suite.latency and 32 in suite.latency["spmv"].points:
+    spmv = suite.latency.get("spmv")
+    if spmv is not None and 32 in spmv.points and "vl256" in spmv.impls:
         w("## Headline numbers (Section 4.1)\n\n```\n")
-        w(render_headline(headline_numbers(suite.latency["spmv"])))
+        w(render_headline(headline_numbers(spmv)))
         w("\n```\n\n")
 
     w("## Figure 3 — execution time vs extra latency\n\n")
@@ -139,12 +175,7 @@ def render_report(suite: SuiteResult, *, seed: int = 7) -> str:
     w("## Roofline placement (vector implementations, default knobs)\n\n")
     t = TextTable(["kernel", "AI (flop/B)", "flops/cycle", "roof",
                    "% of roof"])
-    for name in suite.latency:
-        spec = KERNELS[name]
-        workload = spec.prepare(scale, seed)
-        sdv, trace = run_implementation(spec, workload, 256, verify=False)
-        ct = sdv.classify(trace)
-        c = characterize(ct, sdv.time(trace), kernel=name, impl="vl256")
+    for name, c in suite.roofline.items():
         roof = roofline_bound(cfg, c.arithmetic_intensity, vector=True)
         pct = 100.0 * c.flops_per_cycle / roof if roof else 0.0
         t.add_row([name, f"{c.arithmetic_intensity:.3f}",
@@ -153,16 +184,17 @@ def render_report(suite: SuiteResult, *, seed: int = 7) -> str:
     w(f"```\n{t.render()}\n```\n\n")
 
     w("## Conclusions checked\n\n")
-    spmv4 = suite.latency.get("spmv")
-    if spmv4 is not None:
+    if spmv is not None:
         from repro.core.figures import figure4_table
-        table = figure4_table(spmv4)
+        top = _longest_vl(spmv.impls)
+        table = figure4_table(spmv)
         w(f"* SpMV slowdown at +1024: scalar {table['scalar'][-1]:.2f}x "
-          f"vs vl256 {table['vl256'][-1]:.2f}x — long vectors tolerate "
+          f"vs {top} {table[top][-1]:.2f}x — long vectors tolerate "
           "latency.\n")
     if "spmv" in suite.bandwidth:
+        top = _longest_vl(suite.bandwidth["spmv"].impls)
         p_s = plateau_bandwidth(suite.bandwidth["spmv"], "scalar")
-        p_v = plateau_bandwidth(suite.bandwidth["spmv"], "vl256")
-        w(f"* SpMV bandwidth plateaus: scalar at {p_s} B/cycle vs vl256 at "
+        p_v = plateau_bandwidth(suite.bandwidth["spmv"], top)
+        w(f"* SpMV bandwidth plateaus: scalar at {p_s} B/cycle vs {top} at "
           f"{p_v} B/cycle — one long-vector core uses the memory system.\n")
     return buf.getvalue()

@@ -2,18 +2,23 @@
 
 Efficiency structure (what makes paper-scale sweeps tractable):
 
-* the trace of one (kernel, implementation) pair is generated **once** —
-  the Latency Controller and Bandwidth Limiter knobs do not change what the
-  program does, only how long it takes (exactly like the FPGA) — and can be
-  persisted to an on-disk cache (``trace_cache=``) so repeated runs skip
-  functional re-execution entirely;
+* the unit of work is one (kernel, implementation) task, and one task
+  serves every knob grid asked of it: the Latency Controller and Bandwidth
+  Limiter knobs do not change what the program does, only how long it
+  takes (exactly like the FPGA), so the task generates and verifies the
+  trace **once** — or loads it from the on-disk cache (``trace_cache=``),
+  skipping functional re-execution entirely;
 * the cache classification and lowering of that trace are computed **once**
   (both are knob-independent) and cached on the trace;
-* every sweep point of the trace is then timed in **one** batch-engine walk
-  (:mod:`repro.engine.batch_sim`) with the knob axis vectorized — not one
-  re-timing pass per point;
-* trace generation for the different implementations fans out across worker
-  processes (``jobs=N``, :mod:`repro.core.parallel`);
+* the points of all the task's grids are then timed in **one**
+  ``time_many`` call — on the batch engine one vectorized walk
+  (:mod:`repro.engine.batch_sim`) over the concatenated knob axis, K=14
+  for the Figure 3 and Figure 5 grids together — and the cycles are split
+  back into one :class:`SweepResult` per grid. :func:`figure_sweeps` is
+  that two-grid call; :func:`latency_sweep` and :func:`bandwidth_sweep`
+  are one-grid calls of the same path;
+* the tasks fan out across worker processes (``jobs=N``,
+  :mod:`repro.core.parallel`);
 * the reference result used for verification is computed once per
   (kernel, workload), not once per implementation.
 
@@ -36,8 +41,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.config import SdvConfig
+from repro.core.analysis import Characterization, characterize
 from repro.core.measurements import Measurement, SweepResult
 from repro.core.parallel import resolve_jobs, run_tasks
+from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
 from repro.obs import engine_stats as engine_stats_mod
@@ -326,14 +333,26 @@ def _sweep_configs(base: SdvConfig, axis: str,
     return [base.with_bandwidth(p) for p in points]
 
 
+#: one sweep grid: a knob axis ("latency" or "bandwidth") and its points
+Grid = tuple[str, list[int]]
+
+
+def _grid_name(grids: Sequence[Grid]) -> str:
+    """Span/log name of a sweep: its axes joined, e.g.
+    ``latency+bandwidth``."""
+    return "+".join(axis for axis, _ in grids)
+
+
 @dataclass
 class _ImplOutcome:
     """Everything one (kernel, implementation) task ships back to the
-    parent sweep: measurements plus the worker's observability payload
-    (spans and a metrics snapshot — instrument objects never cross the
-    process boundary, plain data does)."""
+    parent sweep: measurements (one list per grid), the optional roofline
+    placement, plus the worker's observability payload (spans and a
+    metrics snapshot — instrument objects never cross the process
+    boundary, plain data does)."""
 
-    measurements: list[Measurement]
+    measurements: list[list[Measurement]]
+    roofline: Characterization | None = None
     spans: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     pid: int = 0
@@ -351,16 +370,28 @@ def _resolve_spec(spec_or_name) -> KernelSpec:
     return spec_or_name
 
 
-def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
-                 axis: str, points: Sequence[int], keep_reports: bool,
-                 engine: str, attributions: bool, tracer: SpanTracer,
-                 registry: MetricsRegistry) -> list[Measurement]:
-    """Time one trace at every point of one axis."""
-    configs = _sweep_configs(sdv.config, axis, points)
+def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
+                grids: Sequence[Grid], keep_reports: bool, engine: str,
+                attributions: bool, roofline: bool, tracer: SpanTracer,
+                registry: MetricsRegistry
+                ) -> tuple[list[list[Measurement]], Characterization | None]:
+    """Time one trace at every point of every grid in one timing call.
+
+    The grids' configs are concatenated, so ``batch`` times them all in
+    one walk; the rows are split back into one list per grid. With
+    ``roofline`` set, the trace's roofline placement at the SDV's own
+    knobs is also returned, its cycles taken from the grid point timed
+    there.
+    """
+    base = sdv.config
     base_lat = sdv.extra_latency
     base_bpc = int(sdv.bandwidth_bpc)
+    keys = [(axis, p) for axis, points in grids for p in points]
+    configs = [cfg for axis, points in grids
+               for cfg in _sweep_configs(base, axis, points)]
 
-    def measurement(point, cycles, report, att=None):
+    def measurement(key, cycles, report, att=None):
+        axis, point = key
         return Measurement(
             kernel=kernel, impl=label,
             extra_latency=point if axis == "latency" else base_lat,
@@ -368,56 +399,80 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             cycles=cycles, report=report, attribution=att,
         )
 
+    compact = engine == "batch" and not keep_reports
     with tracer.span(f"re-time:{kernel}:{label}", kernel=kernel,
-                     impl=label, engine=engine, points=len(points),
+                     impl=label, engine=engine, points=len(configs),
                      attributions=attributions):
         t0 = time.perf_counter()
-        if attributions and engine == "batch" and not keep_reports:
-            # fused path: ONE vectorized walk times every sweep point AND
-            # every attribution-ladder rung (the ladder's L0 column *is*
-            # the sweep cycle count, bit-for-bit), so turning buckets on
-            # costs a few extra knob-axis columns, not extra walks
-            from repro.obs.attribution import attribute_many
+        with tracer.span(f"classify:{kernel}:{label}", kernel=kernel,
+                         impl=label):
+            ct = sdv.classify(trace)
+        if engine == "batch":
+            with tracer.span(f"lower:{kernel}:{label}", kernel=kernel,
+                             impl=label):
+                sdv.lower(trace)
+        with tracer.span(f"walk:{kernel}:{label}", kernel=kernel,
+                         impl=label, engine=engine, points=len(configs)):
+            if attributions and compact:
+                # fused path: ONE vectorized walk times every sweep point
+                # AND every attribution-ladder rung (the ladder's L0
+                # column *is* the sweep cycle count, bit-for-bit), so
+                # turning buckets on costs a few extra knob-axis columns,
+                # not extra walks
+                from repro.obs.attribution import attribute_many
 
-            atts = attribute_many(sdv.classify(trace), configs,
-                                  lowered=sdv.lower(trace))
-            measurements = [measurement(p, att.total, None, att)
-                            for p, att in zip(points, atts)]
-        elif engine == "batch" and not keep_reports:
-            # compact path: one vectorized walk, a bare cycles vector, no
-            # intermediate CycleReport garbage
-            cycles = sdv.time_many(trace, configs, engine="batch",
-                                   reports=False)
-            measurements = [measurement(p, float(c), None)
-                            for p, c in zip(points, cycles)]
-        else:
-            reports = sdv.time_many(trace, configs, engine=engine)
-            measurements = [measurement(p, r.cycles,
-                                        r if keep_reports else None)
-                            for p, r in zip(points, reports)]
+                atts = attribute_many(ct, configs, lowered=sdv.lower(trace))
+                rows = [measurement(k, att.total, None, att)
+                        for k, att in zip(keys, atts)]
+            elif compact:
+                # compact path: one vectorized walk, a bare cycles vector,
+                # no intermediate CycleReport garbage
+                cycles = sdv.time_many(trace, configs, engine="batch",
+                                       reports=False)
+                rows = [measurement(k, float(c), None)
+                        for k, c in zip(keys, cycles)]
+            else:
+                reports = sdv.time_many(trace, configs, engine=engine)
+                rows = [measurement(k, r.cycles, r if keep_reports else None)
+                        for k, r in zip(keys, reports)]
         registry.histogram("sweep.retime_s").observe(
             time.perf_counter() - t0)
 
-    if attributions and not (engine == "batch" and not keep_reports):
+    if attributions and not compact:
         from repro.obs.attribution import attribute_many
 
         with tracer.span(f"attribute:{kernel}:{label}", kernel=kernel,
                          impl=label):
-            atts = attribute_many(sdv.classify(trace), configs,
-                                  lowered=sdv.lower(trace))
-        measurements = [replace(m, attribution=att)
-                        for m, att in zip(measurements, atts)]
-    return measurements
+            atts = attribute_many(ct, configs, lowered=sdv.lower(trace))
+        rows = [replace(m, attribution=att) for m, att in zip(rows, atts)]
+
+    placement = None
+    if roofline:
+        if base in configs:
+            cycles_at_base = rows[configs.index(base)].cycles
+        else:  # no grid point sits at the SDV's own knobs
+            cycles_at_base = sdv.time(trace, engine=engine).cycles
+        placement = characterize(
+            ct, CycleReport(cycles=cycles_at_base, engine=engine),
+            kernel=kernel, impl=label)
+
+    per_grid, start = [], 0
+    for _axis, points in grids:
+        per_grid.append(rows[start:start + len(points)])
+        start += len(points)
+    return per_grid, placement
 
 
-def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
-                   points: Sequence[int], config: SdvConfig | None,
+def _time_one_impl(spec: KernelSpec, workload, vl: int | None,
+                   grids: Sequence[Grid], config: SdvConfig | None,
                    verify: bool, reference, keep_reports: bool, engine: str,
                    trace_cache, trace_spans: bool = False,
                    attributions: bool = False, runlog_on: bool = False,
                    trace_id: str = "", introspection: bool = False,
-                   workload_fp: str | None = None) -> _ImplOutcome:
-    """Generate + time one implementation across all points of one axis."""
+                   workload_fp: str | None = None,
+                   roofline: bool = False) -> _ImplOutcome:
+    """Generate + time one implementation across every point of every
+    grid."""
     t_begin = time.perf_counter()
     tracer = SpanTracer(enabled=trace_spans)
     registry = MetricsRegistry()
@@ -431,8 +486,9 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
     collector = engine_stats_mod.get_engine_stats()
     es_before = collector.snapshot() if introspection else None
     label = impl_label(vl)
-    log.event("impl.start", kernel=spec.name, impl=label, axis=axis,
-              points=len(points), engine=engine)
+    n_points = sum(len(points) for _, points in grids)
+    log.event("impl.start", kernel=spec.name, impl=label,
+              axis=_grid_name(grids), points=n_points, engine=engine)
 
     with tracer.span(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
                      impl=label):
@@ -446,17 +502,18 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
         log.event("impl.trace_ready", kernel=spec.name, impl=label,
                   records=len(trace), wall_s=round(trace_gen_s, 6))
 
-    measurements = _time_points(sdv, trace, spec.name, label, axis, points,
-                                keep_reports, engine, attributions,
-                                tracer, registry)
+    measurements, placement = _time_grids(
+        sdv, trace, spec.name, label, grids, keep_reports, engine,
+        attributions, roofline, tracer, registry)
 
     registry.counter("sweep.impls_timed").inc()
-    registry.counter("sweep.points_timed").inc(len(points))
+    registry.counter("sweep.points_timed").inc(n_points)
     wall_s = time.perf_counter() - t_begin
     log.event("impl.done", kernel=spec.name, impl=label,
-              measurements=len(measurements), wall_s=round(wall_s, 6))
+              measurements=n_points, wall_s=round(wall_s, 6))
     return _ImplOutcome(
         measurements=measurements,
+        roofline=placement,
         spans=tracer.spans,
         metrics=registry.snapshot(),
         pid=os.getpid(),
@@ -469,13 +526,13 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
 
 def _impl_task(args) -> _ImplOutcome:
     """Module-level worker: one (kernel, implementation) per process task."""
-    (spec_or_name, workload, vl, axis, points, config, verify, reference,
+    (spec_or_name, workload, vl, grids, config, verify, reference,
      keep_reports, engine, trace_cache, trace_spans, attributions,
-     runlog_on, trace_id, introspection, workload_fp) = args
-    return _time_one_impl(_resolve_spec(spec_or_name), workload, vl, axis,
-                          points, config, verify, reference, keep_reports,
-                          engine, trace_cache, trace_spans, attributions,
-                          runlog_on, trace_id, introspection, workload_fp)
+     runlog_on, trace_id, introspection, workload_fp, roofline) = args
+    return _time_one_impl(_resolve_spec(spec_or_name), workload, vl, grids,
+                          config, verify, reference, keep_reports, engine,
+                          trace_cache, trace_spans, attributions, runlog_on,
+                          trace_id, introspection, workload_fp, roofline)
 
 
 def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
@@ -498,22 +555,33 @@ def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
         raise ConfigError(f"illegal {axis} sweep grid: {lines}")
 
 
-def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
+def _sweep(spec: KernelSpec, workload, grids: list[Grid],
            vls: Sequence[int], include_scalar: bool,
            config: SdvConfig | None, verify: bool, keep_reports: bool,
            engine: str, jobs: int, trace_cache,
-           attributions: bool = False) -> SweepResult:
-    _validate_grid(axis, points, vls, config)
+           attributions: bool = False, roofline: bool = False
+           ) -> tuple[list[SweepResult], Characterization | None]:
+    """Sweep every grid with one task per implementation.
+
+    Returns one :class:`SweepResult` per grid, plus — with ``roofline``
+    set — the longest VL's roofline placement at the default knobs.
+    """
+    for axis, points in grids:
+        _validate_grid(axis, points, vls, config)
     impls = _impls(vls, include_scalar)
+    top_vl = max(vls) if roofline and vls else None
     # hoisted per (kernel, workload): the reference and the workload
     # fingerprint are identical for every implementation
     reference = spec.reference(workload) if verify else None
     workload_fp = workload_fingerprint(workload)
 
-    result = SweepResult(
-        kernel=spec.name, axis=axis, points=points,
-        impls=[impl_label(v) for v in impls],
-    )
+    labels = [impl_label(v) for v in impls]
+    results = [SweepResult(kernel=spec.name, axis=axis, points=points,
+                           impls=list(labels))
+               for axis, points in grids]
+    placement = None
+    name = _grid_name(grids)
+    n_points = sum(len(points) for _, points in grids)
     tracer = get_tracer()
     registry = get_metrics()
     runlog = get_runlog()
@@ -526,12 +594,12 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
 
     payload = spec.name if KERNELS.get(spec.name) is spec else spec
     tasks = [
-        (payload, workload, vl, axis, points, config, verify, reference,
+        (payload, workload, vl, grids, config, verify, reference,
          keep_reports, engine, trace_cache, tracer.enabled, attributions,
-         runlog.enabled, runlog.trace_id, introspection, workload_fp)
+         runlog.enabled, runlog.trace_id, introspection, workload_fp,
+         top_vl is not None and vl == top_vl)
         for vl in impls
     ]
-    labels = [impl_label(v) for v in impls]
     parallel = resolve_jobs(jobs) > 1
     done = 0
 
@@ -539,21 +607,21 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
         # per-worker progress while slower implementations are in flight
         nonlocal done
         done += 1
-        runlog.event("sweep.heartbeat", kernel=spec.name, axis=axis,
+        runlog.event("sweep.heartbeat", kernel=spec.name, axis=name,
                      impl=labels[idx], done=done, total=len(tasks),
                      worker_pid=outcome.pid,
                      wall_s=round(outcome.wall_s, 3))
         if parallel:
-            print(f"[sweep {spec.name}/{axis}] {labels[idx]} done "
+            print(f"[sweep {spec.name}/{name}] {labels[idx]} done "
                   f"({done}/{len(tasks)}, worker pid {outcome.pid}, "
                   f"{outcome.wall_s:.1f}s)", file=sys.stderr)
 
-    with tracer.span(f"sweep:{spec.name}:{axis}", kernel=spec.name,
-                     axis=axis, impls=len(tasks), points=len(points),
+    with tracer.span(f"sweep:{spec.name}:{name}", kernel=spec.name,
+                     axis=name, impls=len(tasks), points=n_points,
                      engine=engine, jobs=jobs):
-        with runlog.context(f"sweep:{spec.name}:{axis}",
-                            kernel=spec.name, axis=axis,
-                            impls=len(tasks), points=len(points),
+        with runlog.context(f"sweep:{spec.name}:{name}",
+                            kernel=spec.name, axis=name,
+                            impls=len(tasks), points=n_points,
                             engine=engine, jobs=jobs):
             for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
                                      on_result=heartbeat,
@@ -565,10 +633,12 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
                     # in-process outcomes already recorded straight into
                     # this collector; only worker deltas need merging
                     engine_stats.merge(outcome.engine_stats)
-                for m in outcome.measurements:
-                    result.add(m)
+                for result, rows in zip(results, outcome.measurements):
+                    result.measurements.extend(rows)
+                if outcome.roofline is not None:
+                    placement = outcome.roofline
     registry.counter("sweep.sweeps_run").inc()
-    return result
+    return results, placement
 
 
 def latency_sweep(
@@ -594,9 +664,10 @@ def latency_sweep(
     ``jobs > 1`` fans the implementations out across worker processes,
     one task each (see ``docs/parallelism.md``).
     """
-    return _sweep(spec, workload, "latency", list(latencies), vls,
-                  include_scalar, config, verify, keep_reports, engine,
-                  jobs, trace_cache, attributions)
+    (result,), _ = _sweep(spec, workload, [("latency", list(latencies))],
+                          vls, include_scalar, config, verify, keep_reports,
+                          engine, jobs, trace_cache, attributions)
+    return result
 
 
 def bandwidth_sweep(
@@ -615,9 +686,58 @@ def bandwidth_sweep(
     attributions: bool = False,
 ) -> SweepResult:
     """Section 4.2: execution time vs. the Bandwidth Limiter setting."""
-    return _sweep(spec, workload, "bandwidth", list(bandwidths), vls,
-                  include_scalar, config, verify, keep_reports, engine,
-                  jobs, trace_cache, attributions)
+    (result,), _ = _sweep(spec, workload, [("bandwidth", list(bandwidths))],
+                          vls, include_scalar, config, verify, keep_reports,
+                          engine, jobs, trace_cache, attributions)
+    return result
+
+
+@dataclass
+class FigureSweeps:
+    """One kernel's Figure 3/4 and Figure 5 data from one pass over its
+    traces."""
+
+    latency: SweepResult
+    bandwidth: SweepResult
+    #: the longest VL's roofline placement at the default knobs (only
+    #: when requested)
+    roofline: Characterization | None = None
+
+
+def figure_sweeps(
+    spec: KernelSpec,
+    workload,
+    *,
+    latencies: Iterable[int] = DEFAULT_LATENCIES,
+    bandwidths: Iterable[int] = DEFAULT_BANDWIDTHS,
+    vls: Sequence[int] = DEFAULT_VLS,
+    include_scalar: bool = True,
+    config: SdvConfig | None = None,
+    verify: bool = True,
+    keep_reports: bool = False,
+    engine: str = DEFAULT_SWEEP_ENGINE,
+    jobs: int = 1,
+    trace_cache: str | os.PathLike | None = None,
+    attributions: bool = False,
+    roofline: bool = False,
+) -> FigureSweeps:
+    """Sections 4.1 and 4.2 together: the latency and the bandwidth sweep
+    of one kernel, one task per implementation.
+
+    Each task generates, verifies, classifies and lowers its trace once
+    and times both grids' points in one ``time_many`` call (one K=14 walk
+    on ``batch`` for the default grids). The rows equal those of separate
+    :func:`latency_sweep` and :func:`bandwidth_sweep` calls.
+    ``roofline=True`` also characterizes the longest VL's trace
+    (:func:`repro.core.analysis.characterize`), with the cycles of its
+    grid point at the default knobs.
+    """
+    (lat, bw), placement = _sweep(
+        spec, workload,
+        [("latency", list(latencies)), ("bandwidth", list(bandwidths))],
+        vls, include_scalar, config, verify, keep_reports, engine, jobs,
+        trace_cache, attributions, roofline)
+    return FigureSweeps(latency=lat, bandwidth=bw, roofline=placement)
 
 
 def vl_sweep(

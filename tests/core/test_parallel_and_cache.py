@@ -23,6 +23,7 @@ from repro.core.parallel import (
 )
 from repro.core.sweeps import (
     bandwidth_sweep,
+    figure_sweeps,
     latency_sweep,
     run_implementation,
     trace_cache_path,
@@ -327,6 +328,64 @@ class TestParallelSweeps:
         fanned = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
                                  verify=False, engine=engine, jobs=2)
         assert _rows(serial) == _rows(fanned)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("engine", ["batch", "fast", "event"])
+    def test_two_grids(self, kernel, engine, jobs):
+        # one task per implementation times both grids in one call; its
+        # rows are exactly those of the two one-grid sweeps
+        spec, workload = _smoke(kernel)
+        lat = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                            verify=False, engine=engine)
+        bw = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
+                             verify=False, engine=engine)
+        both = figure_sweeps(spec, workload, latencies=LATS, bandwidths=BWS,
+                             vls=VLS, verify=False, engine=engine,
+                             jobs=jobs)
+        assert both.roofline is None  # only on request
+        assert _rows(both.latency) == _rows(lat)
+        assert _rows(both.bandwidth) == _rows(bw)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_grids_keep_reports(self, jobs):
+        spec, workload = _smoke("fft")
+        lat = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                            verify=False, engine="batch", keep_reports=True)
+        bw = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
+                             verify=False, engine="batch", keep_reports=True)
+        both = figure_sweeps(spec, workload, latencies=LATS, bandwidths=BWS,
+                             vls=VLS, verify=False, engine="batch",
+                             keep_reports=True, jobs=jobs)
+        assert _rows(both.latency) == _rows(lat)
+        assert _rows(both.bandwidth) == _rows(bw)
+
+        def breakdown(result):
+            # every report field; meta records the walk's batch size,
+            # which is the union of both grids here
+            return [{k: v for k, v in vars(m.report).items() if k != "meta"}
+                    for m in result.measurements]
+
+        assert breakdown(both.latency) == breakdown(lat)
+        assert breakdown(both.bandwidth) == breakdown(bw)
+        assert {m.report.meta["batch_size"]
+                for m in both.bandwidth.measurements} == {len(LATS + BWS)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_two_grids_attributions(self, jobs):
+        # the fused attribution walk over the union of both grids
+        spec, workload = _smoke("fft")
+        lat = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                            verify=False, engine="batch", attributions=True)
+        bw = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
+                             verify=False, engine="batch", attributions=True)
+        both = figure_sweeps(spec, workload, latencies=LATS, bandwidths=BWS,
+                             vls=VLS, verify=False, engine="batch",
+                             attributions=True, jobs=jobs)
+        rows = both.latency.measurements + both.bandwidth.measurements
+        assert all(m.attribution is not None for m in rows)
+        assert _rows(both.latency) == _rows(lat)
+        assert _rows(both.bandwidth) == _rows(bw)
 
     def test_event_ref_engine(self):
         # the coroutine reference DES, the slowest and most stateful engine

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.sweeps import latency_sweep
+from repro.core.sweeps import figure_sweeps, latency_sweep
 from repro.kernels import KERNELS
 from repro.obs.check import check_file
 from repro.obs.check import main as check_main
@@ -103,7 +103,8 @@ class TestFigureEmission:
         obj = load_trace(tpath)
         names = {e["name"] for e in obj["traceEvents"]}
         assert "sweep:fft:bandwidth" in names
-        assert any(n.startswith("re-time:fft:") for n in names)
+        for stage in ("re-time", "classify", "lower", "walk"):
+            assert any(n.startswith(f"{stage}:fft:") for n in names), stage
 
 
 class TestChecker:
@@ -138,6 +139,37 @@ class TestInstrumentedSweep:
         names = [s.name for s in tracer.spans]
         assert "sweep:fft:latency" in names
         assert any(n.startswith("trace-gen:fft:") for n in names)
+
+    @pytest.mark.parametrize("engine,stages", [
+        ("batch", ("classify", "lower", "walk")),
+        ("fast", ("classify", "walk")),
+    ])
+    def test_retime_stage_spans(self, engine, stages):
+        tracer = set_tracing(True)
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                      verify=False, engine=engine)
+        spans = {s.name: s for s in tracer.spans}
+        for impl in ("scalar", "vl8"):
+            parent = spans[f"re-time:fft:{impl}"]
+            for stage in ("classify", "lower", "walk"):
+                child = spans.get(f"{stage}:fft:{impl}")
+                if stage not in stages:
+                    assert child is None
+                    continue
+                assert child.depth == parent.depth + 1
+                assert parent.t0 <= child.t0 <= child.t1 <= parent.t1
+
+    def test_two_grid_sweep_span(self):
+        tracer = set_tracing(True)
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        figure_sweeps(spec, workload, latencies=[0], bandwidths=[8],
+                      vls=(8,), verify=False)
+        names = [s.name for s in tracer.spans]
+        assert "sweep:fft:latency+bandwidth" in names
+        assert names.count("walk:fft:vl8") == 1
 
     def test_parallel_sweep_matches_serial(self, capsys):
         spec = KERNELS["fft"]
