@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                           verify=not args.no_verify,
                           engine=args.engine, jobs=args.jobs,
                           trace_cache=args.trace_cache)
-        text = render_report(suite, seed=args.seed)
+        text = render_report(suite)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.output} ({len(text.splitlines())} lines, "

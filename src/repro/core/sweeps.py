@@ -400,6 +400,9 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
         )
 
     compact = engine == "batch" and not keep_reports
+    # each stage looks its cache up once and hands the result on, so the
+    # classify/lower cache hit counts still mean reuse across figures
+    lowered = None
     with tracer.span(f"re-time:{kernel}:{label}", kernel=kernel,
                      impl=label, engine=engine, points=len(configs),
                      attributions=attributions):
@@ -410,7 +413,7 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
         if engine == "batch":
             with tracer.span(f"lower:{kernel}:{label}", kernel=kernel,
                              impl=label):
-                sdv.lower(trace)
+                lowered = sdv.lower(trace, classified=ct)
         with tracer.span(f"walk:{kernel}:{label}", kernel=kernel,
                          impl=label, engine=engine, points=len(configs)):
             if attributions and compact:
@@ -421,18 +424,19 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                 # not extra walks
                 from repro.obs.attribution import attribute_many
 
-                atts = attribute_many(ct, configs, lowered=sdv.lower(trace))
+                atts = attribute_many(ct, configs, lowered=lowered)
                 rows = [measurement(k, att.total, None, att)
                         for k, att in zip(keys, atts)]
             elif compact:
                 # compact path: one vectorized walk, a bare cycles vector,
                 # no intermediate CycleReport garbage
                 cycles = sdv.time_many(trace, configs, engine="batch",
-                                       reports=False)
+                                       reports=False, lowered=lowered)
                 rows = [measurement(k, float(c), None)
                         for k, c in zip(keys, cycles)]
             else:
-                reports = sdv.time_many(trace, configs, engine=engine)
+                reports = sdv.time_many(trace, configs, engine=engine,
+                                        lowered=lowered)
                 rows = [measurement(k, r.cycles, r if keep_reports else None)
                         for k, r in zip(keys, reports)]
         registry.histogram("sweep.retime_s").observe(
@@ -443,7 +447,9 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
 
         with tracer.span(f"attribute:{kernel}:{label}", kernel=kernel,
                          impl=label):
-            atts = attribute_many(ct, configs, lowered=sdv.lower(trace))
+            if lowered is None:
+                lowered = sdv.lower(trace, classified=ct)
+            atts = attribute_many(ct, configs, lowered=lowered)
         rows = [replace(m, attribution=att) for m, att in zip(rows, atts)]
 
     placement = None
@@ -569,7 +575,7 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
     for axis, points in grids:
         _validate_grid(axis, points, vls, config)
     impls = _impls(vls, include_scalar)
-    top_vl = max(vls) if roofline and vls else None
+    top_vl = max(vls) if roofline else None
     # hoisted per (kernel, workload): the reference and the workload
     # fingerprint are identical for every implementation
     reference = spec.reference(workload) if verify else None
@@ -699,9 +705,8 @@ class FigureSweeps:
 
     latency: SweepResult
     bandwidth: SweepResult
-    #: the longest VL's roofline placement at the default knobs (only
-    #: when requested)
-    roofline: Characterization | None = None
+    #: the longest VL's roofline placement at the default knobs
+    roofline: Characterization
 
 
 def figure_sweeps(
@@ -711,32 +716,31 @@ def figure_sweeps(
     latencies: Iterable[int] = DEFAULT_LATENCIES,
     bandwidths: Iterable[int] = DEFAULT_BANDWIDTHS,
     vls: Sequence[int] = DEFAULT_VLS,
-    include_scalar: bool = True,
-    config: SdvConfig | None = None,
     verify: bool = True,
     keep_reports: bool = False,
     engine: str = DEFAULT_SWEEP_ENGINE,
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
     attributions: bool = False,
-    roofline: bool = False,
 ) -> FigureSweeps:
     """Sections 4.1 and 4.2 together: the latency and the bandwidth sweep
-    of one kernel, one task per implementation.
+    of one kernel (scalar plus every VL in ``vls``, default SDV config),
+    one task per implementation.
 
     Each task generates, verifies, classifies and lowers its trace once
     and times both grids' points in one ``time_many`` call (one K=14 walk
     on ``batch`` for the default grids). The rows equal those of separate
-    :func:`latency_sweep` and :func:`bandwidth_sweep` calls.
-    ``roofline=True`` also characterizes the longest VL's trace
+    :func:`latency_sweep` and :func:`bandwidth_sweep` calls. The longest
+    VL's task also characterizes its trace
     (:func:`repro.core.analysis.characterize`), with the cycles of its
     grid point at the default knobs.
     """
     (lat, bw), placement = _sweep(
         spec, workload,
         [("latency", list(latencies)), ("bandwidth", list(bandwidths))],
-        vls, include_scalar, config, verify, keep_reports, engine, jobs,
-        trace_cache, attributions, roofline)
+        vls, include_scalar=True, config=None, verify=verify,
+        keep_reports=keep_reports, engine=engine, jobs=jobs,
+        trace_cache=trace_cache, attributions=attributions, roofline=True)
     return FigureSweeps(latency=lat, bandwidth=bw, roofline=placement)
 
 

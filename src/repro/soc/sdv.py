@@ -197,18 +197,21 @@ class FpgaSdv:
             setattr(trace, "_classified_cache", cache)
         cache[(self.classify_name, *self._geometry_key())] = ct
 
-    def lower(self, trace: TraceBuffer) -> LoweredTrace:
+    def lower(self, trace: TraceBuffer, *,
+              classified: ClassifiedTrace | None = None) -> LoweredTrace:
         """Lower (or fetch the cached lowering of) a sealed trace.
 
         Like classification, lowering is knob-independent, so it is cached
         on the trace object keyed by the knob-free config and amortizes
-        across every sweep point and every batch call.
+        across every sweep point and every batch call. ``classified`` is
+        the trace's :meth:`classify` result when the caller already holds
+        it, so the classification cache is not looked up a second time.
         """
         cache = getattr(trace, "_lowered_cache", None)
         if cache is None:
             cache = {}
             setattr(trace, "_lowered_cache", cache)
-        ct = self.classify(trace)
+        ct = self.classify(trace) if classified is None else classified
         key = knob_free_config(self.config)
         lowered = cache.get(key)
         if lowered is None:
@@ -260,8 +263,9 @@ class FpgaSdv:
         return att
 
     def time_many(self, trace: TraceBuffer, configs: Sequence[SdvConfig],
-                  *, engine: str | None = None,
-                  reports: bool = True) -> list[CycleReport] | np.ndarray:
+                  *, engine: str | None = None, reports: bool = True,
+                  lowered: LoweredTrace | None = None
+                  ) -> list[CycleReport] | np.ndarray:
         """Time one sealed trace at many knob settings in one call.
 
         With ``engine="batch"`` the trace is lowered once and every config
@@ -271,11 +275,14 @@ class FpgaSdv:
         ``reports=False`` the batch path returns a bare float64 cycles
         vector — no per-point :class:`CycleReport` objects are built (the
         compact sweep path) and hardware counters are not updated.
+        ``lowered`` is the trace's :meth:`lower` result when the caller
+        already holds it (batch only).
         """
         configs = list(configs)
         name = engine or self.engine
         if name == "batch":
-            lowered = self.lower(trace)
+            if lowered is None:
+                lowered = self.lower(trace)
             if not reports:
                 return batch_cycles(lowered, configs)
             out = simulate_batch(lowered, configs)

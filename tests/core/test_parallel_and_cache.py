@@ -343,7 +343,6 @@ class TestParallelSweeps:
         both = figure_sweeps(spec, workload, latencies=LATS, bandwidths=BWS,
                              vls=VLS, verify=False, engine=engine,
                              jobs=jobs)
-        assert both.roofline is None  # only on request
         assert _rows(both.latency) == _rows(lat)
         assert _rows(both.bandwidth) == _rows(bw)
 

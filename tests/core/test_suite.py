@@ -127,8 +127,7 @@ class TestOnePipeline:
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
         sweeps = figure_sweeps(spec, workload, latencies=(64,),
-                               bandwidths=(8,), vls=(8, 256), verify=False,
-                               roofline=True)
+                               bandwidths=(8,), vls=(8, 256), verify=False)
         assert sweeps.roofline == _fresh_characterization("fft", 7)
 
     def test_roofline_cycles_come_from_the_suite_engine(self):

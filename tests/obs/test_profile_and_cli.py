@@ -171,6 +171,54 @@ class TestInstrumentedSweep:
         assert "sweep:fft:latency+bandwidth" in names
         assert names.count("walk:fft:vl8") == 1
 
+    @staticmethod
+    def _cache_counts(sweep):
+        from repro.obs import engine_stats as es_mod
+
+        was = es_mod.introspection_enabled()
+        collector = es_mod.set_introspection(True)
+        before = collector.snapshot()
+        try:
+            sweep()
+        finally:
+            es_mod.set_introspection(was)
+        delta = es_mod.snapshot_delta(
+            before, collector.snapshot())["counters"]
+        return {k: v for k, v in delta.items()
+                if k.startswith(("classify_cache.", "lower_cache."))}
+
+    @pytest.mark.parametrize("keep_reports", [False, True])
+    @pytest.mark.parametrize("attributions", [False, True])
+    def test_stages_look_each_cache_up_once(self, attributions,
+                                            keep_reports):
+        # the stage spans hand the classification and the lowering on
+        # instead of looking them up again, so a cold batch task counts
+        # one miss per cache and no hit
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        counts = self._cache_counts(lambda: figure_sweeps(
+            spec, workload, latencies=[0, 64], bandwidths=[8], vls=(8,),
+            verify=False, attributions=attributions,
+            keep_reports=keep_reports))
+        assert counts == {"classify_cache.misses": 2,  # scalar + vl8
+                          "lower_cache.misses": 2}
+
+    def test_cache_hits_mean_reuse(self, tmp_path):
+        # a figure over traces memoized by an earlier one hits each cache
+        # once per trace
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+
+        def sweep():
+            figure_sweeps(spec, workload, latencies=[0, 64],
+                          bandwidths=[8], vls=(8,), verify=False,
+                          trace_cache=tmp_path)
+
+        sweep()  # records the traces
+        sweep()  # loads them into the memo and lowers them
+        assert self._cache_counts(sweep) == {"classify_cache.hits": 2,
+                                             "lower_cache.hits": 2}
+
     def test_parallel_sweep_matches_serial(self, capsys):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
