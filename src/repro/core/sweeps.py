@@ -44,6 +44,7 @@ from repro.config import SdvConfig
 from repro.core.analysis import Characterization, characterize
 from repro.core.measurements import Measurement, SweepResult
 from repro.core.parallel import resolve_jobs, run_tasks
+from repro.engine.batch_sim import walk_backend
 from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
@@ -415,7 +416,8 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                              impl=label):
                 lowered = sdv.lower(trace, classified=ct)
         with tracer.span(f"walk:{kernel}:{label}", kernel=kernel,
-                         impl=label, engine=engine, points=len(configs)):
+                         impl=label, engine=engine,
+                         points=len(configs)) as walk_span:
             if attributions and compact:
                 # fused path: ONE vectorized walk times every sweep point
                 # AND every attribution-ladder rung (the ladder's L0
@@ -439,6 +441,9 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                                         lowered=lowered)
                 rows = [measurement(k, r.cycles, r if keep_reports else None)
                         for k, r in zip(keys, reports)]
+            if walk_span is not None and engine == "batch":
+                # "numpy" here is the fallback a missing compiler forces
+                walk_span.attrs["walk"] = walk_backend()
         registry.histogram("sweep.retime_s").observe(
             time.perf_counter() - t0)
 

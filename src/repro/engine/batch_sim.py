@@ -5,15 +5,18 @@ paper sweep calls it 7-49 times per (kernel, implementation) trace. This
 engine walks the trace **once for all settings**: the per-record frontier
 recurrence is identical at every sweep point, so each machine frontier
 (scalar core, arithmetic pipe, AGU, memory queue, line-MSHR pool) becomes a
-length-``K`` vector — one element per configuration — and every step of the
-recurrence is a NumPy broadcast over that knob axis.
+length-``K`` vector — one element per configuration.
 
 Everything knob-independent was precomputed by :func:`repro.engine.lower.
 lower_trace`; per batch call only the latency-proportional and
 bandwidth-proportional matrices are materialized (vectorized over records
-*and* configs). The arithmetic matches :func:`simulate_fast` operation for
-operation, so the two agree bit-for-bit — the agreement tests pin exact
-cycle equality on all four kernels.
+*and* configs). The per-record loop then runs in a small C kernel,
+``walk.c``, compiled with the host's C compiler on the first walk in a
+process and loaded with :mod:`ctypes`. Where no compiler can build it, the
+same loop runs as NumPy broadcasts over the knob axis, after one
+:class:`RuntimeWarning`. Both walks match :func:`simulate_fast` operation
+for operation, so all three agree bit-for-bit — the agreement tests pin
+exact cycle equality on all four kernels.
 
 Configurations in one batch must share everything except the two runtime
 sweep knobs (Latency Controller ``extra_latency_cycles`` and Bandwidth
@@ -22,7 +25,16 @@ Limiter ``bw_num/bw_den``); :class:`repro.errors.EngineError` otherwise.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +43,6 @@ from repro.engine import core_model, vpu_model
 from repro.engine.lower import (
     FIRST_DRAM,
     FIRST_L2,
-    LKIND_BARRIER,
     LKIND_CSR,
     LKIND_SCALAR,
     LKIND_VARITH,
@@ -43,6 +54,72 @@ from repro.engine.lower import (
 from repro.engine.results import CycleReport
 from repro.errors import EngineError
 from repro.memory.classify import ClassifiedTrace
+
+_WALK_SOURCE = Path(__file__).with_name("walk.c")
+#: the compiled walk once loaded; False once its build failed
+_walk_fn = None
+
+
+def _compiler() -> list[str]:
+    """The C compiler Python was built with, else ``cc``."""
+    cmd = shlex.split(sysconfig.get_config_var("CC") or "")
+    return cmd if cmd and shutil.which(cmd[0]) else ["cc"]
+
+
+def _build_walk():
+    """Compile ``walk.c`` in a private directory and load it."""
+    tmp = tempfile.mkdtemp(prefix="repro-walk-")
+    try:
+        lib = os.path.join(tmp, "walk.so")
+        # no -ffast-math or -march: the walk must round as NumPy does
+        subprocess.run([*_compiler(), "-O2", "-shared", "-fPIC",
+                        "-ffp-contract=off", "-o", lib, str(_WALK_SOURCE)],
+                       check=True, capture_output=True)
+        fn = ctypes.CDLL(lib).repro_batch_walk
+    finally:
+        # the loaded library stays mapped once its file is gone
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    def array(dtype, flags="C_CONTIGUOUS"):
+        return np.ctypeslib.ndpointer(dtype, flags=flags)
+
+    i64, f64 = array(np.int64), array(np.float64)
+    out = array(np.float64, "C_CONTIGUOUS,WRITEABLE")
+    c_i64, c_i32, c_f64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
+    fn.argtypes = [
+        c_i64, c_i64,                                 # n, K
+        i64, i64, i64, array(np.bool_), i64,          # kind .. row
+        f64, f64, f64, f64, f64, f64, f64, f64,       # sc_total .. lat
+        c_i32, c_i32, c_i64,                          # VPU build
+        c_f64, c_f64, c_f64, c_f64, c_f64,            # latency constants
+        out, out, out, out, out,                      # chain .. t_end
+    ]
+    fn.restype = None
+    return fn
+
+
+def _compiled_walk():
+    """The compiled walk, built on the first call in a process.
+
+    ``None`` when it cannot be built or loaded: the first such call warns
+    once, and no later call retries the build.
+    """
+    global _walk_fn
+    if _walk_fn is None:
+        try:
+            _walk_fn = _build_walk()
+        except (OSError, subprocess.SubprocessError) as exc:
+            warnings.warn(f"cannot build the compiled batch walk ({exc}); "
+                          "using the NumPy walk", RuntimeWarning,
+                          stacklevel=2)
+            _walk_fn = False
+    return _walk_fn or None
+
+
+def walk_backend() -> str:
+    """The walk batch timing runs on in this process: ``"compiled"`` or
+    ``"numpy"``."""
+    return "numpy" if _compiled_walk() is None else "compiled"
 
 
 def _check_configs(lowered: LoweredTrace,
@@ -81,11 +158,11 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
     first-element latency of L2-served vector loads), both kept as raw
     counts in the lowered form.
 
-    The loop reuses a fixed set of scratch buffers with ``out=`` ufunc
-    calls and only materializes chain/completion rows for records some
-    later record actually depends on; the arithmetic is operation-for-
-    operation the one :func:`simulate_fast` performs, so cycles agree
-    bit-for-bit (the agreement tests pin this).
+    NumPy builds the knob-dependent per-record matrices; the per-record
+    loop then runs in the compiled walk (``walk.c``), or in
+    :func:`_numpy_walk` where no C compiler could build it. Both perform
+    :func:`simulate_fast`'s float operations in its order, so cycles agree
+    bit-for-bit (the agreement tests pin this on both walks).
 
     Returns the end-time vector plus the knob-dependent breakdown pieces.
     """
@@ -98,18 +175,7 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
         es.count("batch.points", len(lat))
         es.count("batch.record_points", lowered.n * len(lat))
     K = lat.shape[0]
-    n = lowered.n
     base = lowered.base
-    vpu = base.vpu
-    chaining = vpu.chaining
-    ooo = vpu.ooo_mem_issue
-    q_depth = vpu.mem_queue_depth
-    line_mshrs = vpu.line_mshrs
-    pipe_lat = vpu_model.arith_latency(base)
-    PIPE = float(vpu_model.LANE_PIPE_DEPTH)
-    DISPATCH = core_model.VECTOR_DISPATCH_CYCLES
-    VSETVL = core_model.VSETVL_CYCLES
-    XFER = core_model.SCALAR_RESULT_TRANSFER_CYCLES
     if l2_lat is None:
         l2_lat = np.full(K, base.l2_hit_latency)
 
@@ -128,11 +194,100 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
         lowered.vm_l2_lines[:, None]
         + lowered.vm_txns[:, None] * den[None, :] / num[None, :],
     )
-    vm_busy_m = np.maximum(lowered.vm_addr[:, None], vm_service)
+    vm_busy = np.maximum(lowered.vm_addr[:, None], vm_service)
     fkind = lowered.vm_first_kind[:, None]
-    vm_first_m = np.where(fkind == FIRST_DRAM, lat[None, :],
-                          np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
-    vm_mshr_m = lowered.vm_dram_reads[:, None] * lat[None, :] / line_mshrs
+    vm_first = np.where(fkind == FIRST_DRAM, lat[None, :],
+                        np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
+    vm_mshr = lowered.vm_dram_reads[:, None] * lat[None, :] / base.vpu.line_mshrs
+
+    walk = _compiled_walk()
+    if walk is None:
+        t_end = _numpy_walk(lowered, lat, sc_total, vm_busy, vm_first,
+                            vm_mshr)
+    else:
+        t_end = _c_walk(walk, lowered, lat, sc_total, vm_busy, vm_first,
+                        vm_mshr)
+
+    # global Bandwidth Limiter floor (exact integer closed form per config)
+    total = lowered.total_dram_reads + lowered.total_dram_writes
+    bw_floor = np.zeros(K)
+    if total > 0:
+        for k in range(K):
+            bw_floor[k] = (((total - 1) // int(num[k])) * int(den[k]) + 1.0
+                           + lat[k])
+    cycles = np.maximum(t_end, bw_floor)
+
+    return {
+        "cycles": cycles,
+        "bw_floor": bw_floor,
+        "sc_total": sc_total,
+        "vm_busy": vm_busy,
+        "bw_win": bw_win,
+        "lat": lat,
+    }
+
+
+def _c_walk(walk, lowered: LoweredTrace, lat: np.ndarray,
+            sc_total: np.ndarray, vm_busy: np.ndarray, vm_first: np.ndarray,
+            vm_mshr: np.ndarray) -> np.ndarray:
+    """The per-record loop in the compiled walk; returns the end times."""
+    n, K = lowered.n, lat.shape[0]
+    vpu = lowered.base.vpu
+    kind, dep, slot = lowered.kind, lowered.dep, lowered.slot
+    # the kernel indexes without bounds checks: reject what would overrun
+    ok = (kind.shape == dep.shape == slot.shape
+          == lowered.scalar_dest.shape == (n,)
+          and vpu.mem_queue_depth >= 1 and not (dep >= n).any())
+    n_vmem = min(len(lowered.vm_addr), len(lowered.vm_dram_reads),
+                 len(vm_busy), len(vm_first), len(vm_mshr))
+    for code, size in ((LKIND_SCALAR, len(sc_total)),
+                       (LKIND_VARITH, len(lowered.va_occ)),
+                       (LKIND_VMEM, n_vmem)):
+        used = slot[kind == code]
+        ok = ok and not ((used < 0).any() or (used >= size).any())
+    if not ok:
+        raise EngineError("lowered trace indexes past its own arrays")
+    # chain/completion rows only for records some later record reads
+    needed = np.zeros(n, dtype=bool)
+    needed[dep[dep >= 0]] = True
+    row = np.where(needed, np.cumsum(needed) - 1, -1)
+    n_rows = int(np.count_nonzero(needed))
+    t_end = np.empty(K)
+    walk(n, K, kind, dep, slot, lowered.scalar_dest, row,
+         sc_total, lowered.va_occ, lowered.vm_addr, vm_busy, vm_first,
+         vm_mshr, lowered.vm_dram_reads, lat,
+         vpu.chaining, vpu.ooo_mem_issue, vpu.mem_queue_depth,
+         core_model.VECTOR_DISPATCH_CYCLES, core_model.VSETVL_CYCLES,
+         core_model.SCALAR_RESULT_TRANSFER_CYCLES,
+         float(vpu_model.LANE_PIPE_DEPTH),
+         vpu_model.arith_latency(lowered.base),
+         np.zeros((n_rows, K)), np.zeros((n_rows, K)),
+         np.zeros((vpu.mem_queue_depth, K)), np.zeros((5, K)), t_end)
+    return t_end
+
+
+def _numpy_walk(lowered: LoweredTrace, lat: np.ndarray,
+                sc_total: np.ndarray, vm_busy_m: np.ndarray,
+                vm_first_m: np.ndarray, vm_mshr_m: np.ndarray) -> np.ndarray:
+    """The per-record loop as NumPy broadcasts over the knob axis.
+
+    The walk for hosts with no C compiler. It reuses a fixed set of
+    scratch buffers with ``out=`` ufunc calls and only materializes
+    chain/completion rows for records some later record actually depends
+    on; returns the end times.
+    """
+    K = lat.shape[0]
+    n = lowered.n
+    base = lowered.base
+    vpu = base.vpu
+    chaining = vpu.chaining
+    ooo = vpu.ooo_mem_issue
+    q_depth = vpu.mem_queue_depth
+    pipe_lat = vpu_model.arith_latency(base)
+    PIPE = float(vpu_model.LANE_PIPE_DEPTH)
+    DISPATCH = core_model.VECTOR_DISPATCH_CYCLES
+    VSETVL = core_model.VSETVL_CYCLES
+    XFER = core_model.SCALAR_RESULT_TRANSFER_CYCLES
 
     # per-record row lists: plain list indexing beats repeated 2-D numpy
     # row extraction in the walk below
@@ -144,16 +299,15 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
     va_occ = lowered.va_occ.tolist()
     vm_addr = lowered.vm_addr.tolist()
 
-    kinds = lowered.kind
-    deps = lowered.dep
-    slots = lowered.slot
-    sdest = lowered.scalar_dest
+    kinds = lowered.kind.tolist()
+    deps = lowered.dep.tolist()
+    slots = lowered.slot.tolist()
+    sdest = lowered.scalar_dest.tolist()
 
     # vsetvl/barrier rows only need start/completion stored if something
     # actually depends on them (register dataflow never does)
-    dep_arr = np.asarray(deps, dtype=np.int64)
     needed_arr = np.zeros(n, dtype=bool)
-    needed_arr[dep_arr[dep_arr >= 0]] = True
+    needed_arr[lowered.dep[lowered.dep >= 0]] = True
     needed = needed_arr.tolist()
 
     # frontiers, one element per config -----------------------------------
@@ -299,24 +453,7 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
     if n > seg0:
         completion[seg0:n].max(axis=0, out=b_ready)
         t_end = maximum(t_end, b_ready)
-
-    # global Bandwidth Limiter floor (exact integer closed form per config)
-    total = lowered.total_dram_reads + lowered.total_dram_writes
-    bw_floor = np.zeros(K)
-    if total > 0:
-        for k in range(K):
-            bw_floor[k] = (((total - 1) // int(num[k])) * int(den[k]) + 1.0
-                           + lat[k])
-    cycles = maximum(t_end, bw_floor)
-
-    return {
-        "cycles": cycles,
-        "bw_floor": bw_floor,
-        "sc_total": sc_total,
-        "vm_busy": vm_busy_m,
-        "bw_win": bw_win,
-        "lat": lat,
-    }
+    return t_end
 
 
 def batch_cycles(lowered: LoweredTrace,

@@ -115,8 +115,8 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
     bank_mask = cfg.l2.banks - 1
     n = lowered.n
 
-    kind = lowered.kind
-    slot = lowered.slot
+    kind = lowered.kind.tolist()
+    slot = lowered.slot.tolist()
 
     sc_n_mem: list = []
     sc_issue: list = []
@@ -191,9 +191,9 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
     return EventPlan(
         n=n,
         kind=kind,
-        dep=lowered.dep,
+        dep=lowered.dep.tolist(),
         slot=slot,
-        scalar_dest=lowered.scalar_dest,
+        scalar_dest=lowered.scalar_dest.tolist(),
         vl=rows["vl"].astype(int).tolist(),
         sc_n_mem=sc_n_mem,
         sc_issue=sc_issue,

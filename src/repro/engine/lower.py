@@ -10,7 +10,7 @@ knob) and to the limiter window ``bw_den/bw_num`` change.
 
 :func:`lower_trace` factors that split out once: it compiles a
 :class:`repro.memory.classify.ClassifiedTrace` into a :class:`LoweredTrace`
-of plain NumPy arrays and Python lists — no structured-array row objects,
+of plain NumPy arrays — no structured-array row objects,
 no enum lookups, no cost-model calls left on the timing path. The batch
 engine (:mod:`repro.engine.batch_sim`) then times every sweep point in a
 single trace walk, broadcasting the per-record recurrence over the knob
@@ -76,7 +76,7 @@ def knob_free_config(config: SdvConfig) -> SdvConfig:
 class LoweredTrace:
     """Knob-independent compilation of one classified trace.
 
-    Per-record lists drive the sequential frontier walk; the kind-specific
+    Per-record arrays drive the sequential frontier walk; the kind-specific
     arrays are indexed by ``slot`` (each record's position within its own
     kind) and feed the vectorized per-batch matrix precomputation.
     """
@@ -85,11 +85,11 @@ class LoweredTrace:
     base_key: SdvConfig        # knob_free_config(base): batch compat key
     n: int
 
-    # per-record walk data (python lists: fastest scalar indexing)
-    kind: list                 # LKIND_* codes
-    dep: list                  # producing record index, -1 if none
-    slot: list                 # index into the kind-specific arrays below
-    scalar_dest: list          # bool per record
+    # per-record walk data ----------------------------------------------
+    kind: np.ndarray           # int64 LKIND_* codes
+    dep: np.ndarray            # int64 producing record index, -1 if none
+    slot: np.ndarray           # int64 index into the kind arrays below
+    scalar_dest: np.ndarray    # bool per record
 
     # scalar blocks, indexed by slot --------------------------------------
     sc_const: np.ndarray       # issue + L2 stall (knob-independent cycles)
@@ -183,7 +183,7 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         vm_dr > 0, FIRST_DRAM, np.where(vm_lines_i > 0, FIRST_L2, FIRST_NONE)
     ).astype(np.int8)
 
-    # -- per-record walk lists --------------------------------------------
+    # -- per-record walk arrays -------------------------------------------
     lkind = np.asarray(kinds_arr, dtype=np.int64).copy()
     lkind[csr_mask] = LKIND_CSR
     slot = np.zeros(n, dtype=np.int64)
@@ -205,10 +205,10 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         base=config,
         base_key=knob_free_config(config),
         n=n,
-        kind=lkind.tolist(),
-        dep=deps.tolist(),
-        slot=slot.tolist(),
-        scalar_dest=(rows["scalar_dest"] != 0).tolist(),
+        kind=lkind,
+        dep=deps.astype(np.int64),
+        slot=slot,
+        scalar_dest=rows["scalar_dest"] != 0,
         sc_const=np.asarray(sc_issue + sc_stall_l2, dtype=np.float64),
         sc_l2_hits=sc["l2_hits"].astype(np.float64),
         sc_dram_reads=sc["dram_reads"].astype(np.float64),

@@ -151,11 +151,11 @@ def _demands(lowered: LoweredTrace) -> tuple[float, float]:
     These are pure work totals from the lowered arrays — the same numbers
     for every engine — used to split the fully idealized base level.
     """
-    n_dispatch = sum(1 for k in lowered.kind
-                     if k == LKIND_VARITH or k == LKIND_VMEM)
-    n_csr = sum(1 for k in lowered.kind if k == LKIND_CSR)
-    n_sdest = sum(1 for k, sd in zip(lowered.kind, lowered.scalar_dest)
-                  if sd and k == LKIND_VARITH)
+    kind = lowered.kind
+    n_dispatch = np.count_nonzero((kind == LKIND_VARITH)
+                                  | (kind == LKIND_VMEM))
+    n_csr = np.count_nonzero(kind == LKIND_CSR)
+    n_sdest = np.count_nonzero(lowered.scalar_dest & (kind == LKIND_VARITH))
     issue = (float(lowered.sc_issue.sum())
              + n_dispatch * VECTOR_DISPATCH_CYCLES
              + n_csr * VSETVL_CYCLES

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import CoreConfig, L2Config, MemConfig, SdvConfig, VpuConfig
+from repro.engine import batch_sim
 from repro.soc import FpgaSdv
 from repro.workloads import get_scale
 from repro.workloads.cage import scaled_cage_like
@@ -59,3 +60,17 @@ def small_signal():
 @pytest.fixture(scope="session")
 def x_vector(small_matrix):
     return np.linspace(0.5, 1.5, small_matrix.shape[0])
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def batch_walk(request, monkeypatch) -> str:
+    """Run batch walks on the compiled walk or on the NumPy walk.
+
+    The NumPy walk is what hosts with no C compiler run; it is forced here
+    by making the loader report the compiled walk unavailable.
+    """
+    if request.param == "numpy":
+        monkeypatch.setattr(batch_sim, "_compiled_walk", lambda: None)
+    elif batch_sim._compiled_walk() is None:
+        pytest.skip("no C compiler could build the compiled walk")
+    return request.param

@@ -7,6 +7,7 @@ grids on all four kernels.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.core.sweeps import (
     DEFAULT_LATENCIES,
     run_implementation,
 )
-from repro.engine import ENGINES
+from repro.engine import ENGINES, batch_sim
 from repro.engine.batch_sim import (
     batch_cycles,
     simulate_batch,
@@ -54,8 +55,12 @@ def grid_configs(base: SdvConfig) -> list[SdvConfig]:
             + [base.with_bandwidth(b) for b in DEFAULT_BANDWIDTHS])
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_batch_matches_fast_exactly_on_full_grids(kernel):
+# every kernel on the walk this host runs, and spmv on the NumPy walk too
+@pytest.mark.parametrize(
+    "kernel, batch_walk",
+    [(k, "compiled") for k in sorted(KERNELS)] + [("spmv", "numpy")],
+    ids=sorted(KERNELS) + ["spmv-numpy"], indirect=["batch_walk"])
+def test_batch_matches_fast_exactly_on_full_grids(kernel, batch_walk):
     spec = KERNELS[kernel]
     workload = spec.prepare(get_scale("ci"), 7)
     for vl in (None,) + GRID_VLS[kernel]:
@@ -165,3 +170,46 @@ def test_lower_trace_validates_dependency_targets():
     assert lowered.n == len(ct.rows)
     assert lowered.total_dram_reads == int(
         ct.rows["dram_reads"].sum() + ct.rows["pf_dram_reads"].sum())
+
+
+def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
+    spec = KERNELS["fft"]
+    workload = spec.prepare(get_scale("smoke"), 7)
+    sdv, trace = run_implementation(spec, workload, 8, verify=False)
+    lowered = sdv.lower(trace)
+    configs = grid_configs(sdv.config)
+    if batch_sim._compiled_walk() is None:
+        pytest.skip("no C compiler could build the compiled walk")
+    compiled = batch_cycles(lowered, configs)
+
+    # a fresh process whose compiler is missing
+    builds = []
+
+    def missing_compiler():
+        builds.append(1)
+        return ["/nonexistent/cc"]
+
+    monkeypatch.setattr(batch_sim, "_walk_fn", None)
+    monkeypatch.setattr(batch_sim, "_compiler", missing_compiler)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = batch_cycles(lowered, configs)
+        second = batch_cycles(lowered, configs)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert len(builds) == 1  # the second walk did not retry the build
+    assert batch_sim.walk_backend() == "numpy"
+    assert first.tolist() == compiled.tolist()
+    assert second.tolist() == compiled.tolist()
+
+
+def test_compiled_walk_rejects_out_of_bounds_slots():
+    # the C kernel does not bounds-check; the wrapper must
+    if batch_sim._compiled_walk() is None:
+        pytest.skip("no C compiler could build the compiled walk")
+    spec = KERNELS["fft"]
+    workload = spec.prepare(get_scale("smoke"), 7)
+    sdv, trace = run_implementation(spec, workload, 8, verify=False)
+    lowered = sdv.lower(trace)
+    broken = dataclasses.replace(lowered, slot=lowered.slot + lowered.n)
+    with pytest.raises(EngineError):
+        batch_cycles(broken, [sdv.config])

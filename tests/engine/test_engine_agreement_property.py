@@ -103,13 +103,27 @@ def test_property_engines_agree_on_random_programs(steps, seed, knobs):
     assert fast.cycles > 0 and event.cycles > 0
 
 
+# every VPU build the walks branch on
+VPU_BUILDS = {
+    "default": {},
+    "no-chaining": {"chaining": False},
+    "in-order-mem": {"ooo_mem_issue": False},
+    "queue-1": {"mem_queue_depth": 1},
+}
+
+
+# the batch_walk fixture patches the walk loader once for all examples
+@pytest.mark.parametrize("vpu", VPU_BUILDS.values(), ids=VPU_BUILDS.keys())
 @settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(programs(), st.integers(0, 2 ** 31))
-def test_property_batch_matches_fast_exactly(steps, seed):
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(steps=programs(), seed=st.integers(0, 2 ** 31))
+def test_property_batch_matches_fast_exactly(steps, seed, vpu, batch_walk):
     """One lowering + one vectorized walk == N fast walks, to the bit."""
     trace = build_trace(steps, seed)
-    base = SdvConfig().validate()
+    default = SdvConfig()
+    base = dataclasses.replace(
+        default, vpu=dataclasses.replace(default.vpu, **vpu)).validate()
     configs = ([base.with_extra_latency(l) for l in (0, 32, 256, 1024)]
                + [base.with_bandwidth(b) for b in (1, 4, 64)])
     ct = classify_trace(trace, base)

@@ -161,6 +161,21 @@ class TestInstrumentedSweep:
                 assert child.depth == parent.depth + 1
                 assert parent.t0 <= child.t0 <= child.t1 <= parent.t1
 
+    def test_walk_span_names_the_walk(self, batch_walk):
+        tracer = set_tracing(True)
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        for engine in ("batch", "fast"):
+            tracer.clear()
+            latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                          verify=False, engine=engine)
+            spans = {s.name: s for s in tracer.spans}
+            attrs = spans["walk:fft:vl8"].attrs
+            if engine == "batch":
+                assert attrs["walk"] == batch_walk
+            else:
+                assert "walk" not in attrs
+
     def test_two_grid_sweep_span(self):
         tracer = set_tracing(True)
         spec = KERNELS["fft"]
