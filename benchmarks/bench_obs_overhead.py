@@ -1,11 +1,11 @@
 """Observability overhead: instrumentation must not tax the sweep path.
 
 The telemetry layer promises that when nobody asked for a trace, the sweep
-fast path pays (almost) nothing: the process-wide tracer starts disabled,
-metrics are a handful of counter increments per *implementation* (not per
-sweep point), and attribution is strictly opt-in. This bench pins that
-promise: a full latency sweep with tracing + metrics live must stay within
-5% of the uninstrumented wall time. The opt-in attribution cost does
+fast path pays (almost) nothing: the process-wide recorder starts switched
+off, a recording sweep adds a handful of records per *implementation*
+(not per sweep point), and attribution is strictly opt-in. This bench pins
+that promise: a full latency sweep with recording on must stay within
+5% of the unrecorded wall time. The opt-in attribution cost does
 real extra work (ladder walks), so it gets its own, looser bar: the
 fused ``attribute_many`` batch walks must keep it within 30% of the
 plain sweep.
@@ -18,8 +18,7 @@ from conftest import LATENCIES, VLS, record_ledger, write_result
 from repro.core.sweeps import latency_sweep, run_implementation
 from repro.engine import simulate_events_fast
 from repro.kernels import KERNELS
-from repro.obs.engine_stats import get_engine_stats, set_introspection
-from repro.obs.spans import set_tracing
+from repro.obs.record import fold, set_recording, spans
 
 
 def _sweep_seconds(workload, *, repeats=3, attributions=False):
@@ -37,24 +36,24 @@ def test_bench_instrumentation_overhead(workloads):
     wl = workloads["fft"]
     _sweep_seconds(wl, repeats=1)  # warm-up (imports, allocator)
 
-    set_tracing(False)
+    set_recording(False)
     baseline = _sweep_seconds(wl)
-    tracer = set_tracing(True)
+    rec = set_recording(True)
     try:
         instrumented = _sweep_seconds(wl)
     finally:
-        set_tracing(False)
+        set_recording(False)
     attributed = _sweep_seconds(wl, attributions=True)
 
     overhead_pct = (instrumented / baseline - 1.0) * 100.0
     attribution_pct = (attributed / baseline - 1.0) * 100.0
-    assert tracer.spans, "instrumented run recorded no spans"
+    assert spans(rec.records), "instrumented run recorded no spans"
 
     write_result("obs_overhead", "\n".join([
         "observability overhead — fft latency sweep "
         f"({len(LATENCIES)} points x {len(VLS) + 1} impls, min of 3)",
-        f"baseline (tracing off)   : {baseline * 1e3:8.1f} ms",
-        f"instrumented (spans on)  : {instrumented * 1e3:8.1f} ms "
+        f"baseline (recording off) : {baseline * 1e3:8.1f} ms",
+        f"instrumented (recording) : {instrumented * 1e3:8.1f} ms "
         f"({overhead_pct:+.1f}%)",
         f"with attribution buckets : {attributed * 1e3:8.1f} ms "
         f"({attribution_pct:+.1f}%, opt-in extra work)",
@@ -82,8 +81,8 @@ def _des_once(ct) -> float:
 
 
 def test_bench_engine_counter_overhead(workloads):
-    """Engine introspection cost on the DES hot loop: <=5% with counters
-    on, unmeasurable (<=1%) with them off.
+    """Engine introspection cost on the DES hot loop: <=5% with recording
+    on, unmeasurable (<=1%) with it off.
 
     The counters-off bar cannot compare against "the code without the
     guard" (that code no longer exists), so it is measured as two
@@ -104,17 +103,18 @@ def test_bench_engine_counter_overhead(workloads):
     runs_counted = 0
     try:
         for _ in range(reps):
-            set_introspection(False)
+            set_recording(False)
             off_a = min(off_a, _des_once(ct))
-            set_introspection(True)  # clears the collector each round
+            rec = set_recording(True)  # a fresh recorder each round
             on = min(on, _des_once(ct))
-            runs_counted += get_engine_stats().counters.get("event.runs", 0)
-            set_introspection(False)
+            runs_counted += fold(rec.records)["counters"].get(
+                "event.runs", 0)
+            set_recording(False)
             off_b = min(off_b, _des_once(ct))
         assert runs_counted >= reps, (
             "counters-on runs recorded no engine stats")
     finally:
-        set_introspection(False)
+        set_recording(False)
 
     off_best = min(off_a, off_b)
     on_pct = (on / off_best - 1.0) * 100.0

@@ -16,6 +16,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -43,7 +44,14 @@ from repro.engine import ENGINES
 from repro.kernels import KERNELS
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.perfetto import trace_events_from_spans, write_trace
-from repro.obs.spans import get_tracer, set_tracing
+from repro.obs.record import (
+    Recorder,
+    counter_table,
+    fold,
+    get_recorder,
+    recording,
+    write_runlog,
+)
 from repro.workloads import get_scale
 
 
@@ -110,8 +118,20 @@ def _emit_path(path: str, kernel: str, multi: bool) -> Path:
     return p.with_name(f"{p.stem}-{kernel}{p.suffix}")
 
 
-def _sweep_manifest(result, *, engine: str, scale: str, seed: int) -> dict:
-    """Run manifest for a SweepResult (buckets included when attributed)."""
+def _recorder_for(args) -> contextlib.AbstractContextManager[Recorder]:
+    """What a profile or figure command records into: a fresh recorder
+    when an emit flag or ``--engine-stats`` asks for records, else the
+    process-wide one (off unless the caller switched it on)."""
+    if (args.emit_json or args.emit_trace or args.emit_runlog
+            or args.engine_stats):
+        return recording()
+    return contextlib.nullcontext(get_recorder())
+
+
+def _sweep_manifest(result, *, engine: str, scale: str, seed: int,
+                    records: list[dict]) -> dict:
+    """Run manifest for a SweepResult (buckets included when attributed,
+    the folded counters of ``records`` when there are any)."""
     runs = []
     for m in result.measurements:
         run = {"impl": m.impl, "cycles": m.cycles,
@@ -124,7 +144,123 @@ def _sweep_manifest(result, *, engine: str, scale: str, seed: int) -> dict:
         kernel=result.kernel, engine=engine,
         config=SdvConfig().validate(), runs=runs, scale=scale, seed=seed,
         axis=result.axis, points=list(result.points),
+        extra={"engine_stats": fold(records)} if records else None,
     )
+
+
+def _profile(args, vls: tuple[int, ...], verify: bool,
+             rec: Recorder) -> int:
+    """``repro-sdv profile``: one attribution table per kernel."""
+    from repro.obs.profile import profile_kernel
+    names = _kernel_names(args.kernel)
+    multi = len(names) > 1
+    for name in names:
+        rec.event("profile.kernel", kernel=name, engine=args.engine,
+                  scale=args.scale)
+        r = profile_kernel(name, scale=args.scale, seed=args.seed,
+                           vls=vls, engine=args.engine,
+                           include_scalar=not args.no_scalar,
+                           verify=verify, trace_cache=args.trace_cache,
+                           timelines=bool(args.emit_trace))
+        print(r.render(fractions=args.fractions))
+        print()
+        if args.engine_stats:
+            print(r.render_engine_stats())
+            print()
+        if args.emit_json:
+            path = _emit_path(args.emit_json, name, multi)
+            write_manifest(path, r.manifest())
+            print(f"wrote {path}", file=sys.stderr)
+        if args.emit_trace:
+            path = _emit_path(args.emit_trace, name, multi)
+            write_trace(path, r.trace_events(),
+                        metadata={"kernel": name, "engine": args.engine,
+                                  "scale": args.scale})
+            print(f"wrote {path}", file=sys.stderr)
+    if args.emit_runlog:
+        path = write_runlog(args.emit_runlog, rec.records,
+                            command="profile", kernels=names,
+                            scale=args.scale, engine=args.engine)
+        print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+def _figures(args, scale, vls: tuple[int, ...], verify: bool,
+             rec: Recorder) -> int:
+    """``repro-sdv fig3|fig4|fig5``: one sweep per kernel."""
+    names = _kernel_names(args.kernel)
+    # attribution buckets ride along in the JSON export's manifest
+    attributions = bool(args.emit_json)
+    for name in names:
+        rec.reset()
+        start = len(rec.records)
+        spec = KERNELS[name]
+        t0 = time.time()
+        workload = spec.prepare(scale, args.seed)
+        if args.command == "fig3":
+            result = latency_sweep(spec, workload,
+                                   latencies=DEFAULT_LATENCIES, vls=vls,
+                                   verify=verify, engine=args.engine,
+                                   jobs=args.jobs,
+                                   trace_cache=args.trace_cache,
+                                   attributions=attributions)
+            if args.csv:
+                print(result.to_csv())
+            elif args.plot:
+                print(plot_figure3(result, color=args.color))
+            else:
+                print(render_figure3(result))
+        elif args.command == "fig4":
+            result = latency_sweep(spec, workload,
+                                   latencies=DEFAULT_LATENCIES, vls=vls,
+                                   verify=verify, engine=args.engine,
+                                   jobs=args.jobs,
+                                   trace_cache=args.trace_cache,
+                                   attributions=attributions)
+            print(result.to_csv() if args.csv
+                  else render_figure4(result, color=args.color))
+        elif args.command == "fig5":
+            result = bandwidth_sweep(spec, workload,
+                                     bandwidths=DEFAULT_BANDWIDTHS, vls=vls,
+                                     verify=verify, engine=args.engine,
+                                     jobs=args.jobs,
+                                     trace_cache=args.trace_cache,
+                                     attributions=attributions)
+            if args.csv:
+                print(result.to_csv())
+            elif args.plot:
+                print(plot_figure5(result, color=args.color))
+            else:
+                print(render_figure5(result))
+        if args.emit_json:
+            manifest = _sweep_manifest(result, engine=args.engine,
+                                       scale=args.scale, seed=args.seed,
+                                       records=rec.records[start:])
+            result.meta["manifest"] = manifest
+            path = _emit_path(args.emit_json, name, len(names) > 1)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(result.to_json(), encoding="utf-8")
+            sibling = write_manifest(
+                path.with_name(path.stem + ".manifest.json"), manifest)
+            print(f"wrote {path} and {sibling}", file=sys.stderr)
+        print(f"[{name}: {time.time() - t0:.1f}s]", file=sys.stderr)
+        print()
+    if args.engine_stats:
+        print(counter_table(rec.records))
+        print()
+    if args.emit_runlog:
+        path = write_runlog(args.emit_runlog, rec.records,
+                            command=args.command, kernels=names,
+                            scale=args.scale, engine=args.engine)
+        print(f"wrote {path}", file=sys.stderr)
+    if args.emit_trace:
+        path = write_trace(args.emit_trace,
+                           trace_events_from_spans(rec.records),
+                           metadata={"command": args.command,
+                                     "kernels": names,
+                                     "scale": args.scale})
+        print(f"wrote {path}", file=sys.stderr)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -294,46 +430,8 @@ def main(argv: list[str] | None = None) -> int:
     verify = not args.no_verify
 
     if args.command == "profile":
-        from repro.obs.profile import profile_kernel
-        names = _kernel_names(args.kernel)
-        multi = len(names) > 1
-        if args.emit_trace:
-            set_tracing(True)
-        if args.emit_runlog:
-            from repro.obs.runlog import get_runlog, set_logging
-            set_logging(True)
-        for name in names:
-            if args.emit_runlog:
-                get_runlog().event("profile.kernel", kernel=name,
-                                   engine=args.engine, scale=args.scale)
-            r = profile_kernel(name, scale=args.scale, seed=args.seed,
-                               vls=vls, engine=args.engine,
-                               include_scalar=not args.no_scalar,
-                               verify=verify, trace_cache=args.trace_cache,
-                               timelines=bool(args.emit_trace),
-                               engine_stats=args.engine_stats)
-            print(r.render(fractions=args.fractions))
-            print()
-            if args.engine_stats:
-                print(r.render_engine_stats())
-                print()
-            if args.emit_json:
-                path = _emit_path(args.emit_json, name, multi)
-                write_manifest(path, r.manifest())
-                print(f"wrote {path}", file=sys.stderr)
-            if args.emit_trace:
-                path = _emit_path(args.emit_trace, name, multi)
-                write_trace(path, r.trace_events(),
-                            metadata={"kernel": name, "engine": args.engine,
-                                      "scale": args.scale})
-                print(f"wrote {path}", file=sys.stderr)
-        if args.emit_runlog:
-            from repro.obs.runlog import write_runlog
-            path = write_runlog(args.emit_runlog, get_runlog(),
-                                command="profile", kernels=names,
-                                scale=args.scale, engine=args.engine)
-            print(f"wrote {path}", file=sys.stderr)
-        return 0
+        with _recorder_for(args) as rec:
+            return _profile(args, vls, verify, rec)
 
     if args.command == "headline":
         spec = KERNELS["spmv"]
@@ -397,92 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         print(t.render())
         return 0
 
-    names = _kernel_names(args.kernel)
-    emit_json = getattr(args, "emit_json", None)
-    emit_trace = getattr(args, "emit_trace", None)
-    emit_runlog = getattr(args, "emit_runlog", None)
-    engine_stats_on = bool(getattr(args, "engine_stats", False))
-    if emit_trace:
-        set_tracing(True)
-    if emit_runlog:
-        from repro.obs.runlog import get_runlog, set_logging
-        set_logging(True)
-    if engine_stats_on:
-        from repro.obs.engine_stats import set_introspection
-        set_introspection(True)
-    # attribution buckets ride along in the JSON export's manifest
-    attributions = bool(emit_json)
-    for name in names:
-        from repro.obs.lifecycle import reset_figure_state
-        reset_figure_state()
-        spec = KERNELS[name]
-        t0 = time.time()
-        workload = spec.prepare(scale, args.seed)
-        if args.command == "fig3":
-            result = latency_sweep(spec, workload,
-                                   latencies=DEFAULT_LATENCIES, vls=vls,
-                                   verify=verify, engine=args.engine,
-                                   jobs=args.jobs,
-                                   trace_cache=args.trace_cache,
-                                   attributions=attributions)
-            if args.csv:
-                print(result.to_csv())
-            elif args.plot:
-                print(plot_figure3(result, color=args.color))
-            else:
-                print(render_figure3(result))
-        elif args.command == "fig4":
-            result = latency_sweep(spec, workload,
-                                   latencies=DEFAULT_LATENCIES, vls=vls,
-                                   verify=verify, engine=args.engine,
-                                   jobs=args.jobs,
-                                   trace_cache=args.trace_cache,
-                                   attributions=attributions)
-            print(result.to_csv() if args.csv
-                  else render_figure4(result, color=args.color))
-        elif args.command == "fig5":
-            result = bandwidth_sweep(spec, workload,
-                                     bandwidths=DEFAULT_BANDWIDTHS, vls=vls,
-                                     verify=verify, engine=args.engine,
-                                     jobs=args.jobs,
-                                     trace_cache=args.trace_cache,
-                                     attributions=attributions)
-            if args.csv:
-                print(result.to_csv())
-            elif args.plot:
-                print(plot_figure5(result, color=args.color))
-            else:
-                print(render_figure5(result))
-        if emit_json:
-            manifest = _sweep_manifest(result, engine=args.engine,
-                                       scale=args.scale, seed=args.seed)
-            result.meta["manifest"] = manifest
-            path = _emit_path(emit_json, name, len(names) > 1)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(result.to_json(), encoding="utf-8")
-            sibling = write_manifest(
-                path.with_name(path.stem + ".manifest.json"), manifest)
-            print(f"wrote {path} and {sibling}", file=sys.stderr)
-        print(f"[{name}: {time.time() - t0:.1f}s]", file=sys.stderr)
-        print()
-    if engine_stats_on:
-        from repro.obs.engine_stats import get_engine_stats
-        print(get_engine_stats().render())
-        print()
-    if emit_runlog:
-        from repro.obs.runlog import write_runlog
-        path = write_runlog(emit_runlog, get_runlog(),
-                            command=args.command, kernels=names,
-                            scale=args.scale, engine=args.engine)
-        print(f"wrote {path}", file=sys.stderr)
-    if emit_trace:
-        path = write_trace(emit_trace,
-                           trace_events_from_spans(get_tracer().spans),
-                           metadata={"command": args.command,
-                                     "kernels": names,
-                                     "scale": args.scale})
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    with _recorder_for(args) as rec:
+        return _figures(args, scale, vls, verify, rec)
 
 
 if __name__ == "__main__":

@@ -129,7 +129,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
     # on_result must fire exactly once per task even when the pool dies
     # mid-run and tasks are re-dispatched: without the dedup, every task
     # that completed before the crash reported again on the retry
-    # (duplicate heartbeats, double-merged worker metrics)
+    # (duplicate heartbeats, double-merged worker records)
     reported: set[int] = set()
 
     def _report(i: int, r: R) -> None:
@@ -178,10 +178,9 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
 
 
 def _note_pool_event(name: str, **attrs: Any) -> None:
-    """Surface a pool failure: metrics counter + structured run-log event
-    (replacing what used to be a silent rebuild)."""
-    from repro.obs.metrics import get_metrics
-    from repro.obs.runlog import get_runlog
+    """Surface a pool failure as a counter and a warning event."""
+    from repro.obs.record import get_recorder
 
-    get_metrics().counter(name).inc()
-    get_runlog().event(name, level="warn", **attrs)
+    rec = get_recorder()
+    rec.count(name)
+    rec.event(name, level="warn", **attrs)

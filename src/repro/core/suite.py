@@ -42,7 +42,7 @@ from repro.core.sweeps import (
 )
 from repro.kernels import KERNELS
 from repro.kernels.micro import characterize_machine
-from repro.obs.lifecycle import reset_figure_state
+from repro.obs.record import get_recorder
 from repro.soc import FpgaSdv
 from repro.util.tables import TextTable
 from repro.workloads import get_scale
@@ -96,9 +96,9 @@ def run_suite(*, scale_name: str = "ci", seed: int = 7,
     names = kernels if kernels is not None else list(KERNELS)
     out = SuiteResult(scale=scale_name)
     for name in names:
-        # figure boundary: fresh metrics, no dangling span/runlog nesting
-        # carried over from a previous kernel's sweeps
-        reset_figure_state()
+        # figure boundary: no dangling span carried over from a previous
+        # kernel's sweeps
+        get_recorder().reset()
         spec = KERNELS[name]
         workload = spec.prepare(scale, seed)
         sweeps = figure_sweeps(

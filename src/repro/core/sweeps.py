@@ -48,10 +48,7 @@ from repro.engine.batch_sim import walk_backend
 from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
-from repro.obs import engine_stats as engine_stats_mod
-from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.runlog import RunLog, get_runlog
-from repro.obs.spans import SpanTracer, get_tracer
+from repro.obs.record import get_recorder, recording, set_recording
 from repro.soc.sdv import FpgaSdv
 from repro.trace.events import TraceBuffer
 from repro.trace.serialize import CLASSIFIED_FORMAT_VERSION
@@ -204,15 +201,11 @@ def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
     if side.exists():
         ct = load_classified(side, trace, sdv.config,
                              geometry_fp=sdv.geometry_fingerprint())
-    stats_on = engine_stats_mod.introspection_enabled()
     if ct is not None:
         sdv.seed_classification(trace, ct)
-        if stats_on:
-            engine_stats_mod.get_engine_stats().count(
-                "classify.sidecar_hits")
-    elif stats_on:
-        engine_stats_mod.get_engine_stats().count(
-            "classify.sidecar_misses")
+        get_recorder().count("classify.sidecar_hits")
+    else:
+        get_recorder().count("classify.sidecar_misses")
 
 
 #: per-process memo of loaded cached traces, keyed by cache-file path.
@@ -290,14 +283,11 @@ def run_implementation(
         cache_path = trace_cache_path(root, spec.name, workload, vl, sdv,
                                       spec=spec, workload_fp=workload_fp)
         if cache_path.exists():
-            if engine_stats_mod.introspection_enabled():
-                engine_stats_mod.get_engine_stats().count(
-                    "trace_cache.hits")
+            get_recorder().count("trace_cache.hits")
             trace = _load_trace_memoized(cache_path)
             _seed_from_sidecar(sdv, trace, cache_path)
             return sdv, trace
-        if engine_stats_mod.introspection_enabled():
-            engine_stats_mod.get_engine_stats().count("trace_cache.misses")
+        get_recorder().count("trace_cache.misses")
 
     session = sdv.session()
     builder = spec.vector if vl is not None else spec.scalar
@@ -348,18 +338,14 @@ def _grid_name(grids: Sequence[Grid]) -> str:
 class _ImplOutcome:
     """Everything one (kernel, implementation) task ships back to the
     parent sweep: measurements (one list per grid), the optional roofline
-    placement, plus the worker's observability payload (spans and a
-    metrics snapshot — instrument objects never cross the process
-    boundary, plain data does)."""
+    placement, plus what the task recorded (plain-data records, empty
+    while the parent is not recording)."""
 
     measurements: list[list[Measurement]]
     roofline: Characterization | None = None
-    spans: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     pid: int = 0
     wall_s: float = 0.0
-    log: list = field(default_factory=list)
-    engine_stats: dict = field(default_factory=dict)
+    records: list[dict] = field(default_factory=list)
 
 
 def _resolve_spec(spec_or_name) -> KernelSpec:
@@ -373,8 +359,7 @@ def _resolve_spec(spec_or_name) -> KernelSpec:
 
 def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                 grids: Sequence[Grid], keep_reports: bool, engine: str,
-                attributions: bool, roofline: bool, tracer: SpanTracer,
-                registry: MetricsRegistry
+                attributions: bool, roofline: bool
                 ) -> tuple[list[list[Measurement]], Characterization | None]:
     """Time one trace at every point of every grid in one timing call.
 
@@ -404,20 +389,19 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
     # each stage looks its cache up once and hands the result on, so the
     # classify/lower cache hit counts still mean reuse across figures
     lowered = None
-    with tracer.span(f"re-time:{kernel}:{label}", kernel=kernel,
-                     impl=label, engine=engine, points=len(configs),
-                     attributions=attributions):
-        t0 = time.perf_counter()
-        with tracer.span(f"classify:{kernel}:{label}", kernel=kernel,
-                         impl=label):
+    rec = get_recorder()
+    with rec.span(f"re-time:{kernel}:{label}", kernel=kernel, impl=label,
+                  engine=engine, points=len(configs),
+                  attributions=attributions):
+        with rec.span(f"classify:{kernel}:{label}", kernel=kernel,
+                      impl=label):
             ct = sdv.classify(trace)
         if engine == "batch":
-            with tracer.span(f"lower:{kernel}:{label}", kernel=kernel,
-                             impl=label):
+            with rec.span(f"lower:{kernel}:{label}", kernel=kernel,
+                          impl=label):
                 lowered = sdv.lower(trace, classified=ct)
-        with tracer.span(f"walk:{kernel}:{label}", kernel=kernel,
-                         impl=label, engine=engine,
-                         points=len(configs)) as walk_span:
+        with rec.span(f"walk:{kernel}:{label}", kernel=kernel, impl=label,
+                      engine=engine, points=len(configs)) as walk_attrs:
             if attributions and compact:
                 # fused path: ONE vectorized walk times every sweep point
                 # AND every attribution-ladder rung (the ladder's L0
@@ -441,17 +425,15 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                                         lowered=lowered)
                 rows = [measurement(k, r.cycles, r if keep_reports else None)
                         for k, r in zip(keys, reports)]
-            if walk_span is not None and engine == "batch":
+            if engine == "batch":
                 # "numpy" here is the fallback a missing compiler forces
-                walk_span.attrs["walk"] = walk_backend()
-        registry.histogram("sweep.retime_s").observe(
-            time.perf_counter() - t0)
+                walk_attrs["walk"] = walk_backend()
 
     if attributions and not compact:
         from repro.obs.attribution import attribute_many
 
-        with tracer.span(f"attribute:{kernel}:{label}", kernel=kernel,
-                         impl=label):
+        with rec.span(f"attribute:{kernel}:{label}", kernel=kernel,
+                      impl=label):
             if lowered is None:
                 lowered = sdv.lower(trace, classified=ct)
             atts = attribute_many(ct, configs, lowered=lowered)
@@ -477,73 +459,58 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
 def _time_one_impl(spec: KernelSpec, workload, vl: int | None,
                    grids: Sequence[Grid], config: SdvConfig | None,
                    verify: bool, reference, keep_reports: bool, engine: str,
-                   trace_cache, trace_spans: bool = False,
-                   attributions: bool = False, runlog_on: bool = False,
-                   trace_id: str = "", introspection: bool = False,
+                   trace_cache, attributions: bool = False,
                    workload_fp: str | None = None,
                    roofline: bool = False) -> _ImplOutcome:
     """Generate + time one implementation across every point of every
     grid."""
     t_begin = time.perf_counter()
-    tracer = SpanTracer(enabled=trace_spans)
-    registry = MetricsRegistry()
-    # worker-local run log carrying the parent's trace id (the sweep
-    # adopts its records; in-process runs ship them back the same way)
-    log = RunLog(enabled=runlog_on, trace_id=trace_id or None)
-    # sync this process's introspection flag with the parent's; ship only
-    # the *delta* recorded by this task — workers are persistent, and in
-    # serial runs the parent collector already holds what we record
-    engine_stats_mod.set_introspection(introspection)
-    collector = engine_stats_mod.get_engine_stats()
-    es_before = collector.snapshot() if introspection else None
+    rec = get_recorder()
     label = impl_label(vl)
     n_points = sum(len(points) for _, points in grids)
-    log.event("impl.start", kernel=spec.name, impl=label,
+    rec.event("impl.start", kernel=spec.name, impl=label,
               axis=_grid_name(grids), points=n_points, engine=engine)
 
-    with tracer.span(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
-                     impl=label):
+    with rec.span(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
+                  impl=label):
         t0 = time.perf_counter()
         sdv, trace = run_implementation(spec, workload, vl, config=config,
                                         verify=verify, reference=reference,
                                         trace_cache=trace_cache,
                                         workload_fp=workload_fp)
-        trace_gen_s = time.perf_counter() - t0
-        registry.histogram("sweep.trace_gen_s").observe(trace_gen_s)
-        log.event("impl.trace_ready", kernel=spec.name, impl=label,
-                  records=len(trace), wall_s=round(trace_gen_s, 6))
+        rec.event("impl.trace_ready", kernel=spec.name, impl=label,
+                  records=len(trace),
+                  wall_s=round(time.perf_counter() - t0, 6))
 
     measurements, placement = _time_grids(
         sdv, trace, spec.name, label, grids, keep_reports, engine,
-        attributions, roofline, tracer, registry)
+        attributions, roofline)
 
-    registry.counter("sweep.impls_timed").inc()
-    registry.counter("sweep.points_timed").inc(n_points)
+    rec.count("sweep.impls_timed")
+    rec.count("sweep.points_timed", n_points)
     wall_s = time.perf_counter() - t_begin
-    log.event("impl.done", kernel=spec.name, impl=label,
+    rec.event("impl.done", kernel=spec.name, impl=label,
               measurements=n_points, wall_s=round(wall_s, 6))
-    return _ImplOutcome(
-        measurements=measurements,
-        roofline=placement,
-        spans=tracer.spans,
-        metrics=registry.snapshot(),
-        pid=os.getpid(),
-        wall_s=wall_s,
-        log=log.records,
-        engine_stats=(engine_stats_mod.snapshot_delta(
-            es_before, collector.snapshot()) if introspection else {}),
-    )
+    return _ImplOutcome(measurements=measurements, roofline=placement,
+                        pid=os.getpid(), wall_s=wall_s)
 
 
 def _impl_task(args) -> _ImplOutcome:
-    """Module-level worker: one (kernel, implementation) per process task."""
-    (spec_or_name, workload, vl, grids, config, verify, reference,
-     keep_reports, engine, trace_cache, trace_spans, attributions,
-     runlog_on, trace_id, introspection, workload_fp, roofline) = args
-    return _time_one_impl(_resolve_spec(spec_or_name), workload, vl, grids,
-                          config, verify, reference, keep_reports, engine,
-                          trace_cache, trace_spans, attributions, runlog_on,
-                          trace_id, introspection, workload_fp, roofline)
+    """Module-level worker: one (kernel, implementation) per process task.
+
+    While the parent records, the task records into a fresh recorder and
+    ships the records back in the outcome — in a pool worker and in
+    process alike, so the parent merges both the same way."""
+    spec_or_name, *task, record = args
+    if not record:
+        # a forked pool worker inherits the switch of the parent it was
+        # forked from, which may have been recording then
+        set_recording(False)
+        return _time_one_impl(_resolve_spec(spec_or_name), *task)
+    with recording() as rec:
+        outcome = _time_one_impl(_resolve_spec(spec_or_name), *task)
+    outcome.records = rec.records
+    return outcome
 
 
 def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
@@ -593,12 +560,7 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
     placement = None
     name = _grid_name(grids)
     n_points = sum(len(points) for _, points in grids)
-    tracer = get_tracer()
-    registry = get_metrics()
-    runlog = get_runlog()
-    engine_stats = engine_stats_mod.get_engine_stats()
-    introspection = engine_stats_mod.introspection_enabled()
-    my_pid = os.getpid()
+    rec = get_recorder()
     # registry kernels travel to workers by name (always picklable);
     # ad-hoc specs travel as themselves
     from repro.kernels import KERNELS
@@ -606,9 +568,8 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
     payload = spec.name if KERNELS.get(spec.name) is spec else spec
     tasks = [
         (payload, workload, vl, grids, config, verify, reference,
-         keep_reports, engine, trace_cache, tracer.enabled, attributions,
-         runlog.enabled, runlog.trace_id, introspection, workload_fp,
-         top_vl is not None and vl == top_vl)
+         keep_reports, engine, trace_cache, attributions, workload_fp,
+         top_vl is not None and vl == top_vl, rec.on)
         for vl in impls
     ]
     parallel = resolve_jobs(jobs) > 1
@@ -618,37 +579,26 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
         # per-worker progress while slower implementations are in flight
         nonlocal done
         done += 1
-        runlog.event("sweep.heartbeat", kernel=spec.name, axis=name,
-                     impl=labels[idx], done=done, total=len(tasks),
-                     worker_pid=outcome.pid,
-                     wall_s=round(outcome.wall_s, 3))
+        rec.event("sweep.heartbeat", kernel=spec.name, axis=name,
+                  impl=labels[idx], done=done, total=len(tasks),
+                  worker_pid=outcome.pid, wall_s=round(outcome.wall_s, 3))
         if parallel:
             print(f"[sweep {spec.name}/{name}] {labels[idx]} done "
                   f"({done}/{len(tasks)}, worker pid {outcome.pid}, "
                   f"{outcome.wall_s:.1f}s)", file=sys.stderr)
 
-    with tracer.span(f"sweep:{spec.name}:{name}", kernel=spec.name,
-                     axis=name, impls=len(tasks), points=n_points,
-                     engine=engine, jobs=jobs):
-        with runlog.context(f"sweep:{spec.name}:{name}",
-                            kernel=spec.name, axis=name,
-                            impls=len(tasks), points=n_points,
-                            engine=engine, jobs=jobs):
-            for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
-                                     on_result=heartbeat,
-                                     initializer=_sweep_worker_init):
-                tracer.adopt(outcome.spans)
-                registry.merge(outcome.metrics)
-                runlog.adopt(outcome.log)
-                if outcome.pid != my_pid:
-                    # in-process outcomes already recorded straight into
-                    # this collector; only worker deltas need merging
-                    engine_stats.merge(outcome.engine_stats)
-                for result, rows in zip(results, outcome.measurements):
-                    result.measurements.extend(rows)
-                if outcome.roofline is not None:
-                    placement = outcome.roofline
-    registry.counter("sweep.sweeps_run").inc()
+    with rec.span(f"sweep:{spec.name}:{name}", kernel=spec.name,
+                  axis=name, impls=len(tasks), points=n_points,
+                  engine=engine, jobs=jobs):
+        for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
+                                 on_result=heartbeat,
+                                 initializer=_sweep_worker_init):
+            rec.adopt(outcome.records)
+            for result, rows in zip(results, outcome.measurements):
+                result.measurements.extend(rows)
+            if outcome.roofline is not None:
+                placement = outcome.roofline
+    rec.count("sweep.sweeps_run")
     return results, placement
 
 

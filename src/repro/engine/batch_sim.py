@@ -166,14 +166,13 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
 
     Returns the end-time vector plus the knob-dependent breakdown pieces.
     """
-    from repro.obs.engine_stats import get_engine_stats, \
-        introspection_enabled
+    from repro.obs.record import get_recorder
 
-    if introspection_enabled():
-        es = get_engine_stats()
-        es.count("batch.walks")
-        es.count("batch.points", len(lat))
-        es.count("batch.record_points", lowered.n * len(lat))
+    rec = get_recorder()
+    if rec.on:
+        rec.count("batch.walks")
+        rec.count("batch.points", len(lat))
+        rec.count("batch.record_points", lowered.n * len(lat))
     K = lat.shape[0]
     base = lowered.base
     if l2_lat is None:

@@ -236,12 +236,13 @@ class Environment:
 
     def run(self, until: float | None = None) -> None:
         """Process events until the heap drains (or ``until`` is reached)."""
-        # opt-in introspection (repro.obs.engine_stats): one local boolean
+        # opt-in introspection (repro.obs.record): one local boolean
         # check per active timestamp; fired-event counts are read off the
         # _fired set instead of a per-event counter
-        from repro.obs.engine_stats import introspection_enabled
+        from repro.obs.record import get_recorder
 
-        intro = introspection_enabled()
+        rec = get_recorder()
+        intro = rec.on
         i_ts = 0
         i_fired0 = len(self._fired)
         i_max_drain = 0
@@ -272,9 +273,6 @@ class Environment:
         finally:
             self._running = False
             if intro:
-                from repro.obs.engine_stats import get_engine_stats
-
-                es = get_engine_stats()
-                es.count("event_ref.timestamps", i_ts)
-                es.count("event_ref.events", len(self._fired) - i_fired0)
-                es.high("event_ref.max_drain_depth", i_max_drain)
+                rec.count("event_ref.timestamps", i_ts)
+                rec.count("event_ref.events", len(self._fired) - i_fired0)
+                rec.high("event_ref.max_drain_depth", i_max_drain)

@@ -226,19 +226,16 @@ def event_plan(ct: ClassifiedTrace) -> EventPlan:
     by identity of the per-record level arrays plus the
     quantization-relevant config fields.
     """
-    from repro.obs.engine_stats import get_engine_stats, \
-        introspection_enabled
+    from repro.obs.record import get_recorder
 
     key = _plan_key(ct)
     cached = getattr(ct.trace, "_event_plan", None)
     if cached is not None:
         levels_ref, ckey, plan = cached
         if levels_ref is ct.levels and ckey == key:
-            if introspection_enabled():
-                get_engine_stats().count("plan_cache.hits")
+            get_recorder().count("plan_cache.hits")
             return plan
-    if introspection_enabled():
-        get_engine_stats().count("plan_cache.misses")
+    get_recorder().count("plan_cache.misses")
     plan = build_event_plan(ct)
     try:
         ct.trace._event_plan = (ct.levels, key, plan)

@@ -137,7 +137,7 @@ class _FastSim:
         cfg = ct.config
         self.plan = plan
         self.timeline = timeline
-        # introspection (repro.obs.engine_stats): resolved once per run by
+        # introspection (repro.obs.record): resolved once per run by
         # simulate_events_fast; the hot loop reads a hoisted local
         self.intro = intro
         self.intro_timestamps = 0
@@ -1397,9 +1397,9 @@ def _plan_line_spawns(plan: EventPlan) -> int:
 def _record_engine_stats(sim: _FastSim, plan: EventPlan) -> None:
     """Post-run introspection: everything not kept per-timestamp is
     derived from end-of-run state (see docs/observability.md glossary)."""
-    from repro.obs.engine_stats import get_engine_stats
+    from repro.obs.record import get_recorder
 
-    es = get_engine_stats()
+    es = get_recorder()
     es.count("event.runs")
     es.count("event.timestamps", sim.intro_timestamps)
     es.count("event.tokens", sim.intro_tokens)
@@ -1423,12 +1423,12 @@ def simulate_events_fast(ct: ClassifiedTrace, *, timeline=None
     """
     # resolved lazily to keep the engine importable without the obs
     # package (and to avoid a package-init cycle)
-    from repro.obs.engine_stats import introspection_enabled
+    from repro.obs.record import get_recorder
 
     if timeline is not None:
         timeline.engine = "event"
     plan = event_plan(ct)
-    intro = introspection_enabled()
+    intro = get_recorder().on
     sim = _FastSim(ct, plan, timeline, intro=intro)
     sim._core_advance()  # synchronous start, like the reference's core()
     sim._run()

@@ -6,8 +6,8 @@ The sweep harness fans work out through one persistent process pool
 * a pool task that itself fans out deadlocks the persistent pool, and an
   executor ``submit`` outside ``core/parallel.py`` bypasses its
   broken-pool rebuild and serial fallback (P105);
-* a tracer span or runlog context that is not a ``with`` statement never
-  closes, so every later event nests under it (P106);
+* a recorder span that is not a ``with`` statement never closes, so
+  every later span nests under it (P106);
 * a file that cannot be parsed hides both (P100).
 
 This pass walks the AST of :func:`default_concurrency_paths` — the pool
@@ -31,15 +31,15 @@ from repro.lint.rules import finding
 from repro.lint.suppress import SuppressionIndex
 
 #: source tokens that mark a file for the pass: the pool API (P105) and
-#: the span/context API (P106).
-_TOKENS = ("run_tasks", ".submit(", ".span(", ".context(")
+#: the recorder's span API (P106).
+_TOKENS = ("run_tasks", ".submit(", ".span(")
 
 #: transitive-closure depth when resolving a pool worker's helpers.
 _CLOSURE_DEPTH = 5
 
 
 def _dotted(node: ast.expr) -> str:
-    """Best-effort dotted name of a call target ('tracer.span')."""
+    """Best-effort dotted name of a call target ('rec.span')."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -51,7 +51,7 @@ def _dotted(node: ast.expr) -> str:
 
 def _leaf_recv(call: ast.Call) -> tuple[str, str]:
     """(method leaf, dotted receiver) of a call; receiver '' for bare
-    names and non-name bases (``get_tracer().span`` -> '')."""
+    names and non-name bases (``get_recorder().span`` -> '')."""
     name = _dotted(call.func)
     if "." in name:
         recv, leaf = name.rsplit(".", 1)
@@ -64,7 +64,8 @@ def _leaf_recv(call: ast.Call) -> tuple[str, str]:
 
 def _scan_spans(path: str, tree: ast.AST, sup: SuppressionIndex,
                 out: list[Finding]) -> None:
-    """P106: tracer spans / runlog contexts must be ``with`` items."""
+    """P106: recorder spans (``rec.span``, ``get_recorder().span``)
+    must be ``with`` items."""
     as_items: set[int] = set()
     for n in ast.walk(tree):
         if isinstance(n, (ast.With, ast.AsyncWith)):
@@ -74,14 +75,16 @@ def _scan_spans(path: str, tree: ast.AST, sup: SuppressionIndex,
         if not isinstance(n, ast.Call) or id(n) in as_items:
             continue
         leaf, recv = _leaf_recv(n)
-        recv_l = recv.lower()
-        hit = (leaf == "span" and "tracer" in recv_l) or \
-              (leaf == "context" and "log" in recv_l)
-        if hit and not sup.suppresses(n.lineno, "P106"):
+        if leaf != "span":
+            continue
+        if isinstance(n.func, ast.Attribute) and \
+                isinstance(n.func.value, ast.Call):
+            recv = _dotted(n.func.value.func) + "()"
+        if "rec" in recv.lower() and not sup.suppresses(n.lineno, "P106"):
             out.append(finding(
                 "P106", f"{path}:{n.lineno}",
-                f"{recv}.{leaf}(...) is not the context expression of "
-                "a with statement — the span/context never exits"))
+                f"{recv}.span(...) is not the context expression of a "
+                "with statement — the span never closes"))
 
 
 def _closure(name: str, index: dict[str, tuple[str, ast.FunctionDef]],

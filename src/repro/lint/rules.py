@@ -200,8 +200,9 @@ _ALL_RULES = (
     Rule("O004", _E, "unreadable artifact",
          "the file cannot be read or parsed as JSON", ""),
     Rule("O005", _E, "run-log schema violation",
-         "the JSONL run log fails repro.runlog/1 validation (bad header, "
-         "record-count mismatch, trace-id drift, or out-of-order records)",
+         "the JSONL run log fails repro.runlog/2 validation (bad header, "
+         "record-count mismatch, unknown record kind, trace-id drift, or "
+         "out-of-order records)",
          "emit run logs via --emit-runlog"),
     Rule("O006", _E, "perf-ledger schema violation",
          "a ledger record fails repro.ledger/1 validation (missing keys, "
@@ -222,10 +223,10 @@ _ALL_RULES = (
          "persistent-pool model (and .submit outside core/parallel.py "
          "bypasses its rebuild/fallback protocol)",
          "fan out only from the sweep parent via run_tasks"),
-    Rule("P106", _W, "runlog span/context not used as a context manager",
-         "a tracer.span()/runlog.context() call is not the context "
-         "expression of a with statement, so its exit never runs and "
-         "every later event nests under a dangling span",
+    Rule("P106", _W, "recorder span not used as a context manager",
+         "a recorder span() call is not the context expression of a with "
+         "statement, so its end record is never written and every later "
+         "span nests under a dangling one",
          "wrap the call in a with statement"),
     # ---- lint hygiene (W0xx) --------------------------------------------
     Rule("W001", _W, "suppression names unknown rule",

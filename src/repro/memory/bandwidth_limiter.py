@@ -59,7 +59,7 @@ class BandwidthLimiter:
         self._window_used = 0
         self.admitted = 0            # requests admitted since reset
         self.throttle_cycles = 0.0   # total admission delay imposed
-        # introspection only (repro.obs.engine_stats): admissions that took
+        # introspection only (repro.obs.record): admissions that took
         # the collapsed den==1 path. Deliberately NOT part of ``stats`` —
         # that dict is pinned bit-equal across the event engines.
         self.fast_admits = 0

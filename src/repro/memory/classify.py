@@ -273,11 +273,9 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     if not trace.sealed:
         raise TraceError("classify_trace requires a sealed trace")
     config.validate()
-    from repro.obs.engine_stats import get_engine_stats, \
-        introspection_enabled
+    from repro.obs.record import get_recorder
 
-    if introspection_enabled():
-        get_engine_stats().count("classify.walk_runs")
+    get_recorder().count("classify.walk_runs")
 
     cols = trace.cols
     n = cols.n

@@ -520,10 +520,10 @@ def classify_trace_fast(trace: TraceBuffer,
     if not trace.sealed:
         raise TraceError("classify_trace_fast requires a sealed trace")
     config.validate()
-    from repro.obs.engine_stats import get_engine_stats, \
-        introspection_enabled
+    from repro.obs.record import get_recorder
 
-    stats = get_engine_stats() if introspection_enabled() else None
+    rec = get_recorder()
+    stats = rec if rec.on else None
     if stats is not None:
         stats.count("classify.stack_runs")
 

@@ -10,30 +10,23 @@ the simulator into a study instrument:
   bandwidth throttle, NoC, cache service) that sum **bit-exactly** to
   ``CycleReport.cycles`` in every engine, plus the derived
   "latency hidden by overlap" metric — the paper's claim (i), observable;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with mergeable
-  snapshots (workers ship theirs back to the sweep harness);
-* :mod:`repro.obs.spans` — nested wall-time spans over the harness stages
-  (trace generation, lowering, re-timing), Perfetto-exportable;
+* :mod:`repro.obs.record` — the one telemetry stream: span begin/end,
+  event, count and high-water records from the harness stages and the
+  engine hot paths, one process-wide switch, one worker-merge path
+  (``adopt``), and its renderings (JSONL run log, counter table);
 * :mod:`repro.obs.timeline` — per-record machine activity recorded by the
   timing engines (simulated-cycle extents);
 * :mod:`repro.obs.perfetto` — Chrome/Perfetto ``trace_event`` JSON export
-  for both spans and timelines;
+  for both span records and timelines;
 * :mod:`repro.obs.manifest` — schema-versioned machine-readable run
   manifests written next to sweep results;
 * :mod:`repro.obs.profile` — the ``repro-sdv profile`` harness: the
   per-VL attribution table ("short reasons" view);
-* :mod:`repro.obs.runlog` — structured JSONL run log with trace-context
-  propagation across worker processes, merged into one ordered stream;
-* :mod:`repro.obs.engine_stats` — opt-in internal counters from the
-  timing-engine hot paths (wheel occupancy, slab recycling, cache hit
-  rates), disabled-cost pinned to unmeasurable;
 * :mod:`repro.obs.ledger` — longitudinal machine-fingerprinted perf
   records with a median+MAD regression detector (``repro-sdv
   perf-diff``);
 * :mod:`repro.obs.htmlreport` — the self-contained HTML run dashboard
-  (``repro-sdv dash``);
-* :mod:`repro.obs.lifecycle` — figure-boundary reset of the process-wide
-  observability singletons.
+  (``repro-sdv dash``).
 """
 
 from repro.obs.attribution import (
@@ -50,12 +43,6 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.obs.engine_stats import (
-    EngineStats,
-    get_engine_stats,
-    set_introspection,
-    snapshot_delta,
-)
 from repro.obs.htmlreport import (
     DASH_SCHEMA,
     build_dashboard,
@@ -71,35 +58,31 @@ from repro.obs.ledger import (
     detect_regression,
     perf_diff,
 )
-from repro.obs.lifecycle import reset_figure_state
-from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.perfetto import (
     trace_events_from_spans,
     trace_events_from_timeline,
     validate_trace_events,
     write_trace,
 )
-from repro.obs.runlog import (
+from repro.obs.record import (
     RUNLOG_SCHEMA,
-    RunLog,
-    get_runlog,
-    set_logging,
+    Recorder,
+    fold,
+    get_recorder,
+    recording,
+    set_recording,
     write_runlog,
 )
-from repro.obs.spans import SpanTracer, get_tracer, set_tracing
 from repro.obs.timeline import TimelineRecorder
 
 __all__ = [
     "BUCKET_ORDER",
     "CycleAttribution",
     "DASH_SCHEMA",
-    "EngineStats",
     "LEDGER_SCHEMA",
     "MANIFEST_SCHEMA",
-    "MetricsRegistry",
     "RUNLOG_SCHEMA",
-    "RunLog",
-    "SpanTracer",
+    "Recorder",
     "TimelineRecorder",
     "Verdict",
     "append_record",
@@ -112,17 +95,12 @@ __all__ = [
     "check_series",
     "config_hash",
     "detect_regression",
-    "get_engine_stats",
-    "get_metrics",
-    "get_runlog",
-    "get_tracer",
+    "fold",
+    "get_recorder",
     "perf_diff",
+    "recording",
     "render_dashboard",
-    "reset_figure_state",
-    "set_introspection",
-    "set_logging",
-    "set_tracing",
-    "snapshot_delta",
+    "set_recording",
     "trace_events_from_spans",
     "trace_events_from_timeline",
     "validate_dashboard",

@@ -2,7 +2,7 @@
 
 Sniffs each file's content — a run manifest (``repro.manifest/1``), a
 Chrome/Perfetto ``trace_event`` dump, a JSONL run log
-(``repro.runlog/1``), a JSONL perf ledger (``repro.ledger/1``), or an
+(``repro.runlog/2``), a JSONL perf ledger (``repro.ledger/1``), or an
 HTML dashboard (``repro.dash/1``) — and validates it against the matching
 schema. Exits non-zero on the first invalid or unrecognizable file, so CI
 can assert that exported artifacts are well-formed without extra tooling.
@@ -34,7 +34,7 @@ def _sniff(path: str):
     """
     from repro.obs.htmlreport import DASH_MARKER
     from repro.obs.ledger import LEDGER_SCHEMA
-    from repro.obs.runlog import RUNLOG_SCHEMA
+    from repro.obs.record import RUNLOG_SCHEMA
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -75,7 +75,7 @@ def _sniff(path: str):
 
 #: kind -> (validator over the sniffed payload, O-rule for violations).
 def _validate_runlog(path: str, _payload) -> None:
-    from repro.obs.runlog import load_and_validate
+    from repro.obs.record import load_and_validate
 
     load_and_validate(path)
 

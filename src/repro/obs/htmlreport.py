@@ -202,7 +202,7 @@ def _timeline(records: list[dict], *, width: int = 720) -> str:
         y = pad_t + lane_h * pids.index(r["pid"]) + lane_h / 2
         x = pad_l + plot_w * ((r["ts"] - t0) / span)
         tip = (f"{r['name']} @ +{r['ts'] - t0:.3f}s (pid {r['pid']}, "
-               f"{r['level']})")
+               f"{r.get('level', r['kind'])})")
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" '
                      f'fill="var(--series)" stroke="var(--surface)" '
                      f'stroke-width="2"><title>{_esc(tip)}</title></circle>')
@@ -263,22 +263,17 @@ def _manifest_section(manifest: dict, source: str) -> str:
 
 
 def _engine_stats_section(snapshots: list[tuple[str, dict]]) -> str:
-    from repro.obs.engine_stats import EngineStats
+    from repro.obs.record import counter_rows, fold
 
-    stats = EngineStats()
-    for _, snap in snapshots:
-        stats.merge(snap)
-    if not (stats.counters or stats.highs):
+    records = [{"kind": "count", "name": n, "n": v} for _, snap in snapshots
+               for n, v in snap.get("counters", {}).items()]
+    records += [{"kind": "high", "name": n, "value": v}
+                for _, snap in snapshots
+                for n, v in snap.get("highs", {}).items()]
+    rows = [f"<tr><td>{_esc(name)}</td><td>{value}</td></tr>"
+            for name, value in counter_rows(fold(records))]
+    if not rows:
         return ""
-    rows = []
-    for name in sorted(stats.counters):
-        rows.append(f"<tr><td>{_esc(name)}</td>"
-                    f"<td>{stats.counters[name]:,.0f}</td></tr>")
-    for name in sorted(stats.highs):
-        rows.append(f"<tr><td>{_esc(name)} (max)</td>"
-                    f"<td>{stats.highs[name]:,.0f}</td></tr>")
-    for name, value in sorted(stats.ratios().items()):
-        rows.append(f"<tr><td>{_esc(name)}</td><td>{value:.3f}</td></tr>")
     srcs = ", ".join(sorted({s for s, _ in snapshots}))
     return (f'<h2>Engine introspection</h2><div class="card">'
             f'<div class="meta">merged from {_esc(srcs)}</div>'
@@ -330,16 +325,16 @@ def _runlog_table(records: list[dict], *, limit: int = 40) -> str:
     t0 = records[0]["ts"]
     rows = []
     for r in records[:limit]:
-        attrs = r.get("attrs") or {}
+        attrs = r.get("attrs") or {k: r[k] for k in ("n", "value") if k in r}
         detail = ", ".join(f"{k}={v}" for k, v in attrs.items())
         rows.append(f"<tr><td>+{r['ts'] - t0:.3f}s</td>"
                     f"<td>{r['pid']}</td><td>{_esc(r['name'])}</td>"
-                    f"<td>{_esc(r['level'])}</td>"
+                    f"<td>{_esc(r.get('level', r['kind']))}</td>"
                     f'<td style="text-align:left">{_esc(detail)}</td></tr>')
     more = (f'<p class="note">first {limit} of {len(records)} records</p>'
             if len(records) > limit else "")
-    return (f'<details><summary>event table</summary><table>'
-            f'<tr><th>t</th><th>pid</th><th>event</th><th>level</th>'
+    return (f'<details><summary>record table</summary><table>'
+            f'<tr><th>t</th><th>pid</th><th>record</th><th>kind</th>'
             f'<th>attrs</th></tr>{"".join(rows)}</table></details>{more}')
 
 
@@ -420,8 +415,8 @@ def build_dashboard(path, *, manifests=(), runlog=None, ledger=None,
     import json
 
     from repro.obs import manifest as manifest_mod
-    from repro.obs import runlog as runlog_mod
     from repro.obs.ledger import load_and_validate as load_ledger
+    from repro.obs.record import load_and_validate as load_runlog
 
     loaded = []
     for mpath in manifests:
@@ -431,7 +426,7 @@ def build_dashboard(path, *, manifests=(), runlog=None, ledger=None,
             data = data["meta"]["manifest"]
         manifest_mod.validate_manifest(data)
         loaded.append((Path(mpath).name, data))
-    log_lines = runlog_mod.load_and_validate(runlog) if runlog else None
+    log_lines = load_runlog(runlog) if runlog else None
     ledger_recs = load_ledger(ledger) if ledger else None
     text = render_dashboard(manifests=loaded, runlog=log_lines,
                             ledger=ledger_recs, title=title)

@@ -7,9 +7,10 @@ events carrying microsecond ``ts``/``dur``.
 
 Two sources, two time bases:
 
-* harness **spans** (:mod:`repro.obs.spans`) — wall-clock seconds, scaled
-  to microseconds; one Perfetto process row per OS pid, so ``--jobs``
-  worker activity lands on separate rows;
+* harness **spans** (the ``begin``/``end`` records of
+  :mod:`repro.obs.record`) — monotonic-clock seconds, scaled to
+  microseconds; one Perfetto process row per OS pid, so ``--jobs`` worker
+  activity lands on separate rows;
 * engine **timelines** (:mod:`repro.obs.timeline`) — simulated cycles,
   exported 1 cycle = 1 µs; one thread row per machine unit track.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.spans import Span
+from repro.obs.record import spans
 from repro.obs.timeline import TimelineRecorder
 
 #: allowed phase codes in emitted traces (complete slices + instants +
@@ -29,31 +30,30 @@ from repro.obs.timeline import TimelineRecorder
 _PHASES = {"X", "i", "M"}
 
 
-def trace_events_from_spans(spans: list[Span], *,
-                            origin: float | None = None) -> list[dict]:
-    """Spans -> complete events; pid = recording process, tid = nest depth."""
-    if not spans:
+def trace_events_from_spans(records: list[dict]) -> list[dict]:
+    """Span records -> complete events; pid = recording process, tid =
+    nest depth."""
+    closed = spans(records)
+    if not closed:
         return []
-    t0 = origin if origin is not None else min(s.t0 for s in spans)
-    events = []
-    pids = sorted({s.pid for s in spans})
-    for pid in pids:
-        label = "sweep-harness" if pid == pids[0] else f"worker-{pid}"
-        events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": 0, "args": {"name": label}})
-    for s in spans:
-        args = dict(s.attrs)
-        if s.cycles0 is not None:
-            args["cycles"] = (s.cycles1 or 0.0) - s.cycles0
+    t0 = min(s["t0"] for s in closed)
+    # the first process to open a span is the harness; the rest are
+    # --jobs workers
+    pids = list(dict.fromkeys(s["pid"] for s in closed))
+    events = [{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+               "args": {"name": "sweep-harness" if pid == pids[0]
+                        else f"worker-{pid}"}}
+              for pid in pids]
+    for s in closed:
         events.append({
             "ph": "X",
-            "name": s.name,
+            "name": s["name"],
             "cat": "harness",
-            "pid": s.pid,
-            "tid": s.depth,
-            "ts": (s.t0 - t0) * 1e6,
-            "dur": s.wall_s * 1e6,
-            "args": args,
+            "pid": s["pid"],
+            "tid": s["depth"],
+            "ts": (s["t0"] - t0) * 1e6,
+            "dur": (s["t1"] - s["t0"]) * 1e6,
+            "args": dict(s["attrs"]),
         })
     return events
 

@@ -34,7 +34,7 @@ from repro.obs.perfetto import (
     trace_events_from_spans,
     trace_events_from_timeline,
 )
-from repro.obs.spans import get_tracer
+from repro.obs.record import counter_table, fold, get_recorder
 from repro.obs.timeline import TimelineRecorder
 from repro.util.tables import TextTable
 from repro.workloads import get_scale
@@ -62,9 +62,8 @@ class ProfileResult:
     config: object            # the base SdvConfig (max VL varies per entry)
     workload_fp: str
     entries: list[ProfileEntry] = field(default_factory=list)
-    #: engine-introspection snapshot covering this profile's runs
-    #: (``profile_kernel(engine_stats=True)``), else None
-    engine_stats: dict | None = None
+    #: what this profile recorded (empty while recording is off)
+    records: list[dict] = field(default_factory=list)
 
     def render(self, *, fractions: bool = False) -> str:
         """The per-VL attribution table (cycles, or shares of the total)."""
@@ -88,12 +87,7 @@ class ProfileResult:
 
     def render_engine_stats(self) -> str:
         """The engine-counter table (``repro-sdv profile --engine-stats``)."""
-        from repro.obs.engine_stats import EngineStats
-
-        stats = EngineStats()
-        if self.engine_stats:
-            stats.merge(self.engine_stats)
-        return stats.render()
+        return counter_table(self.records)
 
     def manifest(self) -> dict:
         """Schema-versioned manifest with per-run attribution buckets."""
@@ -108,9 +102,7 @@ class ProfileResult:
                 "dram_latency_demand": a.dram_latency_demand,
                 "dram_latency_hidden": a.dram_latency_hidden,
             })
-        extra = None
-        if self.engine_stats is not None:
-            extra = {"engine_stats": self.engine_stats}
+        extra = {"engine_stats": fold(self.records)} if self.records else None
         return build_manifest(
             kernel=self.kernel, engine=self.engine, config=self.config,
             runs=runs, scale=self.scale, seed=self.seed,
@@ -118,8 +110,8 @@ class ProfileResult:
         )
 
     def trace_events(self) -> list[dict]:
-        """Perfetto events: one process row per impl timeline + the
-        harness spans."""
+        """Perfetto events: one process row per impl timeline + this
+        profile's spans."""
         events: list[dict] = []
         pid = 1
         for e in self.entries:
@@ -128,15 +120,15 @@ class ProfileResult:
                     e.timeline, pid=pid,
                     label=f"{self.kernel}/{e.impl} [{e.timeline.engine}]"))
                 pid += 1
-        events.extend(trace_events_from_spans(get_tracer().spans))
+        events.extend(trace_events_from_spans(self.records))
         return events
 
 
 def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                    vls=DEFAULT_VLS, engine: str = "fast",
                    include_scalar: bool = True, verify: bool = True,
-                   trace_cache=None, timelines: bool = False,
-                   engine_stats: bool = False) -> ProfileResult:
+                   trace_cache=None, timelines: bool = False
+                   ) -> ProfileResult:
     """Time + attribute one kernel at every VL (and the scalar build).
 
     ``timelines=True`` additionally records each run's machine-activity
@@ -144,58 +136,44 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
     engine — the batch engine computes identical cycles but walks all
     configs at once, so it records no per-run schedule).
 
-    ``engine_stats=True`` turns on engine introspection for the duration
-    of the profile and attaches the counter snapshot covering exactly
-    these runs to :attr:`ProfileResult.engine_stats`.
+    While recording is on, :attr:`ProfileResult.records` holds the records
+    of exactly these runs: their spans and engine counters.
     """
-    from repro.obs import engine_stats as es_mod
-
-    es_was = es_mod.introspection_enabled()
-    es_before: dict | None = None
-    if engine_stats:
-        collector = es_mod.set_introspection(True)
-        es_before = collector.snapshot()
     spec = KERNELS[name]
     workload = spec.prepare(get_scale(scale), seed)
     reference = spec.reference(workload) if verify else None
-    tracer = get_tracer()
+    rec = get_recorder()
+    start = len(rec.records)
     result = None
-    try:
-        for vl in _impls(vls, include_scalar):
-            label = impl_label(vl)
-            with tracer.span(f"profile:{name}:{label}",
-                             kernel=name, impl=label):
-                sdv, trace = run_implementation(spec, workload, vl,
-                                                verify=verify,
-                                                reference=reference,
-                                                trace_cache=trace_cache)
-                if result is None:
-                    result = ProfileResult(
-                        kernel=name, scale=scale, seed=seed, engine=engine,
-                        config=sdv.config,
-                        workload_fp=workload_fingerprint(workload),
-                    )
-                report = sdv.time(trace, engine=engine)
-                att = sdv.attribute(trace, engine=engine)
-                report.attribution = att
-                timeline = None
-                if timelines:
-                    timeline = TimelineRecorder()
-                    ct = sdv.classify(trace)
-                    if engine == "event":
-                        simulate_events_fast(ct, timeline=timeline)
-                    elif engine == "event-ref":
-                        simulate_events(ct, timeline=timeline)
-                    else:
-                        simulate_fast(ct, timeline=timeline)
-                result.entries.append(ProfileEntry(
-                    impl=label, vl=vl, report=report, attribution=att,
-                    timeline=timeline,
-                ))
-    finally:
-        if engine_stats:
-            snap = es_mod.get_engine_stats().snapshot()
-            if result is not None:
-                result.engine_stats = es_mod.snapshot_delta(es_before, snap)
-            es_mod.set_introspection(es_was)
+    for vl in _impls(vls, include_scalar):
+        label = impl_label(vl)
+        with rec.span(f"profile:{name}:{label}", kernel=name, impl=label):
+            sdv, trace = run_implementation(spec, workload, vl,
+                                            verify=verify,
+                                            reference=reference,
+                                            trace_cache=trace_cache)
+            if result is None:
+                result = ProfileResult(
+                    kernel=name, scale=scale, seed=seed, engine=engine,
+                    config=sdv.config,
+                    workload_fp=workload_fingerprint(workload),
+                )
+            report = sdv.time(trace, engine=engine)
+            att = sdv.attribute(trace, engine=engine)
+            report.attribution = att
+            timeline = None
+            if timelines:
+                timeline = TimelineRecorder()
+                ct = sdv.classify(trace)
+                if engine == "event":
+                    simulate_events_fast(ct, timeline=timeline)
+                elif engine == "event-ref":
+                    simulate_events(ct, timeline=timeline)
+                else:
+                    simulate_fast(ct, timeline=timeline)
+            result.entries.append(ProfileEntry(
+                impl=label, vl=vl, report=report, attribution=att,
+                timeline=timeline,
+            ))
+    result.records = rec.records[start:]
     return result

@@ -1,6 +1,6 @@
 """Per-record machine-activity timeline recorded by the timing engines.
 
-Where :mod:`repro.obs.spans` times harness stages in wall clock, the
+Where :mod:`repro.obs.record` spans time harness stages in wall clock, the
 timeline records *simulated* machine activity: which unit (scalar core,
 arithmetic pipe, vector memory unit) was busy with which trace record over
 which cycle interval. The event engine records its actual schedule; the

@@ -44,12 +44,10 @@ from repro.trace.events import TraceBuffer
 
 
 def _count_cache(name: str) -> None:
-    """Opt-in cache hit/miss accounting (repro.obs.engine_stats)."""
-    from repro.obs.engine_stats import get_engine_stats, \
-        introspection_enabled
+    """Opt-in cache hit/miss accounting (repro.obs.record)."""
+    from repro.obs.record import get_recorder
 
-    if introspection_enabled():
-        get_engine_stats().count(name)
+    get_recorder().count(name)
 
 
 @dataclass

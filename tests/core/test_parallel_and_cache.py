@@ -170,13 +170,12 @@ class TestBrokenPoolRebuild:
         # a worker dies mid-run: the first dispatch completes some tasks
         # then raises BrokenProcessPool; the retry completes everything.
         # on_result must fire exactly once per task (no duplicate
-        # heartbeats / double-merged worker metrics) and the rebuild must
+        # heartbeats / double-merged worker records) and the rebuild must
         # surface on the observability counters.
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.obs.metrics import get_metrics
-        from repro.obs.runlog import set_logging
+        from repro.obs.record import fold, recording
 
         tasks = [1, 2, 3]
         first = []
@@ -197,27 +196,23 @@ class TestBrokenPoolRebuild:
         monkeypatch.setattr(parallel_mod, "_get_pool",
                             lambda workers, init, initargs: next(pools))
 
-        log = set_logging(True)
-        before = get_metrics().counter("parallel.pool_rebuilt").value
         reported = []
-        try:
+        with recording() as rec:
             out = run_tasks(_square, tasks, jobs=2,
                             on_result=lambda i, r: reported.append(i))
-        finally:
-            set_logging(False)
 
         assert out == [1, 4, 9]
         assert sorted(reported) == [0, 1, 2]  # each index exactly once
-        after = get_metrics().counter("parallel.pool_rebuilt").value
-        assert after - before == 1
-        names = [r["name"] for r in log.records]
-        assert "parallel.pool_rebuilt" in names
+        assert fold(rec.records)["counters"] == {"parallel.pool_rebuilt": 1}
+        events = [r for r in rec.records if r["kind"] == "event"]
+        assert [(r["name"], r["level"]) for r in events] == [
+            ("parallel.pool_rebuilt", "warn")]
 
     def test_twice_broken_pool_falls_back_to_serial(self, monkeypatch):
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.obs.metrics import get_metrics
+        from repro.obs.record import fold, recording
 
         def broken_pool(workers, init, initargs):
             futures = []
@@ -228,14 +223,14 @@ class TestBrokenPoolRebuild:
             return _FakePool(futures)
 
         monkeypatch.setattr(parallel_mod, "_get_pool", broken_pool)
-        before = get_metrics().counter("parallel.serial_fallback").value
         reported = []
-        out = run_tasks(_square, [1, 2, 3], jobs=2,
-                        on_result=lambda i, r: reported.append(i))
+        with recording() as rec:
+            out = run_tasks(_square, [1, 2, 3], jobs=2,
+                            on_result=lambda i, r: reported.append(i))
         assert out == [1, 4, 9]  # serial fallback still computes
         assert sorted(reported) == [0, 1, 2]
-        after = get_metrics().counter("parallel.serial_fallback").value
-        assert after - before == 1
+        counters = fold(rec.records)["counters"]
+        assert counters["parallel.serial_fallback"] == 1
 
 
 class TestWorkerTraceMemo:
@@ -672,7 +667,7 @@ class TestClassifiedSidecar:
 
     def test_reload_seeds_from_sidecar_without_reclassifying(self, tmp_path):
         from repro.core import sweeps as sweeps_mod
-        from repro.obs import engine_stats as es_mod
+        from repro.obs.record import fold, recording
 
         spec, workload = self._warm(tmp_path)
         first = latency_sweep(spec, workload, vls=(8,),
@@ -680,16 +675,10 @@ class TestClassifiedSidecar:
         # drop the in-process trace memo: memoized traces still carry
         # their classification, which would mask the sidecar path
         sweeps_mod._TRACE_MEMO.clear()
-        was = es_mod.introspection_enabled()
-        collector = es_mod.set_introspection(True)
-        before = collector.snapshot()
-        try:
+        with recording() as rec:
             second = latency_sweep(spec, workload, vls=(8,),
                                    trace_cache=tmp_path, verify=False)
-        finally:
-            es_mod.set_introspection(was)
-        delta = es_mod.snapshot_delta(
-            before, collector.snapshot())["counters"]
+        delta = fold(rec.records)["counters"]
         for impl in first.impls:
             assert first.series(impl) == second.series(impl)
         assert delta.get("classify.sidecar_hits") == 2  # scalar + vl8
@@ -701,7 +690,7 @@ class TestClassifiedSidecar:
     def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
         from repro.core import sweeps as sweeps_mod
         from repro.core.sweeps import run_implementation
-        from repro.obs import engine_stats as es_mod
+        from repro.obs.record import fold, recording
 
         spec, workload = self._warm(tmp_path)
         sweeps_mod._TRACE_MEMO.clear()
@@ -710,18 +699,12 @@ class TestClassifiedSidecar:
                 # keep the filename honest but corrupt the payload so the
                 # embedded-fingerprint check rejects it on load
                 side.write_bytes(b"not an npz")
-        was = es_mod.introspection_enabled()
-        collector = es_mod.set_introspection(True)
-        before = collector.snapshot()
-        try:
+        with recording() as rec:
             sdv, trace = run_implementation(spec, workload, 8,
                                             verify=False,
                                             trace_cache=tmp_path)
             ct = sdv.classify(trace)
-        finally:
-            es_mod.set_introspection(was)
-        delta = es_mod.snapshot_delta(
-            before, collector.snapshot())["counters"]
+        delta = fold(rec.records)["counters"]
         assert ct is not None
         assert delta.get("classify.sidecar_misses", 0) >= 1
         assert delta.get("classify.sidecar_hits", 0) == 0

@@ -64,26 +64,27 @@ class TestP105NestedFanout:
 class TestP106UnscopedSpans:
     def test_bare_span_flagged(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(tracer):
-                tracer.span("phase")
+            def f(rec):
+                rec.span("phase")
         """)
         assert _rules(fs) == ["P106"]
 
     def test_with_span_clean(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(tracer, runlog):
-                with tracer.span("phase"):
-                    with runlog.context("phase"):
-                        pass
+            def f(rec, match):
+                with rec.span("phase"):
+                    with get_recorder().span("phase"):
+                        return match.span()  # not a recorder span
         """)
         assert fs == []
 
-    def test_bare_runlog_context_flagged(self, tmp_path):
+    def test_bare_get_recorder_span_flagged(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(runlog):
-                runlog.context("phase")
+            def f():
+                get_recorder().span("phase")
         """)
         assert _rules(fs) == ["P106"]
+        assert "get_recorder().span" in fs[0].message
 
 
 class TestSuppressionAudit:
@@ -96,15 +97,15 @@ class TestSuppressionAudit:
 
     def test_unknown_rule_is_w001(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(tracer):
-                tracer.span("phase")  # repro-lint: disable=P999,P106
+            def f(rec):
+                rec.span("phase")  # repro-lint: disable=P999,P106
         """)
         assert _rules(fs) == ["W001"]
 
     def test_stale_suppression_is_w002(self, tmp_path):
         fs = _lint(tmp_path, """
-            def f(tracer):
-                with tracer.span("phase"):  # repro-lint: disable=P106
+            def f(rec):
+                with rec.span("phase"):  # repro-lint: disable=P106
                     pass
         """)
         assert _rules(fs) == ["W002"]

@@ -17,15 +17,12 @@ from repro.obs.htmlreport import (
 )
 from repro.obs.ledger import append_record, build_record
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.runlog import RunLog, set_logging, write_runlog
-from repro.obs.spans import set_tracing
-
-
-@pytest.fixture(autouse=True)
-def _quiet_obs():
-    yield
-    set_tracing(False)
-    set_logging(False)
+from repro.obs.record import (
+    Recorder,
+    get_recorder,
+    load_and_validate,
+    write_runlog,
+)
 
 
 def _manifest(**kwargs):
@@ -44,12 +41,13 @@ def _ledger(path, values, metric="speedup"):
             scale="ci", git_rev="deadbeef"))
 
 
-def _runlog_lines():
-    log = RunLog()
-    with log.context("figure"):
-        log.event("point", latency=64)
-    from repro.obs.runlog import build_header
-    return [build_header(log)] + log.merged_records()
+def _runlog_lines(tmp_path):
+    rec = Recorder(on=True)
+    with rec.span("figure"):
+        rec.event("point", latency=64)
+        rec.count("sweep.points_timed", 7)
+    return load_and_validate(write_runlog(tmp_path / "run.jsonl",
+                                          rec.records))
 
 
 class TestRenderDashboard:
@@ -65,7 +63,7 @@ class TestRenderDashboard:
         from repro.obs.ledger import load_ledger
         text = render_dashboard(
             manifests=[("prof.json", _manifest())],
-            runlog=_runlog_lines(),
+            runlog=_runlog_lines(tmp_path),
             ledger=load_ledger(lpath),
             title="unit run",
         )
@@ -76,6 +74,7 @@ class TestRenderDashboard:
         assert "Perf ledger trends" in text
         assert "DRAM latency stall" in text
         assert "no regressions" in text
+        assert "n=7" in text  # count records show in the record table
 
     def test_regression_badge_has_text_not_just_color(self, tmp_path):
         lpath = tmp_path / "ledger.jsonl"
@@ -85,9 +84,9 @@ class TestRenderDashboard:
         # status is never color alone: icon + word in the badge
         assert "REGRESSED" in text
 
-    def test_dark_mode_and_table_views_present(self):
+    def test_dark_mode_and_table_views_present(self, tmp_path):
         text = render_dashboard(manifests=[("m.json", _manifest())],
-                                runlog=_runlog_lines())
+                                runlog=_runlog_lines(tmp_path))
         assert "prefers-color-scheme: dark" in text
         assert "<table>" in text  # every chart ships a table view
 
@@ -109,9 +108,9 @@ class TestBuildDashboard:
         mpath = tmp_path / "run.manifest.json"
         write_manifest(mpath, _manifest())
         rpath = tmp_path / "run.jsonl"
-        log = RunLog()
-        log.event("x")
-        write_runlog(rpath, log)
+        rec = Recorder(on=True)
+        rec.event("x")
+        write_runlog(rpath, rec.records)
         lpath = tmp_path / "ledger.jsonl"
         _ledger(lpath, [5.5, 5.6])
         out = build_dashboard(tmp_path / "dash.html",
@@ -167,6 +166,8 @@ class TestDashCli:
         assert "smoke profile" in text
         # engine stats captured in the manifest surface on the dashboard
         assert "Engine introspection" in text
+        # the command's recording did not outlive it
+        assert not get_recorder().on
 
     def test_dash_verb_rejects_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -182,8 +183,8 @@ class TestEmitRunlogCli:
         rc = main(["profile", "--kernel", "fft", "--scale", "smoke",
                    "--vls", "8", "--emit-runlog", str(rpath)])
         assert rc == 0
-        from repro.obs.runlog import load_and_validate
         lines = load_and_validate(rpath)
         assert lines[0]["command"] == "profile"
         names = [r["name"] for r in lines[1:]]
         assert "profile.kernel" in names
+        assert "profile:fft:vl8" in names

@@ -1,7 +1,8 @@
-"""Engine-introspection collector unit tests plus the live hooks: a real
-event-engine run must fill the counters when introspection is on and
-record nothing when it is off, and the figure-boundary reset must repair
-dangling telemetry state without losing completed records."""
+"""Engine counters in the recorder's stream: folding count/high records,
+the counter table, and the live hooks — a real event-engine run must
+record counters while recording is on and nothing while it is off — plus
+the figure-boundary reset, which must repair dangling spans without
+losing completed records."""
 
 import json
 
@@ -10,27 +11,16 @@ import pytest
 from repro.core.sweeps import run_implementation
 from repro.engine import simulate_events_fast, simulate_fast
 from repro.kernels import KERNELS
-from repro.obs.engine_stats import (
-    EngineStats,
-    get_engine_stats,
-    introspection_enabled,
-    set_introspection,
-    snapshot_delta,
+from repro.obs.record import (
+    Recorder,
+    counter_table,
+    fold,
+    get_recorder,
+    ratios,
+    recording,
+    set_recording,
 )
-from repro.obs.lifecycle import reset_figure_state
-from repro.obs.metrics import get_metrics
-from repro.obs.runlog import get_runlog, set_logging
-from repro.obs.spans import get_tracer, set_tracing
 from repro.workloads import get_scale
-
-
-@pytest.fixture(autouse=True)
-def _introspection_off():
-    """Leave the process-wide collector the way we found it (disabled)."""
-    yield
-    set_introspection(False)
-    set_tracing(False)
-    set_logging(False)
 
 
 @pytest.fixture(scope="module")
@@ -43,132 +33,112 @@ def classified():
 
 class TestEngineStats:
     def test_count_and_high(self):
-        s = EngineStats()
-        s.count("a")
-        s.count("a", 4)
-        s.high("h", 3)
-        s.high("h", 2)
-        assert s.counters["a"] == 5
-        assert s.highs["h"] == 3
+        rec = Recorder(on=True)
+        rec.count("a")
+        rec.count("a", 4)
+        rec.count("zero", 0)
+        rec.high("h", 3)
+        rec.high("h", 2)
+        stats = fold(rec.records)
+        assert stats["counters"] == {"a": 5, "zero": 0}
+        assert stats["highs"] == {"h": 3}
 
     def test_snapshot_merge(self):
-        parent, worker = EngineStats(), EngineStats()
+        parent, worker = Recorder(on=True), Recorder(on=True)
         parent.count("n", 1)
         worker.count("n", 4)
         worker.high("depth", 9)
-        snap = worker.snapshot()
-        assert json.dumps(snap)  # plain data, serializable
-        parent.merge(snap)
-        assert parent.counters["n"] == 5
-        assert parent.highs["depth"] == 9
-
-    def test_snapshot_delta_subtracts_counters_keeps_highs(self):
-        s = EngineStats()
-        s.count("n", 10)
-        s.high("depth", 4)
-        before = s.snapshot()
-        s.count("n", 3)
-        s.count("fresh", 2)
-        s.high("depth", 7)
-        delta = snapshot_delta(before, s.snapshot())
-        # only the work between the snapshots ships; zero deltas drop
-        assert delta["counters"] == {"n": 3, "fresh": 2}
-        assert delta["highs"] == {"depth": 7}
+        assert json.dumps(worker.records)  # plain data, serializable
+        parent.adopt(worker.records)
+        stats = fold(parent.records)
+        assert stats["counters"]["n"] == 5
+        assert stats["highs"]["depth"] == 9
 
     def test_ratios_derived_only_with_data(self):
-        s = EngineStats()
-        assert s.ratios() == {}
-        s.count("event.line_spawns", 10)
-        s.count("event.lines_recycled", 8)
-        s.count("event.timestamps", 4)
-        s.count("event.tokens", 12)
-        r = s.ratios()
+        assert ratios({}) == {}
+        r = ratios({"event.line_spawns": 10, "event.lines_recycled": 8,
+                    "event.timestamps": 4, "event.tokens": 12})
         assert r["event.slab_recycle_rate"] == pytest.approx(0.8)
         assert r["event.tokens_per_timestamp"] == pytest.approx(3.0)
+        assert "plan_cache.hit_rate" not in r
 
     def test_render_mentions_counters(self):
-        s = EngineStats()
-        s.count("event.runs", 2)
-        s.high("event.max_drain_depth", 5)
-        text = s.render()
+        rec = Recorder(on=True)
+        rec.count("event.runs", 2)
+        rec.high("event.max_drain_depth", 5)
+        text = counter_table(rec.records)
         assert "event.runs" in text
         assert "event.max_drain_depth (max)" in text
+        assert "no counters recorded" in counter_table([])
 
 
 class TestLiveIntrospection:
     def test_event_engine_fills_counters_when_enabled(self, classified):
-        stats = set_introspection(True)
-        simulate_events_fast(classified)
-        c = stats.counters
+        with recording() as rec:
+            simulate_events_fast(classified)
+        stats = fold(rec.records)
+        c = stats["counters"]
         assert c["event.runs"] == 1
         assert c["event.timestamps"] > 0
         assert c["event.tokens"] >= c["event.timestamps"]
         assert c["event.line_spawns"] > 0
-        assert stats.highs["event.slab_high_water"] > 0
+        assert stats["highs"]["event.slab_high_water"] > 0
         # recycling never exceeds spawning
         assert c["event.lines_recycled"] <= c["event.line_spawns"]
 
     def test_reference_engine_fills_counters_when_enabled(self, classified):
         from repro.engine import simulate_events
 
-        stats = set_introspection(True)
-        simulate_events(classified)
-        assert stats.counters.get("event_ref.timestamps", 0) > 0
-        assert stats.counters.get("event_ref.events", 0) > 0
+        with recording() as rec:
+            simulate_events(classified)
+        c = fold(rec.records)["counters"]
+        assert c.get("event_ref.timestamps", 0) > 0
+        assert c.get("event_ref.events", 0) > 0
 
     def test_disabled_engines_record_nothing(self, classified):
-        set_introspection(True)   # clear any prior state
-        set_introspection(False)
-        assert not introspection_enabled()
+        rec = get_recorder()
+        before = len(rec.records)
+        assert not rec.on
         simulate_events_fast(classified)
         simulate_fast(classified)
-        stats = get_engine_stats()
-        assert stats.counters == {} and stats.highs == {}
+        assert len(rec.records) == before
 
     def test_enable_clears_only_on_off_to_on_edge(self):
-        stats = set_introspection(True)
-        stats.count("sticky", 1)
-        assert set_introspection(True).counters.get("sticky") == 1
-        set_introspection(False)
-        assert set_introspection(True).counters == {}
+        try:
+            rec = set_recording(True)
+            rec.count("sticky", 1)
+            assert set_recording(True).records == rec.records != []
+            set_recording(False)
+            assert set_recording(True).records == []
+        finally:
+            set_recording(False)
 
 
 class TestFigureReset:
-    def test_reset_clears_metrics_and_repairs_nesting(self):
-        get_metrics().counter("sweep.points_timed").inc(5)
-        tracer = set_tracing(True)
-        log = set_logging(True)
-        with tracer.span("done"):
+    def test_reset_repairs_nesting(self):
+        rec = Recorder(on=True)
+        with rec.span("done"):
             pass
-        log.event("keep.me")
-        # simulate a figure aborted mid-span / mid-context: the tracer
-        # appends a span at open, so a crash leaves it on both lists
-        open_span = tracer.spans[0].__class__(name="dangling", t0=0.0)
-        tracer.spans.append(open_span)
-        tracer._stack.append(open_span)
-        log._ctx.append("figure")
+        rec.event("keep.me")
+        # a figure aborted mid-span: the span opened, never closed
+        dangling = rec.span("dangling")
+        dangling.__enter__()
 
-        dangling = reset_figure_state()
-
-        assert dangling == 1
-        assert get_metrics().counter("sweep.points_timed").value == 0
-        assert tracer._stack == []
-        assert log._ctx == []
-        # completed telemetry survives the boundary
-        assert [s.name for s in tracer.spans] == ["done", "dangling"]
-        names = [r["name"] for r in log.records]
-        assert "keep.me" in names
-        assert "figure.dangling_spans" in names
+        assert rec.reset() == 1
+        # completed records survive the boundary; the dangling span is
+        # closed by an end record and reported
+        names = [r["name"] for r in rec.records]
+        assert names[:3] == ["done", "done", "keep.me"]
+        assert [r["kind"] for r in rec.records[3:]] == [
+            "begin", "end", "event"]
+        assert names[-1] == "figure.dangling_spans"
+        assert rec.records[-1]["level"] == "warn"
+        assert rec.reset() == 0
+        # the span's own exit, if it ever comes, closes nothing twice
+        dangling.__exit__(None, None, None)
+        assert len(rec.records) == 6
 
     def test_clean_reset_is_quiet(self):
-        set_logging(True)
-        assert reset_figure_state() == 0
-        assert [r for r in get_runlog().records
-                if r["name"] == "figure.dangling_spans"] == []
-
-    def test_keep_metrics_option(self):
-        get_metrics().counter("n").inc(3)
-        reset_figure_state(clear_metrics=False)
-        assert get_metrics().counter("n").value == 3
-        reset_figure_state()
-        assert get_metrics().counter("n").value == 0
+        rec = Recorder(on=True)
+        assert rec.reset() == 0
+        assert rec.records == []

@@ -2,6 +2,7 @@
 checker, and the instrumented sweep path."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,18 +12,10 @@ from repro.kernels import KERNELS
 from repro.obs.check import check_file
 from repro.obs.check import main as check_main
 from repro.obs.manifest import load_and_validate
-from repro.obs.metrics import get_metrics
 from repro.obs.perfetto import load_and_validate as load_trace
 from repro.obs.profile import profile_kernel
-from repro.obs.spans import set_tracing
+from repro.obs.record import fold, recording, spans
 from repro.workloads import get_scale
-
-
-@pytest.fixture(autouse=True)
-def _quiet_tracer():
-    """Leave the process-wide tracer the way we found it (disabled)."""
-    yield
-    set_tracing(False)
 
 
 class TestProfileKernel:
@@ -37,15 +30,18 @@ class TestProfileKernel:
         assert "%" in r.render(fractions=True)
 
     def test_profile_manifest_and_trace(self):
-        set_tracing(True)
-        r = profile_kernel("fft", scale="smoke", vls=(8,), seed=7,
-                           timelines=True)
+        with recording() as rec:
+            r = profile_kernel("fft", scale="smoke", vls=(8,), seed=7,
+                               timelines=True)
+        assert r.records == rec.records
         m = r.manifest()
         assert m["kernel"] == "fft" and len(m["runs"]) == 2
         assert all("buckets" in run for run in m["runs"])
+        assert m["engine_stats"] == fold(r.records)
         events = r.trace_events()
         # one timeline process per impl + the profile spans
         assert any(e.get("ph") == "X" for e in events)
+        assert "profile:fft:vl8" in {e["name"] for e in events}
         names = {e["name"] for e in events if e["ph"] == "M"}
         assert "process_name" in names
 
@@ -74,10 +70,17 @@ class TestProfileCli:
     def test_profile_all_kernels_suffixes_paths(self, tmp_path, capsys):
         rc = main(["profile", "--kernel", "all", "--scale", "smoke",
                    "--vls", "8", "--no-verify",
-                   "--emit-json", str(tmp_path / "m.json")])
+                   "--emit-json", str(tmp_path / "m.json"),
+                   "--emit-trace", str(tmp_path / "t.json")])
         assert rc == 0
         for name in KERNELS:
             assert (tmp_path / f"m-{name}.json").exists()
+            # each kernel's trace holds its own profile spans only
+            trace = load_trace(tmp_path / f"t-{name}.json")
+            spans_ = {e["name"] for e in trace["traceEvents"]
+                      if e["name"].startswith("profile:")}
+            assert spans_ == {f"profile:{name}:scalar",
+                              f"profile:{name}:vl8"}
 
 
 class TestFigureEmission:
@@ -94,6 +97,26 @@ class TestFigureEmission:
         assert manifest["config_hash"] == sibling["config_hash"]
         # attribution riding along: every sweep point carries buckets
         assert all("buckets" in run for run in sibling["runs"])
+
+    def test_sweep_manifests_carry_their_kernels_counters(self, tmp_path,
+                                                           capsys):
+        rc = main(["fig4", "--kernel", "all", "--scale", "smoke",
+                   "--vls", "8", "--engine-stats",
+                   "--emit-json", str(tmp_path / "f4.json")])
+        assert rc == 0
+        total = {}
+        for name in KERNELS:
+            m = load_and_validate(tmp_path / f"f4-{name}.manifest.json")
+            counters = m["engine_stats"]["counters"]
+            assert counters["sweep.sweeps_run"] == 1
+            assert counters["sweep.impls_timed"] == 2  # scalar + vl8
+            assert m["engine_stats"]["highs"]
+            for k, v in counters.items():
+                total[k] = total.get(k, 0) + v
+        # the per-kernel counters add up to the command's table
+        out = capsys.readouterr().out
+        assert f"{'sweep.sweeps_run':<32s} {len(KERNELS):>14,.0f}" in out
+        assert total["sweep.sweeps_run"] == len(KERNELS)
 
     def test_fig5_emit_trace_contains_sweep_spans(self, tmp_path, capsys):
         tpath = tmp_path / "fig5.trace.json"
@@ -122,21 +145,23 @@ class TestInstrumentedSweep:
     def test_sweep_attributions_and_metrics(self):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        before = get_metrics().counter("sweep.points_timed").value
-        result = latency_sweep(spec, workload, latencies=[0, 256],
-                               vls=(8,), verify=False, attributions=True)
+        with recording() as rec:
+            result = latency_sweep(spec, workload, latencies=[0, 256],
+                                   vls=(8,), verify=False,
+                                   attributions=True)
         for m in result.measurements:
             m.attribution.check()
             assert m.attribution.total == m.cycles
-        after = get_metrics().counter("sweep.points_timed").value
-        assert after - before == len(result.measurements)
+        counters = fold(rec.records)["counters"]
+        assert counters["sweep.points_timed"] == len(result.measurements)
 
     def test_sweep_spans_when_tracing(self):
-        tracer = set_tracing(True)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        latency_sweep(spec, workload, latencies=[0], vls=(8,), verify=False)
-        names = [s.name for s in tracer.spans]
+        with recording() as rec:
+            latency_sweep(spec, workload, latencies=[0], vls=(8,),
+                          verify=False)
+        names = [s["name"] for s in spans(rec.records)]
         assert "sweep:fft:latency" in names
         assert any(n.startswith("trace-gen:fft:") for n in names)
 
@@ -145,61 +170,52 @@ class TestInstrumentedSweep:
         ("fast", ("classify", "walk")),
     ])
     def test_retime_stage_spans(self, engine, stages):
-        tracer = set_tracing(True)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
-                      verify=False, engine=engine)
-        spans = {s.name: s for s in tracer.spans}
+        with recording() as rec:
+            latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                          verify=False, engine=engine)
+        by_name = {s["name"]: s for s in spans(rec.records)}
         for impl in ("scalar", "vl8"):
-            parent = spans[f"re-time:fft:{impl}"]
+            parent = by_name[f"re-time:fft:{impl}"]
             for stage in ("classify", "lower", "walk"):
-                child = spans.get(f"{stage}:fft:{impl}")
+                child = by_name.get(f"{stage}:fft:{impl}")
                 if stage not in stages:
                     assert child is None
                     continue
-                assert child.depth == parent.depth + 1
-                assert parent.t0 <= child.t0 <= child.t1 <= parent.t1
+                assert child["depth"] == parent["depth"] + 1
+                assert parent["t0"] <= child["t0"] <= child["t1"] \
+                    <= parent["t1"]
 
     def test_walk_span_names_the_walk(self, batch_walk):
-        tracer = set_tracing(True)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
         for engine in ("batch", "fast"):
-            tracer.clear()
-            latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
-                          verify=False, engine=engine)
-            spans = {s.name: s for s in tracer.spans}
-            attrs = spans["walk:fft:vl8"].attrs
+            with recording() as rec:
+                latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                              verify=False, engine=engine)
+            by_name = {s["name"]: s for s in spans(rec.records)}
+            attrs = by_name["walk:fft:vl8"]["attrs"]
             if engine == "batch":
                 assert attrs["walk"] == batch_walk
             else:
                 assert "walk" not in attrs
 
     def test_two_grid_sweep_span(self):
-        tracer = set_tracing(True)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        figure_sweeps(spec, workload, latencies=[0], bandwidths=[8],
-                      vls=(8,), verify=False)
-        names = [s.name for s in tracer.spans]
+        with recording() as rec:
+            figure_sweeps(spec, workload, latencies=[0], bandwidths=[8],
+                          vls=(8,), verify=False)
+        names = [s["name"] for s in spans(rec.records)]
         assert "sweep:fft:latency+bandwidth" in names
         assert names.count("walk:fft:vl8") == 1
 
     @staticmethod
     def _cache_counts(sweep):
-        from repro.obs import engine_stats as es_mod
-
-        was = es_mod.introspection_enabled()
-        collector = es_mod.set_introspection(True)
-        before = collector.snapshot()
-        try:
+        with recording() as rec:
             sweep()
-        finally:
-            es_mod.set_introspection(was)
-        delta = es_mod.snapshot_delta(
-            before, collector.snapshot())["counters"]
-        return {k: v for k, v in delta.items()
+        return {k: v for k, v in fold(rec.records)["counters"].items()
                 if k.startswith(("classify_cache.", "lower_cache."))}
 
     @pytest.mark.parametrize("keep_reports", [False, True])
@@ -243,6 +259,27 @@ class TestInstrumentedSweep:
                                  vls=(8, 64), verify=False, jobs=2)
         for impl in serial.impls:
             assert serial.series(impl) == parallel.series(impl)
+
+    def test_serial_and_pool_record_the_same_stream(self, capsys):
+        spec = KERNELS["fft"]
+
+        def sweep(scale, jobs):
+            workload = spec.prepare(get_scale(scale), 7)
+            with recording() as rec:
+                latency_sweep(spec, workload, latencies=[0], vls=(8, 64),
+                              verify=False, engine="event", jobs=jobs)
+            return (Counter(r["name"] for r in rec.records
+                            if r["kind"] == "begin"),
+                    Counter(r["name"] for r in rec.records
+                            if r["kind"] == "event"),
+                    fold(rec.records))
+
+        # a larger sweep first, so the pool's persistent workers have
+        # seen higher high-water marks than the smoke sweep reaches
+        sweep("ci", jobs=2)
+        serial, pooled = sweep("smoke", jobs=1), sweep("smoke", jobs=2)
+        assert serial[2]["highs"]["event.slab_high_water"] > 0
+        assert pooled == serial
 
 
 class TestHeadlineAndCharacterize:

@@ -1,128 +1,120 @@
-"""Unit tests for the structured JSONL run log: record shape, context
-scoping, cross-process merge ordering, and the on-disk round trip."""
+"""Unit tests for the JSONL run log, the recorder stream written to disk:
+record shape, span scoping, cross-process merge ordering, and the on-disk
+round trip."""
 
 import json
 
 import pytest
 
 from repro.obs.check import check_file
-from repro.obs.runlog import (
+from repro.obs.record import (
     RUNLOG_SCHEMA,
-    RunLog,
-    build_header,
+    Recorder,
     load_and_validate,
-    new_trace_id,
-    set_logging,
+    ordered,
     validate_runlog_lines,
     write_runlog,
 )
 
 
-@pytest.fixture(autouse=True)
-def _quiet_runlog():
-    """Leave the process-wide log the way we found it (disabled)."""
-    yield
-    set_logging(False)
+def _lines(tmp_path, rec, **meta):
+    return load_and_validate(write_runlog(tmp_path / "run.jsonl",
+                                          rec.records, **meta))
 
 
 class TestRunLog:
     def test_event_records_required_keys(self):
-        log = RunLog()
-        rec = log.event("sweep.start", kernel="fft", points=9)
-        assert rec["name"] == "sweep.start"
-        assert rec["level"] == "info"
-        assert rec["trace"] == log.trace_id
-        assert rec["attrs"] == {"kernel": "fft", "points": 9}
-        assert log.records == [rec]
+        rec = Recorder(on=True)
+        rec.event("sweep.start", kernel="fft", points=9)
+        (r,) = rec.records
+        assert r["kind"] == "event"
+        assert r["name"] == "sweep.start"
+        assert r["level"] == "info"
+        assert r["attrs"] == {"kernel": "fft", "points": 9}
+        assert {"ts", "pid", "seq"} <= set(r)
 
     def test_disabled_log_records_nothing(self):
-        log = RunLog(enabled=False)
-        assert log.event("x") is None
-        assert log.records == []
+        rec = Recorder()
+        rec.event("x")
+        assert rec.records == []
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
-            RunLog().event("x", level="fatal")
+            Recorder(on=True).event("x", level="fatal")
 
     def test_seq_increments_per_record(self):
-        log = RunLog()
-        a = log.event("a")
-        b = log.event("b")
-        assert (a["seq"], b["seq"]) == (0, 1)
-
-    def test_context_scopes_ctx_path(self):
-        log = RunLog()
-        with log.context("figure", fig="fig3"):
-            with log.context("kernel"):
-                log.event("point")
-        names = [r["name"] for r in log.records]
-        assert names == ["figure.begin", "kernel.begin", "point",
-                         "kernel.end", "figure.end"]
-        point = log.records[2]
-        assert point["ctx"] == "figure/kernel"
-        # begin/end of the inner scope sit under the outer one only
-        assert log.records[1]["ctx"] == "figure"
-        assert log.records[0].get("ctx") is None
+        rec = Recorder(on=True)
+        rec.event("a")
+        rec.count("b")
+        a, b = rec.records
+        assert b["seq"] > a["seq"]
 
     def test_context_unwinds_on_exception(self):
-        log = RunLog()
+        # a span is the run log's scope: its end record is written even
+        # when the block raises
+        rec = Recorder(on=True)
         with pytest.raises(RuntimeError):
-            with log.context("figure"):
+            with rec.span("figure"):
                 raise RuntimeError
-        assert log.records[-1]["name"] == "figure.end"
-        assert log._ctx == []
+        assert [r["kind"] for r in rec.records] == ["begin", "end"]
+        assert rec.reset() == 0
 
     def test_adopt_preserves_worker_identity(self):
-        parent = RunLog()
-        worker = RunLog(trace_id=parent.trace_id)
+        parent, worker = Recorder(on=True), Recorder(on=True)
         worker.event("worker.task")
         parent.event("parent.dispatch")
+        worker_rec = dict(worker.records[0])
         parent.adopt(worker.records)
-        pids = {r["pid"] for r in parent.records}
         assert len(parent.records) == 2
-        assert all(r["trace"] == parent.trace_id for r in parent.records)
-        assert pids  # worker pid preserved (same process here, still set)
+        assert worker_rec in parent.records  # ts, pid and seq kept
 
     def test_merged_records_ordered_by_ts_pid_seq(self):
-        log = RunLog()
-        # hand-build out-of-order records across two fake pids
-        log.records = [
-            {"ts": 2.0, "pid": 9, "seq": 0, "trace": log.trace_id,
-             "name": "c", "level": "info"},
-            {"ts": 1.0, "pid": 9, "seq": 1, "trace": log.trace_id,
-             "name": "b", "level": "info"},
-            {"ts": 1.0, "pid": 3, "seq": 5, "trace": log.trace_id,
-             "name": "a", "level": "info"},
+        # hand-built out-of-order records across two fake pids
+        records = [
+            {"ts": 2.0, "pid": 9, "seq": 0, "kind": "event", "name": "c",
+             "level": "info"},
+            {"ts": 1.0, "pid": 9, "seq": 1, "kind": "event", "name": "b",
+             "level": "info"},
+            {"ts": 1.0, "pid": 3, "seq": 5, "kind": "event", "name": "a",
+             "level": "info"},
         ]
-        assert [r["name"] for r in log.merged_records()] == ["a", "b", "c"]
+        assert [r["name"] for r in ordered(records)] == ["a", "b", "c"]
 
 
 class TestRunlogFile:
     def test_write_load_roundtrip(self, tmp_path):
-        log = RunLog()
-        with log.context("figure"):
-            log.event("point", latency=64)
-        path = write_runlog(tmp_path / "run.jsonl", log, command="fig3")
-        lines = load_and_validate(path)
+        rec = Recorder(on=True)
+        with rec.span("figure"):
+            rec.event("point", latency=64)
+            rec.count("sweep.points_timed", 7)
+            rec.high("event.max_drain_depth", 3)
+        lines = _lines(tmp_path, rec, command="fig3")
         header = lines[0]
         assert header["schema"] == RUNLOG_SCHEMA
         assert header["command"] == "fig3"
-        assert header["records"] == len(lines) - 1 == 3
-        assert check_file(str(path)) == "runlog"
+        assert header["records"] == len(lines) - 1 == 5
+        # the trace id is stamped when the file is written
+        assert {r["trace"] for r in lines[1:]} == {header["trace"]}
+        assert [r["kind"] for r in lines[1:]] == [
+            "begin", "event", "count", "high", "end"]
+        assert check_file(str(tmp_path / "run.jsonl")) == "runlog"
+        again = _lines(tmp_path, rec)
+        assert again[0]["trace"] != header["trace"]
 
     def test_header_only_log_is_valid_and_sniffable(self, tmp_path):
         # a single-line JSONL file parses as whole-file JSON; the checker
         # must still route it by its schema tag
-        path = write_runlog(tmp_path / "empty.jsonl", RunLog())
+        path = write_runlog(tmp_path / "empty.jsonl", [])
         assert load_and_validate(path)[0]["records"] == 0
         assert check_file(str(path)) == "runlog"
 
-    def test_validator_rejects_drift(self):
-        log = RunLog()
-        log.event("a")
-        good = [build_header(log)] + log.merged_records()
+    def test_validator_rejects_drift(self, tmp_path):
+        rec = Recorder(on=True)
+        rec.event("a")
+        rec.count("c", 2)
+        good = _lines(tmp_path, rec)
 
-        bad_schema = [dict(good[0], schema="repro.runlog/999")] + good[1:]
+        bad_schema = [dict(good[0], schema="repro.runlog/1")] + good[1:]
         with pytest.raises(ValueError, match="schema"):
             validate_runlog_lines(bad_schema)
 
@@ -130,42 +122,34 @@ class TestRunlogFile:
         with pytest.raises(ValueError, match="advertises"):
             validate_runlog_lines(bad_count)
 
-        bad_trace = good[:1] + [dict(good[1], trace="deadbeef")]
+        bad_trace = good[:1] + [dict(good[1], trace="deadbeef"), good[2]]
         with pytest.raises(ValueError, match="trace"):
             validate_runlog_lines(bad_trace)
 
-        bad_level = good[:1] + [dict(good[1], level="fatal")]
+        bad_level = good[:1] + [dict(good[1], level="fatal"), good[2]]
         with pytest.raises(ValueError, match="level"):
             validate_runlog_lines(bad_level)
+
+        for kind in ("gauge", ["event"]):
+            bad_kind = good[:1] + [dict(good[1], kind=kind), good[2]]
+            with pytest.raises(ValueError, match="kind"):
+                validate_runlog_lines(bad_kind)
+
+        no_n = {k: v for k, v in good[2].items() if k != "n"}
+        with pytest.raises(ValueError, match="'n'"):
+            validate_runlog_lines(good[:2] + [no_n])
 
         with pytest.raises(ValueError, match="empty"):
             validate_runlog_lines([])
 
     def test_validator_rejects_disorder(self, tmp_path):
-        log = RunLog()
-        log.event("a")
-        log.event("b")
-        first, second = log.records
-        header = build_header(log)
+        rec = Recorder(on=True)
+        rec.event("a")
+        rec.event("b")
+        header, first, second = _lines(tmp_path, rec)
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(json.dumps(line) for line in
                                   [header, second, first]) + "\n")
         with pytest.raises(ValueError, match="order"):
             load_and_validate(path)
 
-
-class TestProcessWideLog:
-    def test_set_logging_clears_and_rekeys_on_enable(self):
-        log = set_logging(True)
-        log.event("stale")
-        old_trace = log.trace_id
-        set_logging(False)
-        log = set_logging(True)
-        assert log.records == []
-        assert log.trace_id != old_trace
-
-    def test_explicit_trace_id_propagates(self):
-        tid = new_trace_id()
-        log = set_logging(True, trace_id=tid)
-        assert log.trace_id == tid
-        assert log.event("x")["trace"] == tid

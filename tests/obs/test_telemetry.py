@@ -1,7 +1,5 @@
-"""Unit tests for the telemetry plumbing: metrics registry, span tracer,
-timeline recorder, Perfetto export, and run manifests."""
-
-import json
+"""Unit tests for the telemetry plumbing: recorder spans, timeline
+recorder, Perfetto export, and run manifests."""
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import (
     trace_events_from_spans,
     trace_events_from_timeline,
@@ -22,68 +19,45 @@ from repro.obs.perfetto import (
     write_trace,
 )
 from repro.obs.perfetto import load_and_validate as load_trace
-from repro.obs.spans import SpanTracer
+from repro.obs.record import Recorder, spans
 from repro.obs.timeline import TimelineRecorder
-
-
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        r = MetricsRegistry()
-        r.counter("c").inc()
-        r.counter("c").inc(2.5)
-        r.gauge("g").set(7)
-        for v in (1.0, 3.0, 2.0):
-            r.histogram("h").observe(v)
-        assert r.counter("c").value == 3.5
-        assert r.gauge("g").value == 7.0
-        h = r.histogram("h")
-        assert h.count == 3 and h.mean == 2.0
-        assert h.min == 1.0 and h.max == 3.0
-        assert h.percentile(50) == 2.0
-
-    def test_counter_cannot_decrease(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError):
-            r.counter("c").inc(-1)
-
-    def test_snapshot_merge_adds_counters_and_histograms(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter("n").inc(1)
-        worker.counter("n").inc(4)
-        worker.histogram("h").observe(2.0)
-        worker.gauge("g").set(9)
-        snap = worker.snapshot()
-        assert json.dumps(snap)  # picklable/serializable plain data
-        parent.merge(snap)
-        assert parent.counter("n").value == 5.0
-        assert parent.histogram("h").values == [2.0]
-        assert parent.gauge("g").value == 9.0
 
 
 class TestSpans:
     def test_nested_spans_record_depth(self):
-        t = SpanTracer(enabled=True)
-        with t.span("outer", kernel="spmv"):
-            with t.span("inner"):
-                pass
-        assert [s.name for s in t.spans] == ["outer", "inner"]
-        assert t.spans[0].depth == 0 and t.spans[1].depth == 1
-        assert t.spans[0].wall_s >= t.spans[1].wall_s
-        assert t.spans[0].attrs == {"kernel": "spmv"}
+        rec = Recorder(on=True)
+        with rec.span("outer", kernel="spmv"):
+            with rec.span("inner") as attrs:
+                attrs["walk"] = "compiled"  # set late, still recorded
+        assert [r["kind"] for r in rec.records] == [
+            "begin", "begin", "end", "end"]
+        outer, inner = spans(rec.records)
+        assert (outer["name"], inner["name"]) == ("outer", "inner")
+        assert outer["depth"] == 0 and inner["depth"] == 1
+        assert outer["t0"] <= inner["t0"] <= inner["t1"] <= outer["t1"]
+        assert outer["attrs"] == {"kernel": "spmv"}
+        assert inner["attrs"] == {"walk": "compiled"}
 
     def test_disabled_tracer_records_nothing(self):
-        t = SpanTracer(enabled=False)
-        with t.span("x") as s:
-            assert s is None
-        assert t.spans == []
+        rec = Recorder()
+        with rec.span("x", kernel="fft") as attrs:
+            attrs["late"] = 1  # the block may still set attrs
+        rec.event("e")
+        rec.count("c")
+        rec.high("h", 3)
+        rec.adopt([{"kind": "count", "name": "c", "n": 1}])
+        assert rec.records == []
 
     def test_adopt_preserves_worker_spans(self):
-        parent, worker = SpanTracer(enabled=True), SpanTracer(enabled=True)
-        with worker.span("work"):
-            pass
-        parent.adopt(worker.spans, impl="vl8")
-        assert parent.spans[0].name == "work"
-        assert parent.spans[0].attrs["impl"] == "vl8"
+        parent, worker = Recorder(on=True), Recorder(on=True)
+        with parent.span("sweep"):
+            with worker.span("work", impl="vl8"):
+                pass
+            parent.adopt(worker.records)
+        by_name = {s["name"]: s for s in spans(parent.records)}
+        assert by_name["work"]["attrs"]["impl"] == "vl8"
+        # same process: the adopted span nests under the open one
+        assert by_name["work"]["depth"] == by_name["sweep"]["depth"] + 1
 
 
 class TestTimelineAndPerfetto:
@@ -109,11 +83,11 @@ class TestTimelineAndPerfetto:
         assert any(e["args"]["name"] == "unit" for e in meta)
 
     def test_span_export_validates(self):
-        t = SpanTracer(enabled=True)
-        with t.span("sweep:spmv:latency"):
-            with t.span("re-time:spmv:vl8"):
+        rec = Recorder(on=True)
+        with rec.span("sweep:spmv:latency"):
+            with rec.span("re-time:spmv:vl8"):
                 pass
-        events = trace_events_from_spans(t.spans)
+        events = trace_events_from_spans(rec.records)
         validate_trace_events({"traceEvents": events})
         x = [e for e in events if e["ph"] == "X"]
         assert len(x) == 2 and all(e["ts"] >= 0 for e in x)
