@@ -21,10 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import SdvConfig
 from repro.engine.results import CycleReport
 from repro.memory.classify import ClassifiedTrace
-from repro.trace.events import ScalarBlock, VectorInstr, VOpClass
+from repro.trace.events import (
+    NO_ID,
+    OPCLASS_ID,
+    REC_SCALAR,
+    REC_VECTOR,
+    VOpClass,
+)
 from repro.util.units import LINE_BYTES
 
 #: rough fraction of a scalar block's ALU ops that are floating point (the
@@ -66,26 +74,40 @@ class Characterization:
         return self.dram_bytes / self.cycles if self.cycles else 0.0
 
 
+#: vector opcodes that carry no FP work (integer and move ops)
+_INT_PREFIXES = ("vadd", "vsub", "vmul", "vand", "vor", "vxor", "vsll",
+                 "vsrl", "vmin", "vmax", "vid", "vmv", "vredsum", "vredmax",
+                 "vredmin")
+
+
 def count_fp_ops(ct: ClassifiedTrace) -> float:
-    """Estimate FP operations executed by a classified trace."""
-    fp = 0.0
-    for rec in ct.trace:
-        if isinstance(rec, ScalarBlock):
-            fp += SCALAR_FP_FRACTION * rec.n_alu_ops
-        elif isinstance(rec, VectorInstr):
-            per_elem = _FP_PER_ELEM.get(rec.op)
-            if per_elem is None:
-                continue
-            elems = rec.active if rec.active is not None else rec.vl
-            mult = 2.0 if rec.opcode == "vfmacc" else per_elem
-            # integer ops carry no FP work
-            if rec.opcode.startswith(("vadd", "vsub", "vmul", "vand", "vor",
-                                      "vxor", "vsll", "vsrl", "vmin", "vmax",
-                                      "vid", "vmv", "vredsum", "vredmax",
-                                      "vredmin")):
-                continue
-            fp += mult * elems
-    return fp
+    """Estimate FP operations executed by a classified trace.
+
+    Computed from the trace's columns, one term per record: a scalar
+    block's ALU ops times :data:`SCALAR_FP_FRACTION`; a vector op's
+    active elements times its class's :data:`_FP_PER_ELEM` factor (2 for
+    ``vfmacc``, 0 for integer opcodes). The terms are summed left to
+    right in record order (``cumsum`` adds sequentially, unlike ``sum``).
+    """
+    cols = ct.trace.cols
+    if cols.n == 0:
+        return 0.0
+    # per interned opcode string: is it an FMA, is it integer work
+    fma = np.array([s == "vfmacc" for s in cols.strings])[cols.opcode_id]
+    int_op = np.array([s.startswith(_INT_PREFIXES)
+                       for s in cols.strings])[cols.opcode_id]
+    # per op class id: does it carry FP work, and its factor
+    fp_class = np.zeros(NO_ID + 1, dtype=bool)
+    class_mult = np.zeros(NO_ID + 1)
+    for op, mult in _FP_PER_ELEM.items():
+        fp_class[OPCLASS_ID[op]] = True
+        class_mult[OPCLASS_ID[op]] = mult
+    fp_vec = (cols.kind == REC_VECTOR) & fp_class[cols.opclass] & ~int_op
+    terms = np.where(fp_vec, np.where(fma, 2.0, class_mult[cols.opclass])
+                     * cols.active, 0.0)
+    terms = np.where(cols.kind == REC_SCALAR,
+                     SCALAR_FP_FRACTION * cols.n_alu, terms)
+    return float(np.cumsum(terms)[-1])
 
 
 def characterize(ct: ClassifiedTrace, report: CycleReport, *,

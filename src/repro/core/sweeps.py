@@ -40,6 +40,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro import native
 from repro.config import SdvConfig
 from repro.core.analysis import Characterization, characterize
 from repro.core.measurements import Measurement, SweepResult
@@ -48,6 +49,7 @@ from repro.engine.batch_sim import walk_backend
 from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
+from repro.memory.classify import classify_backend
 from repro.obs.record import get_recorder, recording, set_recording
 from repro.soc.sdv import FpgaSdv
 from repro.trace.events import TraceBuffer
@@ -394,8 +396,10 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                   engine=engine, points=len(configs),
                   attributions=attributions):
         with rec.span(f"classify:{kernel}:{label}", kernel=kernel,
-                      impl=label):
+                      impl=label) as classify_attrs:
             ct = sdv.classify(trace)
+            # "python" here is the fallback a missing compiler forces
+            classify_attrs["walk"] = classify_backend()
         if engine == "batch":
             with rec.span(f"lower:{kernel}:{label}", kernel=kernel,
                           impl=label):
@@ -573,6 +577,10 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
         for vl in impls
     ]
     parallel = resolve_jobs(jobs) > 1
+    if parallel:
+        # build the compiled kernels here, before the pool forks: workers
+        # inherit the loaded library instead of each building it
+        native.library()
     done = 0
 
     def heartbeat(idx: int, outcome: _ImplOutcome) -> None:

@@ -11,12 +11,12 @@ Everything knob-independent was precomputed by :func:`repro.engine.lower.
 lower_trace`; per batch call only the latency-proportional and
 bandwidth-proportional matrices are materialized (vectorized over records
 *and* configs). The per-record loop then runs in a small C kernel,
-``walk.c``, compiled with the host's C compiler on the first walk in a
-process and loaded with :mod:`ctypes`. Where no compiler can build it, the
-same loop runs as NumPy broadcasts over the knob axis, after one
-:class:`RuntimeWarning`. Both walks match :func:`simulate_fast` operation
-for operation, so all three agree bit-for-bit — the agreement tests pin
-exact cycle equality on all four kernels.
+``walk.c``, built and loaded by :mod:`repro.native` on the first walk in
+a process. Where no compiler can build it, the same loop runs as NumPy
+broadcasts over the knob axis, after one :class:`RuntimeWarning`. Both
+walks match :func:`simulate_fast` operation for operation, so all three
+agree bit-for-bit — the agreement tests pin exact cycle equality on all
+four kernels.
 
 Configurations in one batch must share everything except the two runtime
 sweep knobs (Latency Controller ``extra_latency_cycles`` and Bandwidth
@@ -26,18 +26,11 @@ Limiter ``bw_num/bw_den``); :class:`repro.errors.EngineError` otherwise.
 from __future__ import annotations
 
 import ctypes
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
-import warnings
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
+from repro import native
 from repro.config import SdvConfig
 from repro.engine import core_model, vpu_model
 from repro.engine.lower import (
@@ -55,71 +48,24 @@ from repro.engine.results import CycleReport
 from repro.errors import EngineError
 from repro.memory.classify import ClassifiedTrace
 
-_WALK_SOURCE = Path(__file__).with_name("walk.c")
-#: the compiled walk once loaded; False once its build failed
-_walk_fn = None
-
-
-def _compiler() -> list[str]:
-    """The C compiler Python was built with, else ``cc``."""
-    cmd = shlex.split(sysconfig.get_config_var("CC") or "")
-    return cmd if cmd and shutil.which(cmd[0]) else ["cc"]
-
-
-def _build_walk():
-    """Compile ``walk.c`` in a private directory and load it."""
-    tmp = tempfile.mkdtemp(prefix="repro-walk-")
-    try:
-        lib = os.path.join(tmp, "walk.so")
-        # no -ffast-math or -march: the walk must round as NumPy does
-        subprocess.run([*_compiler(), "-O2", "-shared", "-fPIC",
-                        "-ffp-contract=off", "-o", lib, str(_WALK_SOURCE)],
-                       check=True, capture_output=True)
-        fn = ctypes.CDLL(lib).repro_batch_walk
-    finally:
-        # the loaded library stays mapped once its file is gone
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    def array(dtype, flags="C_CONTIGUOUS"):
-        return np.ctypeslib.ndpointer(dtype, flags=flags)
-
-    i64, f64 = array(np.int64), array(np.float64)
-    out = array(np.float64, "C_CONTIGUOUS,WRITEABLE")
-    c_i64, c_i32, c_f64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
-    fn.argtypes = [
-        c_i64, c_i64,                                 # n, K
-        i64, i64, i64, array(np.bool_), i64,          # kind .. row
-        f64, f64, f64, f64, f64, f64, f64, f64,       # sc_total .. lat
-        c_i32, c_i32, c_i64,                          # VPU build
-        c_f64, c_f64, c_f64, c_f64, c_f64,            # latency constants
-        out, out, out, out, out,                      # chain .. t_end
-    ]
-    fn.restype = None
-    return fn
-
-
-def _compiled_walk():
-    """The compiled walk, built on the first call in a process.
-
-    ``None`` when it cannot be built or loaded: the first such call warns
-    once, and no later call retries the build.
-    """
-    global _walk_fn
-    if _walk_fn is None:
-        try:
-            _walk_fn = _build_walk()
-        except (OSError, subprocess.SubprocessError) as exc:
-            warnings.warn(f"cannot build the compiled batch walk ({exc}); "
-                          "using the NumPy walk", RuntimeWarning,
-                          stacklevel=2)
-            _walk_fn = False
-    return _walk_fn or None
+_i64, _f64 = native.ndarray(np.int64), native.ndarray(np.float64)
+_out = native.ndarray(np.float64, writeable=True)
+_c_i64, _c_i32, _c_f64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
+#: argument types of ``repro_batch_walk`` in ``walk.c``
+_WALK_ARGTYPES = [
+    _c_i64, _c_i64,                                       # n, K
+    _i64, _i64, _i64, native.ndarray(np.bool_), _i64,     # kind .. row
+    _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64,       # sc_total .. lat
+    _c_i32, _c_i32, _c_i64,                               # VPU build
+    _c_f64, _c_f64, _c_f64, _c_f64, _c_f64,               # latency constants
+    _out, _out, _out, _out, _out,                         # chain .. t_end
+]
 
 
 def walk_backend() -> str:
     """The walk batch timing runs on in this process: ``"compiled"`` or
     ``"numpy"``."""
-    return "numpy" if _compiled_walk() is None else "compiled"
+    return "numpy" if native.library() is None else "compiled"
 
 
 def _check_configs(lowered: LoweredTrace,
@@ -199,7 +145,7 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
                         np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
     vm_mshr = lowered.vm_dram_reads[:, None] * lat[None, :] / base.vpu.line_mshrs
 
-    walk = _compiled_walk()
+    walk = native.function("repro_batch_walk", _WALK_ARGTYPES)
     if walk is None:
         t_end = _numpy_walk(lowered, lat, sc_total, vm_busy, vm_first,
                             vm_mshr)

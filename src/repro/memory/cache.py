@@ -4,13 +4,11 @@ Used for both the core's private L1D and each shared-L2 bank. The model is
 *behavioural*: it answers hit/miss (and writeback) questions for a stream of
 line addresses in program order; timing is applied later by the engines.
 
-Performance notes (this is the hottest loop of the whole simulator):
+Performance notes:
 
 * state per set is a plain Python list of tags ordered MRU-first — sets are
   small (8/16 ways) so ``list.remove`` + ``insert(0, ...)`` beats any
   fancier structure at these sizes;
-* batch entry points (:meth:`access_lines`) precompute set indices and tags
-  with NumPy and only loop over the irreducibly-sequential LRU update;
 * consecutive accesses to the same line are pre-coalesced by the caller
   (see :mod:`repro.memory.classify`), which removes ~8x of the stream for
   unit-stride traffic.
@@ -159,11 +157,7 @@ class SetAssocCache:
             return victim, False
         return None, False
 
-    # -- batched access (used by trace classification) ----------------------
-
-    #: below this stream length the scalar loop beats the per-set kernel's
-    #: fixed setup (state load/dump + round scheduling)
-    _BATCH_MIN = 64
+    # -- batched access -------------------------------------------------------
 
     def access_lines(self, lines: np.ndarray, writes: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,14 +167,6 @@ class SetAssocCache:
         (``writebacks[i]`` is True when access ``i`` evicted a dirty line).
         ``writes`` may be None (all reads) or a scalar-broadcastable bool
         array.
-
-        Long streams run through the same per-set stack-distance kernel
-        as the fast trace classifier (:class:`repro.memory.classify_fast.
-        LockstepLru`): the stream is partitioned by set, each touched
-        set's list/dict state is loaded into the kernel's matrix, the
-        whole stream replays in vectorized rounds, and the final state is
-        written back — bit-identical to looping :meth:`access_line`,
-        which stays as the scalar reference (and the short-stream path).
         """
         lines = np.asarray(lines, dtype=np.int64)
         n = lines.shape[0]
@@ -188,42 +174,14 @@ class SetAssocCache:
             writes_arr = np.zeros(n, dtype=bool)
         else:
             writes_arr = np.broadcast_to(np.asarray(writes, dtype=bool), (n,))
-        if n < self._BATCH_MIN:
-            hits = np.empty(n, dtype=bool)
-            wbs = np.zeros(n, dtype=bool)
-            access_line = self.access_line  # bind for loop speed
-            for i in range(n):
-                h, _victim, dirty = access_line(int(lines[i]),
-                                                write=bool(writes_arr[i]))
-                hits[i] = h
-                wbs[i] = dirty
-            return hits, wbs
-
-        # local import: classify_fast pulls in classify, which uses this
-        # module's semantics as its spec
-        from repro.memory.classify_fast import LockstepLru
-
-        set_idx = lines & self.set_mask
-        touched = np.unique(set_idx)
-        rows = np.searchsorted(touched, set_idx)
-        lru = LockstepLru(touched.shape[0], self.ways)
-        sets = self._sets
-        for row, s_i in enumerate(touched.tolist()):
-            s = sets[s_i]
-            if s.tags:
-                lru.load_row(row, s.tags, s.dirty)
-        hits, _hd, wbs, _vt = lru.run(rows, lines, writes_arr)
-        for row, s_i in enumerate(touched.tolist()):
-            tags, dirty = lru.dump_row(row)
-            s = sets[s_i]
-            s.tags = tags
-            s.dirty = dirty
-        self.stats.accesses += n
-        self.stats.write_accesses += int(writes_arr.sum())
-        nh = int(hits.sum())
-        self.stats.hits += nh
-        self.stats.misses += n - nh
-        self.stats.writebacks += int(wbs.sum())
+        hits = np.empty(n, dtype=bool)
+        wbs = np.zeros(n, dtype=bool)
+        access_line = self.access_line  # bind for loop speed
+        for i in range(n):
+            h, _victim, dirty = access_line(int(lines[i]),
+                                            write=bool(writes_arr[i]))
+            hits[i] = h
+            wbs[i] = dirty
         return hits, wbs
 
     # -- maintenance ---------------------------------------------------------

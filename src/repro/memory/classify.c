@@ -1,0 +1,189 @@
+/* Compiled cache walk of trace classification.
+ *
+ * This is the per-reference loop of repro.memory.classify.classify_trace:
+ * the private L1D pass (demand access, next-N-line stream prefetch,
+ * home-node recall of lines the VPU touches, dirty-victim writebacks) and
+ * the banked L2 pass, reference by reference in the walker's order, so
+ * every hit, victim, counter and level matches the dict walk.
+ *
+ * A cache set is a row of `ways` tags in recency order, least recently
+ * used first (the order of the walker's insertion-ordered dicts), with one
+ * dirty byte per way and a fill count per set.  The caller owns every
+ * buffer:
+ *
+ *   mode         per record, what it does to the caches (M_* below);
+ *   off, addrs,  the address arena and its write flags; a scalar record
+ *   writes       walks the lines addrs[j] >> line_shift, j in
+ *                off[i]..off[i+1];
+ *   c_off, coal  coalesced line requests; a vector memory record walks
+ *                coal[c_off[i]:c_off[i+1]];
+ *   l1_*, l2_*   set state, fill counts zeroed;
+ *   counts       five zeroed rows of n: L1 hits, L2 hits, DRAM reads,
+ *                DRAM writes, prefetch DRAM reads;
+ *   levels       one AccessLevel per reference, records in order.
+ *
+ * Nothing is bounds-checked here; the caller checks every span first.
+ */
+
+#include <stdint.h>
+#include <string.h>
+
+/* per-record modes */
+enum { M_NONE = 0, M_SCALAR = 1, M_VLOAD = 2, M_VSTORE = 3,
+       M_VSTORE_NOFILL = 4 };
+/* repro.memory.classify.AccessLevel */
+enum { LV_L1 = 0, LV_L2 = 1, LV_DRAM = 2 };
+
+typedef struct {
+    int64_t *tag;
+    uint8_t *dirty;
+    int64_t *fill;
+    int64_t ways;
+} Cache;
+
+/* the way holding `tag` in set s, or -1 */
+static inline int64_t find(const Cache *c, int64_t s, int64_t tag)
+{
+    const int64_t *t = c->tag + s * c->ways;
+    for (int64_t w = 0, f = c->fill[s]; w < f; w++)
+        if (t[w] == tag)
+            return w;
+    return -1;
+}
+
+/* remove way w of set s; returns its dirty bit */
+static inline int drop(Cache *c, int64_t s, int64_t w)
+{
+    int64_t *t = c->tag + s * c->ways;
+    uint8_t *d = c->dirty + s * c->ways;
+    int dirty = d[w];
+    int64_t rest = --c->fill[s] - w;
+    memmove(t + w, t + w + 1, (size_t)rest * sizeof *t);
+    memmove(d + w, d + w + 1, (size_t)rest);
+    return dirty;
+}
+
+/* append `tag` as most recently used; the set has room */
+static inline void push(Cache *c, int64_t s, int64_t tag, int dirty)
+{
+    int64_t at = s * c->ways + c->fill[s]++;
+    c->tag[at] = tag;
+    c->dirty[at] = (uint8_t)dirty;
+}
+
+/* install `tag`, evicting the LRU way of a full set first.  Returns 1
+ * when that victim was dirty, and stores it in *victim. */
+static inline int install(Cache *c, int64_t s, int64_t tag, int dirty,
+                          int64_t *victim)
+{
+    int dirty_victim = 0;
+    if (c->fill[s] == c->ways) {
+        *victim = c->tag[s * c->ways];
+        dirty_victim = drop(c, s, 0);
+    }
+    push(c, s, tag, dirty);
+    return dirty_victim;
+}
+
+typedef struct {
+    Cache c;
+    int64_t bank_mask, bank_bits, sets, set_mask;
+} L2;
+
+/* one L2 access (a reference, or with write set a dirty writeback from
+ * L1); returns 1 on a hit and counts a dirty victim's DRAM write */
+static inline int l2_access(L2 *l2, int64_t line, int write,
+                            int64_t *dram_writes)
+{
+    int64_t local = line >> l2->bank_bits;
+    int64_t s = (line & l2->bank_mask) * l2->sets + (local & l2->set_mask);
+    int64_t w = find(&l2->c, s, local), victim;
+    if (w >= 0) {
+        push(&l2->c, s, local, drop(&l2->c, s, w) | write);
+        return 1;
+    }
+    if (install(&l2->c, s, local, write, &victim))
+        (*dram_writes)++;
+    return 0;
+}
+
+void repro_classify(
+    int64_t n, const uint8_t *mode,
+    const int64_t *off, const int64_t *addrs, int64_t line_shift,
+    const uint8_t *writes, const int64_t *c_off, const int64_t *coal,
+    int64_t l1_sets, int64_t l1_ways, int64_t prefetch_depth,
+    int64_t l2_banks, int64_t l2_bank_bits, int64_t l2_sets,
+    int64_t l2_ways,
+    int64_t *l1_tag, uint8_t *l1_dirty, int64_t *l1_fill,
+    int64_t *l2_tag, uint8_t *l2_dirty, int64_t *l2_fill,
+    int64_t *counts, uint8_t *levels)
+{
+    Cache l1 = {l1_tag, l1_dirty, l1_fill, l1_ways};
+    L2 l2 = {{l2_tag, l2_dirty, l2_fill, l2_ways},
+             l2_banks - 1, l2_bank_bits, l2_sets, l2_sets - 1};
+    const int64_t mask1 = l1_sets - 1;
+    int64_t *l1_hits = counts, *l2_hits = counts + n;
+    int64_t *dram_reads = counts + 2 * n, *dram_writes = counts + 3 * n;
+    int64_t *pf_reads = counts + 4 * n;
+    uint8_t *lv = levels;
+    int64_t victim;
+
+    for (int64_t i = 0; i < n; i++) {
+        if (mode[i] == M_NONE)
+            continue;
+        if (mode[i] == M_SCALAR) {
+            for (int64_t j = off[i]; j < off[i + 1]; j++) {
+                const int64_t line = addrs[j] >> line_shift;
+                const int64_t s = line & mask1;
+                const int64_t w = find(&l1, s, line);
+                if (w >= 0) {
+                    push(&l1, s, line, drop(&l1, s, w) | writes[j]);
+                    *lv++ = LV_L1;
+                    l1_hits[i]++;
+                    continue;
+                }
+                if (install(&l1, s, line, writes[j], &victim))
+                    l2_access(&l2, victim, 1, &dram_writes[i]);
+                if (l2_access(&l2, line, 0, &dram_writes[i])) {
+                    *lv++ = LV_L2;
+                    l2_hits[i]++;
+                } else {
+                    *lv++ = LV_DRAM;
+                    dram_reads[i]++;
+                }
+                /* next-N-line stream prefetch: fill L1 (and L2 on the
+                 * way) with the following lines */
+                for (int64_t p = 1; p <= prefetch_depth; p++) {
+                    const int64_t pline = line + p;
+                    const int64_t ps = pline & mask1;
+                    if (find(&l1, ps, pline) >= 0)
+                        continue;
+                    if (!l2_access(&l2, pline, 0, &dram_writes[i]))
+                        pf_reads[i]++;
+                    if (install(&l1, ps, pline, 0, &victim))
+                        l2_access(&l2, victim, 1, &dram_writes[i]);
+                }
+            }
+            continue;
+        }
+        /* vector memory record: the VPU bypasses L1 */
+        const int write = mode[i] != M_VLOAD;
+        for (int64_t j = c_off[i]; j < c_off[i + 1]; j++) {
+            const int64_t line = coal[j];
+            /* home-node recall of a line the scalar side holds */
+            const int64_t s = line & mask1;
+            const int64_t w = find(&l1, s, line);
+            if (w >= 0 && drop(&l1, s, w))
+                l2_access(&l2, line, 1, &dram_writes[i]);
+            /* unit-stride stores allocate whole lines without a fill */
+            if (l2_access(&l2, line, write, &dram_writes[i])
+                    || mode[i] == M_VSTORE_NOFILL) {
+                *lv++ = LV_L2;
+                l2_hits[i]++;
+            } else {
+                *lv++ = LV_DRAM;
+                dram_reads[i]++;
+            }
+        }
+    }
+}

@@ -24,11 +24,13 @@ Hierarchy rules (single core+VPU agent):
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import native
 from repro.config import SdvConfig
 from repro.errors import TraceError
 from repro.trace.events import (
@@ -161,7 +163,7 @@ def _coalesced_spans(cols, coalesce_gathers: bool
     whole arena in a handful of NumPy passes avoids a Python round-trip
     per record.
     """
-    from repro.trace.events import NO_ID, OPCLASS_ID, PATTERN_ID, REC_VECTOR
+    from repro.trace.events import OPCLASS_ID, PATTERN_ID, REC_VECTOR
 
     mem_id = OPCLASS_ID[VOpClass.MEM]
     idx_id = PATTERN_ID[VMemPattern.INDEXED]
@@ -171,25 +173,26 @@ def _coalesced_spans(cols, coalesce_gathers: bool
     vm_mask = (cols.kind == REC_VECTOR) & (cols.opclass == mem_id)
     keep = np.zeros(A, dtype=bool)
 
-    def span_mask(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # +1/-1 edge histogram; bincount beats np.add.at by a wide margin
-        edges = (np.bincount(lo, minlength=A + 1)
-                 - np.bincount(hi, minlength=A + 1))
-        return np.cumsum(edges[:A]) > 0
+    def span_mask(records: np.ndarray) -> np.ndarray:
+        # the spans tile the arena in record order (classify_trace checks
+        # that), so a per-record mask repeats into a per-element one
+        return np.repeat(records, off[1:] - off[:-1])
 
-    seq_idx = np.flatnonzero(vm_mask & (cols.pattern != idx_id))
-    if seq_idx.size:
+    seq_rec = vm_mask & (cols.pattern != idx_id)
+    if seq_rec.any():
+        seq_idx = np.flatnonzero(seq_rec)
         lo, hi = off[seq_idx], off[seq_idx + 1]
         diff = np.empty(A, dtype=bool)
         diff[0] = True
         np.not_equal(lines_all[1:], lines_all[:-1], out=diff[1:])
-        keep |= span_mask(lo, hi) & diff
+        keep |= span_mask(seq_rec) & diff
         keep[lo[hi > lo]] = True  # first element of a span always survives
-    idx_idx = np.flatnonzero(vm_mask & (cols.pattern == idx_id))
-    if idx_idx.size:
+    idx_rec = vm_mask & (cols.pattern == idx_id)
+    if idx_rec.any():
+        idx_idx = np.flatnonzero(idx_rec)
         lo, hi = off[idx_idx], off[idx_idx + 1]
         if not coalesce_gathers:
-            keep |= span_mask(lo, hi)
+            keep |= span_mask(idx_rec)
         else:
             # unique-first-occurrence per span, all spans at once: make the
             # (span, line) pair a single sortable key
@@ -222,7 +225,7 @@ def _coalesced_spans(cols, coalesce_gathers: bool
 def _prepare_rows(cols, config: SdvConfig
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized prep shared by both classification engines.
+    """Vectorized prep shared by both cache walks.
 
     Coalesces every vector-mem span and fills every knob-independent row
     field — everything except the hit/miss counters and levels the cache
@@ -239,52 +242,221 @@ def _prepare_rows(cols, config: SdvConfig
     is_scalar = cols.kind == REC_SCALAR
 
     rows = np.zeros(n, dtype=ROW_DTYPE)
-    rows["kind"] = np.where(
-        cols.kind == REC_BARRIER, KIND_BARRIER,
-        np.where(cols.kind == REC_VECTOR,
-                 np.where(vm_mask, KIND_VMEM, KIND_VARITH),
-                 KIND_SCALAR))
-    rows["n_alu"] = cols.n_alu
-    rows["n_mem"] = np.where(is_scalar, span_len, 0)
-    rows["mlp_hint"] = cols.mlp
-    rows["vl"] = cols.vl
-    rows["active"] = cols.active
-    rows["opclass"] = cols.opclass
-    rows["pattern"] = cols.pattern
-    rows["is_write"] = cols.is_write
-    rows["dep"] = cols.dep
-    rows["scalar_dest"] = cols.scalar_dest
-    rows["n_line_reqs"] = c_off[1:] - c_off[:-1]
+    _fill_rows(rows, {
+        "kind": np.where(
+            cols.kind == REC_BARRIER, KIND_BARRIER,
+            np.where(cols.kind == REC_VECTOR,
+                     np.where(vm_mask, KIND_VMEM, KIND_VARITH),
+                     KIND_SCALAR)),
+        "n_alu": cols.n_alu,
+        "n_mem": np.where(is_scalar, span_len, 0),
+        "mlp_hint": cols.mlp,
+        "vl": cols.vl,
+        "active": cols.active,
+        "opclass": cols.opclass,
+        "pattern": cols.pattern,
+        "is_write": cols.is_write,
+        "dep": cols.dep,
+        "scalar_dest": cols.scalar_dest,
+        "n_line_reqs": c_off[1:] - c_off[:-1],
+    })
     return rows, vm_mask, coal_lines, c_off, span_len, is_scalar
+
+
+#: rows per block in :func:`_fill_rows`
+_FILL_BLOCK = 1 << 15
+
+
+def _fill_rows(rows: np.ndarray, fields: dict[str, np.ndarray]) -> None:
+    """``rows[name] = col`` for every field, one block of rows at a time.
+
+    Assigned field by field, every field would stream the whole wide row
+    array through the cache again; at paper scale that took longer than
+    the cache walk. A block stays in cache while all its fields land.
+    """
+    for lo in range(0, rows.shape[0], _FILL_BLOCK):
+        block = rows[lo:lo + _FILL_BLOCK]
+        for name, col in fields.items():
+            block[name] = col[lo:lo + _FILL_BLOCK]
+
+
+def pack_levels(levels: list[np.ndarray | None]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a ragged per-record ``levels`` list into ``(lens, flat)``.
+
+    ``lens[i]`` is the i-th record's level count, ``-1`` for records
+    that carry no level data (barriers, vector arithmetic); ``flat`` is
+    the uint8 concatenation of the present arrays in record order: the
+    wire format of the on-disk classified sidecar.
+    """
+    lens = np.fromiter(
+        ((-1 if lv is None else lv.shape[0]) for lv in levels),
+        dtype=np.int64, count=len(levels))
+    parts = [np.ascontiguousarray(lv, dtype=np.uint8)
+             for lv in levels if lv is not None]
+    flat = (np.concatenate(parts) if parts
+            else np.zeros(0, dtype=np.uint8))
+    return lens, flat
+
+
+def unpack_levels(lens: np.ndarray,
+                  flat: np.ndarray) -> list[np.ndarray | None]:
+    """Inverse of :func:`pack_levels`; the returned arrays are views
+    into ``flat``."""
+    levels: list[np.ndarray | None] = [None] * lens.shape[0]
+    # slice only the records that carry levels (about a third of a
+    # vector trace's): this loop is the dominant cost of a sidecar load
+    idx = np.flatnonzero(lens >= 0)
+    ends = np.cumsum(lens[idx])
+    for i, s, e in zip(idx.tolist(), (ends - lens[idx]).tolist(),
+                       ends.tolist()):
+        levels[i] = flat[s:e]
+    return levels
+
+
+# per-record modes of the compiled walk (M_* in classify.c)
+M_NONE, M_SCALAR, M_VLOAD, M_VSTORE, M_VSTORE_NOFILL = range(5)
+
+#: the row fields the cache walk fills, in the order of its count rows
+_COUNT_FIELDS = ("l1_hits", "l2_hits", "dram_reads", "dram_writes",
+                 "pf_dram_reads")
+
+_i64, _u8 = native.ndarray(np.int64), native.ndarray(np.uint8)
+_o64 = native.ndarray(np.int64, writeable=True)
+_ou8 = native.ndarray(np.uint8, writeable=True)
+_c_i64 = ctypes.c_int64
+#: argument types of ``repro_classify`` in ``classify.c``
+_CLASSIFY_ARGTYPES = [
+    _c_i64, _u8,                                    # n, mode
+    _i64, _i64, _c_i64, native.ndarray(np.bool_),   # off .. writes
+    _i64, _i64,                                     # c_off, coal
+    _c_i64, _c_i64, _c_i64,                         # L1 geometry, prefetch
+    _c_i64, _c_i64, _c_i64, _c_i64,                 # L2 geometry
+    _o64, _ou8, _o64, _o64, _ou8, _o64,             # L1 and L2 set state
+    _o64, _ou8,                                     # counts, levels
+]
+
+
+def _geometry(config: SdvConfig) -> tuple[int, int, int, int, int, int]:
+    """``(l1 sets, l1 ways, banks, bank bits, sets per bank, l2 ways)``,
+    as :class:`SetAssocCache` and :class:`L2HomeNode` derive them."""
+    l1_ways = config.core.l1d_ways
+    l2cfg = config.l2
+    return (config.core.l1d_bytes // (l1_ways * LINE_BYTES), l1_ways,
+            l2cfg.banks, log2_int(l2cfg.banks),
+            l2cfg.bank_bytes // (l2cfg.ways * LINE_BYTES), l2cfg.ways)
+
+
+def classify_backend() -> str:
+    """The walk classification runs on in this process: ``"compiled"``
+    or ``"python"``."""
+    return "python" if native.library() is None else "compiled"
 
 
 def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     """Classify every memory reference of ``trace`` against fresh caches.
 
-    Consumes the trace's columns directly (zero-copy). The cache walk
-    below inlines the exact hit/LRU/victim decisions of
-    :class:`SetAssocCache` and :class:`L2HomeNode` — minus their stats and
-    directory bookkeeping, which classification never exposes — because a
-    method call per line request dominates the sweep wall-clock otherwise;
-    ``tests/memory`` pin the two implementations against each other. This
-    sequential walker is the reference spec; the array-backed engine in
-    :mod:`repro.memory.classify_fast` reproduces it bit-for-bit.
+    Consumes the trace's columns directly (zero-copy). NumPy coalesces
+    the vector spans and fills every knob-independent row field
+    (:func:`_prepare_rows`); the cache walk itself then runs in a small C
+    kernel, ``classify.c``, built and loaded by :mod:`repro.native`.
+    Where no compiler can build it, the same walk runs as the dict walk
+    (:func:`_dict_walk`), which is the specification: the two agree
+    bit-for-bit on rows, per-record levels and totals, and
+    ``tests/memory`` pins that on both paths.
     """
     if not trace.sealed:
         raise TraceError("classify_trace requires a sealed trace")
     config.validate()
     from repro.obs.record import get_recorder
 
-    get_recorder().count("classify.walk_runs")
-
     cols = trace.cols
+    off = cols.addr_off
+    # the prep and the compiled walk index the arena by these spans
+    if not (off.shape == (cols.n + 1,) and off[0] == 0
+            and off[-1] == cols.addrs.shape[0]
+            and cols.writes.shape == cols.addrs.shape
+            and (off[1:] >= off[:-1]).all()):
+        raise TraceError("trace spans do not tile its address arena")
+    rows, vm_mask, coal_lines, c_off, span_len, is_scalar = _prepare_rows(
+        cols, config)
+    fn = native.function("repro_classify", _CLASSIFY_ARGTYPES)
+    if fn is None:
+        counts, levels = _dict_walk(cols, config, vm_mask, coal_lines,
+                                    c_off, span_len, is_scalar)
+    else:
+        counts, levels = _c_walk(fn, cols, config, vm_mask, coal_lines,
+                                 c_off, span_len, is_scalar)
+    _fill_rows(rows, dict(zip(_COUNT_FIELDS, counts)))
+    ct = ClassifiedTrace(rows=rows, levels=levels, trace=trace,
+                         config=config)
+
+    rec = get_recorder()
+    if rec.on:
+        n_sets1, _, banks, _, n_sets2, _ = _geometry(config)
+        rec.count("classify.runs")
+        rec.count("classify.units", ct.totals["scalar_mem_ops"]
+                  + ct.totals["vector_line_reqs"])
+        rec.high("classify.l1_sets", n_sets1)
+        rec.high("classify.l2_sets", banks * n_sets2)
+    return ct
+
+
+def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
+            coal_lines: np.ndarray, c_off: np.ndarray, span_len: np.ndarray,
+            is_scalar: np.ndarray
+            ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """The cache walk in the compiled kernel; returns the ``(5, n)`` count
+    rows (:data:`_COUNT_FIELDS`) and the per-record levels."""
+    n = cols.n
+    n_lines = c_off[1:] - c_off[:-1]
+    # the kernel indexes without bounds checks: classify_trace checked
+    # the arena spans, and the coalesced ones must fit their lines too
+    if not (c_off.shape == (n + 1,) and c_off[0] >= 0
+            and c_off[-1] <= coal_lines.shape[0] and (n_lines >= 0).all()):
+        raise TraceError("coalesced spans run past their line requests")
+
+    mode = np.zeros(n, dtype=np.uint8)
+    mode[is_scalar & (span_len > 0)] = M_SCALAR
+    store = cols.is_write != 0
+    unit = cols.pattern == _PATTERN_ID[VMemPattern.UNIT]
+    mode[vm_mask] = np.where(store, np.where(unit, M_VSTORE_NOFILL,
+                                             M_VSTORE), M_VLOAD)[vm_mask]
+    lens = np.where(mode == M_SCALAR, span_len,
+                    np.where(vm_mask, n_lines, -1))
+
+    n_sets1, l1_ways, banks, bank_bits, n_sets2, l2_ways = _geometry(config)
+    n_sets2_all = banks * n_sets2
+    counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
+    flat = np.empty(int(np.maximum(lens, 0).sum()), dtype=np.uint8)
+    fn(n, mode, cols.addr_off, cols.addrs, LINE_SHIFT, cols.writes, c_off,
+       coal_lines, n_sets1, l1_ways, config.core.l1_prefetch_depth,
+       banks, bank_bits, n_sets2, l2_ways,
+       np.zeros(n_sets1 * l1_ways, dtype=np.int64),
+       np.zeros(n_sets1 * l1_ways, dtype=np.uint8),
+       np.zeros(n_sets1, dtype=np.int64),
+       np.zeros(n_sets2_all * l2_ways, dtype=np.int64),
+       np.zeros(n_sets2_all * l2_ways, dtype=np.uint8),
+       np.zeros(n_sets2_all, dtype=np.int64),
+       counts, flat)
+    return counts, unpack_levels(lens, flat)
+
+
+def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
+               coal_lines: np.ndarray, c_off: np.ndarray,
+               span_len: np.ndarray, is_scalar: np.ndarray
+               ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """The cache walk in Python: the specification of ``classify.c``.
+
+    It inlines the exact hit/LRU/victim decisions of
+    :class:`SetAssocCache` and :class:`L2HomeNode` — minus their stats
+    and directory bookkeeping, which classification never exposes —
+    and ``tests/memory`` pin the two implementations against each
+    other. Returns what :func:`_c_walk` returns.
+    """
     n = cols.n
     unit_id = _PATTERN_ID[VMemPattern.UNIT]
     prefetch_depth = config.core.l1_prefetch_depth
-
-    # ---- vectorized prep: coalescing + bulk row fields -------------------
-    rows, vm_mask, coal_lines, c_off, span_len, is_scalar = _prepare_rows(
-        cols, config)
     off = cols.addr_off
 
     levels_per_record: list[np.ndarray | None] = [None] * n
@@ -301,32 +473,24 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     lines_all = cols.addrs >> LINE_SHIFT
     writes_all = cols.writes
 
-    l1_hits_a = np.zeros(n, dtype=np.int64)
-    l2_hits_a = np.zeros(n, dtype=np.int64)
-    dram_reads_a = np.zeros(n, dtype=np.int64)
-    dram_writes_a = np.zeros(n, dtype=np.int64)
-    pf_a = np.zeros(n, dtype=np.int64)
+    counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
+    l1_hits_a, l2_hits_a, dram_reads_a, dram_writes_a, pf_a = counts
 
     # ---- cache state, same geometry/policy as SetAssocCache/L2HomeNode --
     # LRU sets as insertion-ordered dicts: oldest key first (the eviction
     # victim), most-recent last; a hit moves to the end via del+reinsert.
     # Same true-LRU policy as SetAssocCache, with O(1) membership and
     # reordering instead of list scans.
-    l1_ways = config.core.l1d_ways
-    n_sets1 = config.core.l1d_bytes // (l1_ways * LINE_BYTES)
+    n_sets1, l1_ways, banks, bank_bits, n_sets2, l2_ways = _geometry(config)
     mask1 = n_sets1 - 1
     l1_tags: list[dict[int, None]] = [{} for _ in range(n_sets1)]
     l1_dirty: list[set[int]] = [set() for _ in range(n_sets1)]
 
-    l2cfg = config.l2
-    bank_mask = l2cfg.banks - 1
-    bank_bits = log2_int(l2cfg.banks)
-    l2_ways = l2cfg.ways
-    n_sets2 = l2cfg.bank_bytes // (l2_ways * LINE_BYTES)
+    bank_mask = banks - 1
     mask2 = n_sets2 - 1
     # flat [bank * n_sets2 + set] indexing across all banks
-    l2_tags: list[dict[int, None]] = [{} for _ in range(l2cfg.banks * n_sets2)]
-    l2_dirty: list[set[int]] = [set() for _ in range(l2cfg.banks * n_sets2)]
+    l2_tags: list[dict[int, None]] = [{} for _ in range(banks * n_sets2)]
+    l2_dirty: list[set[int]] = [set() for _ in range(banks * n_sets2)]
 
     L1, L2, DRAM = (int(AccessLevel.L1), int(AccessLevel.L2),
                     int(AccessLevel.DRAM))
@@ -500,11 +664,4 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
         dram_writes_a[i] = dram_writes
         levels_per_record[i] = lv
 
-    rows["l1_hits"] = l1_hits_a
-    rows["l2_hits"] = l2_hits_a
-    rows["dram_reads"] = dram_reads_a
-    rows["dram_writes"] = dram_writes_a
-    rows["pf_dram_reads"] = pf_a
-
-    return ClassifiedTrace(rows=rows, levels=levels_per_record, trace=trace,
-                           config=config)
+    return counts, levels_per_record

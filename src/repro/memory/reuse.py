@@ -31,13 +31,36 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.memory.classify import _coalesce_lines
-from repro.memory.classify_fast import first_touch_mask, prev_occurrence
 from repro.trace.events import ScalarBlock, TraceBuffer, VectorInstr, VOpClass
 from repro.util.mathx import log2_int
 from repro.util.units import LINE_BYTES
 
 #: histogram bucket for first-touch (compulsory) accesses
 INFINITE = -1
+
+
+def prev_occurrence(lines: np.ndarray) -> np.ndarray:
+    """Index of the previous access to the same line (-1 for first touch).
+
+    Vectorized (one stable sort); the compulsory-miss accounting of
+    :func:`reuse_distances`.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    prev = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return prev
+    order = np.argsort(lines, kind="stable")
+    ls = lines[order]
+    same = np.zeros(n, dtype=bool)
+    np.equal(ls[1:], ls[:-1], out=same[1:])
+    prev[order[same]] = order[np.flatnonzero(same) - 1]
+    return prev
+
+
+def first_touch_mask(lines: np.ndarray) -> np.ndarray:
+    """True at every compulsory (first-touch) access of a line stream."""
+    return prev_occurrence(lines) < 0
 
 
 class _Fenwick:
@@ -69,9 +92,7 @@ def _stream_distances(lines: np.ndarray) -> np.ndarray:
     out = np.full(n, INFINITE, dtype=np.int64)
     if n == 0:
         return out
-    # shared first-touch / previous-occurrence accounting with the trace
-    # classifier (repro.memory.classify_fast) — compulsory misses are
-    # exactly the prev < 0 rows in both
+    # compulsory misses are exactly the prev < 0 rows
     prev = prev_occurrence(lines).tolist()
     tree = _Fenwick(n)
     for t in range(n):

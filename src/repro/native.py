@@ -1,0 +1,100 @@
+"""The compiled kernels, built and loaded on first use.
+
+Two hot loops run in C: the batch timing walk (``engine/walk.c``) and the
+classification cache walk (``memory/classify.c``). Both sources are built
+into one shared library with the host's C compiler the first time either
+is needed in a process, and loaded with :mod:`ctypes`. Where no compiler
+can build it, :func:`library` warns once with a :class:`RuntimeWarning`,
+never retries, and each caller runs its Python specification instead
+(:func:`repro.engine.batch_sim._numpy_walk`, the dict walk of
+:func:`repro.memory.classify.classify_trace`); the results are
+bit-identical either way.
+
+Nothing is built at import. A process that forks workers loads the
+library first (:func:`repro.core.sweeps._sweep` does), so the workers
+inherit the mapping instead of each building it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from collections.abc import Sequence
+from pathlib import Path
+from typing import Any
+
+import numpy as np
+
+_ROOT = Path(__file__).parent
+_SOURCES = (_ROOT / "engine" / "walk.c", _ROOT / "memory" / "classify.c")
+
+#: the loaded library; False once its build failed
+_lib: ctypes.CDLL | bool | None = None
+
+
+def _compiler() -> list[str]:
+    """The C compiler Python was built with, else ``cc``."""
+    cmd = shlex.split(sysconfig.get_config_var("CC") or "")
+    return cmd if cmd and shutil.which(cmd[0]) else ["cc"]
+
+
+def _build() -> ctypes.CDLL:
+    """Compile every source into one library in a private directory and
+    load it."""
+    from repro.obs.record import get_recorder
+
+    get_recorder().count("native.builds")
+    tmp = tempfile.mkdtemp(prefix="repro-native-")
+    try:
+        so = os.path.join(tmp, "repro_native.so")
+        # no -ffast-math or -march: the walk must round as NumPy does
+        subprocess.run([*_compiler(), "-O2", "-shared", "-fPIC",
+                        "-ffp-contract=off", "-o", so,
+                        *map(str, _SOURCES)],
+                       check=True, capture_output=True)
+        return ctypes.CDLL(so)
+    finally:
+        # the loaded library stays mapped once its file is gone
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def library() -> ctypes.CDLL | None:
+    """The compiled kernels, built on the first call in a process.
+
+    ``None`` when they cannot be built or loaded: the first such call
+    warns once, and no later call retries the build.
+    """
+    global _lib
+    if _lib is None:
+        try:
+            _lib = _build()
+        except (OSError, subprocess.SubprocessError) as exc:
+            warnings.warn(f"cannot build the compiled kernels ({exc}); "
+                          "using the Python walks", RuntimeWarning,
+                          stacklevel=2)
+            _lib = False
+    return _lib or None
+
+
+def function(name: str, argtypes: Sequence[Any]) -> Any:
+    """Kernel ``name`` with its argument types set (it returns nothing),
+    or ``None`` when the library cannot be built."""
+    lib = library()
+    if lib is None:
+        return None
+    fn = getattr(lib, name)
+    fn.argtypes = argtypes
+    fn.restype = None
+    return fn
+
+
+def ndarray(dtype: Any, writeable: bool = False) -> Any:
+    """``ctypes`` argument type of a C-contiguous array of ``dtype``."""
+    flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
+    return np.ctypeslib.ndpointer(dtype, flags=flags)

@@ -202,8 +202,6 @@ _RATIOS = {
     "event.slab_recycle_rate": ("event.lines_recycled",
                                 ("event.line_spawns",)),
     "event.tokens_per_timestamp": ("event.tokens", ("event.timestamps",)),
-    "classify.stack_share": ("classify.stack_runs",
-                             ("classify.stack_runs", "classify.walk_runs")),
 }
 
 

@@ -69,21 +69,13 @@ class FpgaSdv:
     """The emulated RISC-V + VPU + NoC + L2HN system."""
 
     def __init__(self, config: SdvConfig | None = None, *,
-                 engine: str = "fast",
-                 classify: str | None = None) -> None:
+                 engine: str = "fast") -> None:
         self.config = (config if config is not None else SdvConfig()).validate()
         if engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine '{engine}' (choose from {sorted(ENGINES)})"
             )
-        if classify is not None and classify not in CLASSIFIERS:
-            raise ConfigError(
-                f"unknown classifier '{classify}' "
-                f"(choose from {sorted(CLASSIFIERS)})"
-            )
         self.engine = engine
-        #: the active classification engine (``"stack"`` or ``"walk"``)
-        self.classify_name = classify or DEFAULT_CLASSIFIER
         self.counters = HwCounters()
 
     # ------------------------------------------------------------- knobs
@@ -156,28 +148,25 @@ class FpgaSdv:
 
     def has_classification(self, trace: TraceBuffer) -> bool:
         """True when ``trace`` already carries a classification for the
-        current engine + geometry (memoized or seeded)."""
+        current geometry (memoized or seeded)."""
         cache = getattr(trace, "_classified_cache", None)
-        return (cache is not None
-                and (self.classify_name, *self._geometry_key()) in cache)
+        return cache is not None and self._geometry_key() in cache
 
     def classify(self, trace: TraceBuffer) -> ClassifiedTrace:
         """Classify (or fetch the cached classification of) a sealed trace.
 
-        Both engines are bit-identical, but the cache key still carries the
-        engine name so equality tests (and a hypothetical divergence) never
-        read one engine's result through the other's selector.
+        The classifier is looked up in the registry at call time, so a
+        wrapper installed there sees every classification.
         """
         cache = getattr(trace, "_classified_cache", None)
         if cache is None:
             cache = {}
             setattr(trace, "_classified_cache", cache)
-        name = self.classify_name
-        key = (name, *self._geometry_key())
+        key = self._geometry_key()
         ct = cache.get(key)
         if ct is None:
             _count_cache("classify_cache.misses")
-            ct = CLASSIFIERS[name](trace, self.config)
+            ct = CLASSIFIERS[DEFAULT_CLASSIFIER](trace, self.config)
             cache[key] = ct
         else:
             _count_cache("classify_cache.hits")
@@ -188,12 +177,12 @@ class FpgaSdv:
                             ct: ClassifiedTrace) -> None:
         """Pre-load the classification cache with an externally computed
         result (a trace-cache sidecar reload), keyed under the current
-        engine + geometry."""
+        geometry."""
         cache = getattr(trace, "_classified_cache", None)
         if cache is None:
             cache = {}
             setattr(trace, "_classified_cache", cache)
-        cache[(self.classify_name, *self._geometry_key())] = ct
+        cache[self._geometry_key()] = ct
 
     def lower(self, trace: TraceBuffer, *,
               classified: ClassifiedTrace | None = None) -> LoweredTrace:

@@ -111,9 +111,9 @@ def save_classified(ct, path: str | os.PathLike, *,
     classification was computed under — embedded so a loader never
     trusts the filename alone. The ragged ``levels`` list is stored as
     the ``(lens, flat)`` pair of
-    :func:`repro.memory.classify_fast.pack_levels`.
+    :func:`repro.memory.classify.pack_levels`.
     """
-    from repro.memory.classify_fast import pack_levels
+    from repro.memory.classify import pack_levels
 
     lens, flat = pack_levels(ct.levels)
     np.savez_compressed(
@@ -135,8 +135,7 @@ def load_classified(path: str | os.PathLike, trace: TraceBuffer, config, *,
     geometry, or misaligned with the trace — any of which just means
     "reclassify" to the caller, never an error.
     """
-    from repro.memory.classify import ClassifiedTrace
-    from repro.memory.classify_fast import unpack_levels
+    from repro.memory.classify import ClassifiedTrace, unpack_levels
 
     try:
         with np.load(path) as z:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.config import CoreConfig, L2Config, MemConfig, SdvConfig, VpuConfig
-from repro.engine import batch_sim
 from repro.soc import FpgaSdv
 from repro.workloads import get_scale
 from repro.workloads.cage import scaled_cage_like
@@ -62,15 +62,24 @@ def x_vector(small_matrix):
     return np.linspace(0.5, 1.5, small_matrix.shape[0])
 
 
+def _pick_walk(request, monkeypatch, fallback: str) -> str:
+    """Keep the compiled kernels, or force the fallback walks by making
+    the loader report no library, which is what hosts with no C compiler
+    run."""
+    if request.param == fallback:
+        monkeypatch.setattr(native, "library", lambda: None)
+    elif native.library() is None:
+        pytest.skip("no C compiler could build the compiled kernels")
+    return request.param
+
+
 @pytest.fixture(params=["compiled", "numpy"])
 def batch_walk(request, monkeypatch) -> str:
-    """Run batch walks on the compiled walk or on the NumPy walk.
+    """Run batch walks on the compiled walk or on the NumPy walk."""
+    return _pick_walk(request, monkeypatch, "numpy")
 
-    The NumPy walk is what hosts with no C compiler run; it is forced here
-    by making the loader report the compiled walk unavailable.
-    """
-    if request.param == "numpy":
-        monkeypatch.setattr(batch_sim, "_compiled_walk", lambda: None)
-    elif batch_sim._compiled_walk() is None:
-        pytest.skip("no C compiler could build the compiled walk")
-    return request.param
+
+@pytest.fixture(params=["compiled", "python"])
+def classify_walk(request, monkeypatch) -> str:
+    """Classify on the compiled cache walk or on the Python dict walk."""
+    return _pick_walk(request, monkeypatch, "python")

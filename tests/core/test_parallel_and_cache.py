@@ -474,6 +474,29 @@ class TestParallelSweeps:
             assert serial.series(impl) == fanned.series(impl)
 
 
+class TestCompiledKernelsInWorkers:
+    def test_pool_workers_inherit_the_parents_build(self, monkeypatch):
+        from repro import native
+        from repro.obs.record import recording
+
+        if native.library() is None:
+            pytest.skip("no C compiler could build the compiled kernels")
+        # a process that has not built the kernels yet, and a fresh pool
+        monkeypatch.setattr(native, "_lib", None)
+        shutdown_pool()
+        spec, workload = _smoke("spmv")
+        with recording() as rec:
+            latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                          verify=False, jobs=2)
+        workers = {r["pid"] for r in rec.records} - {os.getpid()}
+        builds = [r["pid"] for r in rec.records
+                  if r["kind"] == "count" and r["name"] == "native.builds"]
+        if not workers:
+            pytest.skip("no worker pool on this platform")
+        # one build, in the parent, before the pool forked
+        assert builds == [os.getpid()]
+
+
 class _EmitterRan(Exception):
     """Raised by the edited-kernel stand-in to prove it executed."""
 
@@ -669,9 +692,13 @@ class TestClassifiedSidecar:
         from repro.core import sweeps as sweeps_mod
         from repro.obs.record import fold, recording
 
-        spec, workload = self._warm(tmp_path)
-        first = latency_sweep(spec, workload, vls=(8,),
-                              trace_cache=tmp_path, verify=False)
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        with recording() as rec:
+            first = latency_sweep(spec, workload, vls=(8,),
+                                  trace_cache=tmp_path, verify=False)
+        # the cold sweep classifies both traces (scalar + vl8) ...
+        assert fold(rec.records)["counters"]["classify.runs"] == 2
         # drop the in-process trace memo: memoized traces still carry
         # their classification, which would mask the sidecar path
         sweeps_mod._TRACE_MEMO.clear()
@@ -683,9 +710,8 @@ class TestClassifiedSidecar:
             assert first.series(impl) == second.series(impl)
         assert delta.get("classify.sidecar_hits") == 2  # scalar + vl8
         assert delta.get("classify.sidecar_misses", 0) == 0
-        # sidecar seeding means zero classification runs on reload
-        assert delta.get("classify.stack_runs", 0) \
-            + delta.get("classify.walk_runs", 0) == 0
+        # ... and sidecar seeding means zero classification runs on reload
+        assert delta.get("classify.runs", 0) == 0
 
     def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
         from repro.core import sweeps as sweeps_mod

@@ -10,6 +10,7 @@ from repro.core.analysis import characterize
 from repro.core.suite import SuiteResult, render_report, run_suite
 from repro.core.sweeps import figure_sweeps, run_implementation
 from repro.kernels import KERNELS
+from repro.trace.events import TraceBuffer
 from repro.workloads import get_scale
 
 
@@ -117,6 +118,17 @@ class TestOnePipeline:
         assert len(lowered) == len(impls)
         # one walk per trace over both grids' 14 points
         assert walks == [14] * len(impls)
+
+    def test_no_trace_row_is_materialized(self, monkeypatch):
+        # the row view is for tests and debugging: every figure path
+        # reads the trace's columns
+        rows = []
+        row = TraceBuffer.__getitem__
+        monkeypatch.setattr(TraceBuffer, "__getitem__",
+                            lambda tb, i: rows.append(i) or row(tb, i))
+        text = render_report(run_suite(scale_name="smoke"))
+        assert "## Roofline" in text
+        assert rows == []
 
     def test_roofline_matches_a_fresh_trace(self, suite):
         for name in ("spmv", "fft"):

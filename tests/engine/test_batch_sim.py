@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import native
 from repro.config import SdvConfig
 from repro.core.sweeps import (
     DEFAULT_BANDWIDTHS,
@@ -28,6 +29,7 @@ from repro.engine.fast_sim import simulate_fast
 from repro.engine.lower import knob_free_config, lower_trace
 from repro.errors import EngineError
 from repro.kernels import KERNELS
+from repro.memory.classify import classify_backend, classify_trace
 from repro.soc import FpgaSdv
 from repro.trace.serialize import load_trace, save_trace
 from repro.workloads import get_scale
@@ -176,11 +178,12 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
     spec = KERNELS["fft"]
     workload = spec.prepare(get_scale("smoke"), 7)
     sdv, trace = run_implementation(spec, workload, 8, verify=False)
+    if native.library() is None:
+        pytest.skip("no C compiler could build the compiled kernels")
     lowered = sdv.lower(trace)
     configs = grid_configs(sdv.config)
-    if batch_sim._compiled_walk() is None:
-        pytest.skip("no C compiler could build the compiled walk")
     compiled = batch_cycles(lowered, configs)
+    compiled_ct = classify_trace(trace, sdv.config)
 
     # a fresh process whose compiler is missing
     builds = []
@@ -189,23 +192,31 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
         builds.append(1)
         return ["/nonexistent/cc"]
 
-    monkeypatch.setattr(batch_sim, "_walk_fn", None)
-    monkeypatch.setattr(batch_sim, "_compiler", missing_compiler)
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_compiler", missing_compiler)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         first = batch_cycles(lowered, configs)
+        ct = classify_trace(trace, sdv.config)
         second = batch_cycles(lowered, configs)
+    # one warning for the library; neither kernel retried the build
     assert [w.category for w in caught] == [RuntimeWarning]
-    assert len(builds) == 1  # the second walk did not retry the build
+    assert len(builds) == 1
     assert batch_sim.walk_backend() == "numpy"
+    assert classify_backend() == "python"
     assert first.tolist() == compiled.tolist()
     assert second.tolist() == compiled.tolist()
+    assert np.array_equal(ct.rows, compiled_ct.rows)
+    assert ct.totals == compiled_ct.totals
+    for a, b in zip(ct.levels, compiled_ct.levels):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
 
 
 def test_compiled_walk_rejects_out_of_bounds_slots():
     # the C kernel does not bounds-check; the wrapper must
-    if batch_sim._compiled_walk() is None:
-        pytest.skip("no C compiler could build the compiled walk")
+    if native.library() is None:
+        pytest.skip("no C compiler could build the compiled kernels")
     spec = KERNELS["fft"]
     workload = spec.prepare(get_scale("smoke"), 7)
     sdv, trace = run_implementation(spec, workload, 8, verify=False)

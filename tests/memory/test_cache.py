@@ -202,17 +202,16 @@ def test_property_stats_balance(ops):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_property_batch_kernel_matches_scalar_reference(data):
-    """Long access_lines batches run the per-set stack-distance kernel;
-    they must be bit-identical to looping access_line — per-access hits
-    and writebacks, final tag/dirty state, and stats — including when
-    batches interleave with scalar accesses that carry state across."""
+    """access_lines batches must be bit-identical to looping access_line
+    — per-access hits and writebacks, final tag/dirty state, and stats —
+    including when batches interleave with scalar accesses that carry
+    state across."""
     ways = data.draw(st.sampled_from([1, 2, 4, 8]))
     sets = data.draw(st.sampled_from([2, 4, 8]))
     ref = SetAssocCache(sets * ways * 64, ways)
     vec = SetAssocCache(sets * ways * 64, ways)
-    floor = SetAssocCache._BATCH_MIN
     for _phase in range(data.draw(st.integers(1, 3))):
-        n = data.draw(st.integers(floor, floor + 200))
+        n = data.draw(st.integers(0, 264))
         lines = np.asarray(
             data.draw(st.lists(st.integers(0, 100),
                                min_size=n, max_size=n)), dtype=np.int64)

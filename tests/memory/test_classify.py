@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
 from repro.errors import TraceError
 from repro.memory.classify import (
@@ -174,6 +175,44 @@ class TestVectorPath:
         assert ct.rows["dep"][1] == 0
         assert ct.rows["scalar_dest"][1] == 1
         assert ct.rows["dep"][0] == -1
+
+
+class TestCompiledWalk:
+    def test_both_walks_label_a_directed_hierarchy_alike(self,
+                                                         classify_walk):
+        # L1 hits on demanded and prefetched lines, a dirty L1 victim
+        # written back into L2, an L2 hit on it, a unit store allocating
+        # without a fill, and an indexed store evicting a dirty L2 line
+        cfg = SdvConfig(
+            core=CoreConfig(l1d_bytes=256, l1d_ways=2,
+                            l1_prefetch_depth=1),
+            l2=L2Config(banks=2, bank_bytes=1024, ways=2),
+        ).validate()
+        tr = build(
+            scalar_block([BASE, BASE, BASE + 64], writes=True),
+            scalar_block([BASE + 128 * k for k in range(6)]),
+            vload([BASE, BASE + 8]),
+            vload([BASE + 4096 + 8 * k for k in range(16)], write=True),
+            vload([BASE + 8192, BASE + 9000], pattern=VMemPattern.INDEXED,
+                  write=True),
+        )
+        ct = classify_trace(tr, cfg)
+        assert [lv.tolist() for lv in ct.levels] == [
+            [2, 0, 0], [0, 2, 2, 2, 2, 2], [1], [1, 1], [2, 2]]
+        assert ct.totals == {
+            "l1_hits": 3, "l2_hits": 3, "dram_reads": 8, "dram_writes": 1,
+            "scalar_mem_ops": 9, "vector_line_reqs": 5, "pf_dram_reads": 6}
+
+    def test_span_past_the_arena_raises_before_the_kernel(self,
+                                                          monkeypatch):
+        tr = build(scalar_block([BASE, BASE + 64, BASE + 128]))
+        tr.cols.addr_off[-1] += 4  # the last span now overruns the arena
+        calls = []
+        monkeypatch.setattr(native, "function",
+                            lambda name, argtypes: calls.append)
+        with pytest.raises(TraceError):
+            classify_trace(tr, tiny_cfg())
+        assert calls == []
 
 
 class TestCoalesceLines:

@@ -1,31 +1,31 @@
-"""Equality suite for the vectorized classification engine.
+"""Equality suite for the compiled classification walk.
 
-The stack-distance engine (:func:`repro.memory.classify_fast.
-classify_trace_fast`) must be **bit-identical** to the sequential walker
-(:func:`repro.memory.classify.classify_trace`) — rows, per-record level
-arrays and totals — on every trace and every cache geometry. These tests
-pin that down three ways: a kernel x VL grid on real generated traces, a
-directed geometry/feature ablation grid on random traces, and a
+The compiled cache walk (``classify.c``) must be **bit-identical** to the
+Python dict walk that specifies it — rows, per-record level arrays and
+totals — on every trace and every cache geometry. Both run through
+:func:`repro.memory.classify.classify_trace`; the Python walk is forced
+by making the kernel loader report no library. These tests pin the
+agreement down three ways: a kernel x VL grid on real generated traces,
+a directed geometry/feature ablation grid on random traces, and a
 Hypothesis property suite on adversarial access streams.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
-from repro.errors import ConfigError
-from repro.memory.classify import classify_trace
-from repro.memory.classify_fast import (
-    CLASSIFIERS,
-    DEFAULT_CLASSIFIER,
-    classify_trace_fast,
-    first_touch_mask,
+from repro.memory.classify import (
+    classify_trace,
     pack_levels,
-    prev_occurrence,
     unpack_levels,
 )
+from repro.memory.classify_fast import CLASSIFIERS, DEFAULT_CLASSIFIER
+from repro.memory.reuse import first_touch_mask, prev_occurrence
 from repro.trace.events import (
     ScalarBlock,
     TraceBuffer,
@@ -43,6 +43,16 @@ def tiny_cfg(**vpu_kwargs) -> SdvConfig:
         l2=L2Config(banks=4, bank_bytes=16 * 1024, ways=4),
         vpu=VpuConfig(**vpu_kwargs),
     ).validate()
+
+
+def both_walks(trace, cfg):
+    """``(compiled, python)`` classifications of one trace."""
+    if native.library() is None:
+        pytest.skip("no C compiler could build the compiled kernels")
+    compiled = classify_trace(trace, cfg)
+    with mock.patch.object(native, "library", lambda: None):
+        python = classify_trace(trace, cfg)
+    return compiled, python
 
 
 def assert_identical(a, b):
@@ -100,8 +110,7 @@ class TestKernelGrid:
         _sdv, trace = run_implementation(spec, workload, vl, verify=False,
                                          reference=None, trace_cache=None)
         cfg = SdvConfig().validate()
-        assert_identical(classify_trace(trace, cfg),
-                         classify_trace_fast(trace, cfg))
+        assert_identical(*both_walks(trace, cfg))
 
 
 class TestAblationGrid:
@@ -119,8 +128,7 @@ class TestAblationGrid:
         rng = np.random.default_rng(depth * 2 + coalesce)
         for _ in range(6):
             tr = rand_trace(rng, int(rng.integers(10, 80)), 32)
-            assert_identical(classify_trace(tr, cfg),
-                             classify_trace_fast(tr, cfg))
+            assert_identical(*both_walks(tr, cfg))
 
     @pytest.mark.parametrize("l1_bytes,l1_ways", [(4096, 2), (8192, 8)])
     @pytest.mark.parametrize("banks,bank_ways", [(1, 4), (4, 16)])
@@ -133,8 +141,7 @@ class TestAblationGrid:
         for _ in range(6):
             tr = rand_trace(rng, int(rng.integers(10, 80)),
                             int(rng.choice([8, 64])))
-            assert_identical(classify_trace(tr, cfg),
-                             classify_trace_fast(tr, cfg))
+            assert_identical(*both_walks(tr, cfg))
 
 
 class TestPropertySuite:
@@ -153,8 +160,7 @@ class TestPropertySuite:
             vpu=VpuConfig(coalesce_gathers=coalesce),
         ).validate()
         tr = rand_trace(np.random.default_rng(seed), n_rec, vl)
-        assert_identical(classify_trace(tr, cfg),
-                         classify_trace_fast(tr, cfg))
+        assert_identical(*both_walks(tr, cfg))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 40), max_size=120))
@@ -169,32 +175,25 @@ class TestPropertySuite:
 
 
 class TestSelector:
-    def test_registry_has_both_engines(self):
-        assert set(CLASSIFIERS) == {"stack", "walk"}
-        assert DEFAULT_CLASSIFIER in CLASSIFIERS
+    def test_registry_names_the_one_classifier(self):
+        assert CLASSIFIERS == {DEFAULT_CLASSIFIER: classify_trace}
 
-    def test_sdv_selector_and_cache_keying(self):
+    def test_sdv_looks_the_classifier_up_at_call_time(self, monkeypatch):
         from repro.soc import FpgaSdv
 
+        calls = []
+
+        def wrapped(trace, cfg):
+            calls.append(trace)
+            return classify_trace(trace, cfg)
+
+        monkeypatch.setitem(CLASSIFIERS, DEFAULT_CLASSIFIER, wrapped)
         tb = TraceBuffer()
-        tb.append(ScalarBlock(n_alu_ops=0,
-                              mem_addrs=np.array([BASE, BASE + 8, BASE]),
-                              mem_is_write=np.zeros(3, dtype=bool)))
+        tb.append(ScalarBlock(n_alu_ops=0, mem_addrs=np.array([BASE]),
+                              mem_is_write=np.zeros(1, dtype=bool)))
         trace = tb.seal()
-        stack = FpgaSdv(classify="stack")
-        walk = FpgaSdv(classify="walk")
-        assert stack.classify_name == "stack"
-        assert walk.classify_name == "walk"
-        assert_identical(stack.classify(trace), walk.classify(trace))
-        # each selector caches under its own key
-        assert stack.has_classification(trace)
-        assert walk.has_classification(trace)
-
-    def test_unknown_selector_rejected(self):
-        from repro.soc import FpgaSdv
-
-        with pytest.raises(ConfigError):
-            FpgaSdv(classify="bogus")
+        FpgaSdv().classify(trace)
+        assert calls == [trace]
 
     def test_seed_classification_round_trip(self):
         from repro.soc import FpgaSdv
@@ -205,7 +204,7 @@ class TestSelector:
         trace = tb.seal()
         a = FpgaSdv()
         ct = a.classify(trace)
-        # the cache lives on the trace, keyed by (engine, geometry): a
+        # the cache lives on the trace, keyed by geometry: a
         # same-geometry peer already sees it ...
         assert FpgaSdv().has_classification(trace)
         # ... and a fresh trace object does not, until seeded

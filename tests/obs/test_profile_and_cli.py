@@ -201,6 +201,15 @@ class TestInstrumentedSweep:
             else:
                 assert "walk" not in attrs
 
+    def test_classify_span_names_the_walk(self, classify_walk):
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        with recording() as rec:
+            latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                          verify=False)
+        by_name = {s["name"]: s for s in spans(rec.records)}
+        assert by_name["classify:fft:vl8"]["attrs"]["walk"] == classify_walk
+
     def test_two_grid_sweep_span(self):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
