@@ -1,15 +1,18 @@
-"""Simulator-performance benches: the four timing engines themselves.
+"""Simulator-performance benches: the two timing engines and their
+specifications.
 
-Not a paper figure — these regression-anchor the tool: the fast engine must
-stay orders of magnitude quicker than the DES pair (it is what makes
-whole-paper sweeps practical), the batch engine must beat per-point fast
-re-timing by a wide margin (it is what makes *paper-scale* sweeps cheap),
-the array-backed event engine must hold its throughput lead over the
-coroutine reference (it is what makes DES-grade timelines and attribution
-spot checks routine), classification must amortize across sweep points,
-and the engines must agree on the headline quantity.
+Not a paper figure — these regression-anchor the tool: the analytic
+specification (``simulate_fast``) must stay orders of magnitude quicker
+than the DES pair, the batch engine must beat re-timing with its
+specification once per point by a wide margin (it is what makes
+*paper-scale* sweeps cheap), the array-backed event engine must hold its
+throughput lead over the coroutine specification (it is what makes
+DES-grade timelines and attribution spot checks routine), classification
+must amortize across sweep points, and the models must agree on the
+headline quantity.
 """
 
+import dataclasses
 import os
 import time
 
@@ -84,16 +87,19 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
     """Record the sweep-engine headline: records*points/sec, batch vs fast.
 
     This is the paper-sweep inner loop — re-time one already-classified
-    trace at every latency point — so the ratio is the end-to-end speedup
-    a full Figure 3/4/5 regeneration sees after trace generation.
+    trace at every latency point — so the ratio is the speedup of the
+    batch walk over timing each point with its specification,
+    ``simulate_fast``.
     """
     sdv, trace, lowered, configs = spmv_sweep_setup
     work = lowered.n * len(configs)  # records * sweep points
+    ct = sdv.classify(trace)
 
     reps = 3
     t0 = time.perf_counter()
     for _ in range(reps):
-        fast = sdv.time_many(trace, configs, engine="fast", reports=False)
+        fast = [simulate_fast(dataclasses.replace(ct, config=cfg)).cycles
+                for cfg in configs]
     fast_s = (time.perf_counter() - t0) / reps
 
     t0 = time.perf_counter()
@@ -101,7 +107,7 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
         batch = batch_cycles(lowered, configs)
     batch_s = (time.perf_counter() - t0) / reps
 
-    assert batch.tolist() == fast.tolist()  # same cycles, to the bit
+    assert batch.tolist() == fast  # same cycles, to the bit
     speedup = fast_s / batch_s
     lines = [
         "SpMV vl256 latency-sweep re-timing throughput "

@@ -3,8 +3,8 @@
 Regenerates the four plots of Figure 3 as tables (rows = extra latency,
 columns = scalar + VLs, cells = kilocycles) and checks the figure's visual
 claims: every series grows with latency, and the scalar/low-VL series grow
-steepest. The timed operation is one fast-engine retiming pass at the
-worst-case knob setting — what each additional sweep point costs.
+steepest. The timed operation is one batch-engine retiming of the
+classified trace at the worst-case knob setting (one ``FpgaSdv.time`` call).
 """
 
 import pytest

@@ -7,8 +7,8 @@ under a minute while preserving every qualitative shape.
 
 Each figure benchmark regenerates its table/series, writes the rendered
 text to ``benchmarks/results/`` and asserts the paper's qualitative claims;
-the ``benchmark()`` timing target is the retiming step (one fast-engine
-pass over a classified trace), the operation a sweep repeats per point.
+the ``benchmark()`` timing target is the retiming step (one batch-engine
+walk over a classified trace at one knob setting).
 """
 
 from __future__ import annotations

@@ -7,8 +7,6 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from repro.engine.results import CycleReport
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -19,7 +17,6 @@ class Measurement:
     extra_latency: int
     bandwidth_bpc: int        # configured limit in bytes/cycle
     cycles: float
-    report: CycleReport | None = None
     #: optional CycleAttribution (repro.obs.attribution): buckets summing
     #: bit-exactly to ``cycles``; filled by attribution-enabled sweeps.
     attribution: object | None = None

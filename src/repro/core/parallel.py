@@ -12,14 +12,11 @@ finished :class:`repro.core.measurements.Measurement` rows — traces never
 cross the process boundary (they are large; measurements are tiny).
 
 The worker pool is **persistent**: the first parallel ``run_tasks`` call
-spawns it, and later calls with the same shape (worker count, initializer)
-reuse the same processes. A figure suite — latency sweep, then bandwidth
-sweep, then attribution ladders over the same kernels — therefore pays
-interpreter start-up and module import once, and per-worker caches
-installed by the ``initializer`` (e.g. the sweep harness's loaded-trace
-memo, :func:`repro.core.sweeps._sweep_worker_init`) stay warm across
-figures. ``shutdown_pool`` tears it down explicitly; it is also
-registered with :mod:`atexit`.
+spawns it, and later calls with the same worker count reuse the same
+processes. A figure suite — latency sweep, then bandwidth sweep over the
+same kernels — therefore pays interpreter start-up and module import
+once. ``shutdown_pool`` tears it down explicitly; it is also registered
+with :mod:`atexit`.
 
 ``run_tasks`` degrades gracefully: if the platform cannot spawn worker
 processes (sandboxes without fork/semaphores) or the pool dies mid-run
@@ -53,19 +50,17 @@ def resolve_jobs(jobs: int) -> int:
     return max(1, jobs)
 
 
-#: the one live pool, as (shape key, executor); replaced when a call asks
-#: for a different shape, torn down at interpreter exit
-_pool: tuple[tuple, ProcessPoolExecutor] | None = None
+#: the one live pool, as (worker count, executor); replaced when a call
+#: asks for a different worker count, torn down at interpreter exit
+_pool: tuple[int, ProcessPoolExecutor] | None = None
 
 #: pid that built (or last replaced) ``_pool`` — a forked child inherits
 #: the handle but must never use it: the queues belong to the parent
 _pool_pid: int = os.getpid()
 
 
-def _get_pool(workers: int, initializer: Callable[..., None] | None,
-              initargs: tuple) -> ProcessPoolExecutor:
+def _get_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_pid
-    key = (workers, initializer, initargs)
     if _pool is not None and _pool_pid != os.getpid():
         # foreign pool: this process forked after the parent built the
         # pool. Submitting here would race the parent's own dispatch,
@@ -73,18 +68,16 @@ def _get_pool(workers: int, initializer: Callable[..., None] | None,
         # handle is abandoned (never shut down) and a fresh pool built.
         _pool = None
     if _pool is not None:
-        if _pool[0] == key:
+        if _pool[0] == workers:
             return _pool[1]
-        # wait for the old workers to exit before the new shape comes up:
+        # wait for the old workers to exit before the new pool comes up:
         # an abandoned worker still draining a task would outlive the
         # pool that owned it and race whatever the caller tears down
         # right after this call returns
         _pool[1].shutdown(wait=True, cancel_futures=True)
         _pool = None
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               initializer=initializer,
-                               initargs=initargs)
-    _pool = (key, pool)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    _pool = (workers, pool)
     _pool_pid = os.getpid()
     return pool
 
@@ -103,9 +96,8 @@ atexit.register(shutdown_pool)
 
 def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
               jobs: int = 1,
-              on_result: Callable[[int, R], None] | None = None,
-              initializer: Callable[..., None] | None = None,
-              initargs: tuple = ()) -> list[R]:
+              on_result: Callable[[int, R], None] | None = None
+              ) -> list[R]:
     """``[fn(t) for t in tasks]``, fanned across ``jobs`` processes.
 
     Results come back in task order. ``fn`` and every task must be
@@ -117,11 +109,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
     finishes, in *completion* order — the sweep harness uses it for
     progress heartbeats while slower workers are still running.
 
-    ``initializer(*initargs)`` runs once in each worker process when the
-    pool comes up (and in-process before a serial run), so it must be
-    idempotent. Calls with the same ``(jobs, initializer, initargs)``
-    shape reuse the persistent pool — and with it whatever per-process
-    state the initializer set up.
+    Calls with the same ``jobs`` reuse the persistent pool.
     """
     jobs = resolve_jobs(jobs)
     tasks = list(tasks)
@@ -138,8 +126,6 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
             on_result(i, r)
 
     def _serial() -> list[R]:
-        if initializer is not None:
-            initializer(*initargs)
         out = []
         for i, t in enumerate(tasks):
             r = fn(t)
@@ -151,7 +137,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
         return _serial()
 
     def _dispatch() -> list[R]:
-        pool = _get_pool(jobs, initializer, initargs)
+        pool = _get_pool(jobs)
         futures = [pool.submit(fn, t) for t in tasks]
         index = {f: i for i, f in enumerate(futures)}
         for f in as_completed(futures):

@@ -45,6 +45,7 @@ from repro.config import SdvConfig
 from repro.core.analysis import Characterization, characterize
 from repro.core.measurements import Measurement, SweepResult
 from repro.core.parallel import resolve_jobs, run_tasks
+from repro.engine import check_engine
 from repro.engine.batch_sim import walk_backend
 from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
@@ -196,8 +197,6 @@ def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
                        cache_path: Path) -> None:
     """Cache-hit path: pre-load the trace's classification from its
     sidecar so the reload skips reclassification entirely."""
-    if sdv.has_classification(trace):
-        return  # the memoized trace object already carries it
     side = classified_sidecar_path(cache_path, sdv)
     ct = None
     if side.exists():
@@ -208,42 +207,6 @@ def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
         get_recorder().count("classify.sidecar_hits")
     else:
         get_recorder().count("classify.sidecar_misses")
-
-
-#: per-process memo of loaded cached traces, keyed by cache-file path.
-#: The path is content-addressed (kernel + workload + VL + geometry +
-#: emitter fingerprint), so a hit is always the identical trace; serving
-#: the same object also reuses the lowering/event-plan caches stashed on
-#: it by the engines. Bounded: a sweep touches a handful of (kernel, VL)
-#: traces at a time, evicted LRU.
-_TRACE_MEMO: dict = {}
-_TRACE_MEMO_CAP = 4
-
-
-def _sweep_worker_init() -> None:
-    """Per-worker initializer for the persistent sweep pool.
-
-    Runs once when a worker process comes up (idempotent — also invoked
-    in-process before serial runs). The trace memo then persists for the
-    worker's lifetime, so consecutive figures sweeping the same kernels
-    load and lower each cached trace once per worker instead of once per
-    figure.
-    """
-    # the memo is deliberately *not* cleared: surviving entries are keyed
-    # by content-addressed paths and stay valid across figures. Warm the
-    # kernel registry here so the first task doesn't pay the import.
-    import repro.kernels  # noqa: F401
-
-
-def _load_trace_memoized(cache_path):
-    key = str(cache_path)
-    hit = _TRACE_MEMO.pop(key, None)
-    if hit is None:
-        hit = load_trace(cache_path)
-        while len(_TRACE_MEMO) >= _TRACE_MEMO_CAP:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-    _TRACE_MEMO[key] = hit  # (re-)insert at the LRU tail
-    return hit
 
 
 def run_implementation(
@@ -286,7 +249,7 @@ def run_implementation(
                                       spec=spec, workload_fp=workload_fp)
         if cache_path.exists():
             get_recorder().count("trace_cache.hits")
-            trace = _load_trace_memoized(cache_path)
+            trace = load_trace(cache_path)
             _seed_from_sidecar(sdv, trace, cache_path)
             return sdv, trace
         get_recorder().count("trace_cache.misses")
@@ -360,16 +323,17 @@ def _resolve_spec(spec_or_name) -> KernelSpec:
 
 
 def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
-                grids: Sequence[Grid], keep_reports: bool, engine: str,
-                attributions: bool, roofline: bool
+                grids: Sequence[Grid], engine: str, attributions: bool,
+                roofline: bool
                 ) -> tuple[list[list[Measurement]], Characterization | None]:
     """Time one trace at every point of every grid in one timing call.
 
     The grids' configs are concatenated, so ``batch`` times them all in
     one walk; the rows are split back into one list per grid. With
-    ``roofline`` set, the trace's roofline placement at the SDV's own
-    knobs is also returned, its cycles taken from the grid point timed
-    there.
+    ``attributions`` set, each row is attributed by the engine that timed
+    it. With ``roofline`` set, the trace's roofline placement at the
+    SDV's own knobs is also returned, its cycles taken from the grid
+    point timed there.
     """
     base = sdv.config
     base_lat = sdv.extra_latency
@@ -378,19 +342,17 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
     configs = [cfg for axis, points in grids
                for cfg in _sweep_configs(base, axis, points)]
 
-    def measurement(key, cycles, report, att=None):
+    def measurement(key, cycles, att=None):
         axis, point = key
         return Measurement(
             kernel=kernel, impl=label,
             extra_latency=point if axis == "latency" else base_lat,
             bandwidth_bpc=point if axis == "bandwidth" else base_bpc,
-            cycles=cycles, report=report, attribution=att,
+            cycles=cycles, attribution=att,
         )
 
-    compact = engine == "batch" and not keep_reports
     # each stage looks its cache up once and hands the result on, so the
     # classify/lower cache hit counts still mean reuse across figures
-    lowered = None
     rec = get_recorder()
     with rec.span(f"re-time:{kernel}:{label}", kernel=kernel, impl=label,
                   engine=engine, points=len(configs),
@@ -404,44 +366,41 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             with rec.span(f"lower:{kernel}:{label}", kernel=kernel,
                           impl=label):
                 lowered = sdv.lower(trace, classified=ct)
-        with rec.span(f"walk:{kernel}:{label}", kernel=kernel, impl=label,
-                      engine=engine, points=len(configs)) as walk_attrs:
-            if attributions and compact:
-                # fused path: ONE vectorized walk times every sweep point
-                # AND every attribution-ladder rung (the ladder's L0
-                # column *is* the sweep cycle count, bit-for-bit), so
-                # turning buckets on costs a few extra knob-axis columns,
-                # not extra walks
-                from repro.obs.attribution import attribute_many
+            with rec.span(f"walk:{kernel}:{label}", kernel=kernel,
+                          impl=label, engine=engine,
+                          points=len(configs)) as walk_attrs:
+                if attributions:
+                    # ONE walk times every sweep point AND every
+                    # attribution-ladder rung (the ladder's L0 column
+                    # *is* the sweep cycle count, bit-for-bit)
+                    from repro.obs.attribution import attribute_many
 
-                atts = attribute_many(ct, configs, lowered=lowered)
-                rows = [measurement(k, att.total, None, att)
-                        for k, att in zip(keys, atts)]
-            elif compact:
-                # compact path: one vectorized walk, a bare cycles vector,
-                # no intermediate CycleReport garbage
-                cycles = sdv.time_many(trace, configs, engine="batch",
-                                       reports=False, lowered=lowered)
-                rows = [measurement(k, float(c), None)
-                        for k, c in zip(keys, cycles)]
-            else:
-                reports = sdv.time_many(trace, configs, engine=engine,
-                                        lowered=lowered)
-                rows = [measurement(k, r.cycles, r if keep_reports else None)
-                        for k, r in zip(keys, reports)]
-            if engine == "batch":
+                    atts = attribute_many(ct, configs, lowered=lowered)
+                    rows = [measurement(k, att.total, att)
+                            for k, att in zip(keys, atts)]
+                else:
+                    cycles = sdv.time_many(trace, configs, reports=False,
+                                           lowered=lowered)
+                    rows = [measurement(k, float(c))
+                            for k, c in zip(keys, cycles)]
                 # "numpy" here is the fallback a missing compiler forces
                 walk_attrs["walk"] = walk_backend()
+        else:
+            with rec.span(f"walk:{kernel}:{label}", kernel=kernel,
+                          impl=label, engine=engine, points=len(configs)):
+                reports = sdv.time_many(trace, configs, engine=engine)
+                rows = [measurement(k, r.cycles)
+                        for k, r in zip(keys, reports)]
+            if attributions:
+                from repro.obs.attribution import attribute
 
-    if attributions and not compact:
-        from repro.obs.attribution import attribute_many
-
-        with rec.span(f"attribute:{kernel}:{label}", kernel=kernel,
-                      impl=label):
-            if lowered is None:
-                lowered = sdv.lower(trace, classified=ct)
-            atts = attribute_many(ct, configs, lowered=lowered)
-        rows = [replace(m, attribution=att) for m, att in zip(rows, atts)]
+                with rec.span(f"attribute:{kernel}:{label}", kernel=kernel,
+                              impl=label):
+                    lowered = sdv.lower(trace, classified=ct)
+                    rows = [replace(m, attribution=attribute(
+                                replace(ct, config=cfg), engine=engine,
+                                lowered=lowered))
+                            for m, cfg in zip(rows, configs)]
 
     placement = None
     if roofline:
@@ -462,7 +421,7 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
 
 def _time_one_impl(spec: KernelSpec, workload, vl: int | None,
                    grids: Sequence[Grid], config: SdvConfig | None,
-                   verify: bool, reference, keep_reports: bool, engine: str,
+                   verify: bool, reference, engine: str,
                    trace_cache, attributions: bool = False,
                    workload_fp: str | None = None,
                    roofline: bool = False) -> _ImplOutcome:
@@ -487,8 +446,8 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None,
                   wall_s=round(time.perf_counter() - t0, 6))
 
     measurements, placement = _time_grids(
-        sdv, trace, spec.name, label, grids, keep_reports, engine,
-        attributions, roofline)
+        sdv, trace, spec.name, label, grids, engine, attributions,
+        roofline)
 
     rec.count("sweep.impls_timed")
     rec.count("sweep.points_timed", n_points)
@@ -539,7 +498,7 @@ def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
 
 def _sweep(spec: KernelSpec, workload, grids: list[Grid],
            vls: Sequence[int], include_scalar: bool,
-           config: SdvConfig | None, verify: bool, keep_reports: bool,
+           config: SdvConfig | None, verify: bool,
            engine: str, jobs: int, trace_cache,
            attributions: bool = False, roofline: bool = False
            ) -> tuple[list[SweepResult], Characterization | None]:
@@ -548,6 +507,7 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
     Returns one :class:`SweepResult` per grid, plus — with ``roofline``
     set — the longest VL's roofline placement at the default knobs.
     """
+    check_engine(engine)  # before any trace is generated
     for axis, points in grids:
         _validate_grid(axis, points, vls, config)
     impls = _impls(vls, include_scalar)
@@ -572,7 +532,7 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
     payload = spec.name if KERNELS.get(spec.name) is spec else spec
     tasks = [
         (payload, workload, vl, grids, config, verify, reference,
-         keep_reports, engine, trace_cache, attributions, workload_fp,
+         engine, trace_cache, attributions, workload_fp,
          top_vl is not None and vl == top_vl, rec.on)
         for vl in impls
     ]
@@ -599,8 +559,7 @@ def _sweep(spec: KernelSpec, workload, grids: list[Grid],
                   axis=name, impls=len(tasks), points=n_points,
                   engine=engine, jobs=jobs):
         for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
-                                 on_result=heartbeat,
-                                 initializer=_sweep_worker_init):
+                                 on_result=heartbeat):
             rec.adopt(outcome.records)
             for result, rows in zip(results, outcome.measurements):
                 result.measurements.extend(rows)
@@ -619,7 +578,6 @@ def latency_sweep(
     include_scalar: bool = True,
     config: SdvConfig | None = None,
     verify: bool = True,
-    keep_reports: bool = False,
     engine: str = DEFAULT_SWEEP_ENGINE,
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
@@ -634,8 +592,8 @@ def latency_sweep(
     one task each (see ``docs/parallelism.md``).
     """
     (result,), _ = _sweep(spec, workload, [("latency", list(latencies))],
-                          vls, include_scalar, config, verify, keep_reports,
-                          engine, jobs, trace_cache, attributions)
+                          vls, include_scalar, config, verify, engine, jobs,
+                          trace_cache, attributions)
     return result
 
 
@@ -648,7 +606,6 @@ def bandwidth_sweep(
     include_scalar: bool = True,
     config: SdvConfig | None = None,
     verify: bool = True,
-    keep_reports: bool = False,
     engine: str = DEFAULT_SWEEP_ENGINE,
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
@@ -656,8 +613,8 @@ def bandwidth_sweep(
 ) -> SweepResult:
     """Section 4.2: execution time vs. the Bandwidth Limiter setting."""
     (result,), _ = _sweep(spec, workload, [("bandwidth", list(bandwidths))],
-                          vls, include_scalar, config, verify, keep_reports,
-                          engine, jobs, trace_cache, attributions)
+                          vls, include_scalar, config, verify, engine, jobs,
+                          trace_cache, attributions)
     return result
 
 
@@ -680,7 +637,6 @@ def figure_sweeps(
     bandwidths: Iterable[int] = DEFAULT_BANDWIDTHS,
     vls: Sequence[int] = DEFAULT_VLS,
     verify: bool = True,
-    keep_reports: bool = False,
     engine: str = DEFAULT_SWEEP_ENGINE,
     jobs: int = 1,
     trace_cache: str | os.PathLike | None = None,
@@ -702,8 +658,8 @@ def figure_sweeps(
         spec, workload,
         [("latency", list(latencies)), ("bandwidth", list(bandwidths))],
         vls, include_scalar=True, config=None, verify=verify,
-        keep_reports=keep_reports, engine=engine, jobs=jobs,
-        trace_cache=trace_cache, attributions=attributions, roofline=True)
+        engine=engine, jobs=jobs, trace_cache=trace_cache,
+        attributions=attributions, roofline=True)
     return FigureSweeps(latency=lat, bandwidth=bw, roofline=placement)
 
 

@@ -1,36 +1,39 @@
 """Timing engines.
 
-Four engines consume a :class:`repro.memory.classify.ClassifiedTrace`:
+Two runtime engines consume a :class:`repro.memory.classify.ClassifiedTrace`:
 
-* :func:`repro.engine.fast_sim.simulate_fast` — a per-record analytical
-  walk of the machine (scalar core + decoupled VPU + throttled memory).
-  Milliseconds per run; the single-point reference for the batch engine.
-* :func:`repro.engine.batch_sim.simulate_batch` — the sweep engine: lowers
-  the classified trace once (:mod:`repro.engine.lower`) into flat
-  knob-independent arrays, then times **all** sweep points in a single walk
-  with the knob axis as a vectorized NumPy dimension. Bit-identical cycles
-  to the fast engine at every point.
-* :func:`repro.engine.event_fast.simulate_events_fast` — the production
-  discrete-event engine (``engine="event"``): array-backed per-instruction
-  state machines stepped off an integer-cycle calendar queue, an order of
-  magnitude faster than the coroutine reference while producing
-  bit-identical reports.
+* :func:`repro.engine.batch_sim.simulate_batch` (``engine="batch"``) — the
+  analytic engine that draws every figure: it lowers the classified trace
+  once (:mod:`repro.engine.lower`) into flat knob-independent arrays, then
+  times **all** sweep points in a single compiled walk with the knob axis
+  as the inner loop (a NumPy walk without a C compiler).
+* :func:`repro.engine.event_fast.simulate_events_fast` (``engine="event"``)
+  — the discrete-event engine: array-backed per-instruction state machines
+  stepped off an integer-cycle calendar queue, at line-request
+  granularity.
+
+Each has a specification it is pinned to bit for bit by the tests; the
+specifications cannot be picked at run time:
+
+* :func:`repro.engine.fast_sim.simulate_fast` — the per-record analytic
+  walk of the machine (scalar core + decoupled VPU + throttled memory),
+  one config per call; ``batch`` returns its cycles at every point.
 * :func:`repro.engine.event_sim.simulate_events` — the coroutine
-  discrete-event reference model (``engine="event-ref"``) at line-request
-  granularity. The readable specification the fast event engine is checked
-  against; use it to validate, not to sweep.
+  discrete-event model, the readable specification of ``event``.
 
 All share the cost models in :mod:`core_model` and :mod:`vpu_model` and the
-two event engines additionally share the pre-quantized
+two event implementations additionally share the pre-quantized
 :class:`repro.engine.event_common.EventPlan`, so a disagreement between
 them localizes to queueing/overlap behaviour, which is exactly what the
 cross-validation tests probe. See ``docs/engines.md`` for the full map.
 
-``ENGINES`` maps engine names to single-trace entry points (each takes one
-classified trace, returns one :class:`CycleReport`); ``FpgaSdv`` and the
-CLI resolve ``engine=`` strings through it.
+``ENGINES`` maps the runtime engine names to single-trace entry points
+(each takes one classified trace, returns one :class:`CycleReport`);
+``FpgaSdv``, the sweeps and the CLI accept exactly its names, and
+:func:`check_engine` rejects any other.
 """
 
+from repro.errors import ConfigError
 from repro.engine.results import CycleReport
 from repro.engine.fast_sim import simulate_fast
 from repro.engine.event_fast import simulate_events_fast
@@ -42,19 +45,27 @@ from repro.engine.batch_sim import (
     simulate_batch_one,
 )
 
-#: name -> ClassifiedTrace -> CycleReport registry (one entry per engine).
+#: name -> ClassifiedTrace -> CycleReport registry (one entry per runtime
+#: engine).
 ENGINES = {
-    "fast": simulate_fast,
-    "event": simulate_events_fast,
-    "event-ref": simulate_events,
     "batch": simulate_batch_one,
+    "event": simulate_events_fast,
 }
+
+
+def check_engine(name: str) -> None:
+    """Raise :class:`ConfigError` unless ``name`` is a runtime engine."""
+    if name not in ENGINES:
+        raise ConfigError(
+            f"unknown engine '{name}' (choose from {sorted(ENGINES)})")
+
 
 __all__ = [
     "CycleReport",
     "ENGINES",
     "LoweredTrace",
     "batch_cycles",
+    "check_engine",
     "lower_trace",
     "simulate_batch",
     "simulate_batch_one",

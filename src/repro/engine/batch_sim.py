@@ -1,11 +1,12 @@
 """Batch timing engine: every sweep point of one trace in a single walk.
 
-``simulate_fast`` walks the classified trace once *per knob setting*; a
-paper sweep calls it 7-49 times per (kernel, implementation) trace. This
-engine walks the trace **once for all settings**: the per-record frontier
-recurrence is identical at every sweep point, so each machine frontier
-(scalar core, arithmetic pipe, AGU, memory queue, line-MSHR pool) becomes a
-length-``K`` vector — one element per configuration.
+``simulate_fast``, this engine's specification, walks the classified
+trace once *per knob setting*, 7-49 walks per (kernel, implementation)
+trace for a paper sweep. This engine walks the trace **once for all
+settings**: the per-record frontier recurrence is identical at every
+sweep point, so each machine frontier (scalar core, arithmetic pipe, AGU,
+memory queue, line-MSHR pool) becomes a length-``K`` vector — one element
+per configuration.
 
 Everything knob-independent was precomputed by :func:`repro.engine.lower.
 lower_trace`; per batch call only the latency-proportional and
@@ -405,8 +406,8 @@ def batch_cycles(lowered: LoweredTrace,
                  configs: Sequence[SdvConfig]) -> np.ndarray:
     """Cycle counts only, one per config — no :class:`CycleReport` garbage.
 
-    This is the ``keep_reports=False`` sweep path: a compact float64 vector
-    the harness turns directly into :class:`Measurement` rows.
+    This is the sweep path: a compact float64 vector the harness turns
+    directly into :class:`Measurement` rows.
     """
     configs = list(configs)
     _check_configs(lowered, configs)

@@ -1,10 +1,10 @@
 """Array-backed discrete-event engine (``engine="event"``).
 
-This is the default event backend: it replays **exactly** the schedule of
-the coroutine reference engine (:mod:`repro.engine.event_sim`,
-``engine="event-ref"``) — same cycles, same breakdown, same component
-stats, same timeline — but replaces every piece of interpreter-heavy
-machinery on the hot path:
+This is the runtime event engine: it replays **exactly** the schedule of
+the coroutine reference model (:mod:`repro.engine.event_sim`, its
+specification) — same cycles, same breakdown, same component stats, same
+timeline — but replaces every piece of interpreter-heavy machinery on the
+hot path:
 
 * **generator coroutines → explicit state machines.** Each in-flight
   instruction is a small integer state plus a few slots in parallel

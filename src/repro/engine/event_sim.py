@@ -1,4 +1,4 @@
-"""Discrete-event reference engine (coroutine backend, ``event-ref``).
+"""Discrete-event reference model (coroutine backend, ``event-ref``).
 
 Models the FPGA-SDV as communicating processes on the DES kernel
 (:mod:`repro.engine.des`):
@@ -24,10 +24,11 @@ All per-record cost inputs come from the shared
 fractional issue gaps onto the kernel's integer-cycle clock. The
 array-backed engine (:mod:`repro.engine.event_fast`, registered as
 ``engine="event"``) replays the **same schedule** without coroutines and
-must agree with this one bit for bit; this backend stays registered as
-``engine="event-ref"`` as the executable specification and for
-differential debugging. It is O(events) in Python generators and is the
-slowest engine — use it to validate, not to sweep.
+must agree with this one bit for bit. This model is not a runtime engine:
+it is the executable specification the tests pin ``event`` to, and its
+reports and timelines carry the label ``event-ref``. It is O(events) in
+Python generators — use it to validate and for differential debugging,
+not to sweep.
 """
 
 from __future__ import annotations

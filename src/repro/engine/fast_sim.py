@@ -1,4 +1,10 @@
-"""Vectorized/per-record analytical timing engine.
+"""Per-record analytical timing model: the batch engine's specification.
+
+Not a runtime engine: :mod:`repro.engine.batch_sim` times every sweep
+point in one walk and must return this model's cycles at each of them, to
+the bit. This module stays as the readable one-config-per-call statement
+of the model, and draws the analytic machine-activity timeline that the
+batch walk cannot keep.
 
 Walks the classified trace once, maintaining three machine frontiers:
 

@@ -338,8 +338,9 @@ _CLASSIFY_ARGTYPES = [
 
 
 def _geometry(config: SdvConfig) -> tuple[int, int, int, int, int, int]:
-    """``(l1 sets, l1 ways, banks, bank bits, sets per bank, l2 ways)``,
-    as :class:`SetAssocCache` and :class:`L2HomeNode` derive them."""
+    """``(l1 sets, l1 ways, banks, bank bits, sets per bank, l2 ways)``:
+    the L1D and each L2 bank are :class:`SetAssocCache`-shaped, and lines
+    interleave across the banks by their low address bits."""
     l1_ways = config.core.l1d_ways
     l2cfg = config.l2
     return (config.core.l1d_bytes // (l1_ways * LINE_BYTES), l1_ways,
@@ -448,11 +449,9 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
                ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """The cache walk in Python: the specification of ``classify.c``.
 
-    It inlines the exact hit/LRU/victim decisions of
-    :class:`SetAssocCache` and :class:`L2HomeNode` — minus their stats
-    and directory bookkeeping, which classification never exposes —
-    and ``tests/memory`` pin the two implementations against each
-    other. Returns what :func:`_c_walk` returns.
+    The L1D and every L2 bank are true-LRU, write-allocate, write-back
+    sets, the policy of :class:`SetAssocCache`. ``tests/memory`` pin the
+    compiled walk to this one. Returns what :func:`_c_walk` returns.
     """
     n = cols.n
     unit_id = _PATTERN_ID[VMemPattern.UNIT]
@@ -476,7 +475,7 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
     counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
     l1_hits_a, l2_hits_a, dram_reads_a, dram_writes_a, pf_a = counts
 
-    # ---- cache state, same geometry/policy as SetAssocCache/L2HomeNode --
+    # ---- cache state: the L1D and the banked L2 ---------------------------
     # LRU sets as insertion-ordered dicts: oldest key first (the eviction
     # victim), most-recent last; a hit moves to the end via del+reinsert.
     # Same true-LRU policy as SetAssocCache, with O(1) membership and

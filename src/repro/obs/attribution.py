@@ -39,8 +39,11 @@ Each bucket is the cycle delta its idealization step recovers, clamped to
 a monotone ladder so every bucket is non-negative; the base level L4 is
 split between ``vpu_busy``/``issue_decode``/``serial_other`` using
 knob-independent demand terms from the lowered trace. Because the deltas
-come from re-timing with the *same* engine, the decomposition is defined
-for all three engines, and for fast/batch it is deterministic to the bit.
+come from re-timing with the *same* engine that timed the run, each run is
+attributed by its own engine: ``batch`` times all five rungs in its one
+walk (:func:`attribute_many`), ``event`` re-runs the DES at each rung.
+Both are deterministic to the bit, and equal to the ladder re-timed with
+their specifications.
 
 **Bit-exactness.** Floating-point addition is not associative, so the
 buckets are summed in the fixed left-to-right order of
@@ -286,31 +289,45 @@ def _empty(engine: str) -> CycleAttribution:
     )
 
 
-def attribute(ct: ClassifiedTrace, *, engine: str = "fast",
+def attribute(ct: ClassifiedTrace, *, engine: str = "batch",
               lowered: LoweredTrace | None = None) -> CycleAttribution:
     """Attribute one classified trace's cycles at its bound config.
 
-    Re-times ``ct`` with ``engine`` at each ladder level (the trace's
-    classification only depends on cache *geometry*, which no level
-    touches, so re-binding the config is sound). Works for all three
-    engines; ``lowered`` (when the caller has it cached) skips one
-    re-lowering for the demand terms.
+    ``batch`` is :func:`attribute_many` at the trace's own config: one
+    lowering and one walk over the five rungs. ``event`` re-runs the DES
+    at each rung. ``lowered`` (when the caller has it cached) skips a
+    re-lowering.
     """
     if engine not in ENGINES:
         raise EngineError(
             f"unknown engine '{engine}' (choose from {sorted(ENGINES)})")
+    if engine == "batch":
+        return attribute_many(ct, [ct.config], lowered=lowered)[0]
     if ct.rows.shape[0] == 0:
         return _empty(engine)
-    fn = ENGINES[engine]
-    times = tuple(
-        float(fn(dataclasses.replace(ct, config=cfg)).cycles)
-        for cfg in attribution_ladder(ct.config)
-    )
+    return _ladder_attribution(ct, ENGINES[engine], lowered=lowered)
+
+
+def _ladder_attribution(ct: ClassifiedTrace, simulate, *,
+                        lowered: LoweredTrace | None = None
+                        ) -> CycleAttribution:
+    """Attribute ``ct`` by re-timing it with ``simulate`` at each rung.
+
+    ``simulate`` maps a classified trace to a :class:`CycleReport`; the
+    attribution carries the engine name its reports do. The trace's
+    classification only depends on cache *geometry*, which no level
+    touches, so re-binding the config is sound. The tests also run this
+    with the specifications (``simulate_fast``, ``simulate_events``) to
+    pin both engines' attributions to them.
+    """
+    reports = [simulate(dataclasses.replace(ct, config=cfg))
+               for cfg in attribution_ladder(ct.config)]
+    times = tuple(float(r.cycles) for r in reports)
     if lowered is None:
         lowered = lower_trace(ct)
     issue_demand, vpu_demand = _demands(lowered)
     return _from_ladder(
-        times, issue_demand, vpu_demand, engine=engine,
+        times, issue_demand, vpu_demand, engine=reports[0].engine,
         dram_latency_demand=lowered.total_dram_reads * ct.config.dram_latency,
     )
 
@@ -331,8 +348,9 @@ def attribute_many(ct: ClassifiedTrace, configs, *,
     idealizing them is a per-column latency substitution, not a
     re-lowering. Total work for K sweep points: one walk, not 5K runs.
 
-    Bit-identical to ``attribute(engine="batch")`` (and therefore to
-    ``engine="fast"``) at each config — the agreement tests pin it.
+    ``attribute(engine="batch")`` is this function at the trace's own
+    config; the agreement tests pin each config's attribution to the
+    ladder re-timed with ``simulate_fast``.
     """
     configs = list(configs)
     if lowered is None:

@@ -23,8 +23,8 @@ from repro.core.sweeps import (
     run_implementation,
     workload_fingerprint,
 )
+from repro.engine import check_engine
 from repro.engine.event_fast import simulate_events_fast
-from repro.engine.event_sim import simulate_events
 from repro.engine.fast_sim import simulate_fast
 from repro.engine.results import CycleReport
 from repro.kernels import KERNELS
@@ -125,20 +125,21 @@ class ProfileResult:
 
 
 def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
-                   vls=DEFAULT_VLS, engine: str = "fast",
+                   vls=DEFAULT_VLS, engine: str = "batch",
                    include_scalar: bool = True, verify: bool = True,
                    trace_cache=None, timelines: bool = False
                    ) -> ProfileResult:
     """Time + attribute one kernel at every VL (and the scalar build).
 
     ``timelines=True`` additionally records each run's machine-activity
-    timeline (with the event engine when ``engine="event"``, else the fast
-    engine — the batch engine computes identical cycles but walks all
-    configs at once, so it records no per-run schedule).
+    timeline: with the event engine when ``engine="event"``, else with
+    ``simulate_fast``, the batch engine's specification — the batch walk
+    computes identical cycles but keeps no per-record schedule.
 
     While recording is on, :attr:`ProfileResult.records` holds the records
     of exactly these runs: their spans and engine counters.
     """
+    check_engine(engine)
     spec = KERNELS[name]
     workload = spec.prepare(get_scale(scale), seed)
     reference = spec.reference(workload) if verify else None
@@ -167,8 +168,6 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                 ct = sdv.classify(trace)
                 if engine == "event":
                     simulate_events_fast(ct, timeline=timeline)
-                elif engine == "event-ref":
-                    simulate_events(ct, timeline=timeline)
                 else:
                     simulate_fast(ct, timeline=timeline)
             result.entries.append(ProfileEntry(

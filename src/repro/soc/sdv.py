@@ -23,11 +23,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import SdvConfig
-from repro.engine import ENGINES
+from repro.engine import ENGINES, check_engine
 from repro.engine.batch_sim import batch_cycles, simulate_batch
 from repro.engine.lower import LoweredTrace, knob_free_config, lower_trace
 from repro.engine.results import CycleReport
-from repro.errors import ConfigError
 from repro.isa.csr import CsrFile
 from repro.isa.scalar_ctx import ScalarContext
 from repro.isa.vector_ctx import VectorContext
@@ -68,14 +67,8 @@ class Session:
 class FpgaSdv:
     """The emulated RISC-V + VPU + NoC + L2HN system."""
 
-    def __init__(self, config: SdvConfig | None = None, *,
-                 engine: str = "fast") -> None:
+    def __init__(self, config: SdvConfig | None = None) -> None:
         self.config = (config if config is not None else SdvConfig()).validate()
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine '{engine}' (choose from {sorted(ENGINES)})"
-            )
-        self.engine = engine
         self.counters = HwCounters()
 
     # ------------------------------------------------------------- knobs
@@ -135,9 +128,6 @@ class FpgaSdv:
             c.vpu.coalesce_gathers,
         )
 
-    # backwards-compatible alias
-    _geometry_key = geometry_key
-
     def geometry_fingerprint(self) -> str:
         """12-hex digest of :meth:`geometry_key` — the cache-geometry
         fingerprint the classified trace sidecar keys its payload on."""
@@ -150,7 +140,7 @@ class FpgaSdv:
         """True when ``trace`` already carries a classification for the
         current geometry (memoized or seeded)."""
         cache = getattr(trace, "_classified_cache", None)
-        return cache is not None and self._geometry_key() in cache
+        return cache is not None and self.geometry_key() in cache
 
     def classify(self, trace: TraceBuffer) -> ClassifiedTrace:
         """Classify (or fetch the cached classification of) a sealed trace.
@@ -162,7 +152,7 @@ class FpgaSdv:
         if cache is None:
             cache = {}
             setattr(trace, "_classified_cache", cache)
-        key = self._geometry_key()
+        key = self.geometry_key()
         ct = cache.get(key)
         if ct is None:
             _count_cache("classify_cache.misses")
@@ -182,7 +172,7 @@ class FpgaSdv:
         if cache is None:
             cache = {}
             setattr(trace, "_classified_cache", cache)
-        cache[self._geometry_key()] = ct
+        cache[self.geometry_key()] = ct
 
     def lower(self, trace: TraceBuffer, *,
               classified: ClassifiedTrace | None = None) -> LoweredTrace:
@@ -219,55 +209,53 @@ class FpgaSdv:
         vector = int(((kinds == KIND_VARITH) | (kinds == KIND_VMEM)).sum())
         return scalar, vector
 
-    def time(self, trace: TraceBuffer, *, engine: str | None = None
+    def time(self, trace: TraceBuffer, *, engine: str = "batch"
              ) -> CycleReport:
         """Cycle-count a sealed trace under the current knob settings."""
-        name = engine or self.engine
+        check_engine(engine)
         ct = self.classify(trace)
-        if name == "batch":
+        if engine == "batch":
             # reuse the trace-level lowered cache instead of re-lowering
             report = simulate_batch(self.lower(trace), [self.config])[0]
         else:
-            report = ENGINES[name](ct)
+            report = ENGINES[engine](ct)
         scalar, vector = self._instret(ct)
         self.counters.absorb(report, scalar_instret=scalar,
                              vector_instret=vector)
         return report
 
-    def attribute(self, trace: TraceBuffer, *, engine: str | None = None):
+    def attribute(self, trace: TraceBuffer, *, engine: str = "batch"):
         """Cycle attribution of a sealed trace at the current knobs.
 
         Returns a :class:`repro.obs.attribution.CycleAttribution` whose
-        buckets sum bit-exactly to the run's cycle total; the buckets are
-        also folded into :attr:`counters`.
+        buckets sum bit-exactly to the cycle total ``engine`` times; the
+        buckets are also folded into :attr:`counters`.
         """
         from repro.obs.attribution import attribute  # avoid import cycle
 
-        name = engine or self.engine
+        check_engine(engine)
         ct = self.classify(trace)
-        att = attribute(ct, engine=name, lowered=self.lower(trace))
+        att = attribute(ct, engine=engine, lowered=self.lower(trace))
         self.counters.record_attribution(att)
         return att
 
     def time_many(self, trace: TraceBuffer, configs: Sequence[SdvConfig],
-                  *, engine: str | None = None, reports: bool = True,
+                  *, engine: str = "batch", reports: bool = True,
                   lowered: LoweredTrace | None = None
                   ) -> list[CycleReport] | np.ndarray:
         """Time one sealed trace at many knob settings in one call.
 
         With ``engine="batch"`` the trace is lowered once and every config
-        is timed in a single vectorized walk; ``fast``/``event`` fall back
-        to one run per config (same results — the batch engine matches
-        ``fast`` bit-for-bit — but K trace walks instead of one). With
-        ``reports=False`` the batch path returns a bare float64 cycles
-        vector — no per-point :class:`CycleReport` objects are built (the
-        compact sweep path) and hardware counters are not updated.
+        is timed in a single walk; ``event`` runs the DES once per config.
+        With ``reports=False`` the batch path returns a bare float64
+        cycles vector — no per-point :class:`CycleReport` objects are
+        built (the sweep path) and hardware counters are not updated.
         ``lowered`` is the trace's :meth:`lower` result when the caller
         already holds it (batch only).
         """
+        check_engine(engine)
         configs = list(configs)
-        name = engine or self.engine
-        if name == "batch":
+        if engine == "batch":
             if lowered is None:
                 lowered = self.lower(trace)
             if not reports:
@@ -281,14 +269,14 @@ class FpgaSdv:
             out = []
             for cfg in configs:
                 self.config = cfg.validate()
-                out.append(self.time(trace, engine=name))
+                out.append(self.time(trace, engine=engine))
         finally:
             self.config = saved
         if not reports:
             return np.array([r.cycles for r in out])
         return out
 
-    def run(self, build_fn, *args, engine: str | None = None, **kwargs):
+    def run(self, build_fn, *args, engine: str = "batch", **kwargs):
         """Convenience: open a session, run ``build_fn(session, ...)``,
         seal, and time.
 

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
+from repro.core.measurements import Measurement, SweepResult
+from repro.core.sweeps import DEFAULT_LATENCIES, impl_label, run_implementation
+from repro.engine import simulate_fast
+from repro.kernels import KERNELS
+from repro.workloads import get_scale
 
 
 class TestInfo:
@@ -93,17 +100,37 @@ class TestNewCommands:
 
 class TestSweepInfraFlags:
     def test_engine_fast_matches_default_batch(self, capsys):
-        args = ["fig3", "--kernel", "fft", "--scale", "smoke",
-                "--vls", "8", "--csv"]
-        assert main(args + ["--engine", "batch"]) == 0
+        # the default engine's CSV equals one built by timing every point
+        # with its specification, simulate_fast
+        assert main(["fig3", "--kernel", "fft", "--scale", "smoke",
+                     "--vls", "8", "--csv"]) == 0
         batch_out = capsys.readouterr().out
-        assert main(args + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == batch_out
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        fast = SweepResult(kernel="fft", axis="latency",
+                           points=list(DEFAULT_LATENCIES),
+                           impls=["scalar", "vl8"])
+        for vl in (None, 8):
+            sdv, trace = run_implementation(spec, workload, vl,
+                                            verify=False)
+            ct = sdv.classify(trace)
+            for lat in DEFAULT_LATENCIES:
+                cfg = sdv.config.with_extra_latency(lat)
+                fast.add(Measurement(
+                    kernel="fft", impl=impl_label(vl), extra_latency=lat,
+                    bandwidth_bpc=int(sdv.bandwidth_bpc),
+                    cycles=simulate_fast(
+                        dataclasses.replace(ct, config=cfg)).cycles))
+        assert batch_out == fast.to_csv() + "\n\n"
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig3", "--kernel", "fft", "--scale", "smoke",
-                  "--engine", "warp"])
+    def test_unknown_engine_rejected(self, capsys):
+        # the specifications are not runtime engines either
+        for name in ("warp", "fast", "event-ref"):
+            with pytest.raises(SystemExit) as exc:
+                main(["fig3", "--kernel", "fft", "--scale", "smoke",
+                      "--engine", name])
+            assert exc.value.code == 2  # argparse's usage error
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_jobs_flag(self, capsys):
         rc = main(["fig5", "--kernel", "fft", "--scale", "smoke",

@@ -54,16 +54,6 @@ class TestRunTasks:
         assert run_tasks(_square, [5], jobs=8) == [25]
 
 
-def _init_marker(value):
-    import os
-    os.environ["_REPRO_TEST_POOL_INIT"] = value
-
-
-def _read_marker(_):
-    import os
-    return os.environ.get("_REPRO_TEST_POOL_INIT")
-
-
 class TestPersistentPool:
     def test_pool_survives_across_calls(self):
         shutdown_pool()
@@ -87,7 +77,7 @@ class TestPersistentPool:
             second = parallel_mod._pool
             if first is not None and second is not None:
                 assert second is not first
-                assert second[0][0] == 3
+                assert second[0] == 3
         finally:
             shutdown_pool()
 
@@ -103,31 +93,12 @@ class TestPersistentPool:
                 calls["wait"] = wait
                 calls["cancel_futures"] = cancel_futures
 
-        parallel_mod._pool = ((99, None, ()), _Recorder())
+        parallel_mod._pool = (99, _Recorder())
         try:
-            parallel_mod._get_pool(2, None, ())
+            parallel_mod._get_pool(2)
             assert calls == {"wait": True, "cancel_futures": True}
         finally:
             shutdown_pool()
-
-    def test_initializer_runs_in_workers_and_persists(self):
-        shutdown_pool()
-        try:
-            seen = run_tasks(_read_marker, [0, 1], jobs=2,
-                             initializer=_init_marker, initargs=("warm",))
-            assert seen == ["warm", "warm"]
-            # second call, same shape: same workers, initializer state kept
-            seen = run_tasks(_read_marker, [0, 1], jobs=2,
-                             initializer=_init_marker, initargs=("warm",))
-            assert seen == ["warm", "warm"]
-        finally:
-            shutdown_pool()
-
-    def test_serial_path_runs_initializer_inline(self, monkeypatch):
-        monkeypatch.delenv("_REPRO_TEST_POOL_INIT", raising=False)
-        out = run_tasks(_read_marker, [0], jobs=4,
-                        initializer=_init_marker, initargs=("inline",))
-        assert out == ["inline"]  # single task -> in-process + initializer
 
     def test_forked_child_abandons_foreign_pool(self, monkeypatch):
         # a forked child inherits the parent's pool handle: it must build
@@ -138,10 +109,10 @@ class TestPersistentPool:
                 raise AssertionError("foreign pool must not be shut down")
 
         foreign = _Foreign()
-        monkeypatch.setattr(parallel_mod, "_pool", ((1, None, ()), foreign))
+        monkeypatch.setattr(parallel_mod, "_pool", (1, foreign))
         monkeypatch.setattr(parallel_mod, "_pool_pid", os.getpid() + 1)
         try:
-            pool = parallel_mod._get_pool(1, None, ())
+            pool = parallel_mod._get_pool(1)
             assert pool is not foreign
             assert parallel_mod._pool[1] is pool
             assert parallel_mod._pool_pid == os.getpid()
@@ -194,7 +165,7 @@ class TestBrokenPoolRebuild:
 
         pools = iter([_FakePool(first), _FakePool(second)])
         monkeypatch.setattr(parallel_mod, "_get_pool",
-                            lambda workers, init, initargs: next(pools))
+                            lambda workers: next(pools))
 
         reported = []
         with recording() as rec:
@@ -214,7 +185,7 @@ class TestBrokenPoolRebuild:
 
         from repro.obs.record import fold, recording
 
-        def broken_pool(workers, init, initargs):
+        def broken_pool(workers):
             futures = []
             for _ in range(3):
                 f = Future()
@@ -233,42 +204,6 @@ class TestBrokenPoolRebuild:
         assert counters["parallel.serial_fallback"] == 1
 
 
-class TestWorkerTraceMemo:
-    def test_cached_trace_loaded_once_per_process(self, tmp_path,
-                                                  monkeypatch):
-        spec = KERNELS["fft"]
-        workload = spec.prepare(get_scale("smoke"), 7)
-        run_implementation(spec, workload, 8, verify=False,
-                           trace_cache=tmp_path)  # warm the disk cache
-        monkeypatch.setattr(sweeps_mod, "_TRACE_MEMO", {})
-        loads = []
-        real_load = sweeps_mod.load_trace
-
-        def counting_load(path):
-            loads.append(str(path))
-            return real_load(path)
-
-        monkeypatch.setattr(sweeps_mod, "load_trace", counting_load)
-        _, t1 = run_implementation(spec, workload, 8, verify=False,
-                                   trace_cache=tmp_path)
-        _, t2 = run_implementation(spec, workload, 8, verify=False,
-                                   trace_cache=tmp_path)
-        assert len(loads) == 1  # second hit served from the memo
-        assert t2 is t1         # same object -> engine plan caches reused
-
-    def test_memo_is_bounded(self, tmp_path, monkeypatch):
-        spec = KERNELS["fft"]
-        workload = spec.prepare(get_scale("smoke"), 7)
-        monkeypatch.setattr(sweeps_mod, "_TRACE_MEMO", {})
-        monkeypatch.setattr(sweeps_mod, "_TRACE_MEMO_CAP", 2)
-        for vl in (8, 16, 32, 64):
-            run_implementation(spec, workload, vl, verify=False,
-                               trace_cache=tmp_path)   # record
-            run_implementation(spec, workload, vl, verify=False,
-                               trace_cache=tmp_path)   # load + memoize
-        assert len(sweeps_mod._TRACE_MEMO) <= 2
-
-
 # small grids: more than one point and two VLs, cheap enough for the full
 # kernel x engine matrix at smoke scale
 LATS = (0, 128, 512)
@@ -285,11 +220,11 @@ def _rows(result):
     """Every field a fanned-out sweep must reproduce, in result order."""
     out = []
     for m in result.measurements:
-        rep = None if m.report is None else m.report.cycles
         att = None if m.attribution is None else \
-            (m.attribution.total, dict(m.attribution.buckets))
+            (m.attribution.engine, m.attribution.total,
+             dict(m.attribution.buckets))
         out.append((m.kernel, m.impl, m.extra_latency, m.bandwidth_bpc,
-                    m.cycles, rep, att))
+                    m.cycles, att))
     return out
 
 
@@ -302,10 +237,10 @@ def _shm_entries():
 
 class TestParallelSweeps:
     """``jobs=2`` (one pool task per implementation) returns exactly the
-    serial path's rows: same cycles, reports, attributions and order."""
+    serial path's rows: same cycles, attributions and order."""
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    @pytest.mark.parametrize("engine", ["fast", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"])
     def test_latency_grid(self, kernel, engine):
         spec, workload = _smoke(kernel)
         serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
@@ -315,7 +250,7 @@ class TestParallelSweeps:
         assert _rows(serial) == _rows(fanned)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    @pytest.mark.parametrize("engine", ["fast", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"])
     def test_bandwidth_grid(self, kernel, engine):
         spec, workload = _smoke(kernel)
         serial = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
@@ -326,7 +261,7 @@ class TestParallelSweeps:
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("engine", ["batch", "fast", "event"])
+    @pytest.mark.parametrize("engine", ["batch", "event"])
     def test_two_grids(self, kernel, engine, jobs):
         # one task per implementation times both grids in one call; its
         # rows are exactly those of the two one-grid sweeps
@@ -340,30 +275,6 @@ class TestParallelSweeps:
                              jobs=jobs)
         assert _rows(both.latency) == _rows(lat)
         assert _rows(both.bandwidth) == _rows(bw)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_two_grids_keep_reports(self, jobs):
-        spec, workload = _smoke("fft")
-        lat = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
-                            verify=False, engine="batch", keep_reports=True)
-        bw = bandwidth_sweep(spec, workload, bandwidths=BWS, vls=VLS,
-                             verify=False, engine="batch", keep_reports=True)
-        both = figure_sweeps(spec, workload, latencies=LATS, bandwidths=BWS,
-                             vls=VLS, verify=False, engine="batch",
-                             keep_reports=True, jobs=jobs)
-        assert _rows(both.latency) == _rows(lat)
-        assert _rows(both.bandwidth) == _rows(bw)
-
-        def breakdown(result):
-            # every report field; meta records the walk's batch size,
-            # which is the union of both grids here
-            return [{k: v for k, v in vars(m.report).items() if k != "meta"}
-                    for m in result.measurements]
-
-        assert breakdown(both.latency) == breakdown(lat)
-        assert breakdown(both.bandwidth) == breakdown(bw)
-        assert {m.report.meta["batch_size"]
-                for m in both.bandwidth.measurements} == {len(LATS + BWS)}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_two_grids_attributions(self, jobs):
@@ -381,15 +292,6 @@ class TestParallelSweeps:
         assert _rows(both.latency) == _rows(lat)
         assert _rows(both.bandwidth) == _rows(bw)
 
-    def test_event_ref_engine(self):
-        # the coroutine reference DES, the slowest and most stateful engine
-        spec, workload = _smoke("fft")
-        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="event-ref")
-        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="event-ref", jobs=2)
-        assert _rows(serial) == _rows(fanned)
-
     def test_batch_engine(self):
         spec, workload = _smoke("fft")
         serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
@@ -398,24 +300,14 @@ class TestParallelSweeps:
                                verify=False, engine="batch", jobs=2)
         assert _rows(serial) == _rows(fanned)
 
-    def test_keep_reports(self):
-        spec, workload = _smoke("fft")
-        serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="fast",
-                               keep_reports=True)
-        fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="fast",
-                               keep_reports=True, jobs=2)
-        assert all(m.report is not None for m in fanned.measurements)
-        assert _rows(serial) == _rows(fanned)
-
     def test_attributions(self):
+        # the event engine attributes each row with its own DES ladder
         spec, workload = _smoke("fft")
         serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="fast",
+                               verify=False, engine="event",
                                attributions=True)
         fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=False, engine="fast",
+                               verify=False, engine="event",
                                attributions=True, jobs=2)
         assert all(m.attribution is not None for m in fanned.measurements)
         assert _rows(serial) == _rows(fanned)
@@ -423,9 +315,9 @@ class TestParallelSweeps:
     def test_verified_sweep(self):
         spec, workload = _smoke("fft")
         serial = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=True, engine="fast")
+                               verify=True, engine="batch")
         fanned = latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                               verify=True, engine="fast", jobs=2)
+                               verify=True, engine="batch", jobs=2)
         assert _rows(serial) == _rows(fanned)
 
     def test_jobs2_matches_serial_and_leaks_nothing(self):
@@ -435,9 +327,9 @@ class TestParallelSweeps:
         before = _shm_entries()
         spec, workload = _smoke("fft")
         serial = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
-                               verify=False, engine="fast")
+                               verify=False, engine="batch")
         fanned = latency_sweep(spec, workload, latencies=LATS, vls=VLS,
-                               verify=False, engine="fast", jobs=2)
+                               verify=False, engine="batch", jobs=2)
         assert _rows(serial) == _rows(fanned)
         assert _shm_entries() <= before
         shutdown_pool()
@@ -448,9 +340,9 @@ class TestParallelSweeps:
         try:
             spec, workload = _smoke("fft")
             serial = latency_sweep(spec, workload, latencies=LATS,
-                                   vls=(8,), verify=False, engine="fast")
+                                   vls=(8,), verify=False, engine="batch")
             fanned = latency_sweep(spec, workload, latencies=LATS,
-                                   vls=(8,), verify=False, engine="fast",
+                                   vls=(8,), verify=False, engine="batch",
                                    jobs=2)
             assert parallel_mod._pool is not None
             assert _rows(serial) == _rows(fanned)
@@ -634,7 +526,7 @@ class TestFingerprintHoist:
 
         monkeypatch.setattr(sweeps_mod, "workload_fingerprint", counting)
         latency_sweep(spec, workload, latencies=LATS, vls=VLS,
-                      verify=False, engine="fast")
+                      verify=False, engine="batch")
         assert len(calls) == 1
 
     def test_hoisted_fp_reaches_cache_path(self, tmp_path, monkeypatch):
@@ -648,7 +540,7 @@ class TestFingerprintHoist:
 
         monkeypatch.setattr(sweeps_mod, "workload_fingerprint", counting)
         latency_sweep(spec, workload, latencies=LATS, vls=(8,),
-                      verify=False, engine="fast", trace_cache=tmp_path)
+                      verify=False, engine="batch", trace_cache=tmp_path)
         # serial in-process run: the hoisted fp flows into every
         # trace_cache_path call, so the workload pickles exactly once
         assert len(calls) == 1
@@ -689,7 +581,6 @@ class TestClassifiedSidecar:
         return spec, workload
 
     def test_reload_seeds_from_sidecar_without_reclassifying(self, tmp_path):
-        from repro.core import sweeps as sweeps_mod
         from repro.obs.record import fold, recording
 
         spec = KERNELS["fft"]
@@ -699,9 +590,6 @@ class TestClassifiedSidecar:
                                   trace_cache=tmp_path, verify=False)
         # the cold sweep classifies both traces (scalar + vl8) ...
         assert fold(rec.records)["counters"]["classify.runs"] == 2
-        # drop the in-process trace memo: memoized traces still carry
-        # their classification, which would mask the sidecar path
-        sweeps_mod._TRACE_MEMO.clear()
         with recording() as rec:
             second = latency_sweep(spec, workload, vls=(8,),
                                    trace_cache=tmp_path, verify=False)
@@ -714,12 +602,10 @@ class TestClassifiedSidecar:
         assert delta.get("classify.runs", 0) == 0
 
     def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
-        from repro.core import sweeps as sweeps_mod
         from repro.core.sweeps import run_implementation
         from repro.obs.record import fold, recording
 
         spec, workload = self._warm(tmp_path)
-        sweeps_mod._TRACE_MEMO.clear()
         for side in tmp_path.glob("*.npz"):
             if ".cls" in side.name:
                 # keep the filename honest but corrupt the payload so the

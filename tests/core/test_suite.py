@@ -87,6 +87,7 @@ class TestOnePipeline:
 
     def test_each_trace_generated_and_lowered_once(self, monkeypatch):
         emitted = Counter()
+        kernel_traces = []  # strong references keep each id() unique
         walks = []
 
         def counting(name, variant, emit):
@@ -94,6 +95,7 @@ class TestOnePipeline:
                 impl = ("scalar" if variant == "scalar"
                         else f"vl{session.vector.max_vl}")
                 emitted[name, impl] += 1
+                kernel_traces.append(session.trace)
                 return emit(session, workload)
             return wrapper
 
@@ -105,7 +107,8 @@ class TestOnePipeline:
         lower, walk = sdv_mod.lower_trace, sdv_mod.batch_cycles
         lowered = []
         monkeypatch.setattr(sdv_mod, "lower_trace",
-                            lambda ct: lowered.append(ct) or lower(ct))
+                            lambda ct: lowered.append(ct.trace)
+                            or lower(ct))
         monkeypatch.setattr(
             sdv_mod, "batch_cycles",
             lambda lw, cfgs: walks.append(len(cfgs)) or walk(lw, cfgs))
@@ -115,7 +118,10 @@ class TestOnePipeline:
         impls = [(k, i) for k in ("spmv", "fft")
                  for i in ("scalar", "vl8", "vl256")]
         assert emitted == Counter(impls)
-        assert len(lowered) == len(impls)
+        per_trace = Counter(id(t) for t in lowered)
+        assert [per_trace[id(t)] for t in kernel_traces] == [1] * len(impls)
+        # ... plus the report's four machine probes, timed on batch
+        assert len(lowered) == len(impls) + 4
         # one walk per trace over both grids' 14 points
         assert walks == [14] * len(impls)
 

@@ -1,5 +1,7 @@
 """Tests for the study harness: sweeps, figure extraction, rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.core.sweeps import (
     run_implementation,
     vl_sweep,
 )
-from repro.errors import KernelError, ReproError
+from repro.errors import ConfigError, KernelError, ReproError
 from repro.kernels import KERNELS
 from repro.workloads import get_scale
 
@@ -87,6 +89,19 @@ class TestLatencySweep:
         for i, lat in enumerate(LATS):
             assert (spmv_latency.series("vl64")[i]
                     < spmv_latency.series("vl8")[i])
+
+    def test_specification_engines_rejected_before_generation(self):
+        # simulate_fast and simulate_events are not runtime engines
+        spec = KERNELS["spmv"]
+        emitted = []
+        counting = dataclasses.replace(
+            spec, scalar=lambda session, wl: emitted.append(1))
+        for name in ("fast", "event-ref"):
+            with pytest.raises(ConfigError, match="batch.*event"):
+                latency_sweep(counting, spec.prepare(SCALE, 7),
+                              latencies=LATS, vls=VLS, verify=False,
+                              engine=name)
+        assert emitted == []
 
 
 class TestBandwidthSweep:

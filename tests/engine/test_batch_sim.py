@@ -1,9 +1,9 @@
-"""Batch engine: exact agreement with the fast engine, plus API contract.
+"""Batch engine: exact agreement with its specification, plus API contract.
 
-The batch engine's promise is *bit-identical* cycles to ``simulate_fast``
-at every sweep point — not "close", identical floats — so these tests use
-exact equality across the full Figure-3 (latency) and Figure-5 (bandwidth)
-grids on all four kernels.
+The batch engine's promise is *bit-identical* cycles to ``simulate_fast``,
+the specification it is pinned to, at every sweep point — not "close",
+identical floats — so these tests use exact equality across the full
+Figure-3 (latency) and Figure-5 (bandwidth) grids on all four kernels.
 """
 
 import dataclasses
@@ -69,7 +69,9 @@ def test_batch_matches_fast_exactly_on_full_grids(kernel, batch_walk):
         sdv, trace = run_implementation(spec, workload, vl, verify=False)
         configs = grid_configs(sdv.config)
         batch = sdv.time_many(trace, configs, engine="batch", reports=False)
-        fast = sdv.time_many(trace, configs, engine="fast", reports=False)
+        ct = sdv.classify(trace)
+        fast = [simulate_fast(dataclasses.replace(ct, config=cfg)).cycles
+                for cfg in configs]
         assert np.array_equal(batch, fast), (kernel, vl)
 
 
@@ -113,17 +115,18 @@ def test_serialized_trace_retimes_identically(tmp_path):
 
 
 def test_engine_registry_has_batch_and_sdv_accepts_it():
-    assert "batch" in ENGINES
+    assert ENGINES["batch"] is simulate_batch_one
     spec = KERNELS["fft"]
     workload = spec.prepare(get_scale("smoke"), 7)
-    sdv_b = FpgaSdv(engine="batch").configure(max_vl=8)
-    sdv_f = FpgaSdv(engine="fast").configure(max_vl=8)
-    _, rb = sdv_b.run(spec.vector, workload)
-    _, rf = sdv_f.run(spec.vector, workload)
+    sdv = FpgaSdv().configure(max_vl=8)
+    _, rb = sdv.run(spec.vector, workload)  # batch is the default
+    session = sdv.session()
+    spec.vector(session, workload)
+    rf = simulate_fast(sdv.classify(session.seal()))
     assert rb.cycles == rf.cycles
     assert rb.engine == "batch"
     # hardware counters absorbed the run like any other engine
-    assert sdv_b.counters.snapshot() == rb.cycles
+    assert sdv.counters.snapshot() == rb.cycles
 
 
 def test_simulate_batch_one_matches_fast():

@@ -25,7 +25,7 @@ from repro.isa import ScalarContext, VectorContext
 from repro.kernels import KERNELS
 from repro.memory.address_space import MemoryImage
 from repro.memory.classify import classify_trace
-from repro.obs.attribution import attribute
+from repro.obs.attribution import _ladder_attribution, attribute
 from repro.obs.timeline import TimelineRecorder
 from repro.trace.events import TraceBuffer
 from repro.workloads import get_scale
@@ -64,12 +64,13 @@ def _classified(name, vl, scale="smoke", seed=7):
 
 
 class TestRegistry:
-    def test_four_engines_registered(self):
-        assert set(ENGINES) == {"fast", "batch", "event", "event-ref"}
+    def test_two_engines_registered(self):
+        # the specifications (simulate_fast, simulate_events) are not
+        # runtime engines
+        assert set(ENGINES) == {"batch", "event"}
 
     def test_event_resolves_to_fast_event_engine(self):
         assert ENGINES["event"] is simulate_events_fast
-        assert ENGINES["event-ref"] is simulate_events
 
 
 class TestKernelGrid:
@@ -130,10 +131,12 @@ class TestObservability:
     @pytest.mark.parametrize("kernel,vl", [("fft", 64), ("spmv", 8)])
     def test_attribution_parity(self, kernel, vl):
         ct = _classified(kernel, vl)
-        ref = attribute(ct, engine="event-ref")
+        ref = _ladder_attribution(ct, simulate_events)
         fast = attribute(ct, engine="event")
+        assert (ref.engine, fast.engine) == ("event-ref", "event")
         assert ref.total == fast.total
         assert ref.buckets == fast.buckets
+        assert ref.ladder == fast.ladder
         fast.check()
 
 

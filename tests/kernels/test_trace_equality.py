@@ -4,15 +4,16 @@ The columnar buffer and the strip-mine templates exist purely for speed;
 correctness is defined by the validated object path. For every kernel ×
 VL this grid regenerates the trace under all three modes (templated —
 the default, columnar without templating, and full object emission) and
-checks the sealed column sets match bit for bit, every engine reports
-identical cycles, and the attribution buckets agree exactly.
+checks the sealed column sets match bit for bit, both engines and both
+their specifications report identical cycles, and the attribution buckets
+agree exactly.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.sweeps import run_implementation
-from repro.engine import ENGINES
+from repro.engine import ENGINES, simulate_events, simulate_fast
 from repro.kernels import KERNELS
 from repro.memory.classify import classify_trace
 from repro.obs import attribute
@@ -58,10 +59,13 @@ def test_generation_paths_bit_identical(name, vl):
                 err_msg=f"{label}: column {col} (decoded)")
 
     # identical traces must also time and attribute identically — this
-    # pins the full path from the emitters through every engine
+    # pins the full path from the emitters through every engine and
+    # every specification
     ct_t = classify_trace(templated, sdv.config)
     ct_o = classify_trace(objects, sdv.config)
-    for engine, fn in sorted(ENGINES.items()):
+    timings = sorted(ENGINES.items()) + [("fast", simulate_fast),
+                                         ("event-ref", simulate_events)]
+    for engine, fn in timings:
         assert fn(ct_t).cycles == fn(ct_o).cycles, engine
     at, ao = attribute(ct_t), attribute(ct_o)
     assert at.total == ao.total

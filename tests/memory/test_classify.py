@@ -290,6 +290,6 @@ class TestPrefetcher:
 
     def test_prefetch_changes_geometry_key(self):
         from repro.soc import FpgaSdv
-        a = FpgaSdv(self._stream_cfg(0))._geometry_key()
-        b = FpgaSdv(self._stream_cfg(2))._geometry_key()
+        a = FpgaSdv(self._stream_cfg(0)).geometry_key()
+        b = FpgaSdv(self._stream_cfg(2)).geometry_key()
         assert a != b

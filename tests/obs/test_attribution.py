@@ -6,7 +6,8 @@ for every kernel, VL, and engine, the seven buckets sum *bit-exactly*
 (left-to-right in ``BUCKET_ORDER``) to the run's cycle total. The event
 engine is orders of magnitude slower per attribution (five DES runs), so
 it gets the full grid at smoke scale and spot checks at CI scale while
-the analytic engines cover the full CI grid.
+the batch engine and the ladder re-timed with its specification,
+``simulate_fast`` (``fast`` below), cover the full CI grid.
 """
 
 import functools
@@ -21,14 +22,29 @@ from repro.core.sweeps import (
     DEFAULT_VLS,
     run_implementation,
 )
+from repro.engine.fast_sim import simulate_fast
+from repro.errors import EngineError
 from repro.kernels import KERNELS
 from repro.obs.attribution import (
     BUCKET_ORDER,
+    _ladder_attribution,
     attribute,
     attribute_many,
     attribution_ladder,
 )
 from repro.workloads import get_scale
+
+
+def attribute_fast(ct):
+    """The ladder re-timed with the batch engine's specification."""
+    return _ladder_attribution(ct, simulate_fast)
+
+
+#: the analytic attributions: the batch engine's, and its specification's
+ANALYTIC = {
+    "batch": lambda ct: attribute(ct, engine="batch"),
+    "fast": attribute_fast,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +80,7 @@ class TestBitExactClosure:
     @pytest.mark.parametrize("engine", ["fast", "batch"])
     def test_ci_grid_analytic_engines(self, kernel, vl, engine):
         sdv, ct, _ = _classified(kernel, vl, "ci")
-        att = attribute(ct, engine=engine)
+        att = ANALYTIC[engine](ct)
         assert att.engine == engine
         assert_exact(att)
 
@@ -86,7 +102,9 @@ class TestBitExactClosure:
         try:
             for lat, bpc in [(1024, 64), (0, 1), (256, 4)]:
                 sdv.configure(extra_latency=lat, bandwidth_bpc=bpc)
-                assert_exact(attribute(sdv.classify(trace), engine="fast"))
+                ct_knobbed = sdv.classify(trace)
+                assert_exact(attribute(ct_knobbed))
+                assert_exact(attribute_fast(ct_knobbed))
         finally:
             sdv.config = saved
 
@@ -95,17 +113,23 @@ class TestCrossEngineAgreement:
     @pytest.mark.parametrize("kernel", ["spmv", "fft"])
     @pytest.mark.parametrize("vl", [None, 8, 256])
     def test_fast_and_batch_buckets_identical(self, kernel, vl):
+        # attribute(engine="batch") is one fused walk with the NoC and
+        # cache rungs as l2_lat substitutions; the specification re-times
+        # each rung's config, so this pins the substitution to it
         sdv, ct, _ = _classified(kernel, vl, "ci")
-        fast = attribute(ct, engine="fast")
+        fast = attribute_fast(ct)
         batch = attribute(ct, engine="batch")
         assert fast.buckets == batch.buckets
         assert fast.total == batch.total
+        assert fast.ladder == batch.ladder
+        assert fast.dram_latency_demand == batch.dram_latency_demand
 
     @pytest.mark.parametrize("kernel", ["spmv", "fft"])
     @pytest.mark.parametrize("axis", ["latency", "bandwidth"])
     def test_attribute_many_matches_per_point_fast(self, kernel, axis):
         """Every Figure-3/Figure-5 sweep point: the vectorized multi-config
-        path and a fresh per-config fast attribution agree to the bit."""
+        path and the ladder re-timed with ``simulate_fast`` at that config
+        agree to the bit."""
         sdv, ct, trace = _classified(kernel, 64, "ci")
         base = sdv.config
         if axis == "latency":
@@ -118,7 +142,7 @@ class TestCrossEngineAgreement:
             for cfg, att in zip(configs, many):
                 assert_exact(att)
                 sdv.config = cfg
-                single = attribute(sdv.classify(trace), engine="fast")
+                single = attribute_fast(sdv.classify(trace))
                 assert att.buckets == single.buckets
                 assert att.total == single.total
         finally:
@@ -133,7 +157,7 @@ class TestPaperStory:
         stalls = []
         for vl in DEFAULT_VLS:
             sdv, ct, _ = _classified("spmv", vl, "ci")
-            att = attribute(ct, engine="fast")
+            att = attribute(ct)
             stalls.append(att.buckets["dram_stall"])
         assert stalls == sorted(stalls, reverse=True)
         assert stalls[0] > stalls[-1]
@@ -144,7 +168,7 @@ class TestPaperStory:
         cover = []
         for vl in (8, 256):
             sdv, ct, _ = _classified("spmv", vl, "ci")
-            att = attribute(ct, engine="fast")
+            att = attribute(ct)
             assert att.dram_latency_demand > 0
             cover.append(att.dram_latency_hidden / att.dram_latency_demand)
         assert cover[1] >= cover[0]
@@ -163,9 +187,15 @@ class TestLadder:
         assert l3.noc.hop_cycles == 0 and l3.noc.inject_cycles == 0
         assert l4.l2.access_cycles == 1 and l4.core.l1_hit_cycles == 1
 
+    def test_specification_names_rejected(self):
+        sdv, ct, _ = _classified("fft", 8, "smoke")
+        for name in ("fast", "event-ref"):
+            with pytest.raises(EngineError, match="batch.*event"):
+                attribute(ct, engine=name)
+
     def test_scalar_only_trace_attributes(self):
         """Scalar builds (no VPU records at all) still close exactly."""
         sdv, ct, _ = _classified("fft", None, "smoke")
-        att = attribute(ct, engine="fast")
+        att = attribute(ct)
         assert_exact(att)
         assert att.buckets["vpu_busy"] == 0.0

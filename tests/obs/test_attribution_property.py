@@ -2,8 +2,9 @@
 
 Same spirit as the engine-agreement property suite: hypothesis generates
 small random programs; every one of them must attribute with bit-exact
-closure on all engines' analytic paths, with fast/batch bucket equality,
-under random knob settings.
+closure on the batch engine and on the ladder re-timed with its
+specification, ``simulate_fast``, with fast/batch bucket equality, under
+random knob settings.
 """
 
 import numpy as np
@@ -11,11 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SdvConfig
+from repro.engine.fast_sim import simulate_fast
 from repro.engine.lower import lower_trace
 from repro.isa import ScalarContext, VectorContext
 from repro.memory.address_space import MemoryImage
 from repro.memory.classify import classify_trace
-from repro.obs.attribution import BUCKET_ORDER, attribute, attribute_many
+from repro.obs.attribution import (
+    BUCKET_ORDER,
+    _ladder_attribution,
+    attribute,
+    attribute_many,
+)
 from repro.trace.events import TraceBuffer
 
 N_DATA = 1 << 11
@@ -78,7 +85,7 @@ def test_property_attribution_closes_bit_exactly(steps, seed, knobs):
     config = (SdvConfig().with_extra_latency(extra_latency)
               .with_bandwidth(bpc))
     ct = classify_trace(trace, config)
-    fast = attribute(ct, engine="fast")
+    fast = _ladder_attribution(ct, simulate_fast)
     batch = attribute(ct, engine="batch")
     assert_exact(fast)
     assert_exact(batch)
@@ -101,6 +108,6 @@ def test_property_attribute_many_matches_singles(steps, seed):
     many = attribute_many(ct, configs, lowered=lowered)
     for cfg, att in zip(configs, many):
         assert_exact(att)
-        single = attribute(
-            classify_trace(trace, cfg), engine="fast")
+        single = _ladder_attribution(classify_trace(trace, cfg),
+                                     simulate_fast)
         assert att.buckets == single.buckets

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.sweeps import figure_sweeps, latency_sweep
+from repro.errors import ConfigError
 from repro.kernels import KERNELS
 from repro.obs.check import check_file
 from repro.obs.check import main as check_main
@@ -28,6 +29,12 @@ class TestProfileKernel:
         table = r.render()
         assert "DRAM latency stall" in table and "vl64" in table
         assert "%" in r.render(fractions=True)
+
+    def test_profile_rejects_specification_engines(self):
+        for name in ("fast", "event-ref"):
+            with pytest.raises(ConfigError, match="batch.*event"):
+                profile_kernel("fft", scale="smoke", vls=(8,),
+                               engine=name)
 
     def test_profile_manifest_and_trace(self):
         with recording() as rec:
@@ -98,6 +105,17 @@ class TestFigureEmission:
         # attribution riding along: every sweep point carries buckets
         assert all("buckets" in run for run in sibling["runs"])
 
+    def test_fig3_event_emit_json_writes_a_valid_manifest(self, tmp_path,
+                                                          capsys):
+        jpath = tmp_path / "fig3.json"
+        rc = main(["fig3", "--kernel", "spmv", "--scale", "smoke",
+                   "--vls", "8", "--engine", "event",
+                   "--emit-json", str(jpath)])
+        assert rc == 0
+        mpath = tmp_path / "fig3.manifest.json"
+        assert check_main([str(mpath)]) == 0
+        assert load_and_validate(mpath)["engine"] == "event"
+
     def test_sweep_manifests_carry_their_kernels_counters(self, tmp_path,
                                                            capsys):
         rc = main(["fig4", "--kernel", "all", "--scale", "smoke",
@@ -155,6 +173,19 @@ class TestInstrumentedSweep:
         counters = fold(rec.records)["counters"]
         assert counters["sweep.points_timed"] == len(result.measurements)
 
+    def test_event_sweep_rows_attributed_by_the_event_engine(self):
+        # each row's buckets come from the engine that timed it, so they
+        # sum to that row's cycles
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        result = latency_sweep(spec, workload, latencies=[0, 256],
+                               vls=(8,), verify=False, engine="event",
+                               attributions=True)
+        for m in result.measurements:
+            m.attribution.check()
+            assert m.attribution.engine == "event"
+            assert m.attribution.total == m.cycles
+
     def test_sweep_spans_when_tracing(self):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
@@ -167,7 +198,7 @@ class TestInstrumentedSweep:
 
     @pytest.mark.parametrize("engine,stages", [
         ("batch", ("classify", "lower", "walk")),
-        ("fast", ("classify", "walk")),
+        ("event", ("classify", "walk")),
     ])
     def test_retime_stage_spans(self, engine, stages):
         spec = KERNELS["fft"]
@@ -190,7 +221,7 @@ class TestInstrumentedSweep:
     def test_walk_span_names_the_walk(self, batch_walk):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        for engine in ("batch", "fast"):
+        for engine in ("batch", "event"):
             with recording() as rec:
                 latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
                               verify=False, engine=engine)
@@ -227,25 +258,25 @@ class TestInstrumentedSweep:
         return {k: v for k, v in fold(rec.records)["counters"].items()
                 if k.startswith(("classify_cache.", "lower_cache."))}
 
-    @pytest.mark.parametrize("keep_reports", [False, True])
+    @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("attributions", [False, True])
-    def test_stages_look_each_cache_up_once(self, attributions,
-                                            keep_reports):
+    def test_stages_look_each_cache_up_once(self, attributions, pooled):
         # the stage spans hand the classification and the lowering on
         # instead of looking them up again, so a cold batch task counts
-        # one miss per cache and no hit
+        # one miss per cache and no hit, in process or in a pool worker
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
         counts = self._cache_counts(lambda: figure_sweeps(
             spec, workload, latencies=[0, 64], bandwidths=[8], vls=(8,),
             verify=False, attributions=attributions,
-            keep_reports=keep_reports))
+            jobs=2 if pooled else 1))
         assert counts == {"classify_cache.misses": 2,  # scalar + vl8
                           "lower_cache.misses": 2}
 
     def test_cache_hits_mean_reuse(self, tmp_path):
-        # a figure over traces memoized by an earlier one hits each cache
-        # once per trace
+        # a figure over cached traces loads each trace once: its
+        # classification comes from the sidecar (one hit per trace), and
+        # it is lowered once (one miss per trace)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
 
@@ -254,10 +285,9 @@ class TestInstrumentedSweep:
                           bandwidths=[8], vls=(8,), verify=False,
                           trace_cache=tmp_path)
 
-        sweep()  # records the traces
-        sweep()  # loads them into the memo and lowers them
+        sweep()  # records the traces and their classified sidecars
         assert self._cache_counts(sweep) == {"classify_cache.hits": 2,
-                                             "lower_cache.hits": 2}
+                                             "lower_cache.misses": 2}
 
     def test_parallel_sweep_matches_serial(self, capsys):
         spec = KERNELS["fft"]

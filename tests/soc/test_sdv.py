@@ -45,8 +45,20 @@ class TestConfigure:
         assert sdv.configure(max_vl=8) is sdv
 
     def test_invalid_engine(self):
-        with pytest.raises(ConfigError):
-            FpgaSdv(engine="magic")
+        # the engine is chosen per call, never per SDV
+        with pytest.raises(TypeError):
+            FpgaSdv(engine="batch")
+        sdv = FpgaSdv()
+        sess = sdv.session()
+        stream_builder(sess, n=64)
+        trace = sess.seal()
+        # the specifications are not runtime engines
+        for name in ("magic", "fast", "event-ref"):
+            for call in (sdv.time, sdv.attribute):
+                with pytest.raises(ConfigError, match="batch.*event"):
+                    call(trace, engine=name)
+            with pytest.raises(ConfigError, match="batch.*event"):
+                sdv.time_many(trace, [sdv.config], engine=name)
 
     def test_invalid_vl(self):
         from repro.errors import ReproError
@@ -109,10 +121,11 @@ class TestTiming:
         sess = sdv.session()
         stream_builder(sess, n=256)
         trace = sess.seal()
-        fast = sdv.time(trace, engine="fast")
+        batch = sdv.time(trace, engine="batch")
         event = sdv.time(trace, engine="event")
-        assert fast.engine == "fast"
+        assert batch.engine == "batch"
         assert event.engine == "event"
+        assert sdv.time(trace).engine == "batch"  # the default
 
     def test_timing_deterministic(self):
         sdv = FpgaSdv()

@@ -11,6 +11,7 @@ from repro.config import (
     NocConfig,
     SdvConfig,
     VpuConfig,
+    bw_fraction_for_bytes_per_cycle,
 )
 from repro.errors import ConfigError
 
@@ -131,3 +132,21 @@ class TestDerivedLatencies:
         slow_noc = SdvConfig(noc=NocConfig(hop_cycles=20)).validate()
         fast_noc = SdvConfig(noc=NocConfig(hop_cycles=1)).validate()
         assert slow_noc.l2_hit_latency > fast_noc.l2_hit_latency
+
+
+class TestBwFractionHelper:
+    def test_known_values(self):
+        assert bw_fraction_for_bytes_per_cycle(64) == (1, 1)
+        assert bw_fraction_for_bytes_per_cycle(32) == (1, 2)
+        assert bw_fraction_for_bytes_per_cycle(8) == (1, 8)
+        assert bw_fraction_for_bytes_per_cycle(1) == (1, 64)
+
+    def test_invalid_target(self):
+        with pytest.raises(ConfigError):
+            bw_fraction_for_bytes_per_cycle(3)
+        with pytest.raises(ConfigError):
+            bw_fraction_for_bytes_per_cycle(0)
+
+    def test_config_roundtrip(self):
+        cfg = MemConfig(bw_num=1, bw_den=2)
+        assert cfg.bytes_per_cycle_limit == 32.0

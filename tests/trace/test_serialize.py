@@ -77,13 +77,15 @@ class TestRoundTrip:
         assert len(load_trace(path)) == 0
 
     def test_version_check(self, tmp_path):
+        # the retired v1 format is refused like any unknown version
         path = tmp_path / "v.npz"
         save_trace(make_mixed_trace(), path)
-        data = dict(np.load(path, allow_pickle=True))
-        data["version"] = np.int64(FORMAT_VERSION + 1)
-        np.savez_compressed(path, **data)
-        with pytest.raises(TraceError):
-            load_trace(path)
+        data = dict(np.load(path))
+        for version in (1, FORMAT_VERSION + 1):
+            data["version"] = np.int64(version)
+            np.savez_compressed(path, **data)
+            with pytest.raises(TraceError, match="unsupported"):
+                load_trace(path)
 
 
 class TestTimingEquivalence:
@@ -117,35 +119,16 @@ class TestFormatVersions:
             for name in z.files:
                 z[name]  # raises if any member needs pickle
 
-    def test_v1_file_loads_identically(self, tmp_path):
-        """Traces written by the old record-loop writer still load."""
-        from repro.trace.serialize import _save_v1
-
-        orig = make_mixed_trace()
-        p1, p2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
-        _save_v1(orig, p1)
-        save_trace(orig, p2)
-        via_v1, via_v2 = load_trace(p1), load_trace(p2)
-        c1, c2 = via_v1.cols, via_v2.cols
-        assert c1.strings == c2.strings
-        for name in ("kind", "n_alu", "mlp", "mem_bytes", "vl", "active",
-                     "opclass", "pattern", "is_write", "masked", "dep",
-                     "scalar_dest", "opcode_id", "label_id", "addr_off",
-                     "addrs", "writes"):
-            np.testing.assert_array_equal(
-                getattr(c1, name), getattr(c2, name), err_msg=name)
-
-    def test_v1_timing_matches_v2(self, tmp_path):
-        orig = make_mixed_trace()
-        from repro.trace.serialize import _save_v1
-
-        p1, p2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
-        _save_v1(orig, p1)
-        save_trace(orig, p2)
-        cfg = SdvConfig()
-        a = simulate_fast(classify_trace(load_trace(p1), cfg)).cycles
-        b = simulate_fast(classify_trace(load_trace(p2), cfg)).cycles
-        assert a == b
+    def test_pickled_member_is_refused(self, tmp_path):
+        """A cache file with an object-array member is refused, never
+        unpickled."""
+        path = tmp_path / "t.npz"
+        save_trace(make_mixed_trace(), path)
+        data = dict(np.load(path))
+        data["strings"] = np.array(["blk", "vle"], dtype=object)
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            load_trace(path)
 
     def test_nul_in_string_table_rejected(self, tmp_path):
         t = TraceBuffer()
