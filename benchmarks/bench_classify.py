@@ -48,10 +48,8 @@ def _median_time(fn, repeats=5):
 
 def _assert_identical(a, b):
     assert np.array_equal(a.rows, b.rows)
-    for x, y in zip(a.levels, b.levels):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert np.array_equal(x, y)
+    assert np.array_equal(a.req_off, b.req_off)
+    assert np.array_equal(a.levels, b.levels)
     assert a.totals == b.totals
 
 

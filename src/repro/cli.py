@@ -71,27 +71,41 @@ def _vls(arg: str) -> tuple[int, ...]:
     return tuple(int(x) for x in arg.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", default="all",
-                   help="spmv|bfs|pagerank|fft|all (default all)")
-    p.add_argument("--scale", default="ci",
-                   help="workload scale: paper|ci|smoke (default ci)")
-    p.add_argument("--vls", default="paper",
-                   help="comma list of VLs or 'paper' (8..256)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip functional verification against references")
-    p.add_argument("--csv", action="store_true",
-                   help="emit raw CSV instead of rendered tables")
-    p.add_argument("--engine", default=DEFAULT_SWEEP_ENGINE,
-                   choices=sorted(ENGINES),
-                   help="re-timing engine for sweep points (default batch)")
-    p.add_argument("--jobs", type=int, default=1,
+#: the study flags a subcommand may take, with their add_argument options
+_STUDY_FLAGS: dict[str, dict] = {
+    "--kernel": dict(default="all",
+                     help="spmv|bfs|pagerank|fft|all (default all)"),
+    "--scale": dict(default="ci",
+                    help="workload scale: paper|ci|smoke (default ci)"),
+    "--vls": dict(default="paper",
+                  help="comma list of VLs or 'paper' (8..256)"),
+    "--seed": dict(type=int, default=7),
+    "--no-verify": dict(action="store_true",
+                        help="skip functional verification against "
+                             "references"),
+    "--csv": dict(action="store_true",
+                  help="emit raw CSV instead of rendered tables"),
+    "--engine": dict(default=DEFAULT_SWEEP_ENGINE, choices=sorted(ENGINES),
+                     help="re-timing engine for sweep points "
+                          "(default batch)"),
+    "--jobs": dict(type=int, default=1,
                    help="worker processes for trace generation "
-                        "(0 = all CPUs, default 1)")
-    p.add_argument("--trace-cache", default=None, metavar="DIR",
-                   help="directory for the on-disk trace cache; repeated "
-                        "runs skip kernel re-execution")
+                        "(0 = all CPUs, default 1)"),
+    "--trace-cache": dict(default=None, metavar="DIR",
+                          help="directory for the on-disk trace cache; "
+                               "repeated runs skip kernel re-execution"),
+}
+#: what every study subcommand reads
+_BASE_FLAGS = ("--kernel", "--scale", "--vls", "--seed")
+#: how a study run goes: verification, engine, workers and trace cache
+_RUN_FLAGS = ("--no-verify", "--engine", "--jobs", "--trace-cache")
+
+
+def _add_common(p: argparse.ArgumentParser, flags: tuple[str, ...]) -> None:
+    """Give ``p`` the study flags it reads, so any other is a usage
+    error."""
+    for flag in flags:
+        p.add_argument(flag, **_STUDY_FLAGS[flag])
 
 
 def _add_emit(p: argparse.ArgumentParser) -> None:
@@ -272,19 +286,19 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p3 = sub.add_parser("fig3", help="execution time vs extra latency")
-    _add_common(p3)
+    _add_common(p3, tuple(_STUDY_FLAGS))
     _add_emit(p3)
     p3.add_argument("--plot", action="store_true",
                     help="terminal line plot instead of a table")
     p3.add_argument("--color", action="store_true",
                     help="paper colors: scalar blue, VLs in a red gradient")
     p4 = sub.add_parser("fig4", help="normalized slowdown heat tables")
-    _add_common(p4)
+    _add_common(p4, tuple(_STUDY_FLAGS))
     _add_emit(p4)
     p4.add_argument("--color", action="store_true",
                     help="ANSI green-to-red gradient")
     p5 = sub.add_parser("fig5", help="normalized time vs bandwidth limit")
-    _add_common(p5)
+    _add_common(p5, tuple(_STUDY_FLAGS))
     _add_emit(p5)
     p5.add_argument("--plot", action="store_true",
                     help="terminal line plot instead of a table")
@@ -293,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     pf = sub.add_parser("profile",
                         help="per-VL cycle attribution: where each "
                              "implementation's cycles go")
-    _add_common(pf)
+    _add_common(pf, (*_BASE_FLAGS, "--no-verify", "--engine",
+                     "--trace-cache"))
     _add_emit(pf)
     pf.add_argument("--fractions", action="store_true",
                     help="show bucket shares of the total instead of cycles")
@@ -301,16 +316,17 @@ def main(argv: list[str] | None = None) -> int:
                     help="omit the scalar build from the table")
     ph = sub.add_parser("headline",
                         help="Section 4.1 quoted numbers, measured vs paper")
-    _add_common(ph)
+    # headline always runs SpMV, so it takes no --kernel
+    _add_common(ph, ("--scale", "--vls", "--seed", *_RUN_FLAGS))
     pc = sub.add_parser("characterize",
                         help="roofline placement + traffic per kernel")
-    _add_common(pc)
+    _add_common(pc, (*_BASE_FLAGS, "--no-verify"))
     pv = sub.add_parser("validate",
                         help="verify every implementation against references")
-    _add_common(pv)
+    _add_common(pv, _BASE_FLAGS)
     pr = sub.add_parser("report",
                         help="run the whole study and write a Markdown report")
-    _add_common(pr)
+    _add_common(pr, (*_BASE_FLAGS, *_RUN_FLAGS))
     pr.add_argument("--output", default="REPORT.md",
                     help="output path (default REPORT.md)")
     pp = sub.add_parser("probe",
@@ -427,16 +443,16 @@ def main(argv: list[str] | None = None) -> int:
 
     scale = get_scale(args.scale)
     vls = _vls(args.vls)
-    verify = not args.no_verify
 
     if args.command == "profile":
         with _recorder_for(args) as rec:
-            return _profile(args, vls, verify, rec)
+            return _profile(args, vls, not args.no_verify, rec)
 
     if args.command == "headline":
         spec = KERNELS["spmv"]
         workload = spec.prepare(scale, args.seed)
-        result = latency_sweep(spec, workload, vls=vls, verify=verify,
+        result = latency_sweep(spec, workload, vls=vls,
+                               verify=not args.no_verify,
                                engine=args.engine, jobs=args.jobs,
                                trace_cache=args.trace_cache)
         print(render_headline(headline_numbers(result)))
@@ -482,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
             for vl in (None, max(vls)):
                 label = "scalar" if vl is None else f"vl{vl}"
                 sdv, trace = run_implementation(spec, workload, vl,
-                                                verify=verify)
+                                                verify=not args.no_verify)
                 ct = sdv.classify(trace)
                 report = sdv.time(trace)
                 c = characterize(ct, report, kernel=name, impl=label)
@@ -496,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     with _recorder_for(args) as rec:
-        return _figures(args, scale, vls, verify, rec)
+        return _figures(args, scale, vls, not args.no_verify, rec)
 
 
 if __name__ == "__main__":

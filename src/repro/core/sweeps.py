@@ -196,7 +196,9 @@ def classified_sidecar_path(cache_path: Path, sdv: FpgaSdv) -> Path:
 def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
                        cache_path: Path) -> None:
     """Cache-hit path: pre-load the trace's classification from its
-    sidecar so the reload skips reclassification entirely."""
+    sidecar so the reload skips reclassification entirely. A sidecar that
+    is missing, unreadable or stale is rewritten, so only this run pays
+    for the classification."""
     side = classified_sidecar_path(cache_path, sdv)
     ct = None
     if side.exists():
@@ -207,6 +209,17 @@ def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
         get_recorder().count("classify.sidecar_hits")
     else:
         get_recorder().count("classify.sidecar_misses")
+        _save_sidecar(sdv, trace, cache_path)
+
+
+def _save_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
+                  cache_path: Path) -> None:
+    """Classify ``trace`` and write its classified sidecar. Every
+    consumer needs the classification next, so computing it here is
+    never wasted work, and the sidecar lets the next cache hit skip it."""
+    save_classified(sdv.classify(trace),
+                    classified_sidecar_path(cache_path, sdv),
+                    geometry_fp=sdv.geometry_fingerprint())
 
 
 def run_implementation(
@@ -267,12 +280,7 @@ def run_implementation(
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_trace(trace, cache_path)
-        # classification is knob-independent and every consumer needs it
-        # next, so computing it here is never wasted work — and the
-        # sidecar makes the *next* cache hit skip it outright
-        save_classified(sdv.classify(trace),
-                        classified_sidecar_path(cache_path, sdv),
-                        geometry_fp=sdv.geometry_fingerprint())
+        _save_sidecar(sdv, trace, cache_path)
     return sdv, trace
 
 

@@ -32,13 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.engine.lower import LKIND_SCALAR, LKIND_VMEM, lower_trace
 from repro.errors import EngineError
-from repro.memory.classify import ClassifiedTrace, _coalesce_lines
-from repro.util.mathx import log2_int
-from repro.util.units import LINE_BYTES
-
-_LINE_SHIFT = log2_int(LINE_BYTES)
+from repro.memory.classify import AccessLevel, ClassifiedTrace, line_requests
 
 
 def _gap_steps(gap: float, n: int) -> list[int]:
@@ -92,6 +90,7 @@ class EventPlan:
 
     total_dram_reads: int
     total_dram_writes: int
+    line_spawns: int      # line requests that leave the core (non-L1)
 
 
 def _plan_key(ct: ClassifiedTrace) -> tuple:
@@ -106,17 +105,32 @@ def _plan_key(ct: ClassifiedTrace) -> tuple:
 
 
 def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
-    """Compile a classified trace into an :class:`EventPlan`."""
+    """Compile a classified trace into an :class:`EventPlan`.
+
+    Levels and banks come from the classifier's line-request arena
+    (:func:`repro.memory.classify.line_requests`) and the per-record
+    counts from its rows; no trace record is materialized.
+    """
     lowered = lower_trace(ct)
     cfg = ct.config
     core = cfg.core
     rows = ct.rows
-    records = ct.trace.records
-    bank_mask = cfg.l2.banks - 1
     n = lowered.n
+    req_off, lines = line_requests(ct.trace.cols, cfg.vpu.coalesce_gathers)
+    if not np.array_equal(req_off, ct.req_off):
+        raise EngineError("classified levels misaligned with line requests")
+    bounds = req_off.tolist()
+    levels = ct.levels.tolist()
+    banks = (lines & (cfg.l2.banks - 1)).tolist()
 
     kind = lowered.kind.tolist()
     slot = lowered.slot.tolist()
+    n_alu = rows["n_alu"].tolist()
+    n_mem_ops = rows["n_mem"].tolist()
+    mlp_hint = rows["mlp_hint"].tolist()
+    dram_writes = rows["dram_writes"].tolist()
+    dram_reads = rows["dram_reads"].tolist()
+    pf_dram_reads = rows["pf_dram_reads"].tolist()
 
     sc_n_mem: list = []
     sc_issue: list = []
@@ -136,50 +150,40 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
 
     for i in range(n):
         k = kind[i]
+        lo, hi = bounds[i], bounds[i + 1]
         if k == LKIND_SCALAR:
-            rec = records[i]
-            row = rows[i]
-            n_mem = rec.n_mem_ops
+            n_mem = n_mem_ops[i]
             sc_n_mem.append(n_mem)
-            sc_wb.append(int(row["dram_writes"]))
-            sc_pf.append(int(row["pf_dram_reads"]))
+            sc_wb.append(dram_writes[i])
+            sc_pf.append(pf_dram_reads[i])
             if n_mem == 0:
                 sc_issue.append(
-                    int(rec.n_alu_ops * core.alu_cpi / core.issue_width))
+                    int(n_alu[i] * core.alu_cpi / core.issue_width))
                 sc_steps.append(None)
                 sc_gap_total.append(0)
                 sc_p.append(1)
                 sc_levels.append(None)
                 sc_banks.append(None)
                 continue
-            gap = ((rec.n_alu_ops * core.alu_cpi / n_mem + 1.0)
+            gap = ((n_alu[i] * core.alu_cpi / n_mem + 1.0)
                    / core.issue_width)
             steps = _gap_steps(gap, n_mem)
             sc_issue.append(0)
             sc_steps.append(steps)
             sc_gap_total.append(int(n_mem * gap))
-            sc_p.append(max(1, min(core.mshrs, int(row["mlp_hint"]))))
-            sc_levels.append(ct.levels[i].astype(int).tolist())
-            lines = rec.mem_addrs >> _LINE_SHIFT
-            sc_banks.append((lines & bank_mask).astype(int).tolist())
+            sc_p.append(max(1, min(core.mshrs, mlp_hint[i])))
+            sc_levels.append(levels[lo:hi])
+            sc_banks.append(banks[lo:hi])
         elif k == LKIND_VMEM:
-            rec = records[i]
-            row = rows[i]
-            lines = _coalesce_lines(rec.addrs, rec.pattern,
-                                    cfg.vpu.coalesce_gathers)
-            n_lines = int(lines.shape[0])
-            levels = ct.levels[i]
-            if n_lines != levels.shape[0]:
-                raise EngineError(
-                    "classified levels misaligned with line requests")
+            n_lines = hi - lo
             addr_cycles = float(lowered.vm_addr[slot[i]])
             gap = (addr_cycles / n_lines) if n_lines else 0.0
             vm_n.append(n_lines)
             vm_steps.append(_gap_steps(gap, n_lines))
-            vm_levels.append(levels.astype(int).tolist())
-            vm_banks.append((lines & bank_mask).astype(int).tolist())
-            vm_wb.append(int(row["dram_writes"]))
-            vm_dram.append(int(row["dram_reads"]))
+            vm_levels.append(levels[lo:hi])
+            vm_banks.append(banks[lo:hi])
+            vm_wb.append(dram_writes[i])
+            vm_dram.append(dram_reads[i])
 
     va_occ = []
     for occ in lowered.va_occ.tolist():
@@ -214,6 +218,9 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
         total_dram_reads=int(rows["dram_reads"].sum()
                              + rows["pf_dram_reads"].sum()),
         total_dram_writes=int(rows["dram_writes"].sum()),
+        # vector requests never hit L1, so this is every vector request
+        # plus the scalar L1 misses
+        line_spawns=int(np.count_nonzero(ct.levels != AccessLevel.L1)),
     )
 
 
@@ -223,8 +230,8 @@ def event_plan(ct: ClassifiedTrace) -> EventPlan:
     Attribution ladders and knob sweeps re-time one classified trace under
     many latency/bandwidth configs; those all share the plan. The cache
     entry lives on the (immutable, shared) trace object and is validated
-    by identity of the per-record level arrays plus the
-    quantization-relevant config fields.
+    by identity of the level array plus the quantization-relevant config
+    fields.
     """
     from repro.obs.record import get_recorder
 

@@ -52,7 +52,6 @@ from repro.engine.lower import (
     LKIND_CSR,
     LKIND_SCALAR,
     LKIND_VARITH,
-    LKIND_VMEM,
 )
 from repro.engine.results import CycleReport
 from repro.errors import EngineError
@@ -262,12 +261,10 @@ class _FastSim:
             self._oseq += 1
 
     def _run(self) -> None:
-        # Hot loop. The two dominant token kinds at paper scale — line
-        # pipeline stages and line responses, ~80% of all traffic — are
-        # handled inline with local aliases; everything else (and every
-        # reentrant waiter execution) goes through the generic
-        # :meth:`_exec`. The inline branches must stay byte-for-byte
-        # equivalent to :meth:`_line_step` / :meth:`_resp_fire`.
+        # Hot loop. It handles every token kind but the barrier child,
+        # the two dominant ones at paper scale — line pipeline stages and
+        # line responses, ~80% of all traffic — inline with local
+        # aliases. Waiters resumed by a fire go through :meth:`_exec`.
         wheel = self.wheel
         overflow = self.overflow
         curq = self._curq
@@ -440,8 +437,8 @@ class _FastSim:
                             noc_lat += lat
                             ln_stage[lid] = _LS_ARRIVE
                             at = t + lat
-                        else:  # _LS_PRE: cold path (scalar L1 lookups)
-                            self._line_step(lid)
+                        else:  # _LS_PRE: a scalar L1 lookup missed
+                            self._line_noc_out(lid)
                             continue
                         d = at - t
                         if d == 0:
@@ -666,24 +663,15 @@ class _FastSim:
                     self.intro_max_occupancy = i_max_occ
 
     def _exec(self, tok: int) -> None:
+        """Resume a waiter: the only tokens that wait are the core's, a
+        vector record's and a barrier child's."""
         code = tok & 15
-        arg = tok >> 4
-        if code == _T_LINE:
-            self._line_step(arg)
-        elif code == _T_RESP:
-            self._resp_fire(arg)
-        elif code == _T_CORE:
+        if code == _T_CORE:
             self._core_step()
         elif code == _T_VM:
-            self._vm_step(arg)
+            self._vm_step(tok >> 4)
         elif code == _T_VA:
-            self._va_step(arg)
-        elif code == _T_DONE:
-            self._done_fire(arg)
-        elif code == _T_CHAIN:
-            self._chain_fire(arg)
-        elif code == _T_WB:
-            self._wb_arrive()
+            self._va_step(tok >> 4)
         else:
             self._bar_child()
 
@@ -700,22 +688,6 @@ class _FastSim:
             self._at(tok, self.now)
         else:
             self.chain_waiters[i].append(tok)
-
-    def _done_fire(self, i: int) -> None:
-        self.done_state[i] = 2
-        w = self.done_waiters[i]
-        if w:
-            self.done_waiters[i] = []
-            for tok in w:
-                self._exec(tok)
-
-    def _chain_fire(self, i: int) -> None:
-        self.chain_state[i] = 2
-        w = self.chain_waiters[i]
-        if w:
-            self.chain_waiters[i] = []
-            for tok in w:
-                self._exec(tok)
 
     def _finish(self, i: int) -> None:
         now = self.now
@@ -737,128 +709,42 @@ class _FastSim:
         self.noc_lat += lat
         return lat
 
-    def _spawn_line(self, bank: int, level: int, pre_delay: int,
-                    owner: int, first: bool, vector: bool) -> int:
+    def _spawn_scalar_line(self, bank: int, level: int) -> int:
+        """A scalar L1 miss: the request leaves the core once the L1
+        lookup (``l1_hit_cycles``, at least 1) has elapsed. Its response
+        goes to the waiting core, not to a vector record."""
         free = self.ln_free
         if free:
             lid = free.pop()
             self.ln_bank[lid] = bank
             self.ln_level[lid] = level
-            self.ln_vector[lid] = vector
-            self.ln_owner[lid] = owner
-            self.ln_first[lid] = first
+            self.ln_vector[lid] = False
+            self.ln_owner[lid] = -1
+            self.ln_first[lid] = False
             self.ln_state[lid] = 0
             self.ln_waiter[lid] = None
         else:
             lid = len(self.ln_bank)
             self.ln_bank.append(bank)
             self.ln_level.append(level)
-            self.ln_vector.append(vector)
-            self.ln_owner.append(owner)
-            self.ln_first.append(first)
+            self.ln_vector.append(False)
+            self.ln_owner.append(-1)
+            self.ln_first.append(False)
             self.ln_state.append(0)
             self.ln_stage.append(0)
             self.ln_waiter.append(None)
-        if pre_delay > 0:
-            self.ln_stage[lid] = _LS_PRE
-            self._at(_T_LINE | lid << 4, self.now + pre_delay)
-        elif vector and level == _DRAM:
-            self._line_mshr(lid)
-        else:
-            self._line_noc_out(lid)
+        self.ln_stage[lid] = _LS_PRE
+        self._at(_T_LINE | lid << 4, self.now + self.l1_hit)
         return lid
-
-    def _line_mshr(self, lid: int) -> None:
-        self.ln_stage[lid] = _LS_MSHR
-        tok = _T_LINE | lid << 4
-        if self.mshr_used < self.mshr_cap:
-            self.mshr_used += 1
-            self._at(tok, self.now)  # grant hop
-        else:
-            self.mshr_q.append(tok)
 
     def _line_noc_out(self, lid: int) -> None:
         lat = self._noc_msg(self.ln_bank[lid])
         self.ln_stage[lid] = _LS_ARRIVE
         self._at(_T_LINE | lid << 4, self.now + lat)
 
-    def _line_step(self, lid: int) -> None:
-        stage = self.ln_stage[lid]
-        if stage == _LS_ARRIVE:
-            bank = self.ln_bank[lid]
-            now = self.now
-            grant = self.bank_free[bank]
-            if grant < now:
-                grant = now
-            self.bank_free[bank] = grant + 1
-            self.bank_wait += grant - now
-            wait = grant - now + self.access
-            if self.ln_level[lid] == _DRAM:
-                self.ln_stage[lid] = _LS_LIMITER
-                self._at(_T_LINE | lid << 4, now + wait)
-            else:
-                back = self._noc_msg(bank)
-                self.ln_stage[lid] = _LS_DONE
-                self._at(_T_LINE | lid << 4, now + wait + back)
-        elif stage == _LS_LIMITER:
-            now = self.now
-            admit = int(self.limiter.admit(now))
-            extra = int(self.latency_ctl.delay(admit)) - admit
-            back = self._noc_msg(self.ln_bank[lid])
-            self.ln_stage[lid] = _LS_DONE
-            self._at(_T_LINE | lid << 4,
-                     admit + extra + self.dram_service + back)
-        elif stage == _LS_DONE:
-            if self.ln_vector[lid] and self.ln_level[lid] == _DRAM:
-                if self.mshr_q:
-                    self._at(self.mshr_q.popleft(), self.now)
-                else:
-                    self.mshr_used -= 1
-            self.ln_state[lid] = 1
-            self._at(_T_RESP | lid << 4, self.now)
-        elif stage == _LS_PRE:
-            if self.ln_vector[lid] and self.ln_level[lid] == _DRAM:
-                self._line_mshr(lid)
-            else:
-                self._line_noc_out(lid)
-        else:  # _LS_MSHR: granted
-            self._line_noc_out(lid)
-
-    def _resp_fire(self, lid: int) -> None:
-        self.ln_state[lid] = 2
-        r = self.ln_owner[lid]
-        if r >= 0:
-            # chain-ready fires with the first response, before the
-            # all-responses accounting (reference callback order)
-            if self.ln_first[lid] and self.chain_state[r] == 0:
-                self.chain_state[r] = 1
-                self._at(_T_CHAIN | r << 4, self.now)
-            self.vm_live[r] -= 1
-            if self.vm_waiting[r] and self.vm_live[r] == 0:
-                self.vm_waiting[r] = False
-                self.vm_state[r] = _VM_ALL
-                self._at(_T_VM | r << 4, self.now)
-            self.ln_free.append(lid)
-        else:
-            w = self.ln_waiter[lid]
-            if w is not None:
-                self.ln_waiter[lid] = None
-                self.ln_free.append(lid)
-                self._exec(w)
-            # else: the scalar core consumes (and recycles) it on its next
-            # outstanding-queue pop
-
     def _spawn_wb(self, bank: int) -> None:
         lat = self._noc_msg(bank)
         self._at(_T_WB, self.now + lat)
-
-    def _wb_arrive(self) -> None:
-        now = self.now
-        admit = int(self.limiter.admit(now))
-        extra = int(self.latency_ctl.delay(admit)) - admit
-        t = admit + extra + self.dram_service
-        if t > self.wb_tail:
-            self.wb_tail = t
 
     # ------------------------------------------------------------------- core
 
@@ -1031,8 +917,7 @@ class _FastSim:
                 continue
             if phase == _SCP_SPAWN:
                 bank = banks[j]
-                out.append(self._spawn_line(bank, levels[j], self.l1_hit,
-                                            -1, False, False))
+                out.append(self._spawn_scalar_line(bank, levels[j]))
                 if self.sc_wb > 0:
                     self._spawn_wb(bank)
                     self.sc_wb -= 1
@@ -1171,11 +1056,10 @@ class _FastSim:
             self.agu_q.append(tok)
 
     def _vm_step(self, i: int) -> None:
+        # _VM_GAP never reaches here: _run resumes a gap inline
         st = self.vm_state[i]
         tok = _T_VM | i << 4
-        if st == _VM_GAP:
-            self._vm_issue(i, True)
-        elif st == _VM_ALL:
+        if st == _VM_ALL:
             self._vm_tail(i)
         elif st == _VM_CHAINED_PRE:
             self.vm_state[i] = _VM_DEP_PRE
@@ -1214,13 +1098,13 @@ class _FastSim:
         self.vm_j[i] = 0
         self.vm_wbleft[i] = self.plan.vm_wb[self.plan.slot[i]]
         self.vm_live[i] = 0
-        self._vm_issue(i, False)
+        self._vm_issue(i)
 
-    def _vm_issue(self, i: int, spawn_first: bool) -> None:
-        # Hot path: issues every coalesced line of one vector-memory
-        # record, with the slab allocation, MSHR request, NoC hop and
-        # writeback spawn inlined (equivalent to
-        # :meth:`_spawn_line` + :meth:`_spawn_wb` per line).
+    def _vm_issue(self, i: int) -> None:
+        # Hot path: issues the coalesced lines of one vector-memory record
+        # up to its first positive AGU gap (_run spawns the rest), with
+        # the slab allocation, MSHR request, NoC hop and writeback spawn
+        # inlined.
         plan = self.plan
         slot = plan.slot[i]
         steps = plan.vm_steps[slot]
@@ -1246,28 +1130,24 @@ class _FastSim:
         j = self.vm_j[i]
         live = self.vm_live[i]
         wbleft = self.vm_wbleft[i]
-        pending_gap = not spawn_first
         while j < n_lines:
-            if pending_gap:
-                s = steps[j]
-                if s > 0:
-                    self.vm_j[i] = j
-                    self.vm_live[i] = live
-                    self.vm_wbleft[i] = wbleft
-                    self.vm_state[i] = _VM_GAP
-                    if s < _WHEEL:
-                        at = now + s
-                        sl = at & _WMASK
-                        b = wheel[sl]
-                        if not b:
-                            self.occ |= 1 << sl
-                        b.append(_T_VM | i << 4)
-                    else:
-                        self._at(_T_VM | i << 4, now + s)
-                    return
-            else:
-                pending_gap = True
-            # ---- spawn line j (inline _spawn_line, vector path) ----
+            s = steps[j]
+            if s > 0:
+                self.vm_j[i] = j
+                self.vm_live[i] = live
+                self.vm_wbleft[i] = wbleft
+                self.vm_state[i] = _VM_GAP
+                if s < _WHEEL:
+                    at = now + s
+                    sl = at & _WMASK
+                    b = wheel[sl]
+                    if not b:
+                        self.occ |= 1 << sl
+                    b.append(_T_VM | i << 4)
+                else:
+                    self._at(_T_VM | i << 4, now + s)
+                return
+            # ---- spawn line j ----
             bank = banks[j]
             level = levels[j]
             if ln_free:
@@ -1368,32 +1248,6 @@ class _FastSim:
             self.slots_used -= 1
 
 
-def _plan_line_spawns(plan: EventPlan) -> int:
-    """Total line-request slab allocations a run of ``plan`` performs.
-
-    Derived from the plan tables (one vector-memory record spawns its
-    coalesced line count; one scalar block spawns its non-L1 ops), so the
-    introspection layer never counts allocations on the hot path. Cached
-    on the plan — it is shared across every re-timing of one trace.
-    """
-    cached = getattr(plan, "_line_spawns", None)
-    if cached is not None:
-        return cached
-    kind = plan.kind
-    slot = plan.slot
-    total = 0
-    for i in range(plan.n):
-        k = kind[i]
-        if k == LKIND_VMEM:
-            total += plan.vm_n[slot[i]]
-        elif k == LKIND_SCALAR:
-            levels = plan.sc_levels[slot[i]]
-            if levels:
-                total += sum(1 for lv in levels if lv != _L1)
-    plan._line_spawns = total
-    return total
-
-
 def _record_engine_stats(sim: _FastSim, plan: EventPlan) -> None:
     """Post-run introspection: everything not kept per-timestamp is
     derived from end-of-run state (see docs/observability.md glossary)."""
@@ -1407,9 +1261,8 @@ def _record_engine_stats(sim: _FastSim, plan: EventPlan) -> None:
     es.high("event.max_wheel_occupancy", sim.intro_max_occupancy)
     es.count("event.overflow_spills", sim._oseq)
     es.high("event.slab_high_water", len(sim.ln_bank))
-    spawns = _plan_line_spawns(plan)
-    es.count("event.line_spawns", spawns)
-    es.count("event.lines_recycled", spawns - len(sim.ln_bank))
+    es.count("event.line_spawns", plan.line_spawns)
+    es.count("event.lines_recycled", plan.line_spawns - len(sim.ln_bank))
     es.count("limiter.admits", sim.limiter.admitted)
     es.count("limiter.fast_path_admits", sim.limiter.fast_admits)
 

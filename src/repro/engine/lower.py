@@ -92,7 +92,6 @@ class LoweredTrace:
     scalar_dest: np.ndarray    # bool per record
 
     # scalar blocks, indexed by slot --------------------------------------
-    sc_const: np.ndarray       # issue + L2 stall (knob-independent cycles)
     sc_l2_hits: np.ndarray     # float: L2 hit count (for re-timed L2 lat)
     sc_dram_reads: np.ndarray  # float: demand DRAM reads
     sc_p: np.ndarray           # float: effective MLP min(mshrs, hint)
@@ -209,7 +208,6 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         dep=deps.astype(np.int64),
         slot=slot,
         scalar_dest=rows["scalar_dest"] != 0,
-        sc_const=np.asarray(sc_issue + sc_stall_l2, dtype=np.float64),
         sc_l2_hits=sc["l2_hits"].astype(np.float64),
         sc_dram_reads=sc["dram_reads"].astype(np.float64),
         sc_p=sc_p.astype(np.float64),

@@ -34,6 +34,9 @@ from repro import native
 from repro.config import SdvConfig
 from repro.errors import TraceError
 from repro.trace.events import (
+    REC_BARRIER,
+    REC_SCALAR,
+    REC_VECTOR,
     TraceBuffer,
     VMemPattern,
     VOpClass,
@@ -88,13 +91,16 @@ class ClassifiedTrace:
     """Per-record classified view of a trace.
 
     ``rows`` is a structured array with one row per trace record (columnar,
-    for the fast engine); ``levels`` holds, per record, the
-    :class:`AccessLevel` of each line/element request in order (for the
-    event engine). ``trace`` is the original buffer.
+    for the fast engine). ``levels`` is one flat ``uint8`` array holding
+    the :class:`AccessLevel` of every line request of
+    :func:`line_requests`, in order: record ``i``'s are
+    ``levels[req_off[i]:req_off[i + 1]]`` (for the event engines).
+    ``trace`` is the original buffer.
     """
 
     rows: np.ndarray
-    levels: list[np.ndarray | None]
+    req_off: np.ndarray
+    levels: np.ndarray
     trace: TraceBuffer
     config: SdvConfig
 
@@ -102,8 +108,9 @@ class ClassifiedTrace:
     totals: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.levels) != self.rows.shape[0]:
-            raise TraceError("levels list misaligned with rows")
+        if (self.req_off.shape != (self.rows.shape[0] + 1,)
+                or self.req_off[-1] != self.levels.shape[0]):
+            raise TraceError("levels misaligned with the line requests")
         if not self.totals:
             r = self.rows
             self.totals = {
@@ -152,32 +159,30 @@ def _coalesce_lines(addrs: np.ndarray, pattern: VMemPattern,
     return lines[keep]
 
 
-def _coalesced_spans(cols, coalesce_gathers: bool
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coalesce every vector-mem record's arena span at once.
+def line_requests(cols, coalesce_gathers: bool
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """A trace's 64-byte line requests in program order, as an arena.
 
-    Returns ``(vm_mask, coal_lines, c_off)``: a per-record bool mask of
-    vector-mem records, the concatenated coalesced line requests, and
-    ``(n+1,)`` offsets into them (empty spans for non-vmem records). The
-    per-record results match :func:`_coalesce_lines` exactly; doing the
-    whole arena in a handful of NumPy passes avoids a Python round-trip
-    per record.
+    Returns ``(req_off, lines)``: record ``i`` requests
+    ``lines[req_off[i]:req_off[i + 1]]``. A scalar block requests the line
+    of each of its memory ops, a vector memory instruction its coalesced
+    lines (the per-instruction rule of :func:`_coalesce_lines`, applied to
+    every span at once), and every other record nothing. Classification,
+    the event engines' plan and reuse profiles all read this one stream.
     """
-    from repro.trace.events import OPCLASS_ID, PATTERN_ID, REC_VECTOR
-
-    mem_id = OPCLASS_ID[VOpClass.MEM]
-    idx_id = PATTERN_ID[VMemPattern.INDEXED]
+    mem_id = _OPCLASS_ID[VOpClass.MEM]
+    idx_id = _PATTERN_ID[VMemPattern.INDEXED]
     off = cols.addr_off
     lines_all = cols.addrs >> LINE_SHIFT
     A = lines_all.shape[0]
     vm_mask = (cols.kind == REC_VECTOR) & (cols.opclass == mem_id)
-    keep = np.zeros(A, dtype=bool)
 
     def span_mask(records: np.ndarray) -> np.ndarray:
         # the spans tile the arena in record order (classify_trace checks
         # that), so a per-record mask repeats into a per-element one
         return np.repeat(records, off[1:] - off[:-1])
 
+    keep = span_mask(cols.kind == REC_SCALAR)
     seq_rec = vm_mask & (cols.pattern != idx_id)
     if seq_rec.any():
         seq_idx = np.flatnonzero(seq_rec)
@@ -216,10 +221,9 @@ def _coalesced_spans(cols, coalesce_gathers: bool
             np.not_equal(ks[1:], ks[:-1], out=grp[1:])
             keep[pos[order[grp]]] = True
 
-    coal_idx = np.flatnonzero(keep)
-    coal_lines = lines_all[coal_idx]
-    c_off = np.searchsorted(coal_idx, off).astype(np.int64)
-    return vm_mask, coal_lines, c_off
+    req_idx = np.flatnonzero(keep)
+    return (np.searchsorted(req_idx, off).astype(np.int64),
+            lines_all[req_idx])
 
 
 def _prepare_rows(cols, config: SdvConfig
@@ -227,16 +231,15 @@ def _prepare_rows(cols, config: SdvConfig
                              np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized prep shared by both cache walks.
 
-    Coalesces every vector-mem span and fills every knob-independent row
+    Derives the line requests and fills every knob-independent row
     field — everything except the hit/miss counters and levels the cache
     walk itself produces. Returns
-    ``(rows, vm_mask, coal_lines, c_off, span_len, is_scalar)``.
+    ``(rows, vm_mask, req_off, lines, span_len, is_scalar)``.
     """
-    from repro.trace.events import REC_BARRIER, REC_SCALAR, REC_VECTOR
-
     n = cols.n
-    vm_mask, coal_lines, c_off = _coalesced_spans(
-        cols, config.vpu.coalesce_gathers)
+    req_off, lines = line_requests(cols, config.vpu.coalesce_gathers)
+    vm_mask = ((cols.kind == REC_VECTOR)
+               & (cols.opclass == _OPCLASS_ID[VOpClass.MEM]))
     off = cols.addr_off
     span_len = off[1:] - off[:-1]
     is_scalar = cols.kind == REC_SCALAR
@@ -258,9 +261,9 @@ def _prepare_rows(cols, config: SdvConfig
         "is_write": cols.is_write,
         "dep": cols.dep,
         "scalar_dest": cols.scalar_dest,
-        "n_line_reqs": c_off[1:] - c_off[:-1],
+        "n_line_reqs": np.where(vm_mask, np.diff(req_off), 0),
     })
-    return rows, vm_mask, coal_lines, c_off, span_len, is_scalar
+    return rows, vm_mask, req_off, lines, span_len, is_scalar
 
 
 #: rows per block in :func:`_fill_rows`
@@ -280,40 +283,6 @@ def _fill_rows(rows: np.ndarray, fields: dict[str, np.ndarray]) -> None:
             block[name] = col[lo:lo + _FILL_BLOCK]
 
 
-def pack_levels(levels: list[np.ndarray | None]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a ragged per-record ``levels`` list into ``(lens, flat)``.
-
-    ``lens[i]`` is the i-th record's level count, ``-1`` for records
-    that carry no level data (barriers, vector arithmetic); ``flat`` is
-    the uint8 concatenation of the present arrays in record order: the
-    wire format of the on-disk classified sidecar.
-    """
-    lens = np.fromiter(
-        ((-1 if lv is None else lv.shape[0]) for lv in levels),
-        dtype=np.int64, count=len(levels))
-    parts = [np.ascontiguousarray(lv, dtype=np.uint8)
-             for lv in levels if lv is not None]
-    flat = (np.concatenate(parts) if parts
-            else np.zeros(0, dtype=np.uint8))
-    return lens, flat
-
-
-def unpack_levels(lens: np.ndarray,
-                  flat: np.ndarray) -> list[np.ndarray | None]:
-    """Inverse of :func:`pack_levels`; the returned arrays are views
-    into ``flat``."""
-    levels: list[np.ndarray | None] = [None] * lens.shape[0]
-    # slice only the records that carry levels (about a third of a
-    # vector trace's): this loop is the dominant cost of a sidecar load
-    idx = np.flatnonzero(lens >= 0)
-    ends = np.cumsum(lens[idx])
-    for i, s, e in zip(idx.tolist(), (ends - lens[idx]).tolist(),
-                       ends.tolist()):
-        levels[i] = flat[s:e]
-    return levels
-
-
 # per-record modes of the compiled walk (M_* in classify.c)
 M_NONE, M_SCALAR, M_VLOAD, M_VSTORE, M_VSTORE_NOFILL = range(5)
 
@@ -329,7 +298,7 @@ _c_i64 = ctypes.c_int64
 _CLASSIFY_ARGTYPES = [
     _c_i64, _u8,                                    # n, mode
     _i64, _i64, _c_i64, native.ndarray(np.bool_),   # off .. writes
-    _i64, _i64,                                     # c_off, coal
+    _i64, _i64,                                     # req_off, lines
     _c_i64, _c_i64, _c_i64,                         # L1 geometry, prefetch
     _c_i64, _c_i64, _c_i64, _c_i64,                 # L2 geometry
     _o64, _ou8, _o64, _o64, _ou8, _o64,             # L1 and L2 set state
@@ -363,8 +332,8 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     kernel, ``classify.c``, built and loaded by :mod:`repro.native`.
     Where no compiler can build it, the same walk runs as the dict walk
     (:func:`_dict_walk`), which is the specification: the two agree
-    bit-for-bit on rows, per-record levels and totals, and
-    ``tests/memory`` pins that on both paths.
+    bit-for-bit on rows, levels and totals, and ``tests/memory`` pins
+    that on both paths.
     """
     if not trace.sealed:
         raise TraceError("classify_trace requires a sealed trace")
@@ -379,18 +348,18 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
             and cols.writes.shape == cols.addrs.shape
             and (off[1:] >= off[:-1]).all()):
         raise TraceError("trace spans do not tile its address arena")
-    rows, vm_mask, coal_lines, c_off, span_len, is_scalar = _prepare_rows(
+    rows, vm_mask, req_off, lines, span_len, is_scalar = _prepare_rows(
         cols, config)
     fn = native.function("repro_classify", _CLASSIFY_ARGTYPES)
     if fn is None:
-        counts, levels = _dict_walk(cols, config, vm_mask, coal_lines,
-                                    c_off, span_len, is_scalar)
+        counts, levels = _dict_walk(cols, config, vm_mask, req_off, lines,
+                                    span_len, is_scalar)
     else:
-        counts, levels = _c_walk(fn, cols, config, vm_mask, coal_lines,
-                                 c_off, span_len, is_scalar)
+        counts, levels = _c_walk(fn, cols, config, vm_mask, req_off, lines,
+                                 span_len, is_scalar)
     _fill_rows(rows, dict(zip(_COUNT_FIELDS, counts)))
-    ct = ClassifiedTrace(rows=rows, levels=levels, trace=trace,
-                         config=config)
+    ct = ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
+                         trace=trace, config=config)
 
     rec = get_recorder()
     if rec.on:
@@ -404,18 +373,17 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
 
 
 def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
-            coal_lines: np.ndarray, c_off: np.ndarray, span_len: np.ndarray,
-            is_scalar: np.ndarray
-            ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+            req_off: np.ndarray, lines: np.ndarray, span_len: np.ndarray,
+            is_scalar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cache walk in the compiled kernel; returns the ``(5, n)`` count
-    rows (:data:`_COUNT_FIELDS`) and the per-record levels."""
+    rows (:data:`_COUNT_FIELDS`) and the flat levels."""
     n = cols.n
-    n_lines = c_off[1:] - c_off[:-1]
     # the kernel indexes without bounds checks: classify_trace checked
-    # the arena spans, and the coalesced ones must fit their lines too
-    if not (c_off.shape == (n + 1,) and c_off[0] >= 0
-            and c_off[-1] <= coal_lines.shape[0] and (n_lines >= 0).all()):
-        raise TraceError("coalesced spans run past their line requests")
+    # the arena spans, and the request spans must tile their lines too
+    if not (req_off.shape == (n + 1,) and req_off[0] == 0
+            and req_off[-1] == lines.shape[0]
+            and (req_off[1:] >= req_off[:-1]).all()):
+        raise TraceError("line-request spans do not tile their lines")
 
     mode = np.zeros(n, dtype=np.uint8)
     mode[is_scalar & (span_len > 0)] = M_SCALAR
@@ -423,15 +391,14 @@ def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
     unit = cols.pattern == _PATTERN_ID[VMemPattern.UNIT]
     mode[vm_mask] = np.where(store, np.where(unit, M_VSTORE_NOFILL,
                                              M_VSTORE), M_VLOAD)[vm_mask]
-    lens = np.where(mode == M_SCALAR, span_len,
-                    np.where(vm_mask, n_lines, -1))
 
     n_sets1, l1_ways, banks, bank_bits, n_sets2, l2_ways = _geometry(config)
     n_sets2_all = banks * n_sets2
     counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
-    flat = np.empty(int(np.maximum(lens, 0).sum()), dtype=np.uint8)
-    fn(n, mode, cols.addr_off, cols.addrs, LINE_SHIFT, cols.writes, c_off,
-       coal_lines, n_sets1, l1_ways, config.core.l1_prefetch_depth,
+    # one level per request: a scalar block's requests are its arena span
+    levels = np.empty(lines.shape[0], dtype=np.uint8)
+    fn(n, mode, cols.addr_off, cols.addrs, LINE_SHIFT, cols.writes, req_off,
+       lines, n_sets1, l1_ways, config.core.l1_prefetch_depth,
        banks, bank_bits, n_sets2, l2_ways,
        np.zeros(n_sets1 * l1_ways, dtype=np.int64),
        np.zeros(n_sets1 * l1_ways, dtype=np.uint8),
@@ -439,14 +406,14 @@ def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
        np.zeros(n_sets2_all * l2_ways, dtype=np.int64),
        np.zeros(n_sets2_all * l2_ways, dtype=np.uint8),
        np.zeros(n_sets2_all, dtype=np.int64),
-       counts, flat)
-    return counts, unpack_levels(lens, flat)
+       counts, levels)
+    return counts, levels
 
 
 def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
-               coal_lines: np.ndarray, c_off: np.ndarray,
+               req_off: np.ndarray, lines: np.ndarray,
                span_len: np.ndarray, is_scalar: np.ndarray
-               ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The cache walk in Python: the specification of ``classify.c``.
 
     The L1D and every L2 bank are true-LRU, write-allocate, write-back
@@ -457,19 +424,17 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
     unit_id = _PATTERN_ID[VMemPattern.UNIT]
     prefetch_depth = config.core.l1_prefetch_depth
     off = cols.addr_off
-
-    levels_per_record: list[np.ndarray | None] = [None] * n
+    levels = np.empty(lines.shape[0], dtype=np.uint8)
 
     # only records that touch memory interact with the cache state
     work = np.flatnonzero((is_scalar & (span_len > 0)) | vm_mask)
     w_scalar = is_scalar[work].tolist()
     w_lo = off[work].tolist()
     w_hi = off[work + 1].tolist()
-    w_clo = c_off[work].tolist()
-    w_chi = c_off[work + 1].tolist()
+    w_rlo = req_off[work].tolist()
+    w_rhi = req_off[work + 1].tolist()
     w_write = cols.is_write[work].tolist()
     w_fill = (cols.pattern[work] != unit_id).tolist()  # fill_on_store_miss
-    lines_all = cols.addrs >> LINE_SHIFT
     writes_all = cols.writes
 
     counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
@@ -540,15 +505,15 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
 
     # ---- the walk --------------------------------------------------------
     for w, i in enumerate(work.tolist()):
+        # the record's line requests, and where their levels go
+        refs = lines[w_rlo[w]:w_rhi[w]].tolist()
+        lv = levels[w_rlo[w]:w_rhi[w]]
         if w_scalar[w]:
-            lo, hi = w_lo[w], w_hi[w]
-            lines = lines_all[lo:hi].tolist()
-            wr = writes_all[lo:hi].tolist()
-            m = hi - lo
-            lv = np.empty(m, dtype=np.uint8)
+            wr = writes_all[w_lo[w]:w_hi[w]].tolist()
+            m = len(refs)
             dram_writes = dram_reads = pf_reads = l1h = l2h = 0
             for j in range(m):
-                line = lines[j]
+                line = refs[j]
                 # L1 access (write-allocate, write-back, true LRU)
                 si = line & mask1
                 tags = l1_tags[si]
@@ -608,17 +573,14 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
             dram_reads_a[i] = dram_reads
             dram_writes_a[i] = dram_writes
             pf_a[i] = pf_reads
-            levels_per_record[i] = lv
             continue
 
         # vector memory record
-        lines = coal_lines[w_clo[w]:w_chi[w]].tolist()
         is_write = w_write[w]
         # unit-stride stores allocate whole lines without fetching
         no_fill_store = is_write and not w_fill[w]
-        lv = np.empty(len(lines), dtype=np.uint8)
         dram_writes = dram_reads = l2h = 0
-        for j, line in enumerate(lines):
+        for j, line in enumerate(refs):
             # home-node recall of lines the scalar side holds
             si = line & mask1
             tags = l1_tags[si]
@@ -661,6 +623,5 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
         l2_hits_a[i] = l2h
         dram_reads_a[i] = dram_reads
         dram_writes_a[i] = dram_writes
-        levels_per_record[i] = lv
 
-    return counts, levels_per_record
+    return counts, levels

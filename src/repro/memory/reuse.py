@@ -14,9 +14,9 @@ Provided here:
   (O(N log N) with a Fenwick tree over last-access times);
 * :class:`ReuseProfile` — histogram + derived miss-ratio curve and
   working-set summaries;
-* :func:`profile_trace` — build the profile for a recorded trace's memory
-  reference stream (scalar refs and vector line requests combined, in
-  program order).
+* :func:`profile_trace` — build the profile for a recorded trace's line
+  requests (:func:`repro.memory.classify.line_requests`): scalar refs and
+  coalesced vector lines, in program order.
 
 The unit tests validate the miss-ratio curve against direct simulation
 with :class:`repro.memory.cache.SetAssocCache` at full associativity.
@@ -30,9 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import TraceError
-from repro.memory.classify import _coalesce_lines
-from repro.trace.events import ScalarBlock, TraceBuffer, VectorInstr, VOpClass
-from repro.util.mathx import log2_int
+from repro.memory.classify import line_requests
+from repro.trace.events import TraceBuffer
 from repro.util.units import LINE_BYTES
 
 #: histogram bucket for first-touch (compulsory) accesses
@@ -201,26 +200,10 @@ class ReuseProfile:
         return self.footprint_bytes
 
 
-def line_stream(trace: TraceBuffer, *, coalesce_gathers: bool = True
-                ) -> np.ndarray:
-    """Program-order 64-byte line reference stream of a trace."""
-    shift = log2_int(LINE_BYTES)
-    chunks: list[np.ndarray] = []
-    for rec in trace:
-        if isinstance(rec, ScalarBlock):
-            if rec.n_mem_ops:
-                chunks.append(rec.mem_addrs >> shift)
-        elif isinstance(rec, VectorInstr) and rec.op is VOpClass.MEM:
-            chunks.append(_coalesce_lines(rec.addrs, rec.pattern,
-                                          coalesce_gathers))
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
-def profile_trace(trace: TraceBuffer, **kwargs) -> ReuseProfile:
+def profile_trace(trace: TraceBuffer, *,
+                  coalesce_gathers: bool = True) -> ReuseProfile:
     """Reuse profile of a recorded trace's memory reference stream."""
-    lines = line_stream(trace, **kwargs)
+    lines = line_requests(trace.cols, coalesce_gathers)[1]
     return ReuseProfile(
         distances=reuse_distances(lines),
         # distinct lines = first touches; same accounting the classifier

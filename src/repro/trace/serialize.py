@@ -30,7 +30,7 @@ FORMAT_VERSION = 2
 
 #: on-disk format of the classified sidecar (``<trace>.clsN-<geom>.npz``)
 #: that lets ``--trace-cache`` reloads skip reclassification entirely.
-CLASSIFIED_FORMAT_VERSION = 1
+CLASSIFIED_FORMAT_VERSION = 2
 
 #: the fixed-width columns of a v2 file, in schema order
 _V2_COLUMNS = (
@@ -93,19 +93,15 @@ def save_classified(ct, path: str | os.PathLike, *,
     ``geometry_fp`` is the cache-geometry fingerprint
     (:meth:`repro.soc.sdv.FpgaSdv.geometry_fingerprint`) the
     classification was computed under — embedded so a loader never
-    trusts the filename alone. The ragged ``levels`` list is stored as
-    the ``(lens, flat)`` pair of
-    :func:`repro.memory.classify.pack_levels`.
+    trusts the filename alone. Version 2 stores the rows, the line-request
+    offsets ``req_off`` and the flat ``levels`` as they are in memory.
     """
-    from repro.memory.classify import pack_levels
-
-    lens, flat = pack_levels(ct.levels)
     np.savez_compressed(
         path,
         version=np.int64(CLASSIFIED_FORMAT_VERSION),
         geometry=np.asarray(geometry_fp),
         rows=np.ascontiguousarray(ct.rows),
-        lens=lens, flat=flat,
+        req_off=ct.req_off, levels=ct.levels,
     )
 
 
@@ -116,10 +112,10 @@ def load_classified(path: str | os.PathLike, trace: TraceBuffer, config, *,
     Returns a :class:`~repro.memory.classify.ClassifiedTrace` bound to
     ``trace``/``config``, or ``None`` when the sidecar is unreadable,
     from a different format version, recorded under a different cache
-    geometry, or misaligned with the trace — any of which just means
-    "reclassify" to the caller, never an error.
+    geometry, or misaligned with the trace or with its own levels — any
+    of which just means "reclassify" to the caller, never an error.
     """
-    from repro.memory.classify import ClassifiedTrace, unpack_levels
+    from repro.memory.classify import ClassifiedTrace
 
     try:
         with np.load(path) as z:
@@ -128,12 +124,15 @@ def load_classified(path: str | os.PathLike, trace: TraceBuffer, config, *,
             if str(z["geometry"]) != geometry_fp:
                 return None
             rows = z["rows"]
-            lens = z["lens"]
-            flat = z["flat"]
+            req_off = z["req_off"]
+            levels = z["levels"]
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return None
-    if rows.shape[0] != len(trace) or lens.shape[0] != len(trace):
+    if rows.shape[0] != len(trace):
         return None
-    return ClassifiedTrace(rows=rows, levels=unpack_levels(lens, flat),
-                           trace=trace, config=config)
+    try:
+        return ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
+                               trace=trace, config=config)
+    except TraceError:  # offsets that do not span the levels
+        return None
 

@@ -91,6 +91,23 @@ class TestNewCommands:
         out = capsys.readouterr().out
         assert "triad" in out and "B/cycle" in out
 
+    @pytest.mark.parametrize("command,flags", [
+        ("profile", [["--csv"], ["--jobs", "2"]]),
+        ("headline", [["--csv"], ["--kernel", "spmv"]]),
+        ("characterize", [["--csv"], ["--engine", "batch"], ["--jobs", "2"],
+                          ["--trace-cache", "tc"]]),
+        ("validate", [["--no-verify"], ["--csv"], ["--engine", "batch"],
+                      ["--jobs", "2"], ["--trace-cache", "tc"]]),
+        ("report", [["--csv"]]),
+    ])
+    def test_flag_the_command_ignores_is_a_usage_error(self, command, flags,
+                                                       capsys):
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--scale", "smoke", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_probe_with_knobs(self, capsys):
         rc = main(["probe", "--max-vl", "8", "--extra-latency", "100",
                    "--bandwidth", "8"])

@@ -601,6 +601,26 @@ class TestClassifiedSidecar:
         # ... and sidecar seeding means zero classification runs on reload
         assert delta.get("classify.runs", 0) == 0
 
+    def test_cache_hit_rewrites_a_missing_sidecar(self, tmp_path):
+        from repro.obs.record import fold, recording
+
+        spec, workload = self._warm(tmp_path)
+        sidecars = sorted(f for f in tmp_path.glob("*.npz")
+                          if ".cls" in f.name)
+        assert len(sidecars) == 2  # scalar + vl8
+        for side in sidecars:
+            side.unlink()
+        latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
+                      verify=False)
+        assert sorted(f for f in tmp_path.glob("*.npz")
+                      if ".cls" in f.name) == sidecars
+        with recording() as rec:
+            latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
+                          verify=False)
+        delta = fold(rec.records)["counters"]
+        assert delta.get("classify.sidecar_hits") == 2
+        assert delta.get("classify.runs", 0) == 0
+
     def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
         from repro.core.sweeps import run_implementation
         from repro.obs.record import fold, recording

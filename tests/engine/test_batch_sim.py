@@ -211,9 +211,8 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
     assert second.tolist() == compiled.tolist()
     assert np.array_equal(ct.rows, compiled_ct.rows)
     assert ct.totals == compiled_ct.totals
-    for a, b in zip(ct.levels, compiled_ct.levels):
-        assert (a is None) == (b is None)
-        assert a is None or np.array_equal(a, b)
+    assert np.array_equal(ct.req_off, compiled_ct.req_off)
+    assert np.array_equal(ct.levels, compiled_ct.levels)
 
 
 def test_compiled_walk_rejects_out_of_bounds_slots():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SdvConfig, VpuConfig
-from repro.core.sweeps import run_implementation
+from repro.core.sweeps import latency_sweep, run_implementation
 from repro.engine import ENGINES
 from repro.engine.batch_sim import simulate_batch_one
 from repro.engine.event_fast import simulate_events_fast
@@ -25,6 +25,7 @@ from repro.isa import ScalarContext, VectorContext
 from repro.kernels import KERNELS
 from repro.memory.address_space import MemoryImage
 from repro.memory.classify import classify_trace
+from repro.memory.reuse import profile_trace
 from repro.obs.attribution import _ladder_attribution, attribute
 from repro.obs.timeline import TimelineRecorder
 from repro.trace.events import TraceBuffer
@@ -138,6 +139,30 @@ class TestObservability:
         assert ref.buckets == fast.buckets
         assert ref.ladder == fast.ladder
         fast.check()
+
+
+class TestTraceColumnsOnly:
+    def test_event_sweep_and_reuse_profile_read_no_trace_row(
+            self, monkeypatch):
+        """The event plan and the reuse profile read the classifier's
+        line-request arrays and the trace columns, never a record built
+        from a trace row."""
+        reads = []
+        row = TraceBuffer.__getitem__
+
+        def counted(self, i):
+            reads.append(i)
+            return row(self, i)
+
+        monkeypatch.setattr(TraceBuffer, "__getitem__", counted)
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        latency_sweep(spec, workload, latencies=(0, 256), vls=(8,),
+                      engine="event")
+        assert len(reads) == 0
+        _sdv, trace = run_implementation(spec, workload, 8, verify=False)
+        profile_trace(trace)
+        assert len(reads) == 0
 
 
 # ---------------------------------------------------------------- property

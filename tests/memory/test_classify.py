@@ -14,8 +14,13 @@ from repro.memory.classify import (
     KIND_VMEM,
     _coalesce_lines,
     classify_trace,
+    line_requests,
 )
 from repro.trace.events import (
+    OPCLASS_ID,
+    PATTERN_LIST,
+    REC_SCALAR,
+    REC_VECTOR,
     Barrier,
     ScalarBlock,
     TraceBuffer,
@@ -61,12 +66,14 @@ class TestScalarPath:
     def test_first_touch_misses_to_dram(self):
         ct = classify_trace(build(scalar_block([BASE])), tiny_cfg())
         assert ct.rows["dram_reads"][0] == 1
-        assert ct.levels[0][0] == AccessLevel.DRAM
+        assert ct.req_off.tolist() == [0, 1]
+        assert ct.levels.tolist() == [AccessLevel.DRAM]
 
     def test_rereference_hits_l1(self):
         ct = classify_trace(build(scalar_block([BASE, BASE])), tiny_cfg())
         assert ct.rows["l1_hits"][0] == 1
-        assert list(ct.levels[0]) == [AccessLevel.DRAM, AccessLevel.L1]
+        assert ct.req_off.tolist() == [0, 2]
+        assert ct.levels.tolist() == [AccessLevel.DRAM, AccessLevel.L1]
 
     def test_l1_evict_refill_hits_l2(self):
         cfg = tiny_cfg()
@@ -74,7 +81,8 @@ class TestScalarPath:
         conflicts = [BASE + 4096 * k for k in range(1, 8)]
         addrs = [BASE] + conflicts + [BASE]
         ct = classify_trace(build(scalar_block(addrs)), cfg)
-        assert ct.levels[0][-1] == AccessLevel.L2
+        assert ct.req_off.tolist() == [0, len(addrs)]
+        assert ct.levels[-1] == AccessLevel.L2
 
     def test_dirty_l1_victim_reaches_l2_not_dram(self):
         cfg = tiny_cfg()
@@ -197,8 +205,9 @@ class TestCompiledWalk:
                   write=True),
         )
         ct = classify_trace(tr, cfg)
-        assert [lv.tolist() for lv in ct.levels] == [
-            [2, 0, 0], [0, 2, 2, 2, 2, 2], [1], [1, 1], [2, 2]]
+        assert ct.req_off.tolist() == [0, 3, 9, 10, 12, 14]
+        assert ct.levels.tolist() == [
+            2, 0, 0, 0, 2, 2, 2, 2, 2, 1, 1, 1, 2, 2]
         assert ct.totals == {
             "l1_hits": 3, "l2_hits": 3, "dram_reads": 8, "dram_writes": 1,
             "scalar_mem_ops": 9, "vector_line_reqs": 5, "pf_dram_reads": 6}
@@ -230,6 +239,52 @@ class TestCoalesceLines:
         lines = _coalesce_lines(np.empty(0, dtype=np.int64),
                                 VMemPattern.UNIT, True)
         assert lines.shape == (0,)
+
+
+@pytest.fixture(scope="module")
+def ci_traces():
+    """The 28 ci-scale traces a figure sweep times: every kernel, scalar
+    and every paper VL."""
+    from repro.core.sweeps import DEFAULT_VLS, run_implementation
+    from repro.kernels import KERNELS
+    from repro.workloads import get_scale
+
+    traces = []
+    for spec in KERNELS.values():
+        workload = spec.prepare(get_scale("ci"), 7)
+        for vl in (None, *DEFAULT_VLS):
+            traces.append(run_implementation(spec, workload, vl,
+                                             verify=False)[1])
+    return traces
+
+
+class TestLineRequests:
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_ci_traces_follow_the_per_instruction_rule(self, ci_traces,
+                                                       coalesce):
+        """A scalar block requests every line it touches, a vector memory
+        instruction its :func:`_coalesce_lines` lines, anything else
+        nothing; and classification levels that same arena."""
+        cfg = SdvConfig(vpu=VpuConfig(coalesce_gathers=coalesce)).validate()
+        mem_id = OPCLASS_ID[VOpClass.MEM]
+        for trace in ci_traces:
+            c = trace.cols
+            req_off, lines = line_requests(c, coalesce)
+            off = c.addr_off
+            vm = (c.kind == REC_VECTOR) & (c.opclass == mem_id)
+            scalar = c.kind == REC_SCALAR
+            for i in np.flatnonzero(vm | scalar).tolist():
+                addrs = c.addrs[off[i]:off[i + 1]]
+                want = (addrs >> 6 if scalar[i] else _coalesce_lines(
+                    addrs, PATTERN_LIST[c.pattern[i]], coalesce))
+                assert np.array_equal(lines[req_off[i]:req_off[i + 1]],
+                                      want)
+            assert (np.diff(req_off)[~(vm | scalar)] == 0).all()
+            assert req_off[-1] == lines.shape[0]
+            ct = classify_trace(trace, cfg)
+            assert np.array_equal(ct.req_off, req_off)
+            assert np.array_equal(ct.rows["n_line_reqs"],
+                                  np.where(vm, np.diff(req_off), 0))
 
 
 class TestTotals:

@@ -1,8 +1,8 @@
 """Equality suite for the compiled classification walk.
 
 The compiled cache walk (``classify.c``) must be **bit-identical** to the
-Python dict walk that specifies it — rows, per-record level arrays and
-totals — on every trace and every cache geometry. Both run through
+Python dict walk that specifies it — rows, line-request offsets, levels
+and totals — on every trace and every cache geometry. Both run through
 :func:`repro.memory.classify.classify_trace`; the Python walk is forced
 by making the kernel loader report no library. These tests pin the
 agreement down three ways: a kernel x VL grid on real generated traces,
@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
-from repro.memory.classify import (
-    classify_trace,
-    pack_levels,
-    unpack_levels,
-)
+from repro.memory.classify import classify_trace
 from repro.memory.classify_fast import CLASSIFIERS, DEFAULT_CLASSIFIER
 from repro.memory.reuse import first_touch_mask, prev_occurrence
 from repro.trace.events import (
@@ -56,13 +52,11 @@ def both_walks(trace, cfg):
 
 
 def assert_identical(a, b):
-    """rows, levels and totals all bit-identical."""
+    """rows, request offsets, levels and totals all bit-identical."""
     assert np.array_equal(a.rows, b.rows)
-    assert len(a.levels) == len(b.levels)
-    for x, y in zip(a.levels, b.levels):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert np.array_equal(x, y)
+    assert np.array_equal(a.req_off, b.req_off)
+    assert a.levels.dtype == b.levels.dtype == np.uint8
+    assert np.array_equal(a.levels, b.levels)
     assert a.totals == b.totals
 
 
@@ -218,24 +212,3 @@ class TestSelector:
         assert b.has_classification(trace2)
         assert b.classify(trace2).totals == ct.totals
 
-
-class TestLevelPacking:
-    def test_round_trip(self):
-        levels = [np.array([0, 1, 2], dtype=np.uint8), None,
-                  np.zeros(0, dtype=np.uint8), np.array([3], dtype=np.uint8)]
-        lens, flat = pack_levels(levels)
-        assert lens.tolist() == [3, -1, 0, 1]
-        back = unpack_levels(lens, flat)
-        for x, y in zip(levels, back):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert np.array_equal(x, y)
-
-    def test_all_none(self):
-        lens, flat = pack_levels([None, None])
-        assert flat.shape == (0,)
-        assert unpack_levels(lens, flat) == [None, None]
-
-    def test_empty(self):
-        lens, flat = pack_levels([])
-        assert unpack_levels(lens, flat) == []

@@ -9,7 +9,6 @@ from repro.memory.cache import SetAssocCache
 from repro.memory.reuse import (
     INFINITE,
     ReuseProfile,
-    line_stream,
     profile_trace,
     reuse_distances,
 )
@@ -98,6 +97,7 @@ class TestTraceProfiles:
     def test_line_stream_combines_scalar_and_vector(self):
         from repro.isa import ScalarContext, VectorContext
         from repro.memory.address_space import MemoryImage
+        from repro.memory.classify import line_requests
         from repro.trace.events import TraceBuffer
         mem = MemoryImage(1 << 20)
         trace = TraceBuffer()
@@ -107,8 +107,12 @@ class TestTraceProfiles:
         scl.emit_block(a.addr(np.arange(8)), False, 0)  # line 0
         vec.vsetvl(16)
         vec.vle(a, 16)                                  # lines 2,3
-        stream = line_stream(trace.seal())
-        assert stream.shape[0] == 8 + 2
+        req_off, lines = line_requests(trace.seal().cols, True)
+        base = a.addr(0) >> 6
+        # one request per scalar access, one per coalesced vector line,
+        # none for the vsetvl
+        assert req_off.tolist() == [0, 8, 8, 10]
+        assert (lines - base).tolist() == [0] * 8 + [2, 3]
 
     def test_kernel_working_sets_ordered(self):
         """SpMV's footprint exceeds FFT's at comparable element counts —

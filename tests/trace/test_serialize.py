@@ -16,7 +16,13 @@ from repro.trace.events import (
     VMemPattern,
     VOpClass,
 )
-from repro.trace.serialize import FORMAT_VERSION, load_trace, save_trace
+from repro.trace.serialize import (
+    FORMAT_VERSION,
+    load_classified,
+    load_trace,
+    save_classified,
+    save_trace,
+)
 
 
 def make_mixed_trace():
@@ -135,3 +141,22 @@ class TestFormatVersions:
         t.append(Barrier(label="bad\0label"))
         with pytest.raises(TraceError):
             save_trace(t.seal(), tmp_path / "x.npz")
+
+
+class TestClassifiedSidecar:
+    def test_v1_and_short_offsets_load_as_none(self, tmp_path):
+        trace = make_mixed_trace()
+        cfg = SdvConfig().validate()
+        path = tmp_path / "t.cls.npz"
+        save_classified(classify_trace(trace, cfg), path, geometry_fp="g")
+        assert load_classified(path, trace, cfg, geometry_fp="g") is not None
+        data = dict(np.load(path))
+        # version 1 stored per-record lengths and the levels they cut
+        v1 = {"version": np.int64(1), "geometry": data["geometry"],
+              "rows": data["rows"],
+              "lens": np.diff(data["req_off"]), "flat": data["levels"]}
+        short = dict(data, req_off=data["req_off"][:-1])
+        for name, payload in (("v1", v1), ("short", short)):
+            np.savez_compressed(tmp_path / f"{name}.npz", **payload)
+            assert load_classified(tmp_path / f"{name}.npz", trace, cfg,
+                                   geometry_fp="g") is None
