@@ -41,6 +41,7 @@ from repro.core.sweeps import (
     latency_sweep,
 )
 from repro.engine import ENGINES
+from repro.errors import ConfigError
 from repro.kernels import KERNELS
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.perfetto import trace_events_from_spans, write_trace
@@ -53,31 +54,41 @@ from repro.obs.record import (
     write_runlog,
 )
 from repro.workloads import get_scale
+from repro.workloads.scales import SCALE_NAMES
 
 
 def _kernel_names(arg: str) -> list[str]:
-    if arg == "all":
-        return list(KERNELS)
-    if arg not in KERNELS:
-        raise SystemExit(
-            f"unknown kernel '{arg}' (choose from {', '.join(KERNELS)}, all)"
-        )
-    return [arg]
+    return list(KERNELS) if arg == "all" else [arg]
 
 
 def _vls(arg: str) -> tuple[int, ...]:
+    """The ``--vls`` type: 'paper' or a comma list of VLs the config
+    rules accept."""
     if arg == "paper":
         return DEFAULT_VLS
-    return tuple(int(x) for x in arg.split(","))
+    try:
+        vls = tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"'{arg}' is neither 'paper' nor a comma list of integers"
+        ) from None
+    from repro.lint.config_rules import check_vls
+    from repro.lint.findings import Severity
+
+    errors = [f.message for f in check_vls(vls)
+              if f.severity >= Severity.ERROR]
+    if errors:
+        raise argparse.ArgumentTypeError("; ".join(errors))
+    return vls
 
 
 #: the study flags a subcommand may take, with their add_argument options
 _STUDY_FLAGS: dict[str, dict] = {
-    "--kernel": dict(default="all",
-                     help="spmv|bfs|pagerank|fft|all (default all)"),
-    "--scale": dict(default="ci",
-                    help="workload scale: paper|ci|smoke (default ci)"),
-    "--vls": dict(default="paper",
+    "--kernel": dict(default="all", choices=(*KERNELS, "all"),
+                     help="kernel to run (default all)"),
+    "--scale": dict(default="ci", choices=SCALE_NAMES,
+                    help="workload scale (default ci)"),
+    "--vls": dict(default="paper", type=_vls,
                   help="comma list of VLs or 'paper' (8..256)"),
     "--seed": dict(type=int, default=7),
     "--no-verify": dict(action="store_true",
@@ -366,7 +377,15 @@ def main(argv: list[str] | None = None) -> int:
     add_lint_arguments(pl)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigError as exc:
+        # an illegal knob the command's arguments set: a usage error
+        sub.choices[args.command].error(str(exc))
 
+
+def _run(args) -> int:
+    """Run the parsed command."""
     if args.command == "lint":
         from repro.lint.runner import run_lint_cli
         return run_lint_cli(args)
@@ -403,9 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "report":
         from repro.core.suite import render_report, run_suite
-        scale_checked = get_scale(args.scale)  # fail fast on bad name
         suite = run_suite(scale_name=args.scale, seed=args.seed,
-                          vls=_vls(args.vls),
+                          vls=args.vls,
                           kernels=_kernel_names(args.kernel),
                           verify=not args.no_verify,
                           engine=args.engine, jobs=args.jobs,
@@ -442,13 +460,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     scale = get_scale(args.scale)
-    vls = _vls(args.vls)
+    vls = args.vls
 
     if args.command == "profile":
         with _recorder_for(args) as rec:
             return _profile(args, vls, not args.no_verify, rec)
 
     if args.command == "headline":
+        if 256 not in vls:  # the quoted numbers are read at VL 256
+            raise ConfigError("headline needs VL 256 in --vls (got "
+                              f"{','.join(map(str, vls))})")
         spec = KERNELS["spmv"]
         workload = spec.prepare(scale, args.seed)
         result = latency_sweep(spec, workload, vls=vls,

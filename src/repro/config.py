@@ -205,7 +205,8 @@ class MemConfig:
         if self.dram_service_cycles < 0:
             raise ConfigError("dram_service_cycles must be >= 0")
         if self.extra_latency_cycles < 0:
-            raise ConfigError("extra_latency_cycles must be >= 0")
+            raise ConfigError(f"extra_latency_cycles must be >= 0, got "
+                              f"{self.extra_latency_cycles}")
         if self.bw_num < 1 or self.bw_den < 1:
             raise ConfigError("bandwidth fraction terms must be >= 1")
         if self.bw_num > self.bw_den:

@@ -109,7 +109,9 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
     finishes, in *completion* order — the sweep harness uses it for
     progress heartbeats while slower workers are still running.
 
-    Calls with the same ``jobs`` reuse the persistent pool.
+    The pool has ``min(jobs, len(tasks))`` workers: an executor forks all
+    of its workers at the first submit, so a larger pool would only fork
+    idle interpreters. Calls that size it alike reuse the persistent pool.
     """
     jobs = resolve_jobs(jobs)
     tasks = list(tasks)
@@ -137,7 +139,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
         return _serial()
 
     def _dispatch() -> list[R]:
-        pool = _get_pool(jobs)
+        pool = _get_pool(min(jobs, len(tasks)))
         futures = [pool.submit(fn, t) for t in tasks]
         index = {f: i for i, f in enumerate(futures)}
         for f in as_completed(futures):

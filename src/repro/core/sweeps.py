@@ -9,7 +9,8 @@ Efficiency structure (what makes paper-scale sweeps tractable):
   trace **once** — or loads it from the on-disk cache (``trace_cache=``),
   skipping functional re-execution entirely;
 * the cache classification and lowering of that trace are computed **once**
-  (both are knob-independent) and cached on the trace;
+  (both are knob-independent) and cached on the trace; a trace-cache
+  entry stores the classification with the trace, so a reload skips it;
 * the points of all the task's grids are then timed in **one**
   ``time_many`` call — on the batch engine one vectorized walk
   (:mod:`repro.engine.batch_sim`) over the concatenated knob axis, K=14
@@ -36,6 +37,8 @@ import pickle
 import pkgutil
 import sys
 import time
+import zipfile
+import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -54,14 +57,8 @@ from repro.memory.classify import classify_backend
 from repro.obs.record import get_recorder, recording, set_recording
 from repro.soc.sdv import FpgaSdv
 from repro.trace.events import TraceBuffer
-from repro.trace.serialize import CLASSIFIED_FORMAT_VERSION
 from repro.trace.serialize import FORMAT_VERSION as TRACE_FORMAT_VERSION
-from repro.trace.serialize import (
-    load_classified,
-    load_trace,
-    save_classified,
-    save_trace,
-)
+from repro.trace.serialize import load_classified, load_trace, save_trace
 
 #: Figure 3/4 x-axis: extra latency cycles added by the Latency Controller.
 DEFAULT_LATENCIES: tuple[int, ...] = (0, 32, 64, 128, 256, 512, 1024)
@@ -97,11 +94,16 @@ def workload_fingerprint(workload) -> str:
 #: so they are always part of the fingerprint.
 _TRACE_MACHINERY_MODULES = ("repro.trace.template", "repro.trace.modes")
 
+#: the classifier whose result every cache entry stores next to its
+#: trace, and the source of its compiled cache walk
+_CLASSIFIER_MODULE = "repro.memory.classify"
+_CLASSIFIER_C = Path(__file__).resolve().parents[1] / "memory" / "classify.c"
+
 
 def kernel_fingerprint(spec: KernelSpec) -> str:
-    """Content hash of the code that would generate the trace.
+    """Content hash of the code that makes a trace-cache entry.
 
-    A cached trace is only as good as the emitters that recorded it: if a
+    A cached entry is only as good as the code that made it: if a
     kernel's scalar or vector implementation changes (or the module around
     it — templated emitters lean on module-level helpers), previously
     cached traces must not be served. Hashing the defining modules' source
@@ -109,10 +111,14 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
     the hash covers:
 
     * every loaded sibling module of the emitter's ``repro.*`` package
-      (templated emitters split helpers across ``kernels/<k>/``), and
+      (templated emitters split helpers across ``kernels/<k>/``),
     * the trace machinery (:data:`_TRACE_MACHINERY_MODULES`) — the
       template ``Dep``/address-stream semantics determine the recorded
-      dep columns, so editing them must invalidate every cached trace.
+      dep columns, so editing them must invalidate every cached trace,
+      and
+    * the classifier (:data:`_CLASSIFIER_MODULE` and ``classify.c``),
+      whose result the entry stores, so a classifier edit misses the
+      cache instead of serving a stale classification.
 
     Non-``repro`` emitters (ad-hoc test stand-ins) hash only their own
     module, keeping the key independent of unrelated test-file churn.
@@ -120,7 +126,7 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
     fall back to their repr, which at least separates distinct functions.
     """
     parts = [spec.name]
-    mod_names: set[str] = set(_TRACE_MACHINERY_MODULES)
+    mod_names: set[str] = {*_TRACE_MACHINERY_MODULES, _CLASSIFIER_MODULE}
     for fn in (spec.scalar, spec.vector):
         mod_name = getattr(fn, "__module__", None)
         if mod_name is None:
@@ -148,6 +154,10 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
             parts.append(inspect.getsource(mod))
         except (ImportError, OSError, TypeError):
             parts.append(f"<no-source:{name}>")
+    try:
+        parts.append(_CLASSIFIER_C.read_text(encoding="utf-8"))
+    except OSError:
+        parts.append(f"<no-source:{_CLASSIFIER_C.name}>")
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()[:12]
 
 
@@ -155,13 +165,16 @@ def trace_cache_path(cache_dir: str | os.PathLike, spec_name: str,
                      workload, vl: int | None, sdv: FpgaSdv,
                      spec: KernelSpec | None = None,
                      workload_fp: str | None = None) -> Path:
-    """Cache file for one (kernel, workload, max_vl, geometry) trace.
+    """Cache file for one (kernel, workload, max_vl, geometry) trace and
+    its classification.
 
-    The name carries everything that determines the recorded trace: the
-    kernel + workload + VL + SoC geometry, the on-disk trace schema
-    version (``serialize.FORMAT_VERSION``), and — when ``spec`` is given —
-    a fingerprint of the kernel's emitter source, so stale traces from an
-    older schema or an edited kernel are never loaded. ``workload_fp``
+    The name carries everything that determines the recorded trace and
+    its classification: the kernel + workload + VL + SoC geometry (the
+    cache shape is all the classifier reads of the config), the on-disk
+    trace schema version (``serialize.FORMAT_VERSION``), and — when
+    ``spec`` is given — :func:`kernel_fingerprint`, so entries from an
+    older schema, an edited kernel or an edited classifier are never
+    loaded. ``workload_fp``
     is :func:`workload_fingerprint` hoisted by the caller (the sweep
     parent computes it once per kernel instead of pickling the workload
     in every task).
@@ -179,47 +192,10 @@ def trace_cache_path(cache_dir: str | os.PathLike, spec_name: str,
     return Path(cache_dir) / name
 
 
-def classified_sidecar_path(cache_path: Path, sdv: FpgaSdv) -> Path:
-    """The classified sidecar of one cached trace file.
-
-    The name carries the sidecar schema version and the cache-geometry
-    fingerprint (l1d/l2 size/ways/banks, prefetch depth, gather
-    coalescing), so a geometry change simply misses instead of serving a
-    stale classification; the fingerprint is re-checked against the
-    file's embedded copy at load time.
-    """
-    return cache_path.with_name(
-        f"{cache_path.name[:-4]}.cls{CLASSIFIED_FORMAT_VERSION}-"
-        f"{sdv.geometry_fingerprint()}.npz")
-
-
-def _seed_from_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
-                       cache_path: Path) -> None:
-    """Cache-hit path: pre-load the trace's classification from its
-    sidecar so the reload skips reclassification entirely. A sidecar that
-    is missing, unreadable or stale is rewritten, so only this run pays
-    for the classification."""
-    side = classified_sidecar_path(cache_path, sdv)
-    ct = None
-    if side.exists():
-        ct = load_classified(side, trace, sdv.config,
-                             geometry_fp=sdv.geometry_fingerprint())
-    if ct is not None:
-        sdv.seed_classification(trace, ct)
-        get_recorder().count("classify.sidecar_hits")
-    else:
-        get_recorder().count("classify.sidecar_misses")
-        _save_sidecar(sdv, trace, cache_path)
-
-
-def _save_sidecar(sdv: FpgaSdv, trace: TraceBuffer,
-                  cache_path: Path) -> None:
-    """Classify ``trace`` and write its classified sidecar. Every
-    consumer needs the classification next, so computing it here is
-    never wasted work, and the sidecar lets the next cache hit skip it."""
-    save_classified(sdv.classify(trace),
-                    classified_sidecar_path(cache_path, sdv),
-                    geometry_fp=sdv.geometry_fingerprint())
+#: what loading a damaged or foreign ``.npz`` raises: a truncated zip, a
+#: corrupt member, a missing member, or a payload that does not fit
+_UNREADABLE_ENTRY = (zipfile.BadZipFile, zlib.error, OSError, ValueError,
+                     KeyError, TraceError)
 
 
 def run_implementation(
@@ -241,11 +217,13 @@ def run_implementation(
     ``reference`` lets callers hoist ``spec.reference(workload)`` out of a
     per-implementation loop (it is identical for every VL); when omitted
     and ``verify`` is set, it is computed here. With ``trace_cache`` set, a
-    previously recorded trace is loaded instead of re-executing the kernel
-    (skipping verification — the cached trace was verified when recorded),
-    and fresh traces are saved back to the cache. ``workload_fp`` is the
-    hoisted :func:`workload_fingerprint` (avoids re-pickling the workload
-    per implementation).
+    previously recorded trace and its classification are loaded from one
+    cache entry instead of re-executing the kernel (skipping verification
+    — the cached trace was verified when recorded), and fresh traces are
+    saved back to the cache with their classification. An entry that
+    cannot be loaded counts as a miss and is rewritten. ``workload_fp`` is
+    the hoisted :func:`workload_fingerprint` (avoids re-pickling the
+    workload per implementation).
     """
     sdv = FpgaSdv(config)
     if vl is not None:
@@ -260,12 +238,19 @@ def run_implementation(
             )
         cache_path = trace_cache_path(root, spec.name, workload, vl, sdv,
                                       spec=spec, workload_fp=workload_fp)
+        rec = get_recorder()
         if cache_path.exists():
-            get_recorder().count("trace_cache.hits")
-            trace = load_trace(cache_path)
-            _seed_from_sidecar(sdv, trace, cache_path)
-            return sdv, trace
-        get_recorder().count("trace_cache.misses")
+            try:
+                trace = load_trace(cache_path)
+                ct = load_classified(cache_path, trace, sdv.config)
+            except _UNREADABLE_ENTRY as exc:
+                rec.event("trace_cache.unreadable", level="warn",
+                          path=str(cache_path), error=repr(exc))
+            else:
+                rec.count("trace_cache.hits")
+                sdv.seed_classification(trace, ct)
+                return sdv, trace
+        rec.count("trace_cache.misses")
 
     session = sdv.session()
     builder = spec.vector if vl is not None else spec.scalar
@@ -279,8 +264,8 @@ def run_implementation(
             )
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(trace, cache_path)
-        _save_sidecar(sdv, trace, cache_path)
+        # every consumer classifies next, so this is never wasted work
+        save_trace(trace, cache_path, classified=sdv.classify(trace))
     return sdv, trace
 
 

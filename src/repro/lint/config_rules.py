@@ -7,9 +7,10 @@ generation. :func:`check_sweep` validates the whole grid up front, and
 :func:`repro.core.sweeps` calls it before any trace is generated.
 
 :func:`check_trace_cache` audits an on-disk trace-cache directory: cache
-entries name the on-disk schema version and the kernel-source
-fingerprint they were recorded under, so stale entries (an older schema,
-an edited emitter) are detectable without opening a single file.
+entries name the on-disk schema version and the fingerprint of the code
+that recorded and classified them, so stale entries (an older schema, an
+edited emitter or classifier) are detectable without opening a single
+file.
 """
 
 from __future__ import annotations
@@ -160,46 +161,9 @@ _CACHE_RE = re.compile(
     r"(?P<geom>[0-9a-f]{12})-t(?P<version>\d+)-"
     r"(?P<src>[0-9a-f]{12}|nosrc)\.npz$")
 
-#: classified_sidecar_path() naming scheme: a cached trace's stem plus
-#: the sidecar schema version and the cache-geometry fingerprint.
-_SIDECAR_RE = re.compile(
-    r"^(?P<stem>.+)\.cls(?P<version>\d+)-(?P<geom>[0-9a-f]{12})\.npz$")
-
-
-def _check_sidecar(path: Path, m: "re.Match[str]") -> Finding | None:
-    """S004: one classified sidecar's staleness verdict (None = fine)."""
-    from repro.trace.serialize import CLASSIFIED_FORMAT_VERSION
-
-    version = int(m.group("version"))
-    if version != CLASSIFIED_FORMAT_VERSION:
-        return finding(
-            "S004", str(path),
-            f"sidecar uses classified schema v{version}; this build "
-            f"writes and reads back v{CLASSIFIED_FORMAT_VERSION}")
-    companion = path.with_name(m.group("stem") + ".npz")
-    if not companion.exists():
-        return finding(
-            "S004", str(path),
-            f"orphaned sidecar: companion trace '{companion.name}' is "
-            "gone")
-    try:
-        import numpy as np
-
-        with np.load(path) as z:
-            embedded = str(z["geometry"])
-    except Exception:
-        return finding("S004", str(path), "sidecar is unreadable")
-    if embedded != m.group("geom"):
-        return finding(
-            "S004", str(path),
-            f"embedded geometry fingerprint {embedded} disagrees with "
-            f"the filename's {m.group('geom')}")
-    return None
-
-
 def check_trace_cache(cache_dir: str | os.PathLike,
                       kernels: dict | None = None) -> list[Finding]:
-    """S001/S002/S003/S004: audit every entry of a trace-cache directory.
+    """S001/S002/S003: audit every entry of a trace-cache directory.
 
     ``kernels`` maps kernel names to :class:`KernelSpec` (defaults to the
     registry); entries for unknown kernels only get the schema check.
@@ -219,12 +183,6 @@ def check_trace_cache(cache_dir: str | os.PathLike,
     current: dict[str, str] = {}
     for path in sorted(root.iterdir()):
         if path.is_dir():
-            continue
-        sm = _SIDECAR_RE.match(path.name)
-        if sm is not None:
-            bad = _check_sidecar(path, sm)
-            if bad is not None:
-                out.append(bad)
             continue
         m = _CACHE_RE.match(path.name)
         if m is None:
@@ -247,7 +205,7 @@ def check_trace_cache(cache_dir: str | os.PathLike,
         if src != current[name]:
             out.append(finding(
                 "S002", str(path),
-                f"entry was recorded by '{name}' emitters with "
-                f"fingerprint {src}; current source fingerprints as "
-                f"{current[name]}"))
+                f"entry was made by the code that records or classifies "
+                f"'{name}' traces with fingerprint {src}; current source "
+                f"fingerprints as {current[name]}"))
     return out

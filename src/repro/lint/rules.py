@@ -175,19 +175,14 @@ _ALL_RULES = (
          "format version and will never be loaded",
          "delete the entry (or the whole cache directory)"),
     Rule("S002", _E, "stale trace-cache fingerprint",
-         "a cache entry's kernel-source fingerprint no longer matches "
-         "the current emitters — the trace is from edited code",
+         "a cache entry's source fingerprint no longer matches the code "
+         "that records or classifies the trace — the entry is from "
+         "edited code",
          "delete the entry; it is dead weight and a confusion hazard"),
     Rule("S003", _W, "unrecognized trace-cache entry",
          "a file in the cache directory does not match the cache "
          "naming scheme",
          "only trace_cache_path-named .npz files belong there"),
-    Rule("S004", _W, "stale classified sidecar",
-         "a classified sidecar is orphaned (its companion trace file is "
-         "gone), from an older sidecar schema, or its embedded cache-"
-         "geometry fingerprint disagrees with its name — it will never "
-         "be loaded",
-         "delete the sidecar; reloads fall back to reclassification"),
     # ---- exported artifacts (O0xx) --------------------------------------
     Rule("O001", _E, "unrecognized artifact",
          "the file is neither a run manifest nor a trace_event dump",

@@ -194,9 +194,6 @@ _RATIOS = {
     **{f"{c}.hit_rate": (f"{c}.hits", (f"{c}.hits", f"{c}.misses"))
        for c in ("plan_cache", "classify_cache", "lower_cache",
                  "trace_cache")},
-    "classify.sidecar_hit_rate": (
-        "classify.sidecar_hits",
-        ("classify.sidecar_hits", "classify.sidecar_misses")),
     "limiter.fast_path_rate": ("limiter.fast_path_admits",
                                ("limiter.admits",)),
     "event.slab_recycle_rate": ("event.lines_recycled",

@@ -128,14 +128,6 @@ class FpgaSdv:
             c.vpu.coalesce_gathers,
         )
 
-    def geometry_fingerprint(self) -> str:
-        """12-hex digest of :meth:`geometry_key` — the cache-geometry
-        fingerprint the classified trace sidecar keys its payload on."""
-        import hashlib
-
-        return hashlib.sha256(
-            repr(self.geometry_key()).encode()).hexdigest()[:12]
-
     def has_classification(self, trace: TraceBuffer) -> bool:
         """True when ``trace`` already carries a classification for the
         current geometry (memoized or seeded)."""
@@ -166,8 +158,8 @@ class FpgaSdv:
     def seed_classification(self, trace: TraceBuffer,
                             ct: ClassifiedTrace) -> None:
         """Pre-load the classification cache with an externally computed
-        result (a trace-cache sidecar reload), keyed under the current
-        geometry."""
+        result (one loaded from a trace-cache entry), keyed under the
+        current geometry."""
         cache = getattr(trace, "_classified_cache", None)
         if cache is None:
             cache = {}

@@ -12,12 +12,16 @@ string table. Saving is a handful of array writes and loading is
 :meth:`repro.trace.events.TraceBuffer.from_columns` — no per-record Python
 loop in either direction. Files are opened with ``allow_pickle=False``, so
 a file with a pickled member is refused rather than unpickled.
+
+A file may also hold the trace's knob-independent classification (the
+``cls_*`` members, see :func:`save_trace`): a trace-cache entry keeps both
+in one file, so a reload skips reclassification too.
 """
 
 from __future__ import annotations
 
 import os
-import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -28,10 +32,6 @@ from repro.trace.events import TraceBuffer, TraceColumns
 #: cache entries from an older schema are never picked up.
 FORMAT_VERSION = 2
 
-#: on-disk format of the classified sidecar (``<trace>.clsN-<geom>.npz``)
-#: that lets ``--trace-cache`` reloads skip reclassification entirely.
-CLASSIFIED_FORMAT_VERSION = 2
-
 #: the fixed-width columns of a v2 file, in schema order
 _V2_COLUMNS = (
     "kind", "n_alu", "mlp", "mem_bytes", "vl", "active", "opclass",
@@ -40,8 +40,18 @@ _V2_COLUMNS = (
 )
 
 
-def save_trace(trace: TraceBuffer, path: str | os.PathLike) -> None:
-    """Write a sealed trace to ``path`` (.npz, compressed, format v2)."""
+def save_trace(trace: TraceBuffer, path: str | os.PathLike, *,
+               classified=None) -> None:
+    """Write a sealed trace to ``path`` (.npz, compressed, format v2).
+
+    ``classified`` is the trace's
+    :class:`~repro.memory.classify.ClassifiedTrace`, stored alongside as
+    ``cls_rows``, ``cls_req_off`` and ``cls_levels`` (as they are in
+    memory) for :func:`load_classified`. The file is written to a
+    temporary sibling and renamed into place, so ``path`` either holds a
+    whole file or none: a failed or interrupted save never leaves a
+    truncated one there.
+    """
     if not trace.sealed:
         raise TraceError("only sealed traces can be saved")
     c = trace.cols
@@ -50,14 +60,27 @@ def save_trace(trace: TraceBuffer, path: str | os.PathLike) -> None:
     for s in c.strings:
         if "\0" in s:
             raise TraceError(f"string table entry contains NUL: {s!r}")
-    np.savez_compressed(
-        path,
+    members = dict(
         version=np.int64(FORMAT_VERSION),
         addr_off=c.addr_off, addrs=c.addrs, writes=c.writes,
         strings=np.frombuffer(
             "\0".join(c.strings).encode("utf-8"), dtype=np.uint8),
         **{name: getattr(c, name) for name in _V2_COLUMNS},
     )
+    if classified is not None:
+        members.update(cls_rows=np.ascontiguousarray(classified.rows),
+                       cls_req_off=classified.req_off,
+                       cls_levels=classified.levels)
+    path = Path(path)
+    # not a cache-entry name: the cache audit flags a leftover as S003
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **members)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_trace(path: str | os.PathLike) -> TraceBuffer:
@@ -82,57 +105,25 @@ def _load_v2(z) -> TraceBuffer:
     return TraceBuffer.from_columns(cols)
 
 
-# ------------------------------------------------------- classified sidecar
-
-def save_classified(ct, path: str | os.PathLike, *,
-                    geometry_fp: str) -> None:
-    """Persist a trace's knob-independent classification next to its
-    cached trace file.
-
-    ``ct`` is a :class:`repro.memory.classify.ClassifiedTrace`;
-    ``geometry_fp`` is the cache-geometry fingerprint
-    (:meth:`repro.soc.sdv.FpgaSdv.geometry_fingerprint`) the
-    classification was computed under — embedded so a loader never
-    trusts the filename alone. Version 2 stores the rows, the line-request
-    offsets ``req_off`` and the flat ``levels`` as they are in memory.
-    """
-    np.savez_compressed(
-        path,
-        version=np.int64(CLASSIFIED_FORMAT_VERSION),
-        geometry=np.asarray(geometry_fp),
-        rows=np.ascontiguousarray(ct.rows),
-        req_off=ct.req_off, levels=ct.levels,
-    )
-
-
-def load_classified(path: str | os.PathLike, trace: TraceBuffer, config, *,
-                    geometry_fp: str):
-    """Load a classified sidecar saved by :func:`save_classified`.
+def load_classified(path: str | os.PathLike, trace: TraceBuffer, config):
+    """The classification stored in ``path`` by :func:`save_trace`.
 
     Returns a :class:`~repro.memory.classify.ClassifiedTrace` bound to
-    ``trace``/``config``, or ``None`` when the sidecar is unreadable,
-    from a different format version, recorded under a different cache
-    geometry, or misaligned with the trace or with its own levels — any
-    of which just means "reclassify" to the caller, never an error.
+    ``trace`` (loaded from the same file) and ``config``. Raises
+    :class:`TraceError` when the file holds no classification, or one
+    whose rows or offsets do not match the trace.
     """
     from repro.memory.classify import ClassifiedTrace
 
-    try:
-        with np.load(path) as z:
-            if int(z["version"]) != CLASSIFIED_FORMAT_VERSION:
-                return None
-            if str(z["geometry"]) != geometry_fp:
-                return None
-            rows = z["rows"]
-            req_off = z["req_off"]
-            levels = z["levels"]
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None
+    with np.load(path, allow_pickle=False) as z:
+        if "cls_rows" not in z.files:
+            raise TraceError(f"{path} holds no classification")
+        rows = z["cls_rows"]
+        req_off = z["cls_req_off"]
+        levels = z["cls_levels"]
     if rows.shape[0] != len(trace):
-        return None
-    try:
-        return ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
-                               trace=trace, config=config)
-    except TraceError:  # offsets that do not span the levels
-        return None
-
+        raise TraceError(
+            f"classification has {rows.shape[0]} rows for a trace of "
+            f"{len(trace)} records")
+    return ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
+                           trace=trace, config=config)

@@ -41,6 +41,9 @@ _SCALES = {
                    graph_edge_factor=4, fft_n=128, pagerank_iters=1),
 }
 
+#: the preset names, in the order above
+SCALE_NAMES = tuple(_SCALES)
+
 
 def get_scale(name: str) -> Scale:
     """Look up a scale preset by name ('paper', 'ci', 'smoke')."""

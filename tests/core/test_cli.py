@@ -47,9 +47,11 @@ class TestFigures:
         out = capsys.readouterr().out
         assert "measured" in out and "8.78x" in out
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig3", "--kernel", "nope", "--scale", "smoke"])
+        assert exc.value.code == 2
+        assert "nope" in capsys.readouterr().err
 
     def test_no_verify_flag(self, capsys):
         rc = main(["fig4", "--kernel", "fft", "--scale", "smoke",
@@ -113,6 +115,25 @@ class TestNewCommands:
                    "--bandwidth", "8"])
         assert rc == 0
         assert "max VL=8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,value", [
+        (["fig3", "--vls", "8,x"], "8,x"),
+        (["report", "--vls", "8,x"], "8,x"),
+        (["fig3", "--vls", "7"], "VL 7"),
+        (["fig3", "--scale", "nope"], "nope"),
+        (["probe", "--max-vl", "7"], "got 7"),
+        (["probe", "--bandwidth", "100"], "got 100"),
+        (["probe", "--extra-latency", "-5"], "got -5"),
+        (["headline", "--scale", "smoke", "--vls", "8"], "got 8"),
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, value, capsys):
+        # exit 2 with a one-line message naming the value, no traceback
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert value in err
+        assert f"repro-sdv {argv[0]}: error:" in err
 
 
 class TestSweepInfraFlags:

@@ -53,6 +53,33 @@ class TestRunTasks:
     def test_single_task_runs_inline(self):
         assert run_tasks(_square, [5], jobs=8) == [25]
 
+    def test_pool_is_sized_to_the_tasks(self, monkeypatch):
+        # an executor forks all its workers at the first submit, so the
+        # pool must not be larger than the task list
+        from concurrent.futures import Future
+
+        asked = []
+
+        class _Executor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def submit(self, fn, task):
+                f = Future()
+                f.set_result(fn(task))
+                return f
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        shutdown_pool()
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _Executor)
+        try:
+            assert run_tasks(abs, [-1, -2], jobs=64) == [1, 2]
+        finally:
+            shutdown_pool()
+        assert asked == [2]
+
 
 class TestPersistentPool:
     def test_pool_survives_across_calls(self):
@@ -403,15 +430,94 @@ class TestTraceCache:
         workload = spec.prepare(get_scale("smoke"), 7)
         first = latency_sweep(spec, workload, vls=(8,),
                               trace_cache=tmp_path)
-        traces = [f for f in tmp_path.glob("*.npz")
-                  if ".cls" not in f.name]
-        sidecars = [f for f in tmp_path.glob("*.npz") if ".cls" in f.name]
-        assert len(traces) == 2  # scalar + vl8
-        assert len(sidecars) == 2  # one classified sidecar per trace
+        # one file per implementation (scalar + vl8), holding the trace
+        # and its classification
+        assert len(list(tmp_path.iterdir())) == 2
         second = latency_sweep(spec, workload, vls=(8,),
                                trace_cache=tmp_path)
         for impl in first.impls:
             assert first.series(impl) == second.series(impl)
+
+    def test_truncated_entry_is_regenerated(self, tmp_path):
+        # a truncated zip at the entry path (what a write killed in place
+        # leaves) must count as a miss, be rewritten whole, and not
+        # change a single row
+        from repro.obs.record import fold, recording
+        from repro.trace.serialize import load_classified, load_trace
+
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        cold = latency_sweep(spec, workload, vls=(8,), verify=False)
+        latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
+                      verify=False)
+        sdv = FpgaSdv().configure(max_vl=8)
+        entry = trace_cache_path(tmp_path, spec.name, workload, 8, sdv,
+                                 spec=spec)
+        data = entry.read_bytes()
+        entry.write_bytes(data[:len(data) // 2])
+        with recording() as rec:
+            again = latency_sweep(spec, workload, vls=(8,),
+                                  trace_cache=tmp_path, verify=False)
+        for impl in cold.impls:
+            assert again.series(impl) == cold.series(impl)
+        counters = fold(rec.records)["counters"]
+        assert counters["trace_cache.hits"] == 1  # scalar
+        assert counters["trace_cache.misses"] == 1  # vl8, regenerated
+        warned = [r for r in rec.records if r["kind"] == "event"
+                  and r["name"] == "trace_cache.unreadable"]
+        assert [r["level"] for r in warned] == ["warn"]
+        assert warned[0]["attrs"]["path"] == str(entry)
+        trace = load_trace(entry)
+        assert load_classified(entry, trace, sdv.config) is not None
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_classifier_edit_misses_the_cache(self, tmp_path, monkeypatch):
+        # the entry stores the classification, so an edit to the
+        # classifier must miss the cache like an edit to the kernel: here
+        # the "edit" runs every L1 set with one way, in the code that
+        # classifies and in the source the fingerprint hashes
+        import inspect as real_inspect
+
+        import repro.memory.classify as classify_mod
+
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        before = latency_sweep(spec, workload, vls=(8,),
+                               trace_cache=tmp_path, verify=False)
+        real_geometry = classify_mod._geometry
+        real_getsource = real_inspect.getsource
+
+        def one_way(config):
+            sets, _ways, *l2 = real_geometry(config)
+            return (sets, 1, *l2)
+
+        def edited_getsource(obj):
+            src = real_getsource(obj)
+            if getattr(obj, "__name__", "") == "repro.memory.classify":
+                return src + "\n# _geometry: one L1 way\n"
+            return src
+
+        monkeypatch.setattr(classify_mod, "_geometry", one_way)
+        monkeypatch.setattr(sweeps_mod.inspect, "getsource",
+                            edited_getsource)
+        uncached = latency_sweep(spec, workload, vls=(8,), verify=False)
+        assert uncached.series("scalar") != before.series("scalar")
+        cached = latency_sweep(spec, workload, vls=(8,),
+                               trace_cache=tmp_path, verify=False)
+        for impl in uncached.impls:
+            assert cached.series(impl) == uncached.series(impl)
+
+    def test_classify_c_edit_changes_the_fingerprint(self, tmp_path,
+                                                     monkeypatch):
+        from repro.core.sweeps import kernel_fingerprint
+
+        spec = KERNELS["fft"]
+        base = kernel_fingerprint(spec)
+        edited = tmp_path / "classify.c"
+        edited.write_text(sweeps_mod._CLASSIFIER_C.read_text()
+                          + "\n/* one L1 way */\n")
+        monkeypatch.setattr(sweeps_mod, "_CLASSIFIER_C", edited)
+        assert kernel_fingerprint(spec) != base
 
     def test_cache_hit_skips_kernel_execution(self, tmp_path):
         # wrappers keep the cache key stable across both runs (the key
@@ -572,13 +678,8 @@ class TestHoistedReference:
 
 
 class TestClassifiedSidecar:
-    """The classified sidecar: reloads skip reclassification entirely."""
-
-    def _warm(self, tmp_path):
-        spec = KERNELS["fft"]
-        workload = spec.prepare(get_scale("smoke"), 7)
-        latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path)
-        return spec, workload
+    """The classification stored in each cache entry: reloads skip
+    reclassification entirely."""
 
     def test_reload_seeds_from_sidecar_without_reclassifying(self, tmp_path):
         from repro.obs.record import fold, recording
@@ -596,47 +697,6 @@ class TestClassifiedSidecar:
         delta = fold(rec.records)["counters"]
         for impl in first.impls:
             assert first.series(impl) == second.series(impl)
-        assert delta.get("classify.sidecar_hits") == 2  # scalar + vl8
-        assert delta.get("classify.sidecar_misses", 0) == 0
-        # ... and sidecar seeding means zero classification runs on reload
+        assert delta.get("trace_cache.hits") == 2  # scalar + vl8
+        # ... and the stored classification means zero runs on reload
         assert delta.get("classify.runs", 0) == 0
-
-    def test_cache_hit_rewrites_a_missing_sidecar(self, tmp_path):
-        from repro.obs.record import fold, recording
-
-        spec, workload = self._warm(tmp_path)
-        sidecars = sorted(f for f in tmp_path.glob("*.npz")
-                          if ".cls" in f.name)
-        assert len(sidecars) == 2  # scalar + vl8
-        for side in sidecars:
-            side.unlink()
-        latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
-                      verify=False)
-        assert sorted(f for f in tmp_path.glob("*.npz")
-                      if ".cls" in f.name) == sidecars
-        with recording() as rec:
-            latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
-                          verify=False)
-        delta = fold(rec.records)["counters"]
-        assert delta.get("classify.sidecar_hits") == 2
-        assert delta.get("classify.runs", 0) == 0
-
-    def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
-        from repro.core.sweeps import run_implementation
-        from repro.obs.record import fold, recording
-
-        spec, workload = self._warm(tmp_path)
-        for side in tmp_path.glob("*.npz"):
-            if ".cls" in side.name:
-                # keep the filename honest but corrupt the payload so the
-                # embedded-fingerprint check rejects it on load
-                side.write_bytes(b"not an npz")
-        with recording() as rec:
-            sdv, trace = run_implementation(spec, workload, 8,
-                                            verify=False,
-                                            trace_cache=tmp_path)
-            ct = sdv.classify(trace)
-        delta = fold(rec.records)["counters"]
-        assert ct is not None
-        assert delta.get("classify.sidecar_misses", 0) >= 1
-        assert delta.get("classify.sidecar_hits", 0) == 0

@@ -1,10 +1,9 @@
 """Sweep-grid legality, SoC config checks, trace-cache staleness audit."""
 
-import numpy as np
 import pytest
 
 from repro.config import SdvConfig
-from repro.core.sweeps import run_implementation, trace_cache_path
+from repro.core.sweeps import run_implementation
 from repro.errors import ConfigError
 from repro.kernels import KERNELS
 from repro.lint.config_rules import (
@@ -14,7 +13,6 @@ from repro.lint.config_rules import (
     check_trace_cache,
     check_vls,
 )
-from repro.soc import FpgaSdv
 from repro.workloads import get_scale
 from tests.lint.util import error_rules, rules_of
 
@@ -107,24 +105,22 @@ class TestTraceCacheAudit:
 
     def test_unrecognized_entry(self, tmp_path):
         self._warm(tmp_path)
-        (tmp_path / "leftover.npz").write_bytes(b"x")
-        assert rules_of(check_trace_cache(tmp_path)) == ["S003"]
+        entry = self._trace_entry(tmp_path)
+        # a stray file, and the temporary file a killed save leaves
+        for name in ("leftover.npz", f"{entry.name}.4242.tmp"):
+            stray = tmp_path / name
+            stray.write_bytes(b"x")
+            assert rules_of(check_trace_cache(tmp_path)) == ["S003"]
+            stray.unlink()
 
     @staticmethod
     def _trace_entry(tmp_path):
-        """The cached trace itself (not its classified sidecar)."""
-        return next(f for f in tmp_path.glob("*.npz")
-                    if ".cls" not in f.name)
-
-    @staticmethod
-    def _drop_sidecars(tmp_path):
-        for side in tmp_path.glob("*.npz"):
-            if ".cls" in side.name:
-                side.unlink()
+        """The one cache entry: the trace and its classification."""
+        (entry,) = tmp_path.glob("*.npz")
+        return entry
 
     def test_stale_schema_version(self, tmp_path):
         self._warm(tmp_path)
-        self._drop_sidecars(tmp_path)
         entry = self._trace_entry(tmp_path)
         stale = entry.name.replace("-t", "-t9", 1)
         entry.rename(tmp_path / stale)
@@ -132,7 +128,6 @@ class TestTraceCacheAudit:
 
     def test_stale_kernel_fingerprint(self, tmp_path):
         self._warm(tmp_path)
-        self._drop_sidecars(tmp_path)
         entry = self._trace_entry(tmp_path)
         stem, src = entry.name.rsplit("-", 1)
         entry.rename(tmp_path / f"{stem}-{'0' * 12}.npz")
@@ -140,41 +135,22 @@ class TestTraceCacheAudit:
         assert rules_of(found) == ["S002"]
         assert error_rules(found) == ["S002"]
 
-    # ---- S004: classified sidecars ------------------------------------
+    def test_classifier_edit_stales_the_entry(self, tmp_path,
+                                              monkeypatch):
+        # an entry stores its classification, so an edit to the
+        # classifier's source stales it like an edit to the emitters
+        import inspect
 
-    def _sidecar(self, tmp_path):
-        return next(f for f in tmp_path.glob("*.npz") if ".cls" in f.name)
-
-    def test_fresh_sidecar_is_clean(self, tmp_path):
         self._warm(tmp_path)
-        assert self._sidecar(tmp_path) is not None
-        assert check_trace_cache(tmp_path) == []
+        real_getsource = inspect.getsource
 
-    def test_orphaned_sidecar(self, tmp_path):
-        self._warm(tmp_path)
-        self._trace_entry(tmp_path).unlink()
+        def edited_getsource(obj):
+            src = real_getsource(obj)
+            if getattr(obj, "__name__", "") == "repro.memory.classify":
+                return src + "\n# one L1 way\n"
+            return src
+
+        monkeypatch.setattr(inspect, "getsource", edited_getsource)
         found = check_trace_cache(tmp_path)
-        assert rules_of(found) == ["S004"]
-        assert "orphaned" in found[0].message
-
-    def test_stale_sidecar_schema(self, tmp_path):
-        self._warm(tmp_path)
-        side = self._sidecar(tmp_path)
-        side.rename(tmp_path / side.name.replace(".cls", ".cls9", 1))
-        assert rules_of(check_trace_cache(tmp_path)) == ["S004"]
-
-    def test_geometry_mismatch(self, tmp_path):
-        self._warm(tmp_path)
-        side = self._sidecar(tmp_path)
-        stem, tail = side.name.rsplit("-", 1)
-        side.rename(tmp_path / f"{stem}-{'0' * 12}.npz")
-        found = check_trace_cache(tmp_path)
-        assert rules_of(found) == ["S004"]
-        assert "disagrees" in found[0].message
-
-    def test_unreadable_sidecar(self, tmp_path):
-        self._warm(tmp_path)
-        self._sidecar(tmp_path).write_bytes(b"not an npz")
-        found = check_trace_cache(tmp_path)
-        assert rules_of(found) == ["S004"]
-        assert "unreadable" in found[0].message
+        assert error_rules(found) == ["S002"]
+        assert "classifies" in found[0].message

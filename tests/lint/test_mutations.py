@@ -121,8 +121,8 @@ class TestStaleTraceCache:
         wl = spec.prepare(get_scale("smoke"), 7)
         run_implementation(spec, wl, 8, trace_cache=tmp_path,
                            verify=False)
-        return next(f for f in tmp_path.glob("*.npz")
-                    if ".cls" not in f.name)
+        (entry,) = tmp_path.glob("*.npz")
+        return entry
 
     def test_stale_fingerprint_fails_the_gate(self, tmp_path):
         entry = self._warm(tmp_path)

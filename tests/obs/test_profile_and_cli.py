@@ -275,8 +275,8 @@ class TestInstrumentedSweep:
 
     def test_cache_hits_mean_reuse(self, tmp_path):
         # a figure over cached traces loads each trace once: its
-        # classification comes from the sidecar (one hit per trace), and
-        # it is lowered once (one miss per trace)
+        # classification comes from the same cache entry (one hit per
+        # trace), and it is lowered once (one miss per trace)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
 
@@ -285,7 +285,7 @@ class TestInstrumentedSweep:
                           bandwidths=[8], vls=(8,), verify=False,
                           trace_cache=tmp_path)
 
-        sweep()  # records the traces and their classified sidecars
+        sweep()  # records the traces with their classifications
         assert self._cache_counts(sweep) == {"classify_cache.hits": 2,
                                              "lower_cache.misses": 2}
 

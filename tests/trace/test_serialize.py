@@ -20,7 +20,6 @@ from repro.trace.serialize import (
     FORMAT_VERSION,
     load_classified,
     load_trace,
-    save_classified,
     save_trace,
 )
 
@@ -143,20 +142,57 @@ class TestFormatVersions:
             save_trace(t.seal(), tmp_path / "x.npz")
 
 
+class TestAtomicSave:
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        """A save that fails mid-write leaves nothing at the path and no
+        temporary file behind."""
+        real = np.lib.format.write_array
+        written = []
+
+        def disk_full(fp, array, *args, **kwargs):
+            if len(written) == 3:
+                raise OSError("No space left on device")
+            written.append(1)
+            return real(fp, array, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", disk_full)
+        path = tmp_path / "t.npz"
+        with pytest.raises(OSError, match="No space"):
+            save_trace(make_mixed_trace(), path)
+        assert written  # the failure came mid-write, not before it
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestClassifiedSidecar:
-    def test_v1_and_short_offsets_load_as_none(self, tmp_path):
+    """The classification stored in the trace file itself."""
+
+    def test_classification_round_trips_in_the_trace_file(self, tmp_path):
         trace = make_mixed_trace()
         cfg = SdvConfig().validate()
-        path = tmp_path / "t.cls.npz"
-        save_classified(classify_trace(trace, cfg), path, geometry_fp="g")
-        assert load_classified(path, trace, cfg, geometry_fp="g") is not None
-        data = dict(np.load(path))
-        # version 1 stored per-record lengths and the levels they cut
-        v1 = {"version": np.int64(1), "geometry": data["geometry"],
-              "rows": data["rows"],
-              "lens": np.diff(data["req_off"]), "flat": data["levels"]}
-        short = dict(data, req_off=data["req_off"][:-1])
-        for name, payload in (("v1", v1), ("short", short)):
+        ct = classify_trace(trace, cfg)
+        path = tmp_path / "t.npz"
+        save_trace(trace, path, classified=ct)
+        back = load_trace(path)  # the trace loads as before
+        loaded = load_classified(path, back, cfg)
+        assert loaded.trace is back and loaded.config is cfg
+        assert np.array_equal(loaded.rows, ct.rows)
+        assert np.array_equal(loaded.req_off, ct.req_off)
+        assert np.array_equal(loaded.levels, ct.levels)
+        assert loaded.totals == ct.totals
+
+    def test_missing_or_short_classification_raises(self, tmp_path):
+        trace = make_mixed_trace()
+        cfg = SdvConfig().validate()
+        bare = tmp_path / "bare.npz"
+        save_trace(trace, bare)
+        with pytest.raises(TraceError, match="no classification"):
+            load_classified(bare, trace, cfg)
+        full = tmp_path / "full.npz"
+        save_trace(trace, full, classified=classify_trace(trace, cfg))
+        data = dict(np.load(full))
+        short_off = dict(data, cls_req_off=data["cls_req_off"][:-1])
+        short_rows = dict(data, cls_rows=data["cls_rows"][:-1])
+        for name, payload in (("off", short_off), ("rows", short_rows)):
             np.savez_compressed(tmp_path / f"{name}.npz", **payload)
-            assert load_classified(tmp_path / f"{name}.npz", trace, cfg,
-                                   geometry_fp="g") is None
+            with pytest.raises(TraceError):
+                load_classified(tmp_path / f"{name}.npz", trace, cfg)
