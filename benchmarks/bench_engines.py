@@ -3,13 +3,12 @@ specifications.
 
 Not a paper figure — these regression-anchor the tool: the analytic
 specification (``simulate_fast``) must stay orders of magnitude quicker
-than the DES pair, the batch engine must beat re-timing with its
+than the coroutine DES, the batch engine must beat re-timing with its
 specification once per point by a wide margin (it is what makes
-*paper-scale* sweeps cheap), the array-backed event engine must hold its
-throughput lead over the coroutine specification (it is what makes
-DES-grade timelines and attribution spot checks routine), classification
-must amortize across sweep points, and the models must agree on the
-headline quantity.
+*paper-scale* sweeps cheap), the compiled event engine must hold its lead
+over the coroutine specification (it is what makes DES sweeps, timelines
+and attribution spot checks routine), classification must amortize
+across sweep points, and the models must agree on the headline quantity.
 """
 
 import dataclasses
@@ -19,6 +18,7 @@ import time
 import pytest
 from conftest import LATENCIES, record_ledger, write_result
 
+from repro import native
 from repro.core.sweeps import run_implementation
 from repro.engine import simulate_events, simulate_events_fast, simulate_fast
 from repro.engine.batch_sim import batch_cycles
@@ -128,25 +128,27 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
     assert speedup >= 5.0, f"batch engine only {speedup:.1f}x over fast"
 
 
-# Legacy fallback floor: minimum event/event-ref speedup per scale, used
-# only when the perf ledger has too little committed history for the
-# median+MAD detector (fresh clone, new series). Because both engines run
-# on the same interpreter the ratio is machine-independent; below 0.8x of
-# these fails. Baselines are observed min-of-3 ratios on the SpMV vl256
-# trace, rounded down.
-_DES_BASELINE_SPEEDUP = {"ci": 5.5, "paper": 10.0}
+#: fresh-clone floor for ``des_compiled_speedup`` (the ledger's
+#: median+MAD detector is the bar once the series has history), set well
+#: below the 227-250x measured at ci scale on a shared 2-vCPU host
+_DES_FLOOR = 50.0
 
 
-def test_bench_event_fast_vs_ref_throughput(spmv_sweep_setup):
-    """Record the DES headline: the array-backed engine vs the coroutine ref.
+def test_bench_des_compiled_speedup(spmv_sweep_setup):
+    """Record the DES headline: the compiled event engine against its
+    coroutine specification.
 
     SpMV vl256 is the line-traffic-heavy case — gather/scatter misses keep
     the line-request pipeline (MSHR grants, bank arbitration, NoC hops,
-    response fan-out) saturated, which is exactly the token stream the
-    calendar-queue engine exists to make cheap. Both engines consume the
-    same shared EventPlan and must return bit-identical reports, so the
-    ratio isolates pure scheduling overhead.
+    response fan-out) saturated, which is the token stream the compiled
+    calendar queue exists to make cheap. Both consume the same cached
+    EventPlan and must return bit-identical reports, so the ratio is the
+    scheduling cost alone. The older ``des_speedup`` series timed the
+    Python state machines this kernel replaced; it is no longer
+    appended.
     """
+    if native.library() is None:
+        pytest.skip("no C compiler could build the compiled kernels")
     sdv, trace, _, _ = spmv_sweep_setup
     ct = sdv.classify(trace)
     scale_name = os.environ.get("REPRO_BENCH_SCALE", "ci")
@@ -164,29 +166,23 @@ def test_bench_event_fast_vs_ref_throughput(spmv_sweep_setup):
     n = len(ct.trace)
     lines = [
         f"SpMV vl256 DES throughput ({n} records, scale={scale_name})",
-        f"  event-ref : {ref_s * 1e3:9.2f} ms/run "
+        f"  event-ref (coroutine spec) : {ref_s * 1e3:9.2f} ms/run "
         f"({n / ref_s:10.0f} records/s)",
-        f"  event     : {fast_s * 1e3:9.2f} ms/run "
+        f"  event (compiled)           : {fast_s * 1e3:9.2f} ms/run "
         f"({n / fast_s:10.0f} records/s)",
-        f"  speedup   : {speedup:.2f}x",
+        f"  speedup                    : {speedup:.1f}x",
     ]
     write_result("engine_des_throughput", "\n".join(lines))
 
-    # primary bar: the robust detector over the committed ledger history;
-    # the hand-set 0.8x-of-constant check only guards fresh clones where
-    # the series has too few samples for median+MAD to mean anything
-    verdict = record_ledger("bench_engines", "des_speedup", speedup,
-                            attrs={"records": n})
+    verdict = record_ledger("bench_engines", "des_compiled_speedup",
+                            speedup, attrs={"records": n})
     if verdict.status == "insufficient":
-        baseline = _DES_BASELINE_SPEEDUP.get(scale_name)
-        if baseline is not None:
-            assert speedup >= 0.8 * baseline, (
-                f"event engine only {speedup:.2f}x over event-ref at "
-                f"scale={scale_name}; fallback baseline is {baseline}x "
-                f"(>20% regression; ledger: {verdict.reason})")
+        assert speedup >= _DES_FLOOR, (
+            f"compiled DES only {speedup:.1f}x over the coroutine spec "
+            f"(floor {_DES_FLOOR}x; ledger: {verdict.reason})")
     else:
         assert not verdict.is_regression, (
-            f"event-engine speedup regressed: {verdict.reason}")
+            f"compiled-DES speedup regressed: {verdict.reason}")
 
 
 def _timed(fn, ct):

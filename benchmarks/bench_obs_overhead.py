@@ -11,6 +11,7 @@ fused ``attribute_many`` batch walks must keep it within 30% of the
 plain sweep.
 """
 
+import dataclasses
 import time
 
 from conftest import LATENCIES, VLS, record_ledger, write_result
@@ -74,29 +75,39 @@ def test_bench_instrumentation_overhead(workloads):
     )
 
 
-def _des_once(ct) -> float:
+def _des_grid(cts) -> float:
     t0 = time.perf_counter()
-    simulate_events_fast(ct)
+    for ct in cts:
+        simulate_events_fast(ct)
     return time.perf_counter() - t0
 
 
 def test_bench_engine_counter_overhead(workloads):
-    """Engine introspection cost on the DES hot loop: <=5% with recording
-    on, unmeasurable (<=1%) with it off.
+    """Engine introspection cost on the DES: <=5% with recording on,
+    unmeasurable (<=1%) with it off.
+
+    One timed sample is the whole FFT latency grid (every implementation
+    at every latency point) on the compiled DES: a single run takes about
+    a millisecond, too short to time the recorder against timer noise.
 
     The counters-off bar cannot compare against "the code without the
     guard" (that code no longer exists), so it is measured as two
     disabled timings bracketing the enabled one *within every round* —
     interleaving cancels slow machine drift out of the off/off
-    comparison. With the guard checked once per active timestamp the two
-    disabled mins must agree to within timer noise; a drift beyond 1%
-    would mean the disabled path acquired real per-token work.
+    comparison. With the counters recorded once per run the two disabled
+    mins must agree to within timer noise; a drift beyond 1% would mean
+    the disabled path acquired real per-run work.
     """
     spec = KERNELS["fft"]
-    sdv, trace = run_implementation(spec, workloads["fft"], 64,
-                                    verify=False)
-    ct = sdv.classify(trace)
-    simulate_events_fast(ct)  # warm-up: plan cache, allocator
+    cts = []
+    for vl in (None, *VLS):
+        sdv, trace = run_implementation(spec, workloads["fft"], vl,
+                                        verify=False)
+        ct = sdv.classify(trace)
+        cts += [dataclasses.replace(
+                    ct, config=sdv.config.with_extra_latency(lat))
+                for lat in LATENCIES]
+    _des_grid(cts)  # warm-up: plan cache, allocator
 
     reps = 7
     off_a = on = off_b = float("inf")
@@ -104,14 +115,14 @@ def test_bench_engine_counter_overhead(workloads):
     try:
         for _ in range(reps):
             set_recording(False)
-            off_a = min(off_a, _des_once(ct))
+            off_a = min(off_a, _des_grid(cts))
             rec = set_recording(True)  # a fresh recorder each round
-            on = min(on, _des_once(ct))
+            on = min(on, _des_grid(cts))
             runs_counted += fold(rec.records)["counters"].get(
                 "event.runs", 0)
             set_recording(False)
-            off_b = min(off_b, _des_once(ct))
-        assert runs_counted >= reps, (
+            off_b = min(off_b, _des_grid(cts))
+        assert runs_counted >= reps * len(cts), (
             "counters-on runs recorded no engine stats")
     finally:
         set_recording(False)
@@ -121,8 +132,8 @@ def test_bench_engine_counter_overhead(workloads):
     off_drift_pct = abs(off_b / off_a - 1.0) * 100.0
 
     write_result("obs_engine_counter_overhead", "\n".join([
-        "engine-counter overhead — fft vl64 DES run "
-        f"(min of {reps}, off/on/off interleaved)",
+        f"engine-counter overhead — fft latency grid, {len(cts)} DES runs "
+        f"per sample (min of {reps}, off/on/off interleaved)",
         f"counters off (a)        : {off_a * 1e3:8.1f} ms",
         f"counters on             : {on * 1e3:8.1f} ms ({on_pct:+.1f}%)",
         f"counters off (b)        : {off_b * 1e3:8.1f} ms "

@@ -8,12 +8,13 @@ Two runtime engines consume a :class:`repro.memory.classify.ClassifiedTrace`:
   times **all** sweep points in a single compiled walk with the knob axis
   as the inner loop (a NumPy walk without a C compiler).
 * :func:`repro.engine.event_fast.simulate_events_fast` (``engine="event"``)
-  — the discrete-event engine: array-backed per-instruction state machines
-  stepped off an integer-cycle calendar queue, at line-request
-  granularity.
+  — the discrete-event engine: a compiled kernel (``event.c``) of
+  per-instruction state machines stepped off an integer-cycle calendar
+  queue, at line-request granularity.
 
 Each has a specification it is pinned to bit for bit by the tests; the
-specifications cannot be picked at run time:
+specifications cannot be picked at run time, but ``event`` runs its own
+where no C compiler can build ``event.c``:
 
 * :func:`repro.engine.fast_sim.simulate_fast` — the per-record analytic
   walk of the machine (scalar core + decoupled VPU + throttled memory),
@@ -22,7 +23,7 @@ specifications cannot be picked at run time:
   discrete-event model, the readable specification of ``event``.
 
 All share the cost models in :mod:`core_model` and :mod:`vpu_model` and the
-two event implementations additionally share the pre-quantized
+two event implementations additionally share the pre-quantized flat
 :class:`repro.engine.event_common.EventPlan`, so a disagreement between
 them localizes to queueing/overlap behaviour, which is exactly what the
 cross-validation tests probe. See ``docs/engines.md`` for the full map.

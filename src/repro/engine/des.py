@@ -1,15 +1,16 @@
 """Minimal discrete-event simulation kernel (SimPy-flavoured).
 
-The event engine models the FPGA-SDV as communicating processes (core, VPU
-pipes, L2 banks, DRAM channel); this module provides the scheduling
-substrate: an :class:`Environment` with a time-ordered event heap,
-generator-based :class:`Process` coroutines that ``yield`` events, and a
-FIFO :class:`Resource` for contended units.
+The coroutine specification of the event engine
+(:mod:`repro.engine.event_sim`) models the FPGA-SDV as communicating
+processes (core, VPU pipes, L2 banks, DRAM channel); this module provides
+the scheduling substrate: an :class:`Environment` with a time-ordered
+event heap, generator-based :class:`Process` coroutines that ``yield``
+events, and a FIFO :class:`Resource` for contended units.
 
 Time is counted in **integer cycles**. Hardware schedules on clock edges,
 and fractional timestamps were the one source of float-comparison drift
-between this kernel and the array-backed fast engine
-(:mod:`repro.engine.event_fast`), which must replay the exact same event
+between this kernel and the compiled event engine (``event.c``, behind
+:mod:`repro.engine.event_fast`), which must replay the exact same event
 order. ``_schedule`` therefore rejects non-integral delays; cost models
 quantize their few fractional terms (issue gaps) before they reach the
 kernel.
@@ -89,7 +90,7 @@ class Process(Event):
 
     The first slice runs **synchronously** at creation (up to the first
     ``yield``), so a spawned process observes the machine state at its
-    spawn point — the same convention the array-backed engine's inline
+    spawn point — the same convention the compiled event engine's inline
     state-machine starts follow.
     """
 

@@ -15,20 +15,21 @@ Models the FPGA-SDV as communicating processes on the DES kernel
 
 The hit/miss outcome of every request comes from the classification pass
 (the caches are deterministic state machines, so there is no point
-re-simulating them here); what this engine adds over the fast engine is
+re-simulating them here); what this model adds over the analytic one is
 *queueing*: real per-bank contention, real limiter windows, real MSHR and
 decoupled-queue occupancy.
 
 All per-record cost inputs come from the shared
 :class:`repro.engine.event_common.EventPlan`, which also pre-quantizes the
-fractional issue gaps onto the kernel's integer-cycle clock. The
-array-backed engine (:mod:`repro.engine.event_fast`, registered as
-``engine="event"``) replays the **same schedule** without coroutines and
-must agree with this one bit for bit. This model is not a runtime engine:
-it is the executable specification the tests pin ``event`` to, and its
-reports and timelines carry the label ``event-ref``. It is O(events) in
-Python generators — use it to validate and for differential debugging,
-not to sweep.
+fractional issue gaps onto the kernel's integer-cycle clock; this model
+reads slices of its per-line arrays. The compiled DES
+(:mod:`repro.engine.event_fast`, registered as ``engine="event"``)
+replays the **same schedule** and must agree with this one bit for bit.
+This model is the executable specification the tests pin ``event`` to,
+and its reports and timelines carry the label ``event-ref``. It is also
+what ``event`` runs on a host with no C compiler, relabelled ``event``.
+It is O(events) in Python generators, a few hundred times slower than
+the compiled DES.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ class _Machine:
     def __init__(self, ct: ClassifiedTrace, plan: EventPlan, *,
                  timeline=None) -> None:
         self.plan = plan
+        # the plan's arrays as lists: a coroutine per record indexes them
+        # element by element, and list indexing is the cheap kind
+        self.req_off = plan.req_off.tolist()
+        self.level = plan.level.tolist()
+        self.bank = plan.bank.tolist()
+        self.step = plan.step.tolist()
+        self.dep = plan.dep.tolist()
         self.config = ct.config
         self.env = Environment()
         self.timeline = timeline
@@ -182,29 +190,30 @@ class _Machine:
 
     # ----------------------------------------------------------------- scalar
 
-    def scalar_block(self, i: int, slot: int):
+    def scalar_block(self, i: int):
         env = self.env
         plan = self.plan
-        n_mem = plan.sc_n_mem[slot]
+        lo, hi = self.req_off[i], self.req_off[i + 1]
+        n_mem = hi - lo
 
         if n_mem == 0:
-            issue = plan.sc_issue[slot]
+            issue = int(plan.issue[i])
             self.acc_issue += issue
             if issue > 0:
                 yield env.timeout(issue)
             return
 
         t_start = env.now
-        steps = plan.sc_steps[slot]
-        levels = plan.sc_levels[slot]
-        banks = plan.sc_banks[slot]
-        p = plan.sc_p[slot]
-        gap_total = plan.sc_gap_total[slot]
+        steps = self.step[lo:hi]
+        levels = self.level[lo:hi]
+        banks = self.bank[lo:hi]
+        p = int(plan.mlp[i])
+        gap_total = int(plan.gap_total[i])
         self.acc_issue += gap_total
 
         outstanding: list[Event] = []
-        wb_left = plan.sc_wb[slot]
-        pf_left = plan.sc_pf[slot]
+        wb_left = int(plan.wb[i])
+        pf_left = int(plan.pf[i])
         for j in range(n_mem):
             if steps[j] > 0:
                 yield env.timeout(steps[j])
@@ -240,12 +249,12 @@ class _Machine:
         env = self.env
         plan = self.plan
         yield self.arith_pipe.request()
-        dep = plan.dep[i]
+        dep = self.dep[i]
         if dep >= 0:
             yield from self.wait_dep(dep)
         if not self.chain_ev[i].triggered:
             self.chain_ev[i].succeed()  # consumers may chain from our start
-        occ = plan.va_occ[plan.slot[i]]
+        occ = int(plan.occ[i])
         self.acc_varith += occ
         t_busy = env.now
         yield env.timeout(occ)
@@ -256,13 +265,13 @@ class _Machine:
             yield from self.enforce_floor(dep)
         if self.timeline is not None:
             self.timeline.add("vpu-arith", f"varith[{i}]", t_busy, env.now,
-                              vl=plan.vl[i], occupancy=occ)
+                              vl=int(plan.vl[i]), occupancy=occ)
         self.finish(i)
 
     def vmem(self, i: int):
         env = self.env
         plan = self.plan
-        dep = plan.dep[i]
+        dep = self.dep[i]
         if self.config.vpu.ooo_mem_issue:
             # OoO memory queue: wait for operands *before* claiming the AGU,
             # so younger independent loads stream past a stalled gather
@@ -275,16 +284,16 @@ class _Machine:
             if dep >= 0:
                 yield from self.wait_dep(dep)
 
-        slot = plan.slot[i]
-        n_lines = plan.vm_n[slot]
-        steps = plan.vm_steps[slot]
-        levels = plan.vm_levels[slot]
-        banks = plan.vm_banks[slot]
+        lo, hi = self.req_off[i], self.req_off[i + 1]
+        n_lines = hi - lo
+        steps = self.step[lo:hi]
+        levels = self.level[lo:hi]
+        banks = self.bank[lo:hi]
         t_busy_start = env.now
 
         responses: list[Event] = []
         first_resp = self.chain_ev[i]
-        wb_left = plan.vm_wb[slot]
+        wb_left = int(plan.wb[i])
         for j in range(n_lines):
             if steps[j] > 0:
                 yield env.timeout(steps[j])
@@ -310,8 +319,8 @@ class _Machine:
             yield from self.enforce_floor(dep)
         if self.timeline is not None:
             self.timeline.add("vpu-mem", f"vmem[{i}]", t_busy_start, env.now,
-                              vl=plan.vl[i], lines=n_lines,
-                              dram_reads=plan.vm_dram[slot])
+                              vl=int(plan.vl[i]), lines=n_lines,
+                              dram_reads=int(plan.dram[i]))
         self.finish(i)
         self.mem_slots.release()
 
@@ -320,11 +329,13 @@ class _Machine:
     def core(self):
         env = self.env
         plan = self.plan
+        kinds = plan.kind.tolist()
+        scalar_dest = plan.scalar_dest.tolist()
         for i in range(plan.n):
-            kind = plan.kind[i]
+            kind = kinds[i]
             if kind == LKIND_SCALAR:
                 t0 = env.now
-                yield from self.scalar_block(i, plan.slot[i])
+                yield from self.scalar_block(i)
                 if self.timeline is not None:
                     self.timeline.add("scalar-core", f"scalar[{i}]",
                                       t0, env.now)
@@ -354,7 +365,7 @@ class _Machine:
                 env.process(self.vmem(i))
             else:
                 raise EngineError(f"unknown record kind {kind}")
-            if plan.scalar_dest[i]:
+            if scalar_dest[i]:
                 yield self.done_ev[i]
                 yield env.timeout(_TRANSFER)
 

@@ -9,14 +9,16 @@ generation. :func:`check_sweep` validates the whole grid up front, and
 :func:`check_trace_cache` audits an on-disk trace-cache directory: cache
 entries name the on-disk schema version and the fingerprint of the code
 that recorded and classified them, so stale entries (an older schema, an
-edited emitter or classifier) are detectable without opening a single
-file.
+edited emitter or classifier) are detectable without opening a file. A
+current entry is then opened and read back as a cached run would read
+it, so a damaged one is reported too.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import zipfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -161,12 +163,31 @@ _CACHE_RE = re.compile(
     r"(?P<geom>[0-9a-f]{12})-t(?P<version>\d+)-"
     r"(?P<src>[0-9a-f]{12}|nosrc)\.npz$")
 
+
+def _unreadable(path: Path) -> str | None:
+    """Why a cached run could not read the entry at ``path``, if it
+    could not: the exceptions such a run counts as an unreadable entry."""
+    from repro.core.sweeps import _UNREADABLE_ENTRY
+    from repro.trace.serialize import load_classified, load_trace
+
+    try:
+        with zipfile.ZipFile(path) as z:
+            bad = z.testzip()
+        if bad is not None:
+            raise zipfile.BadZipFile(f"member {bad} fails its CRC check")
+        load_classified(path, load_trace(path), None)
+    except _UNREADABLE_ENTRY as exc:
+        return repr(exc)
+    return None
+
+
 def check_trace_cache(cache_dir: str | os.PathLike,
                       kernels: dict | None = None) -> list[Finding]:
-    """S001/S002/S003: audit every entry of a trace-cache directory.
+    """S001/S002/S003/S005: audit every entry of a trace-cache directory.
 
     ``kernels`` maps kernel names to :class:`KernelSpec` (defaults to the
     registry); entries for unknown kernels only get the schema check.
+    An entry with a current fingerprint is read back (S005).
     """
     from repro.core.sweeps import kernel_fingerprint
     from repro.trace.serialize import FORMAT_VERSION
@@ -208,4 +229,11 @@ def check_trace_cache(cache_dir: str | os.PathLike,
                 f"entry was made by the code that records or classifies "
                 f"'{name}' traces with fingerprint {src}; current source "
                 f"fingerprints as {current[name]}"))
+            continue
+        why = _unreadable(path)
+        if why is not None:
+            out.append(finding(
+                "S005", str(path),
+                f"entry cannot be read back ({why}); every cached run "
+                "regenerates it"))
     return out

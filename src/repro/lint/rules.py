@@ -183,6 +183,11 @@ _ALL_RULES = (
          "a file in the cache directory does not match the cache "
          "naming scheme",
          "only trace_cache_path-named .npz files belong there"),
+    Rule("S005", _E, "unreadable trace-cache entry",
+         "a current cache entry cannot be read back (a truncated or "
+         "corrupt zip, a missing or misfit trace or classification "
+         "member); every cached run regenerates it",
+         "delete the entry, or let the next cached run overwrite it"),
     # ---- exported artifacts (O0xx) --------------------------------------
     Rule("O001", _E, "unrecognized artifact",
          "the file is neither a run manifest nor a trace_event dump",

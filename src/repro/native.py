@@ -1,13 +1,15 @@
 """The compiled kernels, built and loaded on first use.
 
-Two hot loops run in C: the batch timing walk (``engine/walk.c``) and the
-classification cache walk (``memory/classify.c``). Both sources are built
-into one shared library with the host's C compiler the first time either
-is needed in a process, and loaded with :mod:`ctypes`. Where no compiler
-can build it, :func:`library` warns once with a :class:`RuntimeWarning`,
-never retries, and each caller runs its Python specification instead
+Three hot loops run in C: the batch timing walk (``engine/walk.c``), the
+classification cache walk (``memory/classify.c``) and the discrete-event
+engine (``engine/event.c``). The sources are built into one shared
+library with the host's C compiler the first time any is needed in a
+process, and loaded with :mod:`ctypes`. Where no compiler can build it,
+:func:`library` warns once with a :class:`RuntimeWarning`, never retries,
+and each caller runs its Python specification instead
 (:func:`repro.engine.batch_sim._numpy_walk`, the dict walk of
-:func:`repro.memory.classify.classify_trace`); the results are
+:func:`repro.memory.classify.classify_trace`, the coroutine DES
+:func:`repro.engine.event_sim.simulate_events`); the results are
 bit-identical either way.
 
 Nothing is built at import. A process that forks workers loads the
@@ -32,7 +34,8 @@ from typing import Any
 import numpy as np
 
 _ROOT = Path(__file__).parent
-_SOURCES = (_ROOT / "engine" / "walk.c", _ROOT / "memory" / "classify.c")
+_SOURCES = (_ROOT / "engine" / "walk.c", _ROOT / "memory" / "classify.c",
+            _ROOT / "engine" / "event.c")
 
 #: the loaded library; False once its build failed
 _lib: ctypes.CDLL | bool | None = None
@@ -75,22 +78,26 @@ def library() -> ctypes.CDLL | None:
         try:
             _lib = _build()
         except (OSError, subprocess.SubprocessError) as exc:
+            # stacklevel=1: one location whichever caller builds first,
+            # so the default filter shows it once per process
             warnings.warn(f"cannot build the compiled kernels ({exc}); "
-                          "using the Python walks", RuntimeWarning,
-                          stacklevel=2)
+                          "using the NumPy batch walk, the Python "
+                          "classification walk and the coroutine DES for "
+                          "'event'", RuntimeWarning, stacklevel=1)
             _lib = False
     return _lib or None
 
 
-def function(name: str, argtypes: Sequence[Any]) -> Any:
-    """Kernel ``name`` with its argument types set (it returns nothing),
-    or ``None`` when the library cannot be built."""
+def function(name: str, argtypes: Sequence[Any], restype: Any = None
+             ) -> Any:
+    """Kernel ``name`` with its argument and return types set, or
+    ``None`` when the library cannot be built."""
     lib = library()
     if lib is None:
         return None
     fn = getattr(lib, name)
     fn.argtypes = argtypes
-    fn.restype = None
+    fn.restype = restype
     return fn
 
 
@@ -98,3 +105,4 @@ def ndarray(dtype: Any, writeable: bool = False) -> Any:
     """``ctypes`` argument type of a C-contiguous array of ``dtype``."""
     flags = "C_CONTIGUOUS,WRITEABLE" if writeable else "C_CONTIGUOUS"
     return np.ctypeslib.ndpointer(dtype, flags=flags)
+

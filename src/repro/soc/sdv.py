@@ -49,6 +49,13 @@ def _count_cache(name: str) -> None:
     get_recorder().count(name)
 
 
+def _detached(ct: ClassifiedTrace) -> ClassifiedTrace:
+    """``ct`` without its trace, for the memo on that trace: a memo entry
+    pointing back at the trace would make every trace a reference cycle,
+    kept with all its arrays until the next full cyclic collection."""
+    return dataclasses.replace(ct, trace=None)
+
+
 @dataclass
 class Session:
     """One program running on the SDV: memory image + ISA contexts."""
@@ -149,11 +156,12 @@ class FpgaSdv:
         if ct is None:
             _count_cache("classify_cache.misses")
             ct = CLASSIFIERS[DEFAULT_CLASSIFIER](trace, self.config)
-            cache[key] = ct
+            cache[key] = _detached(ct)
         else:
             _count_cache("classify_cache.hits")
-        # re-bind the current knob settings (latency/bandwidth/VPU timing)
-        return dataclasses.replace(ct, config=self.config)
+        # re-bind the trace and the current knob settings
+        # (latency/bandwidth/VPU timing)
+        return dataclasses.replace(ct, trace=trace, config=self.config)
 
     def seed_classification(self, trace: TraceBuffer,
                             ct: ClassifiedTrace) -> None:
@@ -164,7 +172,7 @@ class FpgaSdv:
         if cache is None:
             cache = {}
             setattr(trace, "_classified_cache", cache)
-        cache[self.geometry_key()] = ct
+        cache[self.geometry_key()] = _detached(ct)
 
     def lower(self, trace: TraceBuffer, *,
               classified: ClassifiedTrace | None = None) -> LoweredTrace:

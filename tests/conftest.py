@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro.config import CoreConfig, L2Config, MemConfig, SdvConfig, VpuConfig
+from repro.config import CoreConfig, L2Config, SdvConfig
 from repro.soc import FpgaSdv
 from repro.workloads import get_scale
 from repro.workloads.cage import scaled_cage_like

@@ -1,7 +1,6 @@
 """Tests for roofline characterization — including the paper's Section 3.1
 claims about the kernels' characters."""
 
-import numpy as np
 import pytest
 
 from repro.config import SdvConfig
@@ -93,7 +92,7 @@ class TestPaperCharacterizations:
 
 class TestFpCounting:
     def test_fma_counts_double(self):
-        from repro.isa import VectorContext, VReg
+        from repro.isa import VectorContext
         from repro.memory.address_space import MemoryImage
         from repro.memory.classify import classify_trace
         from repro.trace.events import TraceBuffer

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import L2Config, SdvConfig, VpuConfig
 from repro.core.compare import (
-    ConfigComparison,
     WhatIf,
     compare_configs,
     compare_sweeps,

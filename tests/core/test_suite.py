@@ -7,7 +7,7 @@ import pytest
 
 import repro.soc.sdv as sdv_mod
 from repro.core.analysis import characterize
-from repro.core.suite import SuiteResult, render_report, run_suite
+from repro.core.suite import render_report, run_suite
 from repro.core.sweeps import figure_sweeps, run_implementation
 from repro.kernels import KERNELS
 from repro.trace.events import TraceBuffer

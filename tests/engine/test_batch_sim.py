@@ -25,6 +25,7 @@ from repro.engine.batch_sim import (
     simulate_batch,
     simulate_batch_one,
 )
+from repro.engine.event_sim import simulate_events
 from repro.engine.fast_sim import simulate_fast
 from repro.engine.lower import knob_free_config, lower_trace
 from repro.errors import EngineError
@@ -187,6 +188,7 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
     configs = grid_configs(sdv.config)
     compiled = batch_cycles(lowered, configs)
     compiled_ct = classify_trace(trace, sdv.config)
+    reference = simulate_events(compiled_ct)
 
     # a fresh process whose compiler is missing
     builds = []
@@ -202,9 +204,18 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
         first = batch_cycles(lowered, configs)
         ct = classify_trace(trace, sdv.config)
         second = batch_cycles(lowered, configs)
-    # one warning for the library; neither kernel retried the build
+        event = ENGINES["event"](ct)
+    # one warning, naming every fallback, from one place; no kernel
+    # retried the build
     assert [w.category for w in caught] == [RuntimeWarning]
+    message = str(caught[0].message)
+    for fallback in ("NumPy batch walk", "Python classification walk",
+                     "coroutine DES"):
+        assert fallback in message
+    assert caught[0].filename == native.__file__
     assert len(builds) == 1
+    # the event engine ran its specification, labelled as itself
+    assert event == dataclasses.replace(reference, engine="event")
     assert batch_sim.walk_backend() == "numpy"
     assert classify_backend() == "python"
     assert first.tolist() == compiled.tolist()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.des import AllOf, Environment, Event, Process, Resource
+from repro.engine.des import Environment, Resource
 from repro.errors import EngineError
 
 

@@ -1,11 +1,13 @@
-"""Bit-exactness of the array-backed event engine against the reference.
+"""Bit-exactness of the compiled event engine against its specification.
 
-The contract (``docs/engines.md``): ``simulate_events_fast`` is an
-order-isomorphic reimplementation of the coroutine DES — same integer
-cycle counts, same breakdown, same DRAM/NoC/limiter/latency accounting,
-same timelines, same attribution buckets — on every kernel, VL, and knob
-setting. These tests enforce *equality*, not an envelope: any drift
-between the two engines is a bug in one of them.
+The contract (``docs/engines.md``): ``simulate_events_fast`` (the C
+kernel ``event.c``) is an order-isomorphic reimplementation of the
+coroutine DES — same integer cycle counts, same breakdown, same
+DRAM/NoC/limiter/latency accounting, same timelines, same attribution
+buckets — on every kernel, VL, and knob setting. These tests enforce
+*equality*, not an envelope: any drift between the two engines is a bug
+in one of them. On a host with no C compiler ``event`` runs the
+specification itself, so the equalities hold trivially there.
 """
 
 import dataclasses
@@ -15,18 +17,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import native
 from repro.config import SdvConfig, VpuConfig
 from repro.core.sweeps import latency_sweep, run_implementation
-from repro.engine import ENGINES
+from repro.engine import ENGINES, event_fast
 from repro.engine.batch_sim import simulate_batch_one
+from repro.engine.event_common import build_event_plan
 from repro.engine.event_fast import simulate_events_fast
 from repro.engine.event_sim import simulate_events
+from repro.engine.lower import LKIND_VARITH
+from repro.errors import ConfigError, EngineError
 from repro.isa import ScalarContext, VectorContext
 from repro.kernels import KERNELS
 from repro.memory.address_space import MemoryImage
 from repro.memory.classify import classify_trace
 from repro.memory.reuse import profile_trace
 from repro.obs.attribution import _ladder_attribution, attribute
+from repro.obs.record import fold, recording
 from repro.obs.timeline import TimelineRecorder
 from repro.trace.events import TraceBuffer
 from repro.workloads import get_scale
@@ -34,15 +41,25 @@ from repro.workloads import get_scale
 GRID_VLS = (8, 64, 256)
 
 #: sampled sweep-knob points: the paper's latency axis (including the
-#: off-grid 517 to catch quantization assumptions) and bandwidth axis
-KNOB_CONFIGS = [
-    SdvConfig().with_extra_latency(517),
-    SdvConfig().with_extra_latency(1024),
-    SdvConfig().with_bandwidth(1),
-    SdvConfig().with_bandwidth(4),
-    SdvConfig(vpu=VpuConfig(chaining=False)),
-    SdvConfig(vpu=VpuConfig(mem_queue_depth=1)).with_extra_latency(800),
-]
+#: off-grid 517 to catch quantization assumptions) and bandwidth axis,
+#: and +5000 cycles, past the 4096-cycle wheel of the calendar queue
+KNOB_CONFIGS = {
+    "lat517": SdvConfig().with_extra_latency(517),
+    "lat1024": SdvConfig().with_extra_latency(1024),
+    "bw1": SdvConfig().with_bandwidth(1),
+    "bw4": SdvConfig().with_bandwidth(4),
+    "nochain": SdvConfig(vpu=VpuConfig(chaining=False)),
+    "lat800-shallow":
+        SdvConfig(vpu=VpuConfig(mem_queue_depth=1)).with_extra_latency(800),
+    "lat5000": SdvConfig().with_extra_latency(5000),
+}
+KNOB_POINTS = [("spmv", 64), ("fft", 8), ("pagerank", 256), ("spmv", None)]
+
+#: knob points whose runs must reach the overflow heap: the peak-rate
+#: limiter's backlog on the two line-heavy vector points, and +5000 on
+#: every point (a scalar block's misses included)
+SPILLING = ({("spmv", 64, "bw1"), ("pagerank", 256, "bw1")}
+            | {(k, vl, "lat5000") for k, vl in KNOB_POINTS})
 
 
 def assert_reports_identical(ref, fast):
@@ -90,18 +107,20 @@ class TestKernelGrid:
 
 
 class TestKnobPoints:
-    @pytest.mark.parametrize("kernel,vl", [("spmv", 64), ("fft", 8),
-                                           ("pagerank", 256)])
-    @pytest.mark.parametrize("cfg", KNOB_CONFIGS,
-                             ids=["lat517", "lat1024", "bw1", "bw4",
-                                  "nochain", "lat800-shallow"])
-    def test_sampled_knobs_bit_identical(self, kernel, vl, cfg):
+    @pytest.mark.parametrize("kernel,vl", KNOB_POINTS)
+    @pytest.mark.parametrize("knob", list(KNOB_CONFIGS))
+    def test_sampled_knobs_bit_identical(self, kernel, vl, knob):
         base = _classified(kernel, vl)
-        ct = classify_trace(base.trace, cfg.validate())
-        assert_reports_identical(simulate_events(ct),
-                                 simulate_events_fast(ct))
+        ct = classify_trace(base.trace, KNOB_CONFIGS[knob].validate())
+        with recording() as rec:
+            fast = simulate_events_fast(ct)
+        assert_reports_identical(simulate_events(ct), fast)
+        if (kernel, vl, knob) in SPILLING and native.library() is not None:
+            # keeps the overflow heap and its migration under test
+            counters = fold(rec.records)["counters"]
+            assert counters["event.overflow_spills"] > 0
 
-    @pytest.mark.parametrize("cfg", KNOB_CONFIGS[:4])
+    @pytest.mark.parametrize("cfg", list(KNOB_CONFIGS.values())[:4])
     def test_batch_engine_stays_in_envelope(self, cfg):
         """The analytic batch engine is not bit-identical to the DES, but
         the three-way story must hold at knob points too: identical DRAM
@@ -139,6 +158,56 @@ class TestObservability:
         assert ref.buckets == fast.buckets
         assert ref.ladder == fast.ladder
         fast.check()
+
+
+class TestKernelChecks:
+    """The C kernel indexes without bounds checks: the wrapper rejects a
+    plan it would misread, and the kernel reports time running backwards
+    as an error code instead of crashing."""
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        if native.library() is None:
+            pytest.skip("no C compiler could build the compiled kernels")
+        ct = _classified("fft", 8)
+        plan = build_event_plan(ct)
+
+        def run(**fields):
+            bad = dataclasses.replace(plan, **fields)
+            monkeypatch.setattr(event_fast, "event_plan", lambda _ct: bad)
+            return simulate_events_fast(ct)
+        return plan, run
+
+    def test_bank_past_the_l2_is_rejected(self, broken):
+        plan, run = broken
+        with pytest.raises(EngineError, match="indexes past"):
+            run(bank=plan.bank + 64)
+
+    def test_offsets_past_the_lines_are_rejected(self, broken):
+        plan, run = broken
+        with pytest.raises(EngineError, match="indexes past"):
+            run(req_off=plan.req_off + 1)
+
+    def test_wrong_dtype_is_rejected(self, broken):
+        plan, run = broken
+        with pytest.raises(EngineError, match="event plan array"):
+            run(step=plan.step.astype(np.int32))
+
+    def test_time_going_backwards_is_an_error(self, broken):
+        plan, run = broken
+        occ = np.where(plan.kind == LKIND_VARITH, -5, plan.occ)
+        with pytest.raises(EngineError, match="backwards"):
+            run(occ=occ)
+
+    def test_illegal_limiter_window_is_a_config_error(self):
+        # the kernel divides by the window length: a zero must not reach it
+        ct = _classified("fft", 8)
+        mem = dataclasses.replace(ct.config.mem, bw_den=0)
+        bad = dataclasses.replace(
+            ct, config=dataclasses.replace(ct.config, mem=mem))
+        for engine in (simulate_events, simulate_events_fast):
+            with pytest.raises(ConfigError):
+                engine(bad)
 
 
 class TestTraceColumnsOnly:
@@ -230,7 +299,8 @@ def build_trace(steps, seed):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs(), st.integers(0, 2 ** 31),
-       st.sampled_from([(0, 64), (517, 64), (1024, 64), (0, 4), (800, 1)]))
+       st.sampled_from([(0, 64), (517, 64), (1024, 64), (5000, 64), (0, 4),
+                        (800, 1)]))
 def test_property_event_engines_bit_identical(steps, seed, knobs):
     """Random small traces: the two DES implementations never diverge."""
     extra_latency, bpc = knobs

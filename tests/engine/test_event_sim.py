@@ -87,7 +87,6 @@ class TestBasics:
                 vec.vle(a, i)
                 i += vl
 
-        import dataclasses
         deep = SdvConfig(vpu=VpuConfig(mem_queue_depth=16)
                          ).with_extra_latency(800)
         shallow = SdvConfig(vpu=VpuConfig(mem_queue_depth=1)

@@ -207,7 +207,6 @@ class TestChaining:
                 i += vl
 
         chained = run_program(chain).cycles
-        import dataclasses
         cfg = SdvConfig(vpu=VpuConfig(chaining=False)).validate()
         unchained = run_program(chain, config=cfg).cycles
         assert chained < unchained

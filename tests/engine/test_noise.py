@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.noise import (
     PAPER_RUNS,
-    PAPER_VARIATION_BOUND,
     MeasuredValue,
     NoiseModel,
     measure,
@@ -70,7 +69,6 @@ class TestMeasureProtocol:
 
     def test_on_a_real_simulation(self):
         """End to end: measure a kernel the way Section 3.2 describes."""
-        import numpy as np
         from repro.soc import FpgaSdv
         from repro.kernels.fft import fft_vector
         from repro.workloads.signals import make_signal

@@ -1,6 +1,5 @@
 """End-to-end workflows: the library as a downstream user drives it."""
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -6,7 +6,6 @@ to a sentence in Section 4 or 5 of the paper. They run at the 'ci' scale
 benchmark harness re-checks at paper scale).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.figures import figure4_table, figure5_series, \

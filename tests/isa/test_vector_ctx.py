@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IsaError
-from repro.isa import ScalarContext, VectorContext, VMask, VReg
+from repro.isa import VectorContext, VMask, VReg
 from repro.memory.address_space import MemoryImage
 from repro.trace.events import TraceBuffer, VMemPattern, VOpClass
 

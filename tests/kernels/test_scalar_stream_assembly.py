@@ -9,7 +9,6 @@ columnar assembly shows up here immediately.
 """
 
 import numpy as np
-import pytest
 
 from repro.isa.scalar_ctx import ScalarContext
 from repro.kernels.spmv.scalar import spmv_scalar

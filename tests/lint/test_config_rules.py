@@ -119,6 +119,16 @@ class TestTraceCacheAudit:
         (entry,) = tmp_path.glob("*.npz")
         return entry
 
+    def test_truncated_entry_is_unreadable(self, tmp_path):
+        # what a killed copy or a full disk leaves: half of the zip
+        self._warm(tmp_path)
+        entry = self._trace_entry(tmp_path)
+        data = entry.read_bytes()
+        entry.write_bytes(data[:len(data) // 2])
+        found = check_trace_cache(tmp_path)
+        assert error_rules(found) == ["S005"]
+        assert found[0].location == str(entry)
+
     def test_stale_schema_version(self, tmp_path):
         self._warm(tmp_path)
         entry = self._trace_entry(tmp_path)

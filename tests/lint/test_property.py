@@ -11,7 +11,6 @@ Two statistical guarantees the mutation tests cannot give:
   only a small, bounded number of warnings.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import SdvConfig
 from repro.errors import ConfigError
 from repro.soc import FpgaSdv
 
