@@ -88,7 +88,7 @@ def workload_fingerprint(workload) -> str:
 
 
 #: trace-machinery modules whose source co-determines every recorded
-#: trace: Dep semantics and replicate() fixups live in ``template``, the
+#: trace: Dep semantics and the template expansion live in ``template``, the
 #: object-vs-columnar emission switch in ``modes``. An edit there changes
 #: the dep/address columns of cached traces without touching any kernel,
 #: so they are always part of the fingerprint.
@@ -98,6 +98,39 @@ _TRACE_MACHINERY_MODULES = ("repro.trace.template", "repro.trace.modes")
 #: trace, and the source of its compiled cache walk
 _CLASSIFIER_MODULE = "repro.memory.classify"
 _CLASSIFIER_C = Path(__file__).resolve().parents[1] / "memory" / "classify.c"
+
+
+def _emitter_modules(mod_name: str) -> set[str]:
+    """The modules of a ``repro`` emitter's package, plus every
+    ``repro.kernels`` module they import a name from, transitively.
+
+    The package is enumerated from disk and the imports read from each
+    module's own namespace, never from ``sys.modules``, which would make
+    the key import-order dependent and break parent/worker agreement.
+    """
+    try:
+        mod = importlib.import_module(mod_name)
+    except ImportError:
+        return set()
+    pkg_name = mod_name if hasattr(mod, "__path__") \
+        else mod_name.rsplit(".", 1)[0]
+    pkg = importlib.import_module(pkg_name)
+    found = {f"{pkg_name}.{info.name}"
+             for info in pkgutil.iter_modules(getattr(pkg, "__path__", []))
+             if not info.ispkg}
+    todo = sorted(found)
+    while todo:
+        try:
+            namespace = vars(importlib.import_module(todo.pop()))
+        except ImportError:
+            continue
+        for obj in namespace.values():
+            dep = getattr(obj, "__module__", None)
+            if isinstance(dep, str) and dep.startswith("repro.kernels.") \
+                    and dep not in found:
+                found.add(dep)
+                todo.append(dep)
+    return found
 
 
 def kernel_fingerprint(spec: KernelSpec) -> str:
@@ -110,8 +143,12 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
     invalidates them automatically. Beyond the defining module itself,
     the hash covers:
 
-    * every loaded sibling module of the emitter's ``repro.*`` package
-      (templated emitters split helpers across ``kernels/<k>/``),
+    * every module of the emitter's ``repro.*`` package (templated
+      emitters split helpers across ``kernels/<k>/``; when the emitter is
+      defined in the package's ``__init__``, as PageRank's spec wrappers
+      are, that package) and every ``repro.kernels`` module those modules
+      import a name from, transitively (PageRank's accumulate pass is
+      SpMV's SELL sweep over SpMV's storage format),
     * the trace machinery (:data:`_TRACE_MACHINERY_MODULES`) — the
       template ``Dep``/address-stream semantics determine the recorded
       dep columns, so editing them must invalidate every cached trace,
@@ -137,17 +174,7 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
             continue
         mod_names.add(mod_name)
         if mod_name.startswith("repro."):
-            # enumerate the emitter's package from disk (not from
-            # sys.modules, which would make the key import-order
-            # dependent and break parent/worker agreement)
-            pkg_name = mod_name.rsplit(".", 1)[0]
-            try:
-                pkg = importlib.import_module(pkg_name)
-            except ImportError:
-                continue
-            for info in pkgutil.iter_modules(getattr(pkg, "__path__", [])):
-                if not info.ispkg:
-                    mod_names.add(f"{pkg_name}.{info.name}")
+            mod_names |= _emitter_modules(mod_name)
     for name in sorted(mod_names):
         try:
             mod = importlib.import_module(name)

@@ -44,7 +44,7 @@ from repro.engine.lower import (
     LKIND_SCALAR,
     LKIND_VARITH,
     LKIND_VMEM,
-    lower_trace,
+    lower_cached,
 )
 from repro.errors import EngineError
 from repro.memory.classify import AccessLevel, ClassifiedTrace, line_requests
@@ -100,9 +100,10 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
 
     Levels and banks come from the classifier's line-request arena
     (:func:`repro.memory.classify.line_requests`) and the per-record
-    counts from its rows; no trace record is materialized.
+    counts from its rows; no trace record is materialized. The lowering
+    is the trace's cached one, shared with ``FpgaSdv.lower``.
     """
-    lowered = lower_trace(ct)
+    lowered = lower_cached(ct)
     cfg = ct.config
     core = cfg.core
     rows = ct.rows

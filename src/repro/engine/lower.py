@@ -119,6 +119,34 @@ class LoweredTrace:
         return int(self.vm_addr.shape[0])
 
 
+def lower_cached(ct: ClassifiedTrace, *, lower=None) -> LoweredTrace:
+    """``ct``'s lowering, compiled once per trace and knob-free config.
+
+    Lowering is knob-independent, so it is memoized on the trace object
+    under :func:`knob_free_config` and amortizes across every sweep
+    point, every batch call and both engines: ``FpgaSdv.lower`` and the
+    event engine's plan (:func:`repro.engine.event_common.build_event_plan`)
+    share the memo. ``lower`` compiles on a miss (default
+    :func:`lower_trace`); lookups count as ``lower_cache.hits`` /
+    ``lower_cache.misses`` on the recorder.
+    """
+    from repro.obs.record import get_recorder
+
+    cache = getattr(ct.trace, "_lowered_cache", None)
+    if cache is None:
+        cache = {}
+        setattr(ct.trace, "_lowered_cache", cache)
+    key = knob_free_config(ct.config)
+    lowered = cache.get(key)
+    if lowered is None:
+        get_recorder().count("lower_cache.misses")
+        lowered = (lower_trace if lower is None else lower)(ct)
+        cache[key] = lowered
+    else:
+        get_recorder().count("lower_cache.hits")
+    return lowered
+
+
 def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
     """Compile ``ct`` once into knob-independent flat arrays."""
     config = ct.config.validate()

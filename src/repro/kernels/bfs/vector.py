@@ -29,14 +29,13 @@ from repro.kernels.bfs.reference import default_source
 from repro.memory.address_space import Allocation
 from repro.soc.sdv import Session
 from repro.trace import modes
-from repro.trace.events import (
-    OPCLASS_ID,
-    PATTERN_ID,
-    TraceBuffer,
-    VMemPattern,
-    VOpClass,
+from repro.trace.events import TraceBuffer, VMemPattern, VOpClass
+from repro.trace.template import (
+    Dep,
+    RecordBatch,
+    TraceTemplate,
+    record_starts,
 )
-from repro.trace.template import Dep, TraceTemplate
 from repro.workloads.graphs import CsrGraph
 
 #: scalar ops per frontier node during bucketing (load, classify, store)
@@ -44,15 +43,13 @@ ALU_PER_BUCKETED_NODE = 6
 ALU_PER_STRIP = 6
 ALU_PER_SLOT = 2
 
-_C_CSR = OPCLASS_ID[VOpClass.CSR]
-_C_MEM = OPCLASS_ID[VOpClass.MEM]
-_C_ARITH = OPCLASS_ID[VOpClass.ARITH]
-_C_MASK = OPCLASS_ID[VOpClass.MASK]
-_C_PERM = OPCLASS_ID[VOpClass.PERMUTE]
-_P_UNIT = PATTERN_ID[VMemPattern.UNIT]
-_P_IDX = PATTERN_ID[VMemPattern.INDEXED]
-_EMPTY_A = np.empty(0, dtype=np.int64)
-_EMPTY_W = np.empty(0, dtype=bool)
+_I64 = np.int64
+#: each phase interns its strings up front, in a fixed order, so the
+#: string table does not depend on which records a level produces
+_EXPAND_STRINGS = ("vsetvl", "vle", "vlxe", "vadd", "vsub", "vmv.v.x",
+                   "vmsgt", "vmseq", "vmand", "vsxe", "bfs-strip")
+_SCAN_STRINGS = ("vsetvl", "vle", "vse", "vmseq", "vid.v", "vadd",
+                 "vcompress", "vpopc", "bfs-scan", "bfs-scan-tail")
 
 
 def _bucket_by_degree(frontier: np.ndarray, degs: np.ndarray) -> np.ndarray:
@@ -68,236 +65,218 @@ def _expand_templated(trace: TraceBuffer, maxvl: int,
                       a_indptr: Allocation, a_indices: Allocation,
                       a_levels: Allocation, q_cur: Allocation,
                       nf: int, level: int) -> None:
-    """Phase-2 frontier expansion on the templated fast path.
+    """Phase-2 frontier expansion of one level as one record batch.
 
-    The slot loop's *trace structure* is uniform (every full slot stamps the
-    same 9 records), so it replicates as a template; its *functional* side
-    cannot be batched — slot ``j``'s scatters mark nodes visited before slot
-    ``j+1`` gathers their levels — so level updates walk the slots
-    sequentially while every address stream that only depends on graph
-    structure (the pipelined neighbor gathers) is precomputed vectorized.
+    Every strip's header, slot-0 neighbor load and non-pipelined last
+    slot are placed by position; the slot loop body (9 records, slots
+    0..maxd-2) is one template expanded over every strip of two or more
+    slots. The functional side is computed for the whole level at once:
+    an edge occurrence scatters iff its node was unvisited at the start
+    of the level and its (strip, slot) group is the first to reach the
+    node in (strip, slot, lane) order — slot ``j``'s scatters are seen by
+    slot ``j+1``'s gathers and by later strips, and duplicates within one
+    group all scatter, exactly as the strip-by-strip slot walk does.
     """
-    it = trace.intern
-    op_vsetvl = it("vsetvl")
-    op_vle = it("vle")
-    op_vlxe = it("vlxe")
-    op_vadd = it("vadd")
-    op_vsub = it("vsub")
-    op_vmv = it("vmv.v.x")
-    op_vmsgt = it("vmsgt")
-    op_vmseq = it("vmseq")
-    op_vmand = it("vmand")
-    op_vsxe = it("vsxe")
-    lbl_strip = it("bfs-strip")
-    qv = q_cur.view.reshape(-1)
+    for name in _EXPAND_STRINGS:
+        trace.intern(name)
     ipv = a_indptr.view.reshape(-1)
     idv = a_indices.view.reshape(-1)
     lvv = a_levels.view.reshape(-1)
-    lvl1 = level + 1
-    # unit-stride frontier loads are affine in the strip offset: one addr
-    # pass over the whole frontier, sliced per strip below
-    q_addrs = q_cur.addr(np.arange(nf, dtype=np.int64))
-    # per-node scratch for the first-occurrence scatter below (values are
-    # only read at indices freshly written within the same strip)
-    pos = np.empty(lvv.shape[0], dtype=np.int64)
+    f = q_cur.view.reshape(-1)[:nf]
+    rb = ipv[f]
+    ln = ipv[f + 1] - rb                           # per frontier lane
+    n_strips = -(-nf // maxvl)
+    vl = np.minimum(maxvl, nf - np.arange(n_strips, dtype=_I64) * maxvl)
+    maxd = np.maximum.reduceat(ln, np.arange(0, nf, maxvl))
+    hz = maxd > 0
+    pipe = np.maximum(maxd - 1, 0)    # pipelined slot-loop iterations
+
+    # edge occurrences in (strip, slot, lane) order: group g = (strip,
+    # slot) for every slot below the strip's max degree, lanes ascending
+    g_off = np.cumsum(maxd) - maxd                 # first group of a strip
+    n_groups = int(maxd.sum())
+    occ_lane = np.repeat(np.arange(nf, dtype=_I64), ln)
+    occ_slot = (np.arange(occ_lane.shape[0], dtype=_I64)
+                - np.repeat(np.cumsum(ln) - ln, ln))
+    occ_grp = g_off[occ_lane // maxvl] + occ_slot
+    order = np.argsort(occ_grp, kind="stable")
+    grp = occ_grp[order]
+    eidx = (rb[occ_lane] + occ_slot)[order]
+    nbr = idv[eidx]
+    c_grp = np.bincount(grp, minlength=n_groups)
+    grp_strip = np.repeat(np.arange(n_strips, dtype=_I64), maxd)
+    grp_slot = np.arange(n_groups, dtype=_I64) - g_off[grp_strip]
+    grp_last = grp_slot == maxd[grp_strip] - 1
+
+    # functional: the first group to reach each node (groups run in
+    # order, so it is the smallest), unvisited at level start
+    first_grp = np.full(lvv.shape[0], n_groups, dtype=_I64)
+    np.minimum.at(first_grp, nbr, grp)
+    sel = (lvv[nbr] == -1) & (grp == first_grp[nbr])
+    lvv[nbr[sel]] = level + 1
+    sc_grp = grp[sel]
+    c_sc = np.bincount(sc_grp, minlength=n_groups)
+    sc_last = grp_last[sc_grp]
+
+    # the record layout of every strip
+    sizes = 8 + 8 * hz + 9 * pipe
+    s0 = record_starts(len(trace), sizes)
+    batch = RecordBatch(trace, int(sizes.sum()))
+    ipa_f = a_indptr.addr(f)
+    batch.vector(s0, VOpClass.CSR, vl, "vsetvl", scalar_dest=True)
+    batch.scalar_block(s0 + 1, ALU_PER_STRIP, label="bfs-strip")
+    batch.vector(s0 + 2, VOpClass.MEM, vl, "vle", pattern=VMemPattern.UNIT,
+                 addrs=q_cur.addr(np.arange(nf, dtype=_I64)))
+    batch.vector(s0 + 3, VOpClass.MEM, vl, "vlxe",
+                 pattern=VMemPattern.INDEXED, addrs=ipa_f, dep=s0 + 2)
+    batch.vector(s0 + 4, VOpClass.ARITH, vl, "vadd", dep=s0 + 2)
+    # addr(f + 1) is addr(f) shifted one element; f + 1 <= n is always a
+    # valid indptr index so the bounds check on f covers it
+    batch.vector(s0 + 5, VOpClass.MEM, vl, "vlxe",
+                 pattern=VMemPattern.INDEXED,
+                 addrs=ipa_f + a_indptr.itemsize, dep=s0 + 4)
+    batch.vector(s0 + 6, VOpClass.ARITH, vl, "vsub", dep=s0 + 5)
+    batch.vector(s0 + 7, VOpClass.ARITH, vl, "vmv.v.x")
+
+    # strips with edges: slot-0 neighbor load priming the pipeline
+    s, vl_h = s0[hz], vl[hz]
+    is_slot0 = grp_slot[grp] == 0
+    ind_addrs = a_indices.addr(eidx)
+    batch.vector(s + 8, VOpClass.MASK, vl_h, "vmsgt", dep=s + 6)
+    batch.vector(s + 9, VOpClass.MEM, vl_h, "vlxe",
+                 pattern=VMemPattern.INDEXED, addrs=ind_addrs[is_slot0],
+                 masked=True, active=c_grp[g_off[hz]], dep=s + 8)
 
     # the most recent levels scatter: slot j+1's levels gather must be
     # ordered after slot j's scatter (no memory disambiguation in the
     # machine), so it threads through the slot walk and across strips
-    prev_store = -1
-    off = 0
-    while off < nf:
-        vl = min(nf - off, maxvl)
-        f = qv[off: off + vl]
-        rb = ipv[f]
-        ln = ipv[f + 1] - rb
-        maxd = int(ln.max(initial=0))
+    p = s + 10 + 9 * (maxd[hz] - 1)                # each strip's last slot
+    prev_store = np.full(n_strips, -1, dtype=_I64)
+    prev_store[np.flatnonzero(hz)[1:]] = p[:-1] + 5
 
-        trace.emit_vector(_C_CSR, vl, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_STRIP,
-                                label_id=lbl_strip)
-        i_f = trace.emit_vector(
-            _C_MEM, vl, op_vle, pattern_id=_P_UNIT,
-            addrs=q_addrs[off: off + vl])
-        ipa_f = a_indptr.addr(f)
-        i_rb = trace.emit_vector(_C_MEM, vl, op_vlxe, pattern_id=_P_IDX,
-                                 addrs=ipa_f, dep=i_f)
-        i_f1 = trace.emit_vector(_C_ARITH, vl, op_vadd, dep=i_f)
-        # addr(f + 1) is addr(f) shifted one element; f + 1 <= n is always
-        # a valid indptr index so the bounds check on f covers it
-        trace.emit_vector(_C_MEM, vl, op_vlxe, pattern_id=_P_IDX,
-                          addrs=ipa_f + a_indptr.itemsize, dep=i_f1)
-        i_ln = trace.emit_vector(_C_ARITH, vl, op_vsub, dep=i_f1 + 1)
-        trace.emit_vector(_C_ARITH, vl, op_vmv)
-        if maxd == 0:
-            off += vl
-            continue
+    lv_addrs = a_levels.addr(nbr)
+    sc_addrs = a_levels.addr(nbr[sel])
+    occ_last = grp_last[grp]
+    body = ~grp_last                       # groups of pipelined iterations
+    vl_it = vl[grp_strip[body]]
+    t = TraceTemplate(trace)
+    t.scalar_block(ALU_PER_SLOT)
+    t.vector(VOpClass.MASK, vl_it, "vmsgt", dep=Dep.at(s0 + 6))
+    t.vector(VOpClass.MASK, vl_it, "vmsgt", dep=Dep.at(s0 + 6))
+    t.vector(VOpClass.ARITH, vl_it, "vadd", dep=Dep.at(s0 + 3))
+    t.vector(VOpClass.MEM, vl_it, "vlxe",
+             pattern=VMemPattern.INDEXED, flat_addrs=ind_addrs[~is_slot0],
+             counts=c_grp[grp_slot > 0], masked=True,
+             active=c_grp[grp_slot > 0], dep=Dep.local(3))
+    t.vector(VOpClass.MEM, vl_it, "vlxe",
+             pattern=VMemPattern.INDEXED, flat_addrs=lv_addrs[~occ_last],
+             counts=c_grp[body], masked=True, active=c_grp[body],
+             dep=Dep.prev(8, prev_store))
+    t.vector(VOpClass.MASK, vl_it, "vmseq", dep=Dep.local(5))
+    t.vector(VOpClass.MASK, vl_it, "vmand", dep=Dep.local(6))
+    t.vector(VOpClass.MEM, vl_it, "vsxe",
+             pattern=VMemPattern.INDEXED, flat_addrs=sc_addrs[~sc_last],
+             counts=c_sc[body], is_write=True, masked=True,
+             active=c_sc[body], dep=Dep.local(7))
+    t.expand(batch, pipe, s0 + 10)
 
-        # all (slot, lane) edge indices, slot-major, lanes ascending: the
-        # concatenated per-slot index streams of the pipelined gathers
-        total = int(ln.sum())
-        lanes = np.repeat(np.arange(vl, dtype=np.int64), ln)
-        slots = (np.arange(total, dtype=np.int64)
-                 - np.repeat(np.cumsum(ln) - ln, ln))
-        order = np.argsort(slots, kind="stable")
-        eidx = (rb[lanes] + slots)[order]
-        c_slot = np.bincount(slots, minlength=maxd)
-        c_off = np.zeros(maxd + 1, dtype=np.int64)
-        np.cumsum(c_slot, out=c_off[1:])
-        nbr_flat = idv[eidx]
-
-        c0 = int(c_slot[0])
-        i_m0 = trace.emit_vector(_C_MASK, vl, op_vmsgt, dep=i_ln)
-        trace.emit_vector(_C_MEM, vl, op_vlxe, pattern_id=_P_IDX,
-                          addrs=a_indices.addr(eidx[:c0]),
-                          masked=True, active=c0, dep=i_m0)
-
-        # scatter targets of the sequential slot walk, computed at once: an
-        # occurrence scatters iff its node was unvisited at strip start AND
-        # no *earlier slot* of this strip already hit it (slot j's stores
-        # are seen by slot j+1's gathers; duplicates within one slot all
-        # scatter, the walk tests the mask before storing). A stable sort
-        # by node groups occurrences with their slot-major first hit.
-        so_flat = slots[order]
-        iu = lvv[nbr_flat] == -1
-        # first-occurrence index per node via reverse scatter: assignments
-        # apply in order, so writing descending indices leaves the minimum
-        pos[nbr_flat[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
-        sel = iu & (so_flat == so_flat[pos[nbr_flat]])
-        tgt_all = nbr_flat[sel]
-        lvv[tgt_all] = lvl1
-        cs = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(sel, out=cs[1:])
-        c_sc = cs[c_off[1:]] - cs[c_off[:-1]]
-        sc_off = cs[c_off]
-        sc_addrs = a_levels.addr(tgt_all)
-
-        n_full = maxd - 1
-        if n_full > 0:
-            t = TraceTemplate(trace)
-            t.scalar_block(ALU_PER_SLOT)
-            t.vector(VOpClass.MASK, vl, "vmsgt", dep=Dep.at(i_ln))
-            t.vector(VOpClass.MASK, vl, "vmsgt", dep=Dep.at(i_ln))
-            t.vector(VOpClass.ARITH, vl, "vadd", dep=Dep.at(i_rb))
-            t.vector(VOpClass.MEM, vl, "vlxe", pattern=VMemPattern.INDEXED,
-                     flat_addrs=a_indices.addr(eidx[c0:]),
-                     counts=c_slot[1:], masked=True, active=c_slot[1:],
-                     dep=Dep.local(3))
-            t.vector(VOpClass.MEM, vl, "vlxe", pattern=VMemPattern.INDEXED,
-                     flat_addrs=a_levels.addr(nbr_flat[: int(c_off[n_full])]),
-                     counts=c_slot[:n_full], masked=True,
-                     active=c_slot[:n_full], dep=Dep.prev(8, prev_store))
-            t.vector(VOpClass.MASK, vl, "vmseq", dep=Dep.local(5))
-            t.vector(VOpClass.MASK, vl, "vmand", dep=Dep.local(6))
-            t.vector(VOpClass.MEM, vl, "vsxe", pattern=VMemPattern.INDEXED,
-                     flat_addrs=sc_addrs[: int(sc_off[n_full])],
-                     counts=c_sc[:n_full], is_write=True, masked=True,
-                     active=c_sc[:n_full], dep=Dep.local(7))
-            t_start = t.replicate(n_full)
-            prev_store = t_start + (n_full - 1) * len(t) + 8
-
-        # last slot: no pipelined next-neighbor load
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_SLOT)
-        trace.emit_vector(_C_MASK, vl, op_vmsgt, dep=i_ln)
-        cl = int(c_slot[n_full])
-        i_cur = trace.emit_vector(
-            _C_MEM, vl, op_vlxe, pattern_id=_P_IDX,
-            addrs=a_levels.addr(nbr_flat[c_off[n_full]:]),
-            masked=True, active=cl, dep=prev_store)
-        i_unv = trace.emit_vector(_C_MASK, vl, op_vmseq, dep=i_cur)
-        i_mm = trace.emit_vector(_C_MASK, vl, op_vmand, dep=i_unv)
-        prev_store = trace.emit_vector(
-            _C_MEM, vl, op_vsxe, pattern_id=_P_IDX,
-            addrs=sc_addrs[sc_off[n_full]:], is_write=True,
-            masked=True, active=int(c_sc[n_full]), dep=i_mm)
-        off += vl
+    # last slot: no pipelined next-neighbor load; its levels gather waits
+    # on this strip's last pipelined scatter, or on the previous strip's
+    batch.scalar_block(p, ALU_PER_SLOT)
+    batch.vector(p + 1, VOpClass.MASK, vl_h, "vmsgt", dep=s + 6)
+    batch.vector(p + 2, VOpClass.MEM, vl_h, "vlxe",
+                 pattern=VMemPattern.INDEXED, addrs=lv_addrs[occ_last],
+                 masked=True, active=c_grp[grp_last],
+                 dep=np.where(maxd[hz] >= 2, p - 1, prev_store[hz]))
+    batch.vector(p + 3, VOpClass.MASK, vl_h, "vmseq", dep=p + 2)
+    batch.vector(p + 4, VOpClass.MASK, vl_h, "vmand", dep=p + 3)
+    batch.vector(p + 5, VOpClass.MEM, vl_h, "vsxe",
+                 pattern=VMemPattern.INDEXED, addrs=sc_addrs[sc_last],
+                 is_write=True, masked=True, active=c_sc[grp_last],
+                 dep=p + 4)
+    batch.commit()
 
 
 def _scan_templated(trace: TraceBuffer, maxvl: int, a_levels: Allocation,
                     q_next: Allocation, n: int, level: int) -> int:
-    """Phase-3 frontier rebuild on the fast-emit path; returns |frontier|.
+    """Phase-3 frontier rebuild of one level as one record batch; returns
+    |frontier|.
 
     Record structure is data-dependent per strip (the append triple only
     exists when the strip matched something; the pipelined load drops out
-    on the final full strip), so strips emit through the validation-free
-    buffer calls directly rather than a template; the functional side is
-    one vectorized scan.
+    on the final full strip), so every record is placed by position: one
+    placement per record of the strip body across all strips, plus the
+    tail strip. The functional side is one vectorized scan.
     """
-    it = trace.intern
-    op_vsetvl = it("vsetvl")
-    op_vle = it("vle")
-    op_vse = it("vse")
-    op_vmseq = it("vmseq")
-    op_vid = it("vid.v")
-    op_vadd = it("vadd")
-    op_vcompress = it("vcompress")
-    op_vpopc = it("vpopc")
-    lbl_scan = it("bfs-scan")
-    lbl_tail = it("bfs-scan-tail")
+    for name in _SCAN_STRINGS:
+        trace.intern(name)
     lvv = a_levels.view.reshape(-1)
-    lvl1 = level + 1
-    n_full = (n // maxvl) * maxvl
-
-    hits = np.flatnonzero(lvv == lvl1)
+    n_strips = n // maxvl
+    n_full = n_strips * maxvl
+    hits = np.flatnonzero(lvv == level + 1)
     q_next.view.reshape(-1)[: hits.shape[0]] = hits
     cnts = np.bincount(hits // maxvl, minlength=(n + maxvl - 1) // maxvl)
-
+    hit = cnts > 0
+    n_hit_full = int(cnts[:n_strips].sum())
     # both address streams are affine in the strip offset: one addr pass
-    # over each array, sliced per strip below
-    lv_addrs = a_levels.addr(np.arange(n, dtype=np.int64))
-    qn_addrs = q_next.addr(np.arange(n, dtype=np.int64))
+    # over each array, sliced per placement below
+    lv_addrs = a_levels.addr(np.arange(n, dtype=_I64))
+    qn_addrs = q_next.addr(np.arange(hits.shape[0], dtype=_I64))
 
-    next_pos = 0
-    off = 0
-    if n_full:
-        trace.emit_vector(_C_CSR, maxvl, op_vsetvl, scalar_dest=True)
-        i_lv = trace.emit_vector(
-            _C_MEM, maxvl, op_vle, pattern_id=_P_UNIT,
-            addrs=lv_addrs[0: maxvl])
-        while off < n_full:
-            trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, 3, label_id=lbl_scan)
-            i_m = trace.emit_vector(_C_MASK, maxvl, op_vmseq, dep=i_lv)
-            i_id = trace.emit_vector(_C_ARITH, maxvl, op_vid)
-            i_ids = trace.emit_vector(_C_ARITH, maxvl, op_vadd, dep=i_id)
-            i_packed = trace.emit_vector(_C_PERM, maxvl, op_vcompress,
-                                         dep=i_ids)
-            if off + maxvl < n_full:
-                i_lv = trace.emit_vector(
-                    _C_MEM, maxvl, op_vle, pattern_id=_P_UNIT,
-                    addrs=lv_addrs[off + maxvl: off + 2 * maxvl])
-            trace.emit_vector(_C_MASK, maxvl, op_vpopc, dep=i_m,
-                              scalar_dest=True)
-            cnt = int(cnts[off // maxvl])
-            if cnt:
-                trace.emit_vector(_C_CSR, cnt, op_vsetvl, scalar_dest=True)
-                trace.emit_vector(
-                    _C_MEM, cnt, op_vse, pattern_id=_P_UNIT,
-                    addrs=qn_addrs[next_pos: next_pos + cnt],
-                    is_write=True, dep=i_packed)
-                next_pos += cnt
-                trace.emit_vector(_C_CSR, maxvl, op_vsetvl, scalar_dest=True)
-            off += maxvl
-    if off < n:
-        tvl = n - off
-        trace.emit_vector(_C_CSR, tvl, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, 3, label_id=lbl_tail)
-        i_lv = trace.emit_vector(
-            _C_MEM, tvl, op_vle, pattern_id=_P_UNIT,
-            addrs=lv_addrs[off: n])
-        i_m = trace.emit_vector(_C_MASK, tvl, op_vmseq, dep=i_lv)
-        i_id = trace.emit_vector(_C_ARITH, tvl, op_vid)
-        i_ids = trace.emit_vector(_C_ARITH, tvl, op_vadd, dep=i_id)
-        i_packed = trace.emit_vector(_C_PERM, tvl, op_vcompress, dep=i_ids)
-        trace.emit_vector(_C_MASK, tvl, op_vpopc, dep=i_m, scalar_dest=True)
-        cnt = int(cnts[off // maxvl])
-        if cnt:
-            trace.emit_vector(_C_CSR, cnt, op_vsetvl, scalar_dest=True)
-            trace.emit_vector(
-                _C_MEM, cnt, op_vse, pattern_id=_P_UNIT,
-                addrs=qn_addrs[next_pos: next_pos + cnt],
-                is_write=True, dep=i_packed)
-            next_pos += cnt
-    return next_pos
+    # full strips: strip k's body is 6 records, +1 for the pipelined load
+    # of strip k+1, +3 for the append when strip k matched
+    full_hit = hit[:n_strips]
+    nxt = np.arange(n_strips) < n_strips - 1
+    sizes = 6 + nxt + 3 * full_hit
+    head = 2 + int(sizes.sum()) if n_strips else 0
+    tail = n - n_full
+    batch = RecordBatch(trace, head + (8 + 2 * int(hit[-1]) if tail else 0))
+    b = batch.start
+    if n_strips:
+        k = record_starts(b + 2, sizes)
+        batch.vector(b, VOpClass.CSR, maxvl, "vsetvl", scalar_dest=True)
+        batch.vector(b + 1, VOpClass.MEM, maxvl, "vle",
+                     pattern=VMemPattern.UNIT, addrs=lv_addrs[:maxvl])
+        batch.scalar_block(k, 3, label="bfs-scan")
+        # strip k's levels arrive with the load placed in strip k-1
+        batch.vector(k + 1, VOpClass.MASK, maxvl, "vmseq",
+                     dep=np.concatenate(([b + 1], k[:-1] + 5)))
+        batch.vector(k + 2, VOpClass.ARITH, maxvl, "vid.v")
+        batch.vector(k + 3, VOpClass.ARITH, maxvl, "vadd", dep=k + 2)
+        batch.vector(k + 4, VOpClass.PERMUTE, maxvl, "vcompress", dep=k + 3)
+        batch.vector(k[nxt] + 5, VOpClass.MEM, maxvl, "vle",
+                     pattern=VMemPattern.UNIT, addrs=lv_addrs[maxvl:n_full])
+        q = k + 5 + nxt                                # vpopc
+        batch.vector(q, VOpClass.MASK, maxvl, "vpopc", dep=k + 1,
+                     scalar_dest=True)
+        c, qh = cnts[:n_strips][full_hit], q[full_hit]
+        batch.vector(qh + 1, VOpClass.CSR, c, "vsetvl", scalar_dest=True)
+        batch.vector(qh + 2, VOpClass.MEM, c, "vse",
+                     pattern=VMemPattern.UNIT, addrs=qn_addrs[:n_hit_full],
+                     is_write=True, dep=k[full_hit] + 4)
+        batch.vector(qh + 3, VOpClass.CSR, maxvl, "vsetvl", scalar_dest=True)
+    if tail:
+        t = b + head
+        batch.vector(t, VOpClass.CSR, tail, "vsetvl", scalar_dest=True)
+        batch.scalar_block(t + 1, 3, label="bfs-scan-tail")
+        batch.vector(t + 2, VOpClass.MEM, tail, "vle",
+                     pattern=VMemPattern.UNIT, addrs=lv_addrs[n_full:])
+        batch.vector(t + 3, VOpClass.MASK, tail, "vmseq", dep=t + 2)
+        batch.vector(t + 4, VOpClass.ARITH, tail, "vid.v")
+        batch.vector(t + 5, VOpClass.ARITH, tail, "vadd", dep=t + 4)
+        batch.vector(t + 6, VOpClass.PERMUTE, tail, "vcompress", dep=t + 5)
+        batch.vector(t + 7, VOpClass.MASK, tail, "vpopc", dep=t + 3,
+                     scalar_dest=True)
+        if hit[-1]:
+            cnt = int(cnts[-1])
+            batch.vector(t + 8, VOpClass.CSR, cnt, "vsetvl",
+                         scalar_dest=True)
+            batch.vector(t + 9, VOpClass.MEM, cnt, "vse",
+                         pattern=VMemPattern.UNIT,
+                         addrs=qn_addrs[n_hit_full:], is_write=True,
+                         dep=t + 6)
+    batch.commit()
+    return hits.shape[0]
 
 
 def bfs_vector(session: Session, g: CsrGraph,

@@ -11,7 +11,9 @@ Per iteration:
    skew would make padded slots explode), gathers of ``rnorm``,
    tail-undisturbed ``vfadd`` accumulation (values are implicitly 1, so no
    vals stream at all), scatter to ``y`` through the row permutation; column
-   loads are software-pipelined one slot ahead, as in SpMV;
+   loads are software-pipelined one slot ahead, as in SpMV. The templated
+   path is SpMV's :func:`~repro.kernels.spmv.vector.sell_sweep` without a
+   value stream;
 3. **damping** (streaming): ``r = (1-d)/n + d*(y + dmass)``.
 """
 
@@ -22,83 +24,50 @@ import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
 from repro.kernels.spmv.formats import build_sell
+from repro.kernels.spmv.vector import ALU_PER_CHUNK, ALU_PER_SLOT, sell_sweep
 from repro.soc.sdv import Session
 from repro.trace import modes
-from repro.trace.events import OPCLASS_ID, PATTERN_ID, VMemPattern, VOpClass
-from repro.trace.template import Dep, TraceTemplate
+from repro.trace.events import VMemPattern, VOpClass
+from repro.trace.template import Dep, RecordBatch, TraceTemplate
 from repro.workloads.graphs import CsrGraph
 
-ALU_PER_CHUNK = 6
-ALU_PER_SLOT = 2
 ALU_PER_STRIP = 3
 
 #: sigma window for the SELL conversion of the transpose adjacency
 SIGMA = 4096
 
 _I64 = np.int64
-_EMPTY_A = np.empty(0, dtype=np.int64)
-_EMPTY_W = np.empty(0, dtype=bool)
+#: interned up front, in a fixed order, so the string table does not
+#: depend on which records a graph produces
+_STRINGS = ("vsetvl", "vfmv.v.f", "vle", "vse", "vlxe", "vsxe", "vfdiv",
+            "vfmul", "vfadd", "vfmacc", "vfredsum", "pr-norm-tail",
+            "pr-chunk", "pr-slot-ptrs", "pr-damp")
 
 
-def _pr_iteration_templated(session: Session, sell, allocs, n: int,
-                            damping: float) -> None:
-    """One templated PR iteration: identical trace + memory effects.
+def _normalize_batch(trace, allocs, n: int, maxvl: int) -> float:
+    """The normalize pass as one record batch; returns the dangling mass.
 
-    Each pass's strip/slot body is recorded once and replicated; the
-    functional math runs on whole arrays with the same elementwise
-    operation sequence as the interpreter path (division, multiply-then-add
-    for vfmacc, per-slot accumulate order), so results are bit-identical.
+    The full strips replicate one template; the reduction after them and
+    the tail strip are placed by position.
     """
-    trace = session.trace
-    scl = session.scalar
-    a_cols, a_slot_off, a_perm, a_safedeg, a_dang, a_r, a_rnorm, a_y = allocs
-    maxvl = session.vector.max_vl
-    chunk = maxvl
-
-    csr_id = OPCLASS_ID[VOpClass.CSR]
-    arith_id = OPCLASS_ID[VOpClass.ARITH]
-    heavy_id = OPCLASS_ID[VOpClass.ARITH_HEAVY]
-    reduce_id = OPCLASS_ID[VOpClass.REDUCE]
-    mem_id = OPCLASS_ID[VOpClass.MEM]
-    unit_id = PATTERN_ID[VMemPattern.UNIT]
-    idx_id = PATTERN_ID[VMemPattern.INDEXED]
-    op_vsetvl = trace.intern("vsetvl")
-    op_vfmv = trace.intern("vfmv.v.f")
-    op_vle = trace.intern("vle")
-    op_vse = trace.intern("vse")
-    op_vlxe = trace.intern("vlxe")
-    op_vsxe = trace.intern("vsxe")
-    op_vfdiv = trace.intern("vfdiv")
-    op_vfmul = trace.intern("vfmul")
-    op_vfadd = trace.intern("vfadd")
-    op_vfmacc = trace.intern("vfmacc")
-    op_vfredsum = trace.intern("vfredsum")
-    lbl_tail = trace.intern("pr-norm-tail")
-    lbl_chunk = trace.intern("pr-chunk")
-    lbl_ptrs = trace.intern("pr-slot-ptrs")
-    lbl_damp = trace.intern("pr-damp")
-
-    rv = a_r.view
-    rnv = a_rnorm.view
-    yv = a_y.view
-    dgv = a_safedeg.view
-    ddv = a_dang.view
-
-    # --- normalize pass ---------------------------------------------------
-    np.divide(rv, dgv, out=rnv)
-    dmass_parts: list[float] = []
-    n_full = (n // maxvl) * maxvl
+    _, _, _, a_safedeg, a_dang, a_r, a_rnorm, _ = allocs
+    rv, ddv = a_r.view, a_dang.view
+    np.divide(rv, a_safedeg.view, out=a_rnorm.view)
     n_strips = n // maxvl
-    if n_full:
-        trace.emit_vector(csr_id, maxvl, op_vsetvl, scalar_dest=True)
-        trace.emit_vector(arith_id, maxvl, op_vfmv)
+    n_full = n_strips * maxvl
+    head = 3 + 7 * n_strips if n_strips else 0
+    batch = RecordBatch(trace, head + (9 if n_full < n else 0))
+    b = batch.start
+    dmass_parts: list[float] = []
+    if n_strips:
+        batch.vector(b, VOpClass.CSR, maxvl, "vsetvl", scalar_dest=True)
+        batch.vector(b + 1, VOpClass.ARITH, maxvl, "vfmv.v.f")
         lane8 = np.arange(maxvl, dtype=_I64)
         offs = np.arange(n_strips, dtype=_I64) * (maxvl * 8)
         tpl = TraceTemplate(trace)
         tpl.scalar_block(ALU_PER_STRIP, label="pr-norm")
-        s_r = tpl.vector(VOpClass.MEM, maxvl, "vle",
-                         pattern=VMemPattern.UNIT,
-                         base_addrs=a_r.addr(lane8), iter_offsets=offs)
+        tpl.vector(VOpClass.MEM, maxvl, "vle", pattern=VMemPattern.UNIT,
+                   base_addrs=a_r.addr(lane8), iter_offsets=offs)
         s_dg = tpl.vector(VOpClass.MEM, maxvl, "vle",
                           pattern=VMemPattern.UNIT,
                           base_addrs=a_safedeg.addr(lane8),
@@ -113,125 +82,54 @@ def _pr_iteration_templated(session: Session, sell, allocs, n: int,
                           base_addrs=a_dang.addr(lane8), iter_offsets=offs)
         s_acc = tpl.vector(VOpClass.ARITH, maxvl, "vfmacc",
                            dep=Dep.local(s_dd))
-        tstart = tpl.replicate(n_strips)
-        trace.emit_vector(reduce_id, maxvl, op_vfredsum,
-                          dep=tstart + (n_strips - 1) * 7 + s_acc,
-                          scalar_dest=True)
+        tpl.expand(batch, [n_strips], [b + 2])
+        batch.vector(b + head - 1, VOpClass.REDUCE, maxvl, "vfredsum",
+                     dep=b + head - 8 + s_acc, scalar_dest=True)
         # the strip-order lane accumulate: every product is >= +0.0 (ranks
         # and the 0/1 dangling stream are non-negative), so strips with no
         # dangling node add exactly +0.0 — an identity on the non-negative
-        # accumulator — and only the (few) strips containing dangling nodes
-        # need to join the sequential per-lane vfmacc chain
+        # accumulator — and only the strips containing dangling nodes join
+        # the per-lane vfmacc chain, which add.accumulate runs in strip
+        # order (0.0 + p == p for p >= +0.0)
         prods = (rv[:n_full] * ddv[:n_full]).reshape(n_strips, maxvl)
-        dacc = np.zeros(maxvl, dtype=np.float64)
-        for s in np.flatnonzero(
-                ddv[:n_full].reshape(n_strips, maxvl).any(axis=1)).tolist():
-            dacc += prods[s]
+        has = ddv[:n_full].reshape(n_strips, maxvl).any(axis=1)
+        dacc = (np.add.accumulate(prods[has], axis=0)[-1] if has.any()
+                else np.zeros(maxvl, dtype=np.float64))
         dmass_parts.append(float(dacc.sum() + 0.0))
     if n_full < n:
+        t = b + head
         vl_t = n - n_full
         lane_t = np.arange(n_full, n, dtype=_I64)
-        trace.emit_vector(csr_id, vl_t, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_STRIP,
-                                label_id=lbl_tail)
-        r_idx = trace.emit_vector(mem_id, vl_t, op_vle, pattern_id=unit_id,
-                                  addrs=a_r.addr(lane_t))
-        dg_idx = trace.emit_vector(mem_id, vl_t, op_vle, pattern_id=unit_id,
-                                   addrs=a_safedeg.addr(lane_t))
-        rn_idx = trace.emit_vector(heavy_id, vl_t, op_vfdiv, dep=dg_idx)
-        trace.emit_vector(mem_id, vl_t, op_vse, pattern_id=unit_id,
-                          addrs=a_rnorm.addr(lane_t), is_write=True,
-                          dep=rn_idx)
-        dd_idx = trace.emit_vector(mem_id, vl_t, op_vle, pattern_id=unit_id,
-                                   addrs=a_dang.addr(lane_t))
-        mul_idx = trace.emit_vector(arith_id, vl_t, op_vfmul, dep=dd_idx)
-        trace.emit_vector(reduce_id, vl_t, op_vfredsum, dep=mul_idx,
-                          scalar_dest=True)
+        batch.vector(t, VOpClass.CSR, vl_t, "vsetvl", scalar_dest=True)
+        batch.scalar_block(t + 1, ALU_PER_STRIP, label="pr-norm-tail")
+        batch.vector(t + 2, VOpClass.MEM, vl_t, "vle",
+                     pattern=VMemPattern.UNIT, addrs=a_r.addr(lane_t))
+        batch.vector(t + 3, VOpClass.MEM, vl_t, "vle",
+                     pattern=VMemPattern.UNIT, addrs=a_safedeg.addr(lane_t))
+        batch.vector(t + 4, VOpClass.ARITH_HEAVY, vl_t, "vfdiv", dep=t + 3)
+        batch.vector(t + 5, VOpClass.MEM, vl_t, "vse",
+                     pattern=VMemPattern.UNIT, addrs=a_rnorm.addr(lane_t),
+                     is_write=True, dep=t + 4)
+        batch.vector(t + 6, VOpClass.MEM, vl_t, "vle",
+                     pattern=VMemPattern.UNIT, addrs=a_dang.addr(lane_t))
+        batch.vector(t + 7, VOpClass.ARITH, vl_t, "vfmul", dep=t + 6)
+        batch.vector(t + 8, VOpClass.REDUCE, vl_t, "vfredsum", dep=t + 7,
+                     scalar_dest=True)
         dmass_parts.append(float((rv[n_full:] * ddv[n_full:]).sum() + 0.0))
-    dmass = sum(dmass_parts) / n
-    scl.barrier("pr-normalize-end")
+    batch.commit()
+    return sum(dmass_parts) / n
 
-    # --- accumulate pass (pattern-only compact SELL sweep) ----------------
-    slot_off = sell.slot_off
-    for c in range(sell.n_chunks):
-        base_row = c * chunk
-        rows_here = min(chunk, n - base_row)
-        bs = int(sell.chunk_slot[c])
-        width = int(sell.widths[c])
-        sl0 = int(slot_off[bs])
-        sl_end = int(slot_off[bs + width])
-        cnts = np.diff(slot_off[bs:bs + width + 1])
-        seg = rnv[sell.cols[sl0:sl_end]]
-        acc = np.zeros(rows_here, dtype=np.float64)
-        o = 0
-        for j in range(width):
-            cnt = int(cnts[j])
-            acc[:cnt] += seg[o:o + cnt]
-            o += cnt
-        pi = sell.perm[base_row:base_row + rows_here]
-        yv[pi] = acc
 
-        trace.emit_vector(csr_id, rows_here, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_CHUNK,
-                                label_id=lbl_chunk)
-        trace.emit_vector(arith_id, rows_here, op_vfmv)
-        if width > 0:
-            trace.emit_scalar_block(
-                a_slot_off.addr(np.arange(bs, bs + width + 1, dtype=_I64)),
-                np.zeros(width + 1, dtype=bool), 2 * width,
-                label_id=lbl_ptrs)
-            cnt0 = int(cnts[0])
-            trace.emit_vector(csr_id, cnt0, op_vsetvl, scalar_dest=True)
-            cols_idx = trace.emit_vector(
-                mem_id, cnt0, op_vle, pattern_id=unit_id,
-                addrs=a_cols.addr(np.arange(sl0, sl0 + cnt0, dtype=_I64)))
-        if width >= 2:
-            nxt_cnts = cnts[1:].astype(np.int32)
-            cur_cnts = cnts[:-1].astype(np.int32)
-            cur_hi = int(slot_off[bs + width - 1])
-            tpl = TraceTemplate(trace)
-            tpl.scalar_block(ALU_PER_SLOT)
-            tpl.vector(VOpClass.CSR, nxt_cnts, "vsetvl", scalar_dest=True)
-            s_cols = tpl.vector(
-                VOpClass.MEM, nxt_cnts, "vle", pattern=VMemPattern.UNIT,
-                flat_addrs=a_cols.addr(
-                    np.arange(int(slot_off[bs + 1]), sl_end, dtype=_I64)),
-                counts=nxt_cnts)
-            tpl.vector(VOpClass.CSR, cur_cnts, "vsetvl", scalar_dest=True)
-            s_g = tpl.vector(VOpClass.MEM, cur_cnts, "vlxe",
-                             pattern=VMemPattern.INDEXED,
-                             flat_addrs=a_rnorm.addr(
-                                 sell.cols[sl0:cur_hi]),
-                             counts=cur_cnts,
-                             dep=Dep.prev(s_cols, first=cols_idx))
-            tpl.vector(VOpClass.ARITH, cur_cnts, "vfadd", dep=Dep.local(s_g))
-            tstart = tpl.replicate(width - 1)
-            last_cols_idx = tstart + (width - 2) * 6 + s_cols
-        elif width == 1:
-            last_cols_idx = cols_idx
-        if width > 0:
-            cnt_l = int(cnts[-1])
-            lo = int(slot_off[bs + width - 1])
-            trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_SLOT)
-            trace.emit_vector(csr_id, cnt_l, op_vsetvl, scalar_dest=True)
-            g_idx = trace.emit_vector(
-                mem_id, cnt_l, op_vlxe, pattern_id=idx_id,
-                addrs=a_rnorm.addr(sell.cols[lo:lo + cnt_l]),
-                dep=last_cols_idx)
-            trace.emit_vector(arith_id, cnt_l, op_vfadd, dep=g_idx)
-        trace.emit_vector(csr_id, rows_here, op_vsetvl, scalar_dest=True)
-        pi_idx = trace.emit_vector(
-            mem_id, rows_here, op_vle, pattern_id=unit_id,
-            addrs=a_perm.addr(
-                np.arange(base_row, base_row + rows_here, dtype=_I64)))
-        trace.emit_vector(mem_id, rows_here, op_vsxe, pattern_id=idx_id,
-                          addrs=a_y.addr(pi), is_write=True, dep=pi_idx)
-    scl.barrier("pr-accumulate-end")
-
-    # --- damping pass -----------------------------------------------------
-    base = (1.0 - damping) / n
-    t = (yv + dmass) * damping
-    np.add(t, base, out=rv)
+def _damping_batch(trace, allocs, n: int, maxvl: int, dmass: float,
+                   damping: float) -> None:
+    """The damping pass as one record batch: the full strips replicate
+    one template, the tail strip is placed by position."""
+    a_r, a_y = allocs[5], allocs[7]
+    np.add((a_y.view + dmass) * damping, (1.0 - damping) / n,
+           out=a_r.view)
+    n_strips = n // maxvl
+    n_full = n_strips * maxvl
+    batch = RecordBatch(trace, 7 * n_strips + (7 if n_full < n else 0))
     if n_strips:
         lane8 = np.arange(maxvl, dtype=_I64)
         offs = np.arange(n_strips, dtype=_I64) * (maxvl * 8)
@@ -247,20 +145,47 @@ def _pr_iteration_templated(session: Session, sell, allocs, n: int,
         tpl.vector(VOpClass.MEM, maxvl, "vse", pattern=VMemPattern.UNIT,
                    base_addrs=a_r.addr(lane8), iter_offsets=offs,
                    is_write=True, dep=Dep.local(s_t))
-        tpl.replicate(n_strips)
+        tpl.expand(batch, [n_strips], [batch.start])
     if n_full < n:
+        t = batch.start + 7 * n_strips
         vl_t = n - n_full
         lane_t = np.arange(n_full, n, dtype=_I64)
-        trace.emit_vector(csr_id, vl_t, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_STRIP,
-                                label_id=lbl_damp)
-        y_idx = trace.emit_vector(mem_id, vl_t, op_vle, pattern_id=unit_id,
-                                  addrs=a_y.addr(lane_t))
-        t_idx = trace.emit_vector(arith_id, vl_t, op_vfadd, dep=y_idx)
-        t_idx = trace.emit_vector(arith_id, vl_t, op_vfmul, dep=t_idx)
-        t_idx = trace.emit_vector(arith_id, vl_t, op_vfadd, dep=t_idx)
-        trace.emit_vector(mem_id, vl_t, op_vse, pattern_id=unit_id,
-                          addrs=a_r.addr(lane_t), is_write=True, dep=t_idx)
+        batch.vector(t, VOpClass.CSR, vl_t, "vsetvl", scalar_dest=True)
+        batch.scalar_block(t + 1, ALU_PER_STRIP, label="pr-damp")
+        batch.vector(t + 2, VOpClass.MEM, vl_t, "vle",
+                     pattern=VMemPattern.UNIT, addrs=a_y.addr(lane_t))
+        batch.vector(t + 3, VOpClass.ARITH, vl_t, "vfadd", dep=t + 2)
+        batch.vector(t + 4, VOpClass.ARITH, vl_t, "vfmul", dep=t + 3)
+        batch.vector(t + 5, VOpClass.ARITH, vl_t, "vfadd", dep=t + 4)
+        batch.vector(t + 6, VOpClass.MEM, vl_t, "vse",
+                     pattern=VMemPattern.UNIT, addrs=a_r.addr(lane_t),
+                     is_write=True, dep=t + 5)
+    batch.commit()
+
+
+def _pr_iteration_templated(session: Session, sell, allocs, n: int,
+                            damping: float) -> None:
+    """One templated PR iteration: identical trace + memory effects.
+
+    Each pass is one record batch (strip and slot loop bodies expanded as
+    templates, the records around them placed by position; the accumulate
+    pass is :func:`~repro.kernels.spmv.vector.sell_sweep`); the
+    functional math runs on whole arrays with the same elementwise
+    operation sequence as the interpreter path (division, multiply-then-add
+    for vfmacc, per-slot accumulate order), so results are bit-identical.
+    """
+    trace = session.trace
+    scl = session.scalar
+    maxvl = session.vector.max_vl
+    for s in _STRINGS:
+        trace.intern(s)
+    dmass = _normalize_batch(trace, allocs, n, maxvl)
+    scl.barrier("pr-normalize-end")
+    a_cols, a_slot_off, a_perm, _, _, _, a_rnorm, a_y = allocs
+    sell_sweep(trace, sell, n, cols=a_cols, vals=None, slot_off=a_slot_off,
+               perm=a_perm, x=a_rnorm, y=a_y, label="pr")
+    scl.barrier("pr-accumulate-end")
+    _damping_batch(trace, allocs, n, maxvl, dmass, damping)
     scl.barrier("pr-iter-end")
 
 

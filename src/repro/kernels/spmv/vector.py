@@ -29,11 +29,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
-from repro.kernels.spmv.formats import build_sell
+from repro.kernels.spmv.formats import SellMatrix, build_sell
+from repro.memory.address_space import Allocation
 from repro.soc.sdv import Session
 from repro.trace import modes
-from repro.trace.events import OPCLASS_ID, PATTERN_ID, VMemPattern, VOpClass
-from repro.trace.template import Dep, TraceTemplate
+from repro.trace.events import TraceBuffer, VMemPattern, VOpClass
+from repro.trace.template import (
+    Dep,
+    RecordBatch,
+    TraceTemplate,
+    ragged_arange,
+    record_starts,
+)
 
 #: scalar loop-control ops per chunk and per slot (pointer bumps, branches)
 ALU_PER_CHUNK = 6
@@ -43,132 +50,125 @@ ALU_PER_SLOT = 2
 DEFAULT_SIGMA = 4096
 
 _I64 = np.int64
-_EMPTY_A = np.empty(0, dtype=np.int64)
-_EMPTY_W = np.empty(0, dtype=bool)
+#: interned up front, in a fixed order, so the string table does not
+#: depend on which records a matrix produces
+_STRINGS = ("vsetvl", "vfmv.v.f", "vle", "vlxe", "vfmacc", "vsxe",
+            "spmv-chunk", "spmv-slot-ptrs")
 
 
-def _spmv_templated(session: Session, sell, a, n: int) -> None:
-    """Templated emission + whole-chunk functional math (compact layout).
+def sell_sweep(trace: TraceBuffer, sell: SellMatrix, n: int, *,
+               cols: Allocation, vals: Allocation | None,
+               slot_off: Allocation, perm: Allocation, x: Allocation,
+               y: Allocation, label: str) -> None:
+    """``y = A x`` over a compact SELL matrix, as one record batch.
 
-    Per chunk, the software-pipelined slot loop body (7 records) is
-    recorded once and replicated over slots 0..width-2; the prologue, the
-    non-pipelined last slot and the scatter epilogue are emitted directly
-    into the columnar buffer. The accumulator math runs per-slot on NumPy
-    slices — the same elementwise multiply/add sequence the interpreter
-    path performs, so traces and y are bit-identical.
+    The loop in this module's docstring, for every chunk at once. The
+    records of each chunk are placed by position: the prologue, the
+    slot-0 loads, the non-pipelined last slot and the scatter epilogue,
+    one placement per record across all chunks. The software-pipelined
+    slot-loop body (slots 0..width-2) is one template expanded over every
+    chunk of width >= 2. ``vals=None`` is the pattern-only sweep of
+    PageRank's accumulate pass: every value is 1, so there is no value
+    stream and ``vfadd`` accumulates instead of ``vfmacc``. ``label``
+    prefixes the scalar blocks' labels (``<label>-chunk``,
+    ``<label>-slot-ptrs``).
+
+    ``y`` comes from one ``np.bincount`` over the stored entries: it adds
+    each lane's terms in storage order, which is slot order, from +0.0 —
+    the interpreter path's per-slot accumulate sequence, so traces and
+    ``y`` are bit-identical.
     """
-    trace = session.trace
-    a_vals, a_cols, a_slot_off, a_perm, a_x, a_y = a
-    xv = a_x.view
-    yv = a_y.view
-    chunk = session.vector.max_vl
+    chunk, widths = sell.chunk, sell.widths
+    n_chunks = sell.n_chunks
+    cnt = np.diff(sell.slot_off)                      # per slot
+    # every stored entry's chunk lane (its sorted row) and slot
+    chunk_of_slot = np.repeat(np.arange(n_chunks, dtype=_I64), widths)
+    slot_of = np.repeat(np.arange(cnt.shape[0], dtype=_I64), cnt)
+    lane = (np.arange(slot_of.shape[0], dtype=_I64)
+            - sell.slot_off[slot_of] + chunk_of_slot[slot_of] * chunk)
+    nz = widths > 0
+    first_slot = sell.chunk_slot[:-1][nz]
+    last_slot = sell.chunk_slot[1:][nz] - 1
+    is_first = np.zeros(cnt.shape[0], dtype=bool)
+    is_first[first_slot] = True
+    is_last = np.zeros(cnt.shape[0], dtype=bool)
+    is_last[last_slot] = True
 
-    csr_id = OPCLASS_ID[VOpClass.CSR]
-    arith_id = OPCLASS_ID[VOpClass.ARITH]
-    mem_id = OPCLASS_ID[VOpClass.MEM]
-    unit_id = PATTERN_ID[VMemPattern.UNIT]
-    idx_id = PATTERN_ID[VMemPattern.INDEXED]
-    op_vsetvl = trace.intern("vsetvl")
-    op_vfmv = trace.intern("vfmv.v.f")
-    op_vle = trace.intern("vle")
-    op_vlxe = trace.intern("vlxe")
-    op_vfmacc = trace.intern("vfmacc")
-    op_vsxe = trace.intern("vsxe")
-    lbl_chunk = trace.intern("spmv-chunk")
-    lbl_ptrs = trace.intern("spmv-slot-ptrs")
+    # ---- functional: every chunk's accumulate + scatter -------------------
+    terms = x.view[sell.cols]
+    if vals is not None:
+        terms = vals.view * terms
+    y.view[sell.perm] = np.bincount(lane, weights=terms, minlength=n)
 
-    slot_off = sell.slot_off
-    for c in range(sell.n_chunks):
-        base_row = c * chunk
-        rows_here = min(chunk, n - base_row)
-        bs = int(sell.chunk_slot[c])
-        width = int(sell.widths[c])
+    # ---- trace: the record layout of every chunk --------------------------
+    streams = (cols,) if vals is None else (cols, vals)   # loaded per slot
+    acc_op = "vfadd" if vals is None else "vfmacc"
+    k = len(streams)
+    pipe = np.maximum(widths - 1, 0)    # pipelined slot-loop iterations
+    sizes = 6 + (6 + k) * nz + (5 + k) * pipe
+    c0 = record_starts(len(trace), sizes)
+    rows = np.minimum(chunk, n - np.arange(n_chunks, dtype=_I64) * chunk)
+    batch = RecordBatch(trace, int(sizes.sum()))
 
-        # ---- functional: the whole chunk's accumulate + scatter ----------
-        sl0 = int(slot_off[bs])
-        cnts = np.diff(slot_off[bs:bs + width + 1])
-        seg_cols = sell.cols[sl0:int(slot_off[bs + width])]
-        prod = sell.vals[sl0:int(slot_off[bs + width])] * xv[seg_cols]
-        acc = np.zeros(rows_here, dtype=np.float64)
-        o = 0
-        for j in range(width):
-            cnt = int(cnts[j])
-            acc[:cnt] += prod[o:o + cnt]
-            o += cnt
-        pi = sell.perm[base_row:base_row + rows_here]
-        yv[pi] = acc
+    # prologue
+    batch.vector(c0, VOpClass.CSR, rows, "vsetvl", scalar_dest=True)
+    batch.scalar_block(c0 + 1, ALU_PER_CHUNK, label=f"{label}-chunk")
+    batch.vector(c0 + 2, VOpClass.ARITH, rows, "vfmv.v.f")
 
-        # ---- trace: prologue ---------------------------------------------
-        trace.emit_vector(csr_id, rows_here, op_vsetvl, scalar_dest=True)
-        trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_CHUNK,
-                                label_id=lbl_chunk)
-        trace.emit_vector(arith_id, rows_here, op_vfmv)
-        if width > 0:
-            trace.emit_scalar_block(
-                a_slot_off.addr(np.arange(bs, bs + width + 1, dtype=_I64)),
-                np.zeros(width + 1, dtype=bool), 2 * width,
-                label_id=lbl_ptrs)
-            cnt0 = int(cnts[0])
-            trace.emit_vector(csr_id, cnt0, op_vsetvl, scalar_dest=True)
-            cols_idx = trace.emit_vector(
-                mem_id, cnt0, op_vle, pattern_id=unit_id,
-                addrs=a_cols.addr(np.arange(sl0, sl0 + cnt0, dtype=_I64)))
-            trace.emit_vector(
-                mem_id, cnt0, op_vle, pattern_id=unit_id,
-                addrs=a_vals.addr(np.arange(sl0, sl0 + cnt0, dtype=_I64)))
+    # slot-pointer walk and the slot-0 loads that prime the pipeline
+    s0, w = c0[nz], widths[nz]
+    batch.scalar_block(
+        s0 + 3, 2 * w, counts=w + 1,
+        addrs=slot_off.addr(ragged_arange(first_slot, w + 1)),
+        label=f"{label}-slot-ptrs")
+    cnt0 = cnt[first_slot]
+    slot0 = ragged_arange(sell.slot_off[first_slot], cnt0)
+    batch.vector(s0 + 4, VOpClass.CSR, cnt0, "vsetvl", scalar_dest=True)
+    for i, a in enumerate(streams):
+        batch.vector(s0 + 5 + i, VOpClass.MEM, cnt0, "vle",
+                     pattern=VMemPattern.UNIT, addrs=a.addr(slot0))
 
-        # ---- trace: pipelined slot loop (slots 0..width-2) ---------------
-        if width >= 2:
-            nxt_cnts = cnts[1:].astype(np.int32)
-            cur_cnts = cnts[:-1].astype(np.int32)
-            nxt_lo = int(slot_off[bs + 1])
-            nxt_hi = int(slot_off[bs + width])
-            nxt_rng = np.arange(nxt_lo, nxt_hi, dtype=_I64)
-            cur_hi = int(slot_off[bs + width - 1])
-            tpl = TraceTemplate(trace)
-            tpl.scalar_block(ALU_PER_SLOT)
-            tpl.vector(VOpClass.CSR, nxt_cnts, "vsetvl", scalar_dest=True)
-            s_cols = tpl.vector(VOpClass.MEM, nxt_cnts, "vle",
-                                pattern=VMemPattern.UNIT,
-                                flat_addrs=a_cols.addr(nxt_rng),
-                                counts=nxt_cnts)
-            tpl.vector(VOpClass.MEM, nxt_cnts, "vle",
-                       pattern=VMemPattern.UNIT,
-                       flat_addrs=a_vals.addr(nxt_rng), counts=nxt_cnts)
-            tpl.vector(VOpClass.CSR, cur_cnts, "vsetvl", scalar_dest=True)
-            s_xg = tpl.vector(VOpClass.MEM, cur_cnts, "vlxe",
-                              pattern=VMemPattern.INDEXED,
-                              flat_addrs=a_x.addr(
-                                  sell.cols[sl0:cur_hi]),
-                              counts=cur_cnts,
-                              dep=Dep.prev(s_cols, first=cols_idx))
-            tpl.vector(VOpClass.ARITH, cur_cnts, "vfmacc",
-                       dep=Dep.local(s_xg))
-            tstart = tpl.replicate(width - 1)
-            last_cols_idx = tstart + (width - 2) * 7 + s_cols
-        elif width == 1:
-            last_cols_idx = cols_idx
+    # pipelined slot loop: iteration j loads slot j+1, computes slot j
+    nxt = np.flatnonzero(~is_first[slot_of])          # entries of slots 1..
+    nxt_cnts = cnt[~is_first].astype(np.int32)
+    cur_cnts = cnt[~is_last].astype(np.int32)
+    tpl = TraceTemplate(trace)
+    tpl.scalar_block(ALU_PER_SLOT)
+    tpl.vector(VOpClass.CSR, nxt_cnts, "vsetvl", scalar_dest=True)
+    s_cols = len(tpl)                                 # the column load
+    for a in streams:
+        tpl.vector(VOpClass.MEM, nxt_cnts, "vle", pattern=VMemPattern.UNIT,
+                   flat_addrs=a.addr(nxt), counts=nxt_cnts)
+    tpl.vector(VOpClass.CSR, cur_cnts, "vsetvl", scalar_dest=True)
+    s_xg = tpl.vector(VOpClass.MEM, cur_cnts, "vlxe",
+                      pattern=VMemPattern.INDEXED,
+                      flat_addrs=x.addr(sell.cols[~is_last[slot_of]]),
+                      counts=cur_cnts,
+                      dep=Dep.prev(s_cols, first=c0 + 5))
+    tpl.vector(VOpClass.ARITH, cur_cnts, acc_op, dep=Dep.local(s_xg))
+    tpl.expand(batch, pipe, c0 + 5 + k)
 
-        # ---- trace: last slot (nothing left to prefetch) -----------------
-        if width > 0:
-            cnt_l = int(cnts[-1])
-            lo = int(slot_off[bs + width - 1])
-            trace.emit_scalar_block(_EMPTY_A, _EMPTY_W, ALU_PER_SLOT)
-            trace.emit_vector(csr_id, cnt_l, op_vsetvl, scalar_dest=True)
-            xg_idx = trace.emit_vector(
-                mem_id, cnt_l, op_vlxe, pattern_id=idx_id,
-                addrs=a_x.addr(sell.cols[lo:lo + cnt_l]),
-                dep=last_cols_idx)
-            trace.emit_vector(arith_id, cnt_l, op_vfmacc, dep=xg_idx)
+    # last slot (nothing left to prefetch): its gather waits on the
+    # column load of the last pipelined iteration, or on slot 0's
+    p = s0 + (5 + k) * w
+    cnt_l = cnt[last_slot]
+    batch.scalar_block(p, ALU_PER_SLOT)
+    batch.vector(p + 1, VOpClass.CSR, cnt_l, "vsetvl", scalar_dest=True)
+    batch.vector(p + 2, VOpClass.MEM, cnt_l, "vlxe",
+                 pattern=VMemPattern.INDEXED,
+                 addrs=x.addr(sell.cols[is_last[slot_of]]),
+                 dep=np.where(w >= 2, p - (5 + k) + s_cols, s0 + 5))
+    batch.vector(p + 3, VOpClass.ARITH, cnt_l, acc_op, dep=p + 2)
 
-        # ---- trace: scatter epilogue -------------------------------------
-        trace.emit_vector(csr_id, rows_here, op_vsetvl, scalar_dest=True)
-        pi_idx = trace.emit_vector(
-            mem_id, rows_here, op_vle, pattern_id=unit_id,
-            addrs=a_perm.addr(
-                np.arange(base_row, base_row + rows_here, dtype=_I64)))
-        trace.emit_vector(mem_id, rows_here, op_vsxe, pattern_id=idx_id,
-                          addrs=a_y.addr(pi), is_write=True, dep=pi_idx)
+    # scatter epilogue
+    e = c0 + sizes - 3
+    batch.vector(e, VOpClass.CSR, rows, "vsetvl", scalar_dest=True)
+    batch.vector(e + 1, VOpClass.MEM, rows, "vle", pattern=VMemPattern.UNIT,
+                 addrs=perm.addr(np.arange(n, dtype=_I64)))
+    batch.vector(e + 2, VOpClass.MEM, rows, "vsxe",
+                 pattern=VMemPattern.INDEXED, addrs=y.addr(sell.perm),
+                 is_write=True, dep=e + 1)
+    batch.commit()
 
 
 def spmv_vector(session: Session, mat: sp.csr_matrix,
@@ -196,8 +196,11 @@ def spmv_vector(session: Session, mat: sp.csr_matrix,
     a_y = mem.alloc("spmv.y", n, np.float64)
 
     if compact and modes.templating_enabled():
-        _spmv_templated(session, sell,
-                        (a_vals, a_cols, a_slot_off, a_perm, a_x, a_y), n)
+        for name in _STRINGS:
+            session.trace.intern(name)
+        sell_sweep(session.trace, sell, n, cols=a_cols, vals=a_vals,
+                   slot_off=a_slot_off, perm=a_perm, x=a_x, y=a_y,
+                   label="spmv")
         scl.barrier("spmv-vector-end")
         return KernelOutput(
             value=a_y.view.copy(),

@@ -54,7 +54,7 @@ def machine_fingerprint() -> dict:
     but the fields that explain *why* numbers differ across machines —
     platform, Python version, CPU count — stay readable. Ratio metrics
     (speedups measured within one run) are machine-independent; wall-time
-    metrics should be compared per-fingerprint.
+    series (:data:`MACHINE_UNITS`) are judged per machine ``id``.
     """
     host = f"{platform.node()}:{_username()}"
     return {
@@ -161,9 +161,33 @@ def load_and_validate(path) -> list[dict]:
 def series(records: list[dict], bench: str, metric: str,
            scale: str) -> list[float]:
     """The chronological value series of one (bench, metric, scale) key."""
-    return [r["value"] for r in records
+    return [r["value"] for r in _keyed(records, bench, metric, scale)]
+
+
+def _keyed(records: list[dict], bench: str, metric: str,
+           scale: str) -> list[dict]:
+    return [r for r in records
             if r.get("bench") == bench and r.get("metric") == metric
             and r.get("scale") == scale]
+
+
+#: units whose values depend on the machine that measured them. A series
+#: in one of them is judged only against records from the same machine:
+#: against another machine's history a slower runner reads as a
+#: regression and a faster one hides a real one.
+MACHINE_UNITS = frozenset({"s"})
+
+
+def comparable_series(records: list[dict], bench: str, metric: str,
+                      scale: str, machine_id: str) -> list[float]:
+    """The values of one series that a value measured on machine
+    ``machine_id`` can be judged against: all of them, or — when the
+    series' latest record is in a :data:`MACHINE_UNITS` unit — only
+    those measured on that machine."""
+    keyed = _keyed(records, bench, metric, scale)
+    if keyed and keyed[-1].get("unit") in MACHINE_UNITS:
+        keyed = [r for r in keyed if r["machine"]["id"] == machine_id]
+    return [r["value"] for r in keyed]
 
 
 def series_keys(records: list[dict]) -> list[tuple[str, str, str]]:
@@ -180,10 +204,8 @@ def series_direction(records: list[dict], bench: str, metric: str,
     throughputs) or ``"lower"`` (overheads, wall times), taken from the
     last record carrying an ``attrs.direction`` tag."""
     direction = "higher"
-    for r in records:
-        if (r.get("bench") == bench and r.get("metric") == metric
-                and r.get("scale") == scale):
-            direction = (r.get("attrs") or {}).get("direction", direction)
+    for r in _keyed(records, bench, metric, scale):
+        direction = (r.get("attrs") or {}).get("direction", direction)
     return direction
 
 
@@ -267,12 +289,29 @@ def detect_regression(history: list[float], value: float, *,
     )
 
 
+def _judge(history: list[float], value: float, direction: str,
+           **kwargs) -> Verdict:
+    """:func:`detect_regression` in the series' direction: a
+    lower-is-better series is judged on its negation, with the verdict's
+    value/median/threshold mapped back to the original sign."""
+    if direction != "lower":
+        return detect_regression(history, value, **kwargs)
+    v = detect_regression([-x for x in history], -value, **kwargs)
+    return Verdict(status=v.status, value=-v.value, median=-v.median,
+                   mad=v.mad, threshold=-v.threshold, samples=v.samples,
+                   reason=v.reason + " [lower-is-better, judged on the "
+                   "negated series]")
+
+
 def check_series(records: list[dict], bench: str, metric: str, scale: str,
                  value: float, **kwargs) -> Verdict:
-    """Detector over a loaded ledger: judge ``value`` against the series'
-    committed history."""
-    return detect_regression(series(records, bench, metric, scale), value,
-                             **kwargs)
+    """Detector over a loaded ledger: judge ``value``, measured on this
+    machine, against the series' committed history in the series'
+    direction (:func:`series_direction`)."""
+    history = comparable_series(records, bench, metric, scale,
+                                machine_fingerprint()["id"])
+    return _judge(history, value,
+                  series_direction(records, bench, metric, scale), **kwargs)
 
 
 def perf_diff(records: list[dict], **kwargs) -> list[tuple[tuple, Verdict]]:
@@ -281,24 +320,16 @@ def perf_diff(records: list[dict], **kwargs) -> list[tuple[tuple, Verdict]]:
 
     The detector is written for higher-is-better values; lower-is-better
     series (tagged ``attrs.direction: "lower"`` — overheads, wall times)
-    are judged on their negation, with the verdict's value/median/
-    threshold mapped back to the original sign.
+    are judged on their negation. A wall-time series' latest record is
+    judged only against records from its own machine
+    (:func:`comparable_series`).
     """
     out = []
     for key in series_keys(records):
-        values = series(records, *key)
-        if series_direction(records, *key) == "lower":
-            v = detect_regression([-x for x in values[:-1]], -values[-1],
-                                  **kwargs)
-            v = Verdict(status=v.status, value=-v.value, median=-v.median,
-                        mad=v.mad, threshold=-v.threshold,
-                        samples=v.samples,
-                        reason=v.reason + " [lower-is-better, judged "
-                        "on the negated series]")
-            out.append((key, v))
-        else:
-            out.append((key, detect_regression(values[:-1], values[-1],
-                                               **kwargs)))
+        latest = _keyed(records, *key)[-1]
+        values = comparable_series(records, *key, latest["machine"]["id"])
+        out.append((key, _judge(values[:-1], values[-1],
+                                series_direction(records, *key), **kwargs)))
     return out
 
 

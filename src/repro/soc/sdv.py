@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import SdvConfig
 from repro.engine import ENGINES, check_engine
 from repro.engine.batch_sim import batch_cycles, simulate_batch
-from repro.engine.lower import LoweredTrace, knob_free_config, lower_trace
+from repro.engine.lower import LoweredTrace, lower_cached, lower_trace
 from repro.engine.results import CycleReport
 from repro.isa.csr import CsrFile
 from repro.isa.scalar_ctx import ScalarContext
@@ -179,25 +179,16 @@ class FpgaSdv:
         """Lower (or fetch the cached lowering of) a sealed trace.
 
         Like classification, lowering is knob-independent, so it is cached
-        on the trace object keyed by the knob-free config and amortizes
-        across every sweep point and every batch call. ``classified`` is
-        the trace's :meth:`classify` result when the caller already holds
-        it, so the classification cache is not looked up a second time.
+        on the trace object keyed by the knob-free config
+        (:func:`repro.engine.lower.lower_cached`, whose memo the event
+        engine's plan shares). A miss calls this module's ``lower_trace``
+        at call time, so a wrapper installed there sees every lowering.
+        ``classified`` is the trace's :meth:`classify` result when the
+        caller already holds it, so the classification cache is not
+        looked up a second time.
         """
-        cache = getattr(trace, "_lowered_cache", None)
-        if cache is None:
-            cache = {}
-            setattr(trace, "_lowered_cache", cache)
         ct = self.classify(trace) if classified is None else classified
-        key = knob_free_config(self.config)
-        lowered = cache.get(key)
-        if lowered is None:
-            _count_cache("lower_cache.misses")
-            lowered = lower_trace(ct)
-            cache[key] = lowered
-        else:
-            _count_cache("lower_cache.hits")
-        return lowered
+        return lower_cached(ct, lower=lower_trace)
 
     def _instret(self, ct: ClassifiedTrace) -> tuple[int, int]:
         """(scalar, vector) retired-instruction counts of a trace."""

@@ -587,6 +587,35 @@ class TestTraceCache:
                             edited_getsource)
         assert kernel_fingerprint(spec) != base
 
+    @pytest.mark.parametrize("edited_module", [
+        "repro.kernels.pagerank.vector",    # wrapped by the package init
+        "repro.kernels.spmv.vector",        # its accumulate pass
+        "repro.kernels.spmv.formats",       # the SELL format it sweeps
+    ])
+    def test_pagerank_key_covers_the_modules_it_emits_with(
+            self, monkeypatch, edited_module):
+        # PageRank's spec callables live in its package __init__ and its
+        # accumulate pass is SpMV's SELL sweep: an edit to any module its
+        # trace comes from must miss the cache
+        import inspect as real_inspect
+
+        import repro.core.sweeps as sweeps_mod
+        from repro.core.sweeps import kernel_fingerprint
+
+        spec = KERNELS["pagerank"]
+        base = kernel_fingerprint(spec)
+        real_getsource = real_inspect.getsource
+
+        def edited_getsource(obj):
+            src = real_getsource(obj)
+            if getattr(obj, "__name__", "") == edited_module:
+                return src + "\n# one more ALU op per slot\n"
+            return src
+
+        monkeypatch.setattr(sweeps_mod.inspect, "getsource",
+                            edited_getsource)
+        assert kernel_fingerprint(spec) != base
+
     def test_cache_key_distinguishes_vl_and_workload(self, tmp_path):
         spec = KERNELS["fft"]
         w7 = spec.prepare(get_scale("smoke"), 7)

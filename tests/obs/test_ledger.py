@@ -18,6 +18,7 @@ from repro.obs.ledger import (
     detect_regression,
     load_and_validate,
     load_ledger,
+    machine_fingerprint,
     perf_diff,
     render_perf_diff,
     series,
@@ -35,6 +36,15 @@ def _rec(value, *, bench="bench_x", metric="speedup", scale="ci",
     return build_record(bench=bench, metric=metric, value=value,
                         unit="ratio", scale=scale, attrs=attrs,
                         git_rev="deadbeef")
+
+
+def _rec_on(machine_id, value):
+    """A lower-is-better wall-time record measured on ``machine_id``."""
+    rec = build_record(bench="bench_x", metric="e2e_s", value=value,
+                       unit="s", scale="ci", attrs={"direction": "lower"},
+                       git_rev="deadbeef")
+    rec["machine"] = dict(rec["machine"], id=machine_id)
+    return rec
 
 
 class TestRecords:
@@ -144,6 +154,19 @@ class TestDetector:
                                "ci", 2.0)
         assert verdict.is_regression
 
+    def test_check_series_takes_the_series_direction(self, tmp_path):
+        # a lower-is-better series is judged as one without being told:
+        # the direction comes from the records' attrs tag
+        path = tmp_path / "ledger.jsonl"
+        for v in (4.0, 4.2, 3.9, 4.1, 4.0, 4.05):
+            append_record(path, _rec(v, metric="overhead_pct",
+                                     attrs={"direction": "lower"}))
+        records = load_ledger(path)
+        assert check_series(records, "bench_x", "overhead_pct", "ci",
+                            1.0).status == "ok"
+        assert check_series(records, "bench_x", "overhead_pct", "ci",
+                            12.0).is_regression
+
 
 class TestPerfDiff:
     def _seed(self, path, values, **kwargs):
@@ -174,6 +197,43 @@ class TestPerfDiff:
         # verdict values map back to the original sign
         assert good.value == pytest.approx(1.0)
         assert bad.value == pytest.approx(12.0)
+
+    def test_wall_time_series_judged_per_machine(self, tmp_path):
+        # seconds measured on one machine say nothing about another: a
+        # 3x slower value from a new machine has no history to fail
+        # against, while the same value from the history's machine does
+        path = tmp_path / "ledger.jsonl"
+        for v in (0.80, 0.82, 0.79, 0.81, 0.80, 0.80):
+            append_record(path, _rec_on("dev", v))
+        append_record(path, _rec_on("runner", 2.4))
+        [(_, v)] = perf_diff(load_ledger(path))
+        assert v.status == "insufficient" and v.samples == 0
+        append_record(path, _rec_on("dev", 2.4))
+        [(_, v)] = perf_diff(load_ledger(path))
+        assert v.is_regression and v.samples == 6
+
+    def test_ratio_series_judged_across_machines(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        for v in (5.5, 5.4, 5.6, 5.5, 5.45, 5.5):
+            append_record(path, _rec(v))
+        rec = _rec(3.0)
+        rec["machine"] = dict(rec["machine"], id="runner")
+        append_record(path, rec)
+        [(_, v)] = perf_diff(load_ledger(path))
+        assert v.is_regression
+
+    def test_check_series_wall_time_uses_this_machine(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        for v in (0.80, 0.82, 0.79, 0.81, 0.80, 0.80):
+            append_record(path, _rec_on("elsewhere", v))
+        records = load_ledger(path)
+        assert check_series(records, "bench_x", "e2e_s", "ci",
+                            2.4).status == "insufficient"
+        here = machine_fingerprint()["id"]
+        for v in (0.80, 0.82, 0.79, 0.81, 0.80):
+            append_record(path, _rec_on(here, v))
+        assert check_series(load_ledger(path), "bench_x", "e2e_s", "ci",
+                            2.4).is_regression
 
     def test_render_orders_worst_first(self):
         results = [

@@ -2,6 +2,7 @@
 checker, and the instrumented sweep path."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -272,6 +273,31 @@ class TestInstrumentedSweep:
             jobs=2 if pooled else 1))
         assert counts == {"classify_cache.misses": 2,  # scalar + vl8
                           "lower_cache.misses": 2}
+
+    @pytest.mark.parametrize("attributions", [False, True])
+    def test_event_sweep_lowers_each_trace_once(self, attributions,
+                                                monkeypatch):
+        # the event plan and the attribute stage share the trace's cached
+        # lowering, so an event sweep compiles each trace exactly once
+        from repro.engine.lower import lower_trace as real
+
+        lowered = Counter()
+
+        def counting(ct):
+            lowered[id(ct.trace)] += 1
+            return real(ct)
+
+        # every module that binds the name, however it was imported
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("repro")
+                    and getattr(mod, "lower_trace", None) is real):
+                monkeypatch.setattr(mod, "lower_trace", counting)
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        figure_sweeps(spec, workload, latencies=[0, 64], bandwidths=[8],
+                      vls=(8,), verify=False, engine="event",
+                      attributions=attributions)
+        assert sorted(lowered.values()) == [1, 1]  # scalar + vl8
 
     def test_cache_hits_mean_reuse(self, tmp_path):
         # a figure over cached traces loads each trace once: its

@@ -29,7 +29,9 @@ from repro.trace.template import (
     _D_NONE,
     _D_PREV,
     Dep,
+    RecordBatch,
     TraceTemplate,
+    capture_replications,
 )
 
 _COLS = ("kind", "n_alu", "mlp", "mem_bytes", "vl", "active", "opclass",
@@ -74,6 +76,11 @@ def _draw_dep(draw, t, n_slots):
 @st.composite
 def cases(draw):
     n = draw(st.integers(0, 4))
+    return n, _draw_body(draw, n)
+
+
+def _draw_body(draw, n):
+    """One loop body whose per-iteration fields cover ``n`` iterations."""
     n_slots = draw(st.integers(1, 4))
     slots = []
     for t in range(n_slots):
@@ -135,7 +142,7 @@ def cases(draw):
                            else draw(st.integers(1, 16)))
                 s["active"] = None
         slots.append(s)
-    return n, slots
+    return slots
 
 
 # --------------------------------------------------------- the two paths
@@ -146,6 +153,11 @@ def _preamble(trace):
 
 
 def expand_template(trace, slots, n):
+    tpl = record_template(trace, slots)
+    return tpl.replicate(n), tpl
+
+
+def record_template(trace, slots, dep=lambda s: s["dep"]):
     tpl = TraceTemplate(trace)
     for s in slots:
         if s["kind"] == "barrier":
@@ -172,9 +184,9 @@ def expand_template(trace, slots, n):
                        pattern=s.get("pattern"),
                        is_write=s.get("is_write", False),
                        elem_bytes=s["elem_bytes"], masked=s["masked"],
-                       active=s["active"], dep=s["dep"],
+                       active=s["active"], dep=dep(s),
                        scalar_dest=s["scalar_dest"], **akw)
-    return tpl.replicate(n), tpl
+    return tpl
 
 
 def _resolve_dep(d, i, t, n_slots, start):
@@ -272,6 +284,174 @@ class TestReplicateEquivalence:
         assert_traces_identical(templated.seal(), reference.seal())
 
 
+# ------------------------------------------------------- ragged expansion
+
+@st.composite
+def ragged_cases(draw):
+    """Loops of one body (zero-iteration loops included) with single gap
+    records before, between and after them, and per-loop dep anchors."""
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(counts) + 1,
+                         max_size=len(counts) + 1))
+    slots = _draw_body(draw, sum(counts))
+    # Dep.at / Dep.prev(first=) target: the record just before the loop,
+    # or the preamble
+    before = draw(st.lists(st.booleans(), min_size=len(counts),
+                           max_size=len(counts)))
+    return counts, gaps, slots, before
+
+
+def _gap(k):
+    """The ``k``-th single record between loops: a short unit load."""
+    vl = 1 + k % 3
+    return VectorInstr(op=VOpClass.MEM, vl=vl, opcode="gap",
+                       pattern=VMemPattern.UNIT,
+                       addrs=4096 * (k + 1) + 8 * np.arange(vl))
+
+
+def _ragged_layout(counts, gaps, n_slots):
+    """Each loop's first record and the gap records' positions."""
+    starts, gap_pos, pos = [], [], 1  # record 0 is the preamble
+    for s, c in enumerate(counts):
+        gap_pos += range(pos, pos + gaps[s])
+        pos += gaps[s]
+        starts.append(pos)
+        pos += c * n_slots
+    gap_pos += range(pos, pos + gaps[-1])
+    return np.array(starts, dtype=np.int64), gap_pos
+
+
+def _anchored(s, anchors):
+    """``s``'s dep with ``Dep.at``/``Dep.prev(first=0)`` re-aimed."""
+    d = s.get("dep")
+    if not isinstance(d, Dep) or d.first != 0:
+        return d
+    return Dep(d.mode, d.slot, anchors)
+
+
+def _one_loop(slots, lo, hi, anchor):
+    """The body cut down to iterations ``lo:hi``, deps aimed at
+    ``anchor``: what a one-loop replication of that loop records."""
+    out = []
+    for s in slots:
+        s = dict(s)
+        for key in ("n_alu", "vl", "active", "ioff"):
+            if isinstance(s.get(key), np.ndarray):
+                s[key] = s[key][lo:hi]
+        if "counts" in s:
+            cum = np.concatenate(([0], np.cumsum(s["counts"])))
+            s["flat"] = s["flat"][cum[lo]:cum[hi]]
+            s["counts"] = s["counts"][lo:hi]
+            if s["kind"] == "mem":
+                s["active"] = s["counts"]
+        s["dep"] = _anchored(s, anchor)
+        out.append(s)
+    return out
+
+
+def expand_ragged(trace, counts, gaps, slots, before):
+    """Gap records placed by position + one ragged expansion, one batch."""
+    T = len(slots)
+    starts, gap_pos = _ragged_layout(counts, gaps, T)
+    anchors = np.where(before, starts - 1, 0)
+    batch = RecordBatch(trace, sum(gaps) + sum(counts) * T)
+    if gap_pos:
+        recs = [_gap(k) for k in range(len(gap_pos))]
+        batch.vector(np.array(gap_pos), VOpClass.MEM,
+                     np.array([r.vl for r in recs]), "gap",
+                     pattern=VMemPattern.UNIT,
+                     addrs=np.concatenate([r.addrs for r in recs]))
+    tpl = record_template(trace, slots,
+                          dep=lambda s: _anchored(s, anchors))
+    tpl.expand(batch, counts, starts)
+    assert batch.commit() == 1
+
+
+def expand_loops(trace, counts, gaps, slots, before):
+    """The same program emitted gap by gap and loop by loop."""
+    starts, _ = _ragged_layout(counts, gaps, len(slots))
+    k = lo = 0
+    for s in range(len(counts) + 1):
+        for _ in range(gaps[s]):
+            trace.append(_gap(k))
+            k += 1
+        if s == len(counts):
+            break
+        c = counts[s]
+        anchor = int(starts[s] - 1) if before[s] else 0
+        tpl = record_template(trace, _one_loop(slots, lo, lo + c, anchor))
+        assert tpl.replicate(c) == (starts[s] if c else len(trace))
+        lo += c
+
+
+def _same_field(a, b):
+    if isinstance(a, Dep) or isinstance(b, Dep):
+        return (a.mode, a.slot, int(a.first)) == (b.mode, b.slot,
+                                                  int(b.first))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestRaggedExpansion:
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_cases())
+    def test_ragged_matches_loops_replicated_one_at_a_time(self, case):
+        ragged, loops = TraceBuffer(), TraceBuffer()
+        for trace in (ragged, loops):
+            _preamble(trace)
+            trace.intern("gap")
+        with capture_replications() as got:
+            expand_ragged(ragged, *case)
+        with capture_replications() as want:
+            expand_loops(loops, *case)
+        assert_traces_identical(ragged.seal(), loops.seal())
+        assert len(got) == len(want) == sum(c > 0 for c in case[0])
+        for g, w in zip(got, want):
+            assert (g.start, g.n_iters, g.scal, g.strs) == \
+                (w.start, w.n_iters, w.scal, w.strs)
+            for gv, wv in zip(g.var, w.var):
+                assert all(_same_field(a, b) for a, b in zip(gv, wv))
+
+    def test_per_loop_dep_needs_one_value_per_loop(self):
+        batch = RecordBatch(TraceBuffer(), 2)
+        tpl = TraceTemplate(batch.trace)
+        tpl.vector(VOpClass.ARITH, 4, "vfadd",
+                   dep=Dep.at(np.array([0, 0, 0])))
+        with pytest.raises(TraceError):
+            tpl.expand(batch, [1, 1], [0, 1])
+
+    def test_loop_counts_and_starts_must_match(self):
+        batch = RecordBatch(TraceBuffer(), 2)
+        tpl = TraceTemplate(batch.trace)
+        tpl.barrier()
+        with pytest.raises(TraceError):
+            tpl.expand(batch, [1, 1], [0])
+
+    def test_overlapping_loops_are_refused_at_commit(self):
+        batch = RecordBatch(TraceBuffer(), 2)
+        tpl = TraceTemplate(batch.trace)
+        tpl.barrier()
+        tpl.expand(batch, [1, 1], [0, 0])
+        with pytest.raises(TraceError):
+            batch.commit()
+
+    def test_unplaced_positions_are_refused_at_commit(self):
+        trace = TraceBuffer()
+        batch = RecordBatch(trace, 3)
+        batch.vector(np.array([0, 2]), VOpClass.ARITH, 4, "vfadd")
+        with pytest.raises(TraceError):
+            batch.commit()
+        assert len(trace) == 0
+
+    def test_positions_outside_the_batch_are_refused(self):
+        batch = RecordBatch(TraceBuffer(), 2)
+        with pytest.raises(TraceError):
+            batch.vector(np.array([1, 2]), VOpClass.ARITH, 4, "vfadd")
+        with pytest.raises(TraceError):
+            batch.vector(-1, VOpClass.ARITH, 4, "vfadd")
+
+
 # ------------------------------------------------------------- error paths
 
 class TestRecordingValidation:
@@ -310,11 +490,14 @@ class TestRecordingValidation:
 
 
 class TestReplicateValidation:
+    #: how the tests expand a template of n iterations
+    expand = staticmethod(lambda tpl, n: tpl.replicate(n))
+
     def test_negative_iteration_count(self):
         tpl = TraceTemplate(TraceBuffer())
         tpl.barrier()
         with pytest.raises(TraceError):
-            tpl.replicate(-1)
+            self.expand(tpl, -1)
 
     def test_iter_offsets_shape_checked_at_replicate(self):
         tpl = TraceTemplate(TraceBuffer())
@@ -322,7 +505,7 @@ class TestReplicateValidation:
                    base_addrs=np.zeros(2, dtype=np.int64),
                    iter_offsets=np.zeros(3, dtype=np.int64))
         with pytest.raises(TraceError):
-            tpl.replicate(4)
+            self.expand(tpl, 4)
 
     def test_counts_sum_must_match_flat_addrs(self):
         tpl = TraceTemplate(TraceBuffer())
@@ -330,29 +513,45 @@ class TestReplicateValidation:
                    flat_addrs=np.zeros(5, dtype=np.int64),
                    counts=np.array([2, 2], dtype=np.int64))
         with pytest.raises(TraceError):
-            tpl.replicate(2)
+            self.expand(tpl, 2)
 
     def test_per_iteration_vl_shape_checked(self):
         tpl = TraceTemplate(TraceBuffer())
         tpl.vector(VOpClass.ARITH, np.array([4, 4], dtype=np.int64),
                    "vfadd")
         with pytest.raises(TraceError):
-            tpl.replicate(3)
+            self.expand(tpl, 3)
 
     def test_local_dep_out_of_range(self):
         tpl = TraceTemplate(TraceBuffer())
         tpl.vector(VOpClass.ARITH, 4, "vfadd", dep=Dep.local(3))
         with pytest.raises(TraceError):
-            tpl.replicate(1)
+            self.expand(tpl, 1)
 
     def test_replicate_zero_appends_nothing(self):
         trace = TraceBuffer()
         tpl = TraceTemplate(trace)
         tpl.barrier()
-        assert tpl.replicate(0) == 0
+        assert self.expand(tpl, 0) == 0
         assert len(trace) == 0
 
     def test_empty_template_appends_nothing(self):
         trace = TraceBuffer()
-        assert TraceTemplate(trace).replicate(5) == 0
+        assert self.expand(TraceTemplate(trace), 5) == 0
         assert len(trace) == 0
+
+
+def _two_loops(tpl, n):
+    """``n`` iterations as a ragged call over two loops, one batch."""
+    T = len(tpl)
+    batch = RecordBatch(tpl.trace, max(n, 0) * T)
+    first = n // 2
+    tpl.expand(batch, [first, n - first],
+               [batch.start, batch.start + first * T])
+    return batch.commit()
+
+
+class TestRaggedValidation(TestReplicateValidation):
+    """The same checks on a ragged expansion over two loops."""
+
+    expand = staticmethod(_two_loops)
