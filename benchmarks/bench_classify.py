@@ -1,12 +1,13 @@
 """Classification bench: the compiled cache walk against its Python spec.
 
 One ledger series, ``classify_compiled_speedup``: the time
-:func:`repro.memory.classify.classify_trace` takes on its Python dict
-walk (forced by making the kernel loader report no library) over the
-time it takes on the compiled walk (``classify.c``), on the
-record-heaviest kernel trace, with identical output bit-for-bit. Both
-times include the NumPy prep the two walks share, so the ratio is what a
-sweep gains, not what the loop alone gains.
+:func:`repro.memory.classify.classify_trace` takes on its specifications
+(forced by making the kernel loader report no library: the NumPy line
+requests and the Python dict walk) over the time it takes on the
+compiled kernels (``classify.c``: the line requests and the cache walk),
+on the record-heaviest kernel trace, with identical output bit-for-bit.
+Both times include the NumPy row fill the two sides share, so the ratio
+is what a sweep gains, not what the loops alone gain.
 
 Run at paper scale (``REPRO_BENCH_SCALE=paper``) for the quoted
 numbers; the default ci scale keeps CI under a minute.
@@ -32,7 +33,7 @@ KERNEL = "spmv"
 VL = 8
 
 #: fresh-clone floors (ledger median+MAD is the bar once history exists).
-#: The shared prep caps the ratio, and its share falls as traces grow.
+#: The shared row fill caps the ratio, and its share falls as traces grow.
 _FLOOR = {"paper": 3.0}
 _FLOOR_DEFAULT = 2.0
 
@@ -74,9 +75,10 @@ def test_bench_classify_compiled_speedup(workloads):
     lines = [
         f"classification walks — {KERNEL} vl{VL} ({scale_name} scale, "
         f"{len(trace)} records)",
-        f"  Python dict walk (spec): {t_python * 1e3:8.1f} ms",
-        f"  compiled walk          : {t_compiled * 1e3:8.1f} ms",
-        f"  speedup                : {ratio:.2f}x",
+        f"  NumPy line requests + dict walk (specs): {t_python * 1e3:8.1f} ms",
+        f"  compiled line requests + cache walk    : "
+        f"{t_compiled * 1e3:8.1f} ms",
+        f"  speedup                                : {ratio:.2f}x",
     ]
     write_result("classify_compiled_speedup", "\n".join(lines))
 

@@ -9,15 +9,15 @@ memory queue, line-MSHR pool) becomes a length-``K`` vector — one element
 per configuration.
 
 Everything knob-independent was precomputed by :func:`repro.engine.lower.
-lower_trace`; per batch call only the latency-proportional and
-bandwidth-proportional matrices are materialized (vectorized over records
-*and* configs). The per-record loop then runs in a small C kernel,
-``walk.c``, built and loaded by :mod:`repro.native` on the first walk in
-a process. Where no compiler can build it, the same loop runs as NumPy
-broadcasts over the knob axis, after one :class:`RuntimeWarning`. Both
-walks match :func:`simulate_fast` operation for operation, so all three
-agree bit-for-bit — the agreement tests pin exact cycle equality on all
-four kernels.
+lower_trace`. The per-record loop runs in a small C kernel, ``walk.c``,
+built and loaded by :mod:`repro.native` on the first walk in a process,
+which computes the latency- and bandwidth-proportional terms per (record,
+point) from the lowered arrays and the knob vectors. Where no compiler
+can build it, NumPy materializes those terms as (records, configs)
+matrices and the same loop runs as NumPy broadcasts over the knob axis,
+after one :class:`RuntimeWarning`. Both walks match :func:`simulate_fast`
+operation for operation, so all three agree bit-for-bit — the agreement
+tests pin exact cycle equality on all four kernels.
 
 Configurations in one batch must share everything except the two runtime
 sweep knobs (Latency Controller ``extra_latency_cycles`` and Bandwidth
@@ -56,8 +56,12 @@ _c_i64, _c_i32, _c_f64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
 _WALK_ARGTYPES = [
     _c_i64, _c_i64,                                       # n, K
     _i64, _i64, _i64, native.ndarray(np.bool_), _i64,     # kind .. row
-    _f64, _f64, _f64, _f64, _f64, _f64, _f64, _f64,       # sc_total .. lat
-    _c_i32, _c_i32, _c_i64,                               # VPU build
+    _f64, _f64, _f64, _f64, _f64,                         # sc_issue .. txns
+    _f64,                                                 # va_occ
+    _f64, _f64, _f64, _f64, _f64,                         # vm_addr .. reads
+    native.ndarray(np.int8),                              # vm_first_kind
+    _f64, _f64, _f64, _f64,                               # lat .. num
+    _c_i32, _c_i32, _c_i64, _c_f64,                       # VPU build
     _c_f64, _c_f64, _c_f64, _c_f64, _c_f64,               # latency constants
     _out, _out, _out, _out, _out,                         # chain .. t_end
 ]
@@ -105,13 +109,13 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
     first-element latency of L2-served vector loads), both kept as raw
     counts in the lowered form.
 
-    NumPy builds the knob-dependent per-record matrices; the per-record
-    loop then runs in the compiled walk (``walk.c``), or in
-    :func:`_numpy_walk` where no C compiler could build it. Both perform
-    :func:`simulate_fast`'s float operations in its order, so cycles agree
-    bit-for-bit (the agreement tests pin this on both walks).
+    The per-record loop runs in the compiled walk (``walk.c``), which
+    computes the knob-dependent terms itself, or in :func:`_numpy_walk`
+    over :func:`_knob_matrices` where no C compiler could build it. Both
+    perform :func:`simulate_fast`'s float operations in its order, so
+    cycles agree bit-for-bit (the agreement tests pin this on both walks).
 
-    Returns the end-time vector plus the knob-dependent breakdown pieces.
+    Returns the cycles and the global bandwidth floor, one per config.
     """
     from repro.obs.record import get_recorder
 
@@ -121,38 +125,15 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
         rec.count("batch.points", len(lat))
         rec.count("batch.record_points", lowered.n * len(lat))
     K = lat.shape[0]
-    base = lowered.base
     if l2_lat is None:
-        l2_lat = np.full(K, base.l2_hit_latency)
-
-    # knob-dependent per-record matrices, vectorized over (records, K) ----
-    bw_win = den / num                                      # cycles per txn
-    # same float ops in the same order as core_model.scalar_block_time:
-    # (issue + l2_hits*l2_lat/p) + dram_reads*dram_lat/p, then the bw floor
-    sc_total = np.maximum(
-        lowered.sc_issue[:, None]
-        + lowered.sc_l2_hits[:, None] * l2_lat[None, :] / lowered.sc_p[:, None]
-        + lowered.sc_dram_reads[:, None] * lat[None, :] / lowered.sc_p[:, None],
-        lowered.sc_bw_txns[:, None] * den[None, :] / num[None, :],
-    )
-    vm_service = np.maximum(
-        lowered.vm_lines[:, None],
-        lowered.vm_l2_lines[:, None]
-        + lowered.vm_txns[:, None] * den[None, :] / num[None, :],
-    )
-    vm_busy = np.maximum(lowered.vm_addr[:, None], vm_service)
-    fkind = lowered.vm_first_kind[:, None]
-    vm_first = np.where(fkind == FIRST_DRAM, lat[None, :],
-                        np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
-    vm_mshr = lowered.vm_dram_reads[:, None] * lat[None, :] / base.vpu.line_mshrs
+        l2_lat = np.full(K, lowered.base.l2_hit_latency)
 
     walk = native.function("repro_batch_walk", _WALK_ARGTYPES)
     if walk is None:
-        t_end = _numpy_walk(lowered, lat, sc_total, vm_busy, vm_first,
-                            vm_mshr)
+        t_end = _numpy_walk(lowered, lat,
+                            *_knob_matrices(lowered, lat, den, num, l2_lat))
     else:
-        t_end = _c_walk(walk, lowered, lat, sc_total, vm_busy, vm_first,
-                        vm_mshr)
+        t_end = _c_walk(walk, lowered, lat, den, num, l2_lat)
 
     # global Bandwidth Limiter floor (exact integer closed form per config)
     total = lowered.total_dram_reads + lowered.total_dram_writes
@@ -161,21 +142,47 @@ def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
         for k in range(K):
             bw_floor[k] = (((total - 1) // int(num[k])) * int(den[k]) + 1.0
                            + lat[k])
-    cycles = np.maximum(t_end, bw_floor)
-
-    return {
-        "cycles": cycles,
-        "bw_floor": bw_floor,
-        "sc_total": sc_total,
-        "vm_busy": vm_busy,
-        "bw_win": bw_win,
-        "lat": lat,
-    }
+    return {"cycles": np.maximum(t_end, bw_floor), "bw_floor": bw_floor}
 
 
-def _c_walk(walk, lowered: LoweredTrace, lat: np.ndarray,
-            sc_total: np.ndarray, vm_busy: np.ndarray, vm_first: np.ndarray,
-            vm_mshr: np.ndarray) -> np.ndarray:
+def _vm_busy(lowered: LoweredTrace, den: np.ndarray,
+             num: np.ndarray) -> np.ndarray:
+    """Vector memory busy time per (record, config): the AGU, the line
+    requests or the L2 lines plus the limiter's transactions, whichever
+    is longest (:func:`repro.engine.vpu_model.vmem_cost`)."""
+    vm_service = np.maximum(
+        lowered.vm_lines[:, None],
+        lowered.vm_l2_lines[:, None]
+        + lowered.vm_txns[:, None] * den[None, :] / num[None, :],
+    )
+    return np.maximum(lowered.vm_addr[:, None], vm_service)
+
+
+def _knob_matrices(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
+                   num: np.ndarray, l2_lat: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The knob-dependent terms as (records, configs) matrices, indexed by
+    slot: scalar block time, vector memory busy time, first-element
+    latency and line-MSHR time. ``walk.c`` evaluates the same expressions
+    per (record, point) instead."""
+    # same float ops in the same order as core_model.scalar_block_time:
+    # (issue + l2_hits*l2_lat/p) + dram_reads*dram_lat/p, then the bw floor
+    sc_total = np.maximum(
+        lowered.sc_issue[:, None]
+        + lowered.sc_l2_hits[:, None] * l2_lat[None, :] / lowered.sc_p[:, None]
+        + lowered.sc_dram_reads[:, None] * lat[None, :] / lowered.sc_p[:, None],
+        lowered.sc_bw_txns[:, None] * den[None, :] / num[None, :],
+    )
+    fkind = lowered.vm_first_kind[:, None]
+    vm_first = np.where(fkind == FIRST_DRAM, lat[None, :],
+                        np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
+    vm_mshr = (lowered.vm_dram_reads[:, None] * lat[None, :]
+               / lowered.base.vpu.line_mshrs)
+    return sc_total, _vm_busy(lowered, den, num), vm_first, vm_mshr
+
+
+def _c_walk(walk, lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
+            num: np.ndarray, l2_lat: np.ndarray) -> np.ndarray:
     """The per-record loop in the compiled walk; returns the end times."""
     n, K = lowered.n, lat.shape[0]
     vpu = lowered.base.vpu
@@ -183,13 +190,16 @@ def _c_walk(walk, lowered: LoweredTrace, lat: np.ndarray,
     # the kernel indexes without bounds checks: reject what would overrun
     ok = (kind.shape == dep.shape == slot.shape
           == lowered.scalar_dest.shape == (n,)
+          and lat.shape == l2_lat.shape == den.shape == num.shape == (K,)
           and vpu.mem_queue_depth >= 1 and not (dep >= n).any())
-    n_vmem = min(len(lowered.vm_addr), len(lowered.vm_dram_reads),
-                 len(vm_busy), len(vm_first), len(vm_mshr))
-    for code, size in ((LKIND_SCALAR, len(sc_total)),
-                       (LKIND_VARITH, len(lowered.va_occ)),
-                       (LKIND_VMEM, n_vmem)):
+    sc = (lowered.sc_issue, lowered.sc_l2_hits, lowered.sc_dram_reads,
+          lowered.sc_p, lowered.sc_bw_txns)
+    vm = (lowered.vm_addr, lowered.vm_lines, lowered.vm_l2_lines,
+          lowered.vm_txns, lowered.vm_dram_reads, lowered.vm_first_kind)
+    for code, arrays in ((LKIND_SCALAR, sc), (LKIND_VARITH, (lowered.va_occ,)),
+                         (LKIND_VMEM, vm)):
         used = slot[kind == code]
+        size = min(len(a) for a in arrays)
         ok = ok and not ((used < 0).any() or (used >= size).any())
     if not ok:
         raise EngineError("lowered trace indexes past its own arrays")
@@ -200,9 +210,9 @@ def _c_walk(walk, lowered: LoweredTrace, lat: np.ndarray,
     n_rows = int(np.count_nonzero(needed))
     t_end = np.empty(K)
     walk(n, K, kind, dep, slot, lowered.scalar_dest, row,
-         sc_total, lowered.va_occ, lowered.vm_addr, vm_busy, vm_first,
-         vm_mshr, lowered.vm_dram_reads, lat,
+         *sc, lowered.va_occ, *vm, lat, l2_lat, den, num,
          vpu.chaining, vpu.ooo_mem_issue, vpu.mem_queue_depth,
+         float(vpu.line_mshrs),
          core_model.VECTOR_DISPATCH_CYCLES, core_model.VSETVL_CYCLES,
          core_model.SCALAR_RESULT_TRANSFER_CYCLES,
          float(vpu_model.LANE_PIPE_DEPTH),
@@ -437,7 +447,8 @@ def simulate_batch(lowered: LoweredTrace,
     stall_l2 = float(lowered.sc_stall_l2.sum())
     stall_dram_per_lat = float((lowered.sc_dram_reads / lowered.sc_p).sum())
     varith = float(lowered.va_occ.sum())
-    vmem = out["vm_busy"].sum(axis=0) if lowered.n_vmem else np.zeros(K)
+    vmem = (_vm_busy(lowered, den, num).sum(axis=0) if lowered.n_vmem
+            else np.zeros(K))
 
     return [
         CycleReport(

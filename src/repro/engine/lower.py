@@ -148,7 +148,12 @@ def lower_cached(ct: ClassifiedTrace, *, lower=None) -> LoweredTrace:
 
 
 def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
-    """Compile ``ct`` once into knob-independent flat arrays."""
+    """Compile ``ct`` once into knob-independent flat arrays.
+
+    Each kind's fields are gathered one by one through the kind's record
+    indices; a masked copy of whole rows would move every field of the
+    wide row array for the few each kind reads.
+    """
     config = ct.config.validate()
     rows = ct.rows
     n = int(rows.shape[0])
@@ -157,25 +162,30 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
     l2_lat = config.l2_hit_latency  # hoisted: knob-independent
 
     kinds_arr = rows["kind"]
-    sc_mask = kinds_arr == KIND_SCALAR
-    va_mask = (kinds_arr == KIND_VARITH) & (rows["opclass"] != _CSR_ID)
-    csr_mask = (kinds_arr == KIND_VARITH) & (rows["opclass"] == _CSR_ID)
-    vm_mask = kinds_arr == KIND_VMEM
+    opclass_all = rows["opclass"]
+    sc_idx = np.flatnonzero(kinds_arr == KIND_SCALAR)
+    is_varith = kinds_arr == KIND_VARITH
+    is_csr = opclass_all == _CSR_ID
+    va_idx = np.flatnonzero(is_varith & ~is_csr)
+    csr_mask = is_varith & is_csr
+    vm_idx = np.flatnonzero(kinds_arr == KIND_VMEM)
 
     # -- scalar blocks (mirrors core_model.scalar_block_time) -------------
-    sc = rows[sc_mask]
-    sc_issue = (sc["n_alu"] * core.alu_cpi + sc["n_mem"]) / core.issue_width
-    sc_p = np.maximum(1, np.minimum(core.mshrs, sc["mlp_hint"]))
-    sc_stall_l2 = sc["l2_hits"] * l2_lat / sc_p
-    sc_bw_txns = (sc["dram_reads"] + sc["dram_writes"]
-                  + sc["pf_dram_reads"]).astype(np.float64)
+    sc_l2_hits = rows["l2_hits"][sc_idx]
+    sc_dram_reads = rows["dram_reads"][sc_idx]
+    sc_pf = rows["pf_dram_reads"][sc_idx]
+    sc_issue = (rows["n_alu"][sc_idx] * core.alu_cpi
+                + rows["n_mem"][sc_idx]) / core.issue_width
+    sc_p = np.maximum(1, np.minimum(core.mshrs, rows["mlp_hint"][sc_idx]))
+    sc_stall_l2 = sc_l2_hits * l2_lat / sc_p
+    sc_bw_txns = (sc_dram_reads + rows["dram_writes"][sc_idx]
+                  + sc_pf).astype(np.float64)
 
     # -- vector arithmetic (mirrors vpu_model.arith_occupancy) ------------
-    va = rows[va_mask]
-    va_vl = np.maximum(va["vl"].astype(np.int64), 1)
+    va_vl = np.maximum(rows["vl"][va_idx].astype(np.int64), 1)
     groups = (va_vl + vpu.lanes - 1) // vpu.lanes
     tree = int(np.ceil(np.log2(max(vpu.lanes, 2))))
-    opclass = va["opclass"]
+    opclass = opclass_all[va_idx]
     class_occ = np.empty((len(VOpClass), groups.shape[0]), dtype=np.float64)
     for cid, oc in enumerate(VOpClass):
         if oc is VOpClass.ARITH:
@@ -189,33 +199,32 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         elif oc is VOpClass.MASK:
             class_occ[cid] = np.maximum(
                 1, (va_vl + vpu.lanes * 8 - 1) // (vpu.lanes * 8))
-        else:  # CSR / MEM never land in va_mask
+        else:  # CSR / MEM never land in va_idx
             class_occ[cid] = 0.0
     va_occ = (class_occ[opclass, np.arange(groups.shape[0])]
               if groups.shape[0] else np.empty(0, dtype=np.float64))
 
     # -- vector memory (mirrors vpu_model.vmem_cost) ----------------------
-    vm = rows[vm_mask]
-    vm_lines_i = vm["n_line_reqs"]
-    vm_dr = vm["dram_reads"]
+    vm_lines_i = rows["n_line_reqs"][vm_idx]
+    vm_dr = rows["dram_reads"][vm_idx]
     vm_addr = np.where(
-        vm["pattern"] == _INDEXED_ID,
-        vm["active"] / vpu.gather_issue_per_cycle,
+        rows["pattern"][vm_idx] == _INDEXED_ID,
+        rows["active"][vm_idx] / vpu.gather_issue_per_cycle,
         vm_lines_i / vpu.stride_issue_per_cycle,
     )
     vm_l2_lines = np.where(vm_lines_i >= vm_dr, vm_lines_i - vm_dr, 0
                            ).astype(np.float64)
-    vm_txns = (vm_dr + vm["dram_writes"]).astype(np.float64)
+    vm_txns = (vm_dr + rows["dram_writes"][vm_idx]).astype(np.float64)
     vm_first_kind = np.where(
         vm_dr > 0, FIRST_DRAM, np.where(vm_lines_i > 0, FIRST_L2, FIRST_NONE)
     ).astype(np.int8)
 
     # -- per-record walk arrays -------------------------------------------
-    lkind = np.asarray(kinds_arr, dtype=np.int64).copy()
+    lkind = kinds_arr.astype(np.int64)
     lkind[csr_mask] = LKIND_CSR
     slot = np.zeros(n, dtype=np.int64)
-    for mask in (sc_mask, va_mask, vm_mask):
-        slot[mask] = np.arange(int(mask.sum()))
+    for idx in (sc_idx, va_idx, vm_idx):
+        slot[idx] = np.arange(idx.shape[0])
     deps = rows["dep"]
     dep_targets = deps[deps >= 0]
     # The walk only records start/completion for vector records; a dep edge
@@ -224,8 +233,7 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
     if dep_targets.size and np.any(lkind[dep_targets] == LKIND_SCALAR):
         raise EngineError("dependency edge points at a scalar block")
 
-    total_reads = int(rows["dram_reads"].sum()
-                      + rows["pf_dram_reads"][sc_mask].sum())
+    total_reads = int(rows["dram_reads"].sum() + sc_pf.sum())
     total_writes = int(rows["dram_writes"].sum())
 
     return LoweredTrace(
@@ -236,8 +244,8 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         dep=deps.astype(np.int64),
         slot=slot,
         scalar_dest=rows["scalar_dest"] != 0,
-        sc_l2_hits=sc["l2_hits"].astype(np.float64),
-        sc_dram_reads=sc["dram_reads"].astype(np.float64),
+        sc_l2_hits=sc_l2_hits.astype(np.float64),
+        sc_dram_reads=sc_dram_reads.astype(np.float64),
         sc_p=sc_p.astype(np.float64),
         sc_bw_txns=sc_bw_txns,
         sc_issue=np.asarray(sc_issue, dtype=np.float64),

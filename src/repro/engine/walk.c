@@ -7,10 +7,13 @@
  * and with -ffp-contract=off, so the compiler fuses no multiply-add and
  * reorders no sum.
  *
- * All matrices are row-major with K columns.  The knob-dependent ones
- * (sc_total, vm_busy, vm_first, vm_mshr) are indexed by a record's slot
- * within its own kind, as in repro.engine.lower.LoweredTrace.  The
- * caller owns every buffer:
+ * The knob-dependent terms (a scalar block's time, a vector memory
+ * record's busy time, first-element latency and line-MSHR time) are
+ * computed per (record, point) from the lowered arrays, indexed by a
+ * record's slot within its own kind as in
+ * repro.engine.lower.LoweredTrace, and the knob vectors lat, l2_lat, den
+ * and num, with the expressions batch_sim._knob_matrices evaluates.
+ * Matrices are row-major with K columns.  The caller owns every buffer:
  *
  *   chain, comp  one row per record some later record depends on
  *                (row[i] >= 0): start + first latency, and completion;
@@ -29,6 +32,8 @@
 
 /* repro.engine.lower.LKIND_* */
 enum { LK_SCALAR = 0, LK_VARITH = 1, LK_VMEM = 2, LK_BARRIER = 3, LK_CSR = 4 };
+/* repro.engine.lower.FIRST_* */
+enum { FIRST_NONE = 0, FIRST_L2 = 1, FIRST_DRAM = 2 };
 
 static inline double max2(double a, double b) { return a > b ? a : b; }
 
@@ -36,10 +41,15 @@ void repro_batch_walk(
     int64_t n, int64_t K,
     const int64_t *kind, const int64_t *dep, const int64_t *slot,
     const uint8_t *scalar_dest, const int64_t *row,
-    const double *sc_total, const double *va_occ, const double *vm_addr,
-    const double *vm_busy, const double *vm_first, const double *vm_mshr,
-    const double *vm_dram_reads, const double *lat,
-    int32_t chaining, int32_t ooo, int64_t q_depth,
+    const double *sc_issue, const double *sc_l2_hits,
+    const double *sc_dram_reads, const double *sc_p,
+    const double *sc_bw_txns, const double *va_occ,
+    const double *vm_addr, const double *vm_lines, const double *vm_l2_lines,
+    const double *vm_txns, const double *vm_dram_reads,
+    const int8_t *vm_first_kind,
+    const double *lat, const double *l2_lat, const double *den,
+    const double *num,
+    int32_t chaining, int32_t ooo, int64_t q_depth, double line_mshrs,
     double dispatch, double vsetvl, double xfer, double pipe_depth,
     double pipe_lat,
     double *chain, double *comp, double *ring, double *front,
@@ -89,11 +99,11 @@ void repro_batch_walk(
             break;
         }
         case LK_VMEM: {
-            const double addr = vm_addr[sl];
-            const double *busy = vm_busy + sl * K;
-            const double *first = vm_first + sl * K;
-            const double *mshr = vm_mshr + sl * K;
-            const int dram = vm_dram_reads[sl] > 0;
+            const double addr = vm_addr[sl], lines = vm_lines[sl];
+            const double l2_lines = vm_l2_lines[sl], txns = vm_txns[sl];
+            const double dram_reads = vm_dram_reads[sl];
+            const int fkind = vm_first_kind[sl];
+            const int dram = dram_reads > 0;
             /* the queue slot frees when the q_depth-th previous memory
              * record completes; its row is the one overwritten below */
             double *q = ring + (n_mem % q_depth) * K;
@@ -122,12 +132,17 @@ void repro_batch_walk(
                         s = max2(s, q[k]);
                     t_agu[k] = s + addr;
                 }
-                const double s_first = s + first[k];
-                c = s_first + busy[k];
+                const double first = fkind == FIRST_DRAM ? lat[k]
+                    : fkind == FIRST_L2 ? l2_lat[k] : 0.0;
+                const double busy = max2(
+                    addr, max2(lines, l2_lines + txns * den[k] / num[k]));
+                const double s_first = s + first;
+                c = s_first + busy;
                 if (d >= 0 && chaining)
                     c = max2(c, floor);
                 if (dram) {
-                    t_mshr[k] = max2(t_mshr[k], s + lat[k]) + mshr[k];
+                    t_mshr[k] = max2(t_mshr[k], s + lat[k])
+                                + dram_reads * lat[k] / line_mshrs;
                     c = max2(c, t_mshr[k]);
                 }
                 q[k] = c;
@@ -141,9 +156,16 @@ void repro_batch_walk(
             break;
         }
         case LK_SCALAR: {
-            const double *total = sc_total + sl * K;
-            for (int64_t k = 0; k < K; k++)
-                t_scalar[k] += total[k];
+            /* core_model.scalar_block_time: issue, then the L2 and DRAM
+             * stalls at the block's MLP, floored by the limiter */
+            const double issue = sc_issue[sl], l2_hits = sc_l2_hits[sl];
+            const double dram_reads = sc_dram_reads[sl], p = sc_p[sl];
+            const double txns = sc_bw_txns[sl];
+            for (int64_t k = 0; k < K; k++) {
+                const double t = (issue + l2_hits * l2_lat[k] / p)
+                                 + dram_reads * lat[k] / p;
+                t_scalar[k] += max2(t, txns * den[k] / num[k]);
+            }
             break;
         }
         case LK_CSR:

@@ -143,13 +143,10 @@ def pointer_chase(session: Session, n: int = 1 << 14,
     nxt[order[-1] * stride] = order[0]
     ring = mem.alloc("micro.ring", nxt)
 
-    node = int(order[0])
-    addrs = np.empty(hops, dtype=np.int64)
-    for h in range(hops):
-        addrs[h] = ring.addr(node * stride)
-        node = int(ring.view[node * stride])
+    # hop h reads node order[h % n], so the walk is one address vector
+    addrs = ring.addr(order[np.arange(hops) % n] * stride)
     scl.emit_block(addrs, False, hops, mlp_hint=1, label="pointer-chase")
-    return KernelOutput(value=node, meta={"hops": hops})
+    return KernelOutput(value=int(order[hops % n]), meta={"hops": hops})
 
 
 @dataclass(frozen=True)

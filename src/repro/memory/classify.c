@@ -1,10 +1,16 @@
-/* Compiled cache walk of trace classification.
+/* Compiled line requests and cache walk of trace classification.
  *
- * This is the per-reference loop of repro.memory.classify.classify_trace:
- * the private L1D pass (demand access, next-N-line stream prefetch,
- * home-node recall of lines the VPU touches, dirty-victim writebacks) and
- * the banked L2 pass, reference by reference in the walker's order, so
- * every hit, victim, counter and level matches the dict walk.
+ * repro_line_requests turns a trace's address arena into its 64-byte line
+ * requests, as repro.memory.classify.line_requests does: per record, every
+ * element's line (R_ALL), the lines that differ from the element before
+ * (R_SEQ, unit and strided vector memory), the first occurrence of each
+ * line (R_GATHER, coalescing gathers), or nothing (R_NONE).
+ *
+ * repro_classify is the per-reference loop of classify_trace: the private
+ * L1D pass (demand access, next-N-line stream prefetch, home-node recall
+ * of lines the VPU touches, dirty-victim writebacks) and the banked L2
+ * pass, reference by reference in the walker's order, so every hit,
+ * victim, counter and level matches the dict walk.
  *
  * A cache set is a row of `ways` tags in recency order, least recently
  * used first (the order of the walker's insertion-ordered dicts), with one
@@ -27,6 +33,58 @@
 
 #include <stdint.h>
 #include <string.h>
+
+/* per-record line-request rules */
+enum { R_NONE = 0, R_ALL = 1, R_SEQ = 2, R_GATHER = 3 };
+
+/* Writes req_off (n + 1 offsets) and lines (room for the whole arena);
+ * returns the number of lines.  A gather deduplicates through an
+ * open-addressing table of 2^table_bits slots, at most half full for the
+ * widest gather span; a slot belongs to record i while its tab_rec is i,
+ * so the table is never cleared (tab_rec starts at -1). */
+int64_t repro_line_requests(
+    int64_t n, const uint8_t *rule, const int64_t *off,
+    const int64_t *addrs, int64_t line_shift, int64_t table_bits,
+    int64_t *tab_line, int64_t *tab_rec, int64_t *req_off, int64_t *lines)
+{
+    const uint64_t tmask = ((uint64_t)1 << table_bits) - 1;
+    int64_t m = 0;
+
+    req_off[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t lo = off[i], hi = off[i + 1];
+        switch (rule[i]) {
+        case R_ALL:
+            for (int64_t j = lo; j < hi; j++)
+                lines[m++] = addrs[j] >> line_shift;
+            break;
+        case R_SEQ:
+            /* the last kept line is the previous element's */
+            for (int64_t j = lo; j < hi; j++) {
+                const int64_t line = addrs[j] >> line_shift;
+                if (j == lo || line != lines[m - 1])
+                    lines[m++] = line;
+            }
+            break;
+        case R_GATHER:
+            for (int64_t j = lo; j < hi; j++) {
+                const int64_t line = addrs[j] >> line_shift;
+                uint64_t h = ((uint64_t)line * 0x9E3779B97F4A7C15ull)
+                             >> (64 - table_bits);
+                while (tab_rec[h] == i && tab_line[h] != line)
+                    h = (h + 1) & tmask;
+                if (tab_rec[h] != i) {
+                    tab_rec[h] = i;
+                    tab_line[h] = line;
+                    lines[m++] = line;
+                }
+            }
+            break;
+        }
+        req_off[i + 1] = m;
+    }
+    return m;
+}
 
 /* per-record modes */
 enum { M_NONE = 0, M_SCALAR = 1, M_VLOAD = 2, M_VSTORE = 3,

@@ -159,6 +159,21 @@ def _coalesce_lines(addrs: np.ndarray, pattern: VMemPattern,
     return lines[keep]
 
 
+# per-record rules of the compiled line requests (R_* in classify.c)
+R_NONE, R_ALL, R_SEQ, R_GATHER = range(4)
+
+_i64, _u8 = native.ndarray(np.int64), native.ndarray(np.uint8)
+_o64 = native.ndarray(np.int64, writeable=True)
+_ou8 = native.ndarray(np.uint8, writeable=True)
+_c_i64 = ctypes.c_int64
+#: argument types of ``repro_line_requests`` in ``classify.c``
+_LINE_REQUESTS_ARGTYPES = [
+    _c_i64, _u8, _i64, _i64, _c_i64,   # n, rule, off, addrs, line shift
+    _c_i64, _o64, _o64,                # gather table: bits, lines, records
+    _o64, _o64,                        # req_off, lines
+]
+
+
 def line_requests(cols, coalesce_gathers: bool
                   ) -> tuple[np.ndarray, np.ndarray]:
     """A trace's 64-byte line requests in program order, as an arena.
@@ -166,10 +181,52 @@ def line_requests(cols, coalesce_gathers: bool
     Returns ``(req_off, lines)``: record ``i`` requests
     ``lines[req_off[i]:req_off[i + 1]]``. A scalar block requests the line
     of each of its memory ops, a vector memory instruction its coalesced
-    lines (the per-instruction rule of :func:`_coalesce_lines`, applied to
-    every span at once), and every other record nothing. Classification,
-    the event engines' plan and reuse profiles all read this one stream.
+    lines (the per-instruction rule of :func:`_coalesce_lines`), and every
+    other record nothing. Classification, the event engines' plan and
+    reuse profiles all read this one stream.
+
+    The arena is built in ``classify.c``; where no compiler can build it,
+    :func:`_numpy_line_requests`, its specification, runs instead. Either
+    way the record spans must tile the address arena
+    (:class:`TraceError` otherwise).
     """
+    off = cols.addr_off
+    n = cols.n
+    # the compiled kernel reads the arena through these spans unchecked
+    if not (off.shape == (n + 1,) and off[0] == 0
+            and off[-1] == cols.addrs.shape[0]
+            and (off[1:] >= off[:-1]).all()):
+        raise TraceError("trace spans do not tile its address arena")
+    fn = native.function("repro_line_requests", _LINE_REQUESTS_ARGTYPES,
+                         _c_i64)
+    if fn is None:
+        return _numpy_line_requests(cols, coalesce_gathers)
+
+    vm = ((cols.kind == REC_VECTOR)
+          & (cols.opclass == _OPCLASS_ID[VOpClass.MEM]))
+    gather = vm & (cols.pattern == _PATTERN_ID[VMemPattern.INDEXED])
+    rule = np.zeros(n, dtype=np.uint8)
+    rule[cols.kind == REC_SCALAR] = R_ALL
+    rule[vm] = R_SEQ
+    rule[gather] = R_GATHER if coalesce_gathers else R_ALL
+    # a dedup table at most half full for the widest gather span
+    widest = int((off[1:] - off[:-1])[gather].max(initial=0)
+                 if coalesce_gathers else 0)
+    bits = max(1, (2 * widest - 1).bit_length())
+    req_off = np.empty(n + 1, dtype=np.int64)
+    lines = np.empty(cols.addrs.shape[0], dtype=np.int64)
+    m = fn(n, rule, off, cols.addrs, LINE_SHIFT, bits,
+           np.empty(1 << bits, dtype=np.int64),
+           np.full(1 << bits, -1, dtype=np.int64), req_off, lines)
+    lines.resize(m, refcheck=False)  # in place: no arena-sized tail stays
+    return req_off, lines
+
+
+def _numpy_line_requests(cols, coalesce_gathers: bool
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`line_requests` in NumPy, every span at once: the
+    specification of ``repro_line_requests`` and its fallback. The spans
+    must tile the arena."""
     mem_id = _OPCLASS_ID[VOpClass.MEM]
     idx_id = _PATTERN_ID[VMemPattern.INDEXED]
     off = cols.addr_off
@@ -178,8 +235,8 @@ def line_requests(cols, coalesce_gathers: bool
     vm_mask = (cols.kind == REC_VECTOR) & (cols.opclass == mem_id)
 
     def span_mask(records: np.ndarray) -> np.ndarray:
-        # the spans tile the arena in record order (classify_trace checks
-        # that), so a per-record mask repeats into a per-element one
+        # the spans tile the arena in record order, so a per-record mask
+        # repeats into a per-element one
         return np.repeat(records, off[1:] - off[:-1])
 
     keep = span_mask(cols.kind == REC_SCALAR)
@@ -188,7 +245,7 @@ def line_requests(cols, coalesce_gathers: bool
         seq_idx = np.flatnonzero(seq_rec)
         lo, hi = off[seq_idx], off[seq_idx + 1]
         diff = np.empty(A, dtype=bool)
-        diff[0] = True
+        diff[:1] = True  # the arena may be empty: all spans of length 0
         np.not_equal(lines_all[1:], lines_all[:-1], out=diff[1:])
         keep |= span_mask(seq_rec) & diff
         keep[lo[hi > lo]] = True  # first element of a span always survives
@@ -290,10 +347,6 @@ M_NONE, M_SCALAR, M_VLOAD, M_VSTORE, M_VSTORE_NOFILL = range(5)
 _COUNT_FIELDS = ("l1_hits", "l2_hits", "dram_reads", "dram_writes",
                  "pf_dram_reads")
 
-_i64, _u8 = native.ndarray(np.int64), native.ndarray(np.uint8)
-_o64 = native.ndarray(np.int64, writeable=True)
-_ou8 = native.ndarray(np.uint8, writeable=True)
-_c_i64 = ctypes.c_int64
 #: argument types of ``repro_classify`` in ``classify.c``
 _CLASSIFY_ARGTYPES = [
     _c_i64, _u8,                                    # n, mode
@@ -326,14 +379,15 @@ def classify_backend() -> str:
 def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     """Classify every memory reference of ``trace`` against fresh caches.
 
-    Consumes the trace's columns directly (zero-copy). NumPy coalesces
-    the vector spans and fills every knob-independent row field
-    (:func:`_prepare_rows`); the cache walk itself then runs in a small C
-    kernel, ``classify.c``, built and loaded by :mod:`repro.native`.
-    Where no compiler can build it, the same walk runs as the dict walk
-    (:func:`_dict_walk`), which is the specification: the two agree
-    bit-for-bit on rows, levels and totals, and ``tests/memory`` pins
-    that on both paths.
+    Consumes the trace's columns directly (zero-copy). The line requests
+    (:func:`line_requests`) and the cache walk run in a small C kernel,
+    ``classify.c``, built and loaded by :mod:`repro.native`; NumPy fills
+    every knob-independent row field (:func:`_prepare_rows`). Where no
+    compiler can build it, the NumPy line requests and the dict walk
+    (:func:`_dict_walk`) run instead, which are the specification: the
+    two agree bit-for-bit on rows, levels and totals, and
+    ``tests/memory`` pins that on both paths. A trace whose deps do not
+    all name earlier records is rejected (:class:`TraceError`).
     """
     if not trace.sealed:
         raise TraceError("classify_trace requires a sealed trace")
@@ -341,13 +395,12 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     from repro.obs.record import get_recorder
 
     cols = trace.cols
-    off = cols.addr_off
-    # the prep and the compiled walk index the arena by these spans
-    if not (off.shape == (cols.n + 1,) and off[0] == 0
-            and off[-1] == cols.addrs.shape[0]
-            and cols.writes.shape == cols.addrs.shape
-            and (off[1:] >= off[:-1]).all()):
-        raise TraceError("trace spans do not tile its address arena")
+    # the compiled walk reads the write flags through the arena spans,
+    # which line_requests checks before either kernel runs
+    if cols.writes.shape != cols.addrs.shape:
+        raise TraceError("trace write flags do not match its address arena")
+    # every engine walks deps backward, from this classification on
+    cols.check_deps()
     rows, vm_mask, req_off, lines, span_len, is_scalar = _prepare_rows(
         cols, config)
     fn = native.function("repro_classify", _CLASSIFY_ARGTYPES)

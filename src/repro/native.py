@@ -1,14 +1,16 @@
 """The compiled kernels, built and loaded on first use.
 
-Three hot loops run in C: the batch timing walk (``engine/walk.c``), the
-classification cache walk (``memory/classify.c``) and the discrete-event
-engine (``engine/event.c``). The sources are built into one shared
-library with the host's C compiler the first time any is needed in a
-process, and loaded with :mod:`ctypes`. Where no compiler can build it,
+Four hot loops run in C: the batch timing walk with its knob-dependent
+terms (``engine/walk.c``), the line requests and the cache walk of
+classification (``memory/classify.c``) and the discrete-event engine
+(``engine/event.c``). The sources are built into one shared library with
+the host's C compiler the first time any is needed in a process, and
+loaded with :mod:`ctypes`. Where no compiler can build it,
 :func:`library` warns once with a :class:`RuntimeWarning`, never retries,
-and each caller runs its Python specification instead
-(:func:`repro.engine.batch_sim._numpy_walk`, the dict walk of
-:func:`repro.memory.classify.classify_trace`, the coroutine DES
+and each caller runs its specification instead
+(:func:`repro.engine.batch_sim._numpy_walk` over NumPy's knob matrices,
+:func:`repro.memory.classify._numpy_line_requests`, the dict walk
+:func:`repro.memory.classify._dict_walk`, the coroutine DES
 :func:`repro.engine.event_sim.simulate_events`); the results are
 bit-identical either way.
 
@@ -81,9 +83,10 @@ def library() -> ctypes.CDLL | None:
             # stacklevel=1: one location whichever caller builds first,
             # so the default filter shows it once per process
             warnings.warn(f"cannot build the compiled kernels ({exc}); "
-                          "using the NumPy batch walk, the Python "
-                          "classification walk and the coroutine DES for "
-                          "'event'", RuntimeWarning, stacklevel=1)
+                          "using the NumPy batch walk, the NumPy line "
+                          "requests, the Python classification walk and "
+                          "the coroutine DES for 'event'", RuntimeWarning,
+                          stacklevel=1)
             _lib = False
     return _lib or None
 

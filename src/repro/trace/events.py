@@ -196,6 +196,17 @@ class TraceColumns:
     def n(self) -> int:
         return int(self.kind.shape[0])
 
+    def check_deps(self) -> None:
+        """Raise :class:`TraceError` unless every dep is -1 or names an
+        earlier record: the engines read a producer's times before its
+        consumer's, so any other dep would read a record not yet timed."""
+        dep = self.dep
+        bad = (dep < -1) | (dep >= np.arange(dep.shape[0]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TraceError(f"record {i}: dep {int(dep[i])} does not "
+                             "reference an earlier record")
+
 
 _COL_DTYPES = (
     ("kind", np.uint8), ("n_alu", np.int64), ("mlp", np.int64),
@@ -461,7 +472,10 @@ class TraceBuffer:
 
         The deserializer's path: a v2 trace file stores the columnar form
         verbatim, so loading is adopting the arrays — no per-record loop.
-        The caller hands over ownership of ``cols``.
+        The caller hands over ownership of ``cols``. Columns from outside
+        the program are checked as far as the engines rely on them: the
+        span offsets' shape, the string table and the deps
+        (:meth:`TraceColumns.check_deps`).
         """
         buf = cls()
         n = cols.n
@@ -472,6 +486,7 @@ class TraceBuffer:
             )
         if not cols.strings or cols.strings[0] != "":
             raise TraceError("string table must start with the empty string")
+        cols.check_deps()
         buf._n = n
         buf._strings = list(cols.strings)
         buf._sid = {s: i for i, s in enumerate(buf._strings)}

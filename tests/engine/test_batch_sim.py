@@ -30,7 +30,11 @@ from repro.engine.fast_sim import simulate_fast
 from repro.engine.lower import knob_free_config, lower_trace
 from repro.errors import EngineError
 from repro.kernels import KERNELS
-from repro.memory.classify import classify_backend, classify_trace
+from repro.memory.classify import (
+    classify_backend,
+    classify_trace,
+    line_requests,
+)
 from repro.soc import FpgaSdv
 from repro.trace.serialize import load_trace, save_trace
 from repro.workloads import get_scale
@@ -188,6 +192,7 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
     configs = grid_configs(sdv.config)
     compiled = batch_cycles(lowered, configs)
     compiled_ct = classify_trace(trace, sdv.config)
+    compiled_lines = line_requests(trace.cols, True)
     reference = simulate_events(compiled_ct)
 
     # a fresh process whose compiler is missing
@@ -205,12 +210,13 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
         ct = classify_trace(trace, sdv.config)
         second = batch_cycles(lowered, configs)
         event = ENGINES["event"](ct)
+        lines = line_requests(trace.cols, True)
     # one warning, naming every fallback, from one place; no kernel
     # retried the build
     assert [w.category for w in caught] == [RuntimeWarning]
     message = str(caught[0].message)
-    for fallback in ("NumPy batch walk", "Python classification walk",
-                     "coroutine DES"):
+    for fallback in ("NumPy batch walk", "NumPy line requests",
+                     "Python classification walk", "coroutine DES"):
         assert fallback in message
     assert caught[0].filename == native.__file__
     assert len(builds) == 1
@@ -224,6 +230,8 @@ def test_missing_compiler_falls_back_to_numpy_walk_once(monkeypatch):
     assert ct.totals == compiled_ct.totals
     assert np.array_equal(ct.req_off, compiled_ct.req_off)
     assert np.array_equal(ct.levels, compiled_ct.levels)
+    for got, want in zip(lines, compiled_lines):
+        assert np.array_equal(got, want)
 
 
 def test_compiled_walk_rejects_out_of_bounds_slots():

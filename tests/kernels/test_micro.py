@@ -1,9 +1,12 @@
 """Machine-characterization microkernels: the substrate self-consistency
 proof — the machine must *measure* as the configuration describes it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.kernels.base import KernelOutput
 from repro.kernels.micro import (
     characterize_machine,
     gather_probe,
@@ -15,6 +18,7 @@ from repro.kernels.micro import (
     stream_triad,
 )
 from repro.soc import FpgaSdv
+from repro.util.prng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,38 @@ class TestFunctional:
     def test_pointer_chase_walks_ring(self):
         out, _ = FpgaSdv().run(pointer_chase, n=256, hops=64)
         assert 0 <= out.value < 256
+
+    @pytest.mark.parametrize("hops", [0, 100, 256, 700])
+    def test_pointer_chase_emits_the_hop_loop(self, hops):
+        """The probe's one address vector is the block a hop-by-hop walk
+        of the ring emits, and it ends on the same node, whether the walk
+        stops short of the ring's length, at it or wraps around it."""
+        def hop_loop(session, n, hops, seed=5):
+            # the walk as it reads: follow each node's next pointer
+            rng = make_rng(seed, "chase")
+            stride = 8
+            order = rng.permutation(n).astype(np.int64)
+            nxt = np.zeros(n * stride, dtype=np.int64)
+            nxt[order[:-1] * stride] = order[1:]
+            nxt[order[-1] * stride] = order[0]
+            ring = session.mem.alloc("micro.ring", nxt)
+            node = int(order[0])
+            addrs = np.empty(hops, dtype=np.int64)
+            for h in range(hops):
+                addrs[h] = ring.addr(node * stride)
+                node = int(ring.view[node * stride])
+            session.scalar.emit_block(addrs, False, hops, mlp_hint=1,
+                                      label="pointer-chase")
+            return KernelOutput(value=node, meta={"hops": hops})
+
+        sdv = FpgaSdv()
+        got, want = sdv.session(), sdv.session()
+        out = pointer_chase(got, n=256, hops=hops)
+        ref = hop_loop(want, n=256, hops=hops)
+        assert out.value == ref.value
+        a, b = got.seal().cols, want.seal().cols
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
 class TestSelfConsistency:

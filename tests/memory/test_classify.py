@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import native
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
@@ -13,6 +15,7 @@ from repro.memory.classify import (
     KIND_VARITH,
     KIND_VMEM,
     _coalesce_lines,
+    _numpy_line_requests,
     classify_trace,
     line_requests,
 )
@@ -258,18 +261,85 @@ def ci_traces():
     return traces
 
 
+@st.composite
+def arenas(draw):
+    """Traces whose line requests exercise every rule: scalar blocks,
+    unit, strided and indexed vector memory, records without addresses;
+    empty and one-element spans; lines drawn from a pool, so a span
+    revisits them both consecutively and not (A, B, A); and gathers of up
+    to 600 elements, from a one-line pool (all duplicates) to a wide one
+    (nearly all distinct)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = draw(st.sampled_from([1, 2, 5, 64, 4096, 1 << 20]))
+    records = []
+    kinds = st.sampled_from(["scalar", "unit", "strided", "indexed",
+                             "arith", "barrier"])
+    for kind in draw(st.lists(kinds, max_size=10)):
+        if kind == "arith":
+            records.append(VectorInstr(op=VOpClass.ARITH, vl=8,
+                                       opcode="vfadd"))
+            continue
+        if kind == "barrier":
+            records.append(Barrier())
+            continue
+        span = draw(st.sampled_from(["empty", "one", "short", "long"]))
+        size = {"empty": 0, "one": 1, "short": int(rng.integers(2, 41)),
+                "long": int(rng.integers(41, 601 if kind == "indexed"
+                                         else 121))}[span]
+        addrs = BASE + 64 * rng.integers(0, pool, size) \
+            + 8 * rng.integers(0, 8, size)
+        if kind == "scalar":
+            records.append(scalar_block(addrs, rng.random(size) < 0.5))
+        else:
+            records.append(vload(addrs, VMemPattern[kind.upper()],
+                                 write=bool(rng.random() < 0.5)))
+    return build(*records)
+
+
 class TestLineRequests:
+    @settings(max_examples=200, deadline=None)
+    @given(arenas(), st.booleans())
+    def test_compiled_equals_the_numpy_specification(self, trace, coalesce):
+        if native.library() is None:
+            pytest.skip("no C compiler could build the compiled kernels")
+        req_off, lines = line_requests(trace.cols, coalesce)
+        want_off, want_lines = _numpy_line_requests(trace.cols, coalesce)
+        assert req_off.dtype == want_off.dtype == lines.dtype == np.int64
+        assert np.array_equal(req_off, want_off)
+        assert np.array_equal(lines, want_lines)
+        assert lines.shape == (req_off[-1],)
+
+    @pytest.mark.parametrize("broken", ["overrun", "backward"])
+    def test_bad_spans_raise_before_the_kernel(self, monkeypatch, broken):
+        tr = build(scalar_block([BASE, BASE + 64]),
+                   vload(BASE + 8 * np.arange(4)))
+        off = tr.cols.addr_off
+        if broken == "overrun":
+            off[-1] += 4
+        else:
+            off[1] = off[2] + 1
+        calls = []
+        monkeypatch.setattr(native, "function",
+                            lambda *args: calls.append(args))
+        with pytest.raises(TraceError, match="tile"):
+            line_requests(tr.cols, True)
+        assert calls == []
+
     @pytest.mark.parametrize("coalesce", [True, False])
     def test_ci_traces_follow_the_per_instruction_rule(self, ci_traces,
                                                        coalesce):
         """A scalar block requests every line it touches, a vector memory
         instruction its :func:`_coalesce_lines` lines, anything else
-        nothing; and classification levels that same arena."""
+        nothing; the arena is the specification's; and classification
+        levels that same arena."""
         cfg = SdvConfig(vpu=VpuConfig(coalesce_gathers=coalesce)).validate()
         mem_id = OPCLASS_ID[VOpClass.MEM]
         for trace in ci_traces:
             c = trace.cols
             req_off, lines = line_requests(c, coalesce)
+            want_off, want_lines = _numpy_line_requests(c, coalesce)
+            assert np.array_equal(req_off, want_off)
+            assert np.array_equal(lines, want_lines)
             off = c.addr_off
             vm = (c.kind == REC_VECTOR) & (c.opclass == mem_id)
             scalar = c.kind == REC_SCALAR

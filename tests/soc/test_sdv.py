@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceError
+from repro.kernels.micro import stream_triad
 from repro.soc import FpgaSdv
 
 
@@ -140,3 +141,20 @@ class TestTiming:
             _, report = sdv.run(stream_builder)
             t[vl] = report.cycles
         assert t[256] < t[8]
+
+
+class TestDependencies:
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    @pytest.mark.parametrize("where", ["forward", "self", "-2"])
+    def test_dep_that_is_not_an_earlier_record_is_rejected(self, engine,
+                                                           where):
+        # a forward or self dep names a record not yet timed, -2 none
+        sdv = FpgaSdv()
+        sess = sdv.session()
+        stream_triad(sess, n=1024)
+        trace = sess.seal()
+        dep = trace.cols.dep
+        i = int(np.flatnonzero(dep >= 0)[0])
+        dep[i] = {"forward": i + 1, "self": i, "-2": -2}[where]
+        with pytest.raises(TraceError, match="earlier record"):
+            sdv.time(trace, engine=engine)

@@ -92,6 +92,17 @@ class TestRoundTrip:
             with pytest.raises(TraceError, match="unsupported"):
                 load_trace(path)
 
+    def test_forward_dep_rejected_on_load(self, tmp_path):
+        # a trace file is input from outside the program: a dep that is not
+        # an earlier record would reach the engines' walks unchecked
+        path = tmp_path / "d.npz"
+        save_trace(make_mixed_trace(), path)
+        data = dict(np.load(path))
+        data["dep"][3] = 4
+        np.savez_compressed(path, **data)
+        with pytest.raises(TraceError, match="earlier record"):
+            load_trace(path)
+
 
 class TestTimingEquivalence:
     def test_retiming_loaded_trace_matches_original(self, tmp_path):
