@@ -6,8 +6,9 @@ One ledger series, ``classify_compiled_speedup``: the time
 requests and the Python dict walk) over the time it takes on the
 compiled kernels (``classify.c``: the line requests and the cache walk),
 on the record-heaviest kernel trace, with identical output bit-for-bit.
-Both times include the NumPy row fill the two sides share, so the ratio
-is what a sweep gains, not what the loops alone gain.
+Both times include the NumPy work the two sides share (the trace checks
+and the per-record rule and mode bytes), so the ratio is what a sweep
+gains, not what the loops alone gain.
 
 Run at paper scale (``REPRO_BENCH_SCALE=paper``) for the quoted
 numbers; the default ci scale keeps CI under a minute.
@@ -33,7 +34,8 @@ KERNEL = "spmv"
 VL = 8
 
 #: fresh-clone floors (ledger median+MAD is the bar once history exists).
-#: The shared row fill caps the ratio, and its share falls as traces grow.
+#: The shared NumPy work caps the ratio, and its share falls as traces
+#: grow.
 _FLOOR = {"paper": 3.0}
 _FLOOR_DEFAULT = 2.0
 
@@ -50,6 +52,7 @@ def _median_time(fn, repeats=5):
 def _assert_identical(a, b):
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.req_off, b.req_off)
+    assert np.array_equal(a.lines, b.lines)
     assert np.array_equal(a.levels, b.levels)
     assert a.totals == b.totals
 

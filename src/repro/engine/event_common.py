@@ -47,7 +47,7 @@ from repro.engine.lower import (
     lower_cached,
 )
 from repro.errors import EngineError
-from repro.memory.classify import AccessLevel, ClassifiedTrace, line_requests
+from repro.memory.classify import AccessLevel, ClassifiedTrace
 
 
 @dataclass
@@ -91,39 +91,38 @@ def _plan_key(ct: ClassifiedTrace) -> tuple:
         cfg.core.issue_width, cfg.core.alu_cpi, cfg.core.mshrs,
         cfg.l2.banks, cfg.vpu.lanes,
         cfg.vpu.gather_issue_per_cycle, cfg.vpu.stride_issue_per_cycle,
-        cfg.vpu.coalesce_gathers,
     )
 
 
 def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
     """Compile a classified trace into an :class:`EventPlan`.
 
-    Levels and banks come from the classifier's line-request arena
-    (:func:`repro.memory.classify.line_requests`) and the per-record
-    counts from its rows; no trace record is materialized. The lowering
-    is the trace's cached one, shared with ``FpgaSdv.lower``.
+    Levels and banks come from the classification's line-request arena
+    (``ct.levels`` and ``ct.lines``, see
+    :func:`repro.memory.classify.line_requests`), the per-record counts
+    from its rows and every other field from the trace's columns; no
+    trace record is materialized. The lowering is the trace's cached one,
+    shared with ``FpgaSdv.lower``.
     """
     lowered = lower_cached(ct)
     cfg = ct.config
     core = cfg.core
+    cols = ct.trace.cols
     rows = ct.rows
     n = lowered.n
     kind = lowered.kind
-    req_off, lines = line_requests(ct.trace.cols, cfg.vpu.coalesce_gathers)
+    req_off = ct.req_off
     counts = np.diff(req_off)
     sc = kind == LKIND_SCALAR
-    if (not np.array_equal(req_off, ct.req_off)
-            or not np.array_equal(counts[sc], rows["n_mem"][sc])):
-        raise EngineError("classified levels misaligned with line requests")
 
-    n_alu = rows["n_alu"]
+    n_alu = cols.n_alu
     n_mem = np.maximum(counts, 1)
     has_mem = sc & (counts > 0)
     issue = np.where(sc & ~has_mem,
                      (n_alu * core.alu_cpi / core.issue_width
                       ).astype(np.int64), 0)
     mlp = np.where(has_mem, np.maximum(1, np.minimum(core.mshrs,
-                                                     rows["mlp_hint"])), 1)
+                                                     cols.mlp)), 1)
 
     # the fractional gap of every record with line requests, spread over
     # its lines: line j steps int((j+1)*gap) - int(j*gap)
@@ -152,7 +151,7 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
         kind=kind,
         dep=lowered.dep,
         scalar_dest=lowered.scalar_dest.astype(np.uint8),
-        vl=rows["vl"].astype(np.int64),
+        vl=cols.vl.astype(np.int64),
         req_off=req_off.astype(np.int64),
         issue=issue,
         gap_total=gap_total,
@@ -162,7 +161,7 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
         occ=occ,
         dram=rows["dram_reads"].astype(np.int64),
         level=ct.levels.astype(np.uint8),
-        bank=(lines & (cfg.l2.banks - 1)).astype(np.int64),
+        bank=(ct.lines & (cfg.l2.banks - 1)).astype(np.int64),
         step=step,
         total_dram_reads=int(rows["dram_reads"].sum()
                              + rows["pf_dram_reads"].sum()),

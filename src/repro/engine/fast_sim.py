@@ -33,14 +33,14 @@ import numpy as np
 from repro.engine import core_model, vpu_model
 from repro.engine.results import CycleReport
 from repro.errors import EngineError
-from repro.memory.classify import (
-    KIND_BARRIER,
-    KIND_SCALAR,
-    KIND_VARITH,
-    KIND_VMEM,
-    ClassifiedTrace,
+from repro.memory.classify import ClassifiedTrace
+from repro.trace.events import (
+    REC_BARRIER,
+    REC_SCALAR,
+    REC_VECTOR,
+    VMemPattern,
+    VOpClass,
 )
-from repro.trace.events import VMemPattern, VOpClass
 
 _OPCLASS = list(VOpClass)
 _PATTERN = list(VMemPattern)
@@ -54,8 +54,10 @@ def simulate_fast(ct: ClassifiedTrace, *, timeline=None) -> CycleReport:
     default ``None`` keeps the hot loop free of bookkeeping.
     """
     config = ct.config
-    rows = ct.rows
-    n = rows.shape[0]
+    counts = ct.rows
+    cols = ct.trace.cols
+    off, req_off = cols.addr_off, ct.req_off
+    n = counts.shape[0]
     if n == 0:
         return CycleReport(cycles=0.0, engine="fast")
     if timeline is not None:
@@ -88,20 +90,20 @@ def simulate_fast(ct: ClassifiedTrace, *, timeline=None) -> CycleReport:
     dram_reads = 0
     dram_writes = 0
 
-    kinds = rows["kind"]
+    kinds = cols.kind
     for i in range(n):
         kind = kinds[i]
-        row = rows[i]
+        row = counts[i]
 
-        if kind == KIND_SCALAR:
+        if kind == REC_SCALAR:
             bt = core_model.scalar_block_time(
                 config,
-                n_alu=int(row["n_alu"]),
-                n_mem=int(row["n_mem"]),
+                n_alu=int(cols.n_alu[i]),
+                n_mem=int(off[i + 1] - off[i]),
                 l2_hits=int(row["l2_hits"]),
                 dram_reads=int(row["dram_reads"]),
                 dram_writes=int(row["dram_writes"]),
-                mlp_hint=int(row["mlp_hint"]),
+                mlp_hint=int(cols.mlp[i]),
                 pf_dram_reads=int(row["pf_dram_reads"]),
             )
             t_scalar += bt.total
@@ -117,7 +119,7 @@ def simulate_fast(ct: ClassifiedTrace, *, timeline=None) -> CycleReport:
                              issue=bt.issue, stall=bt.stall)
             continue
 
-        if kind == KIND_BARRIER:
+        if kind == REC_BARRIER:
             t_sync = max(t_scalar, t_arith, t_arith_done, t_vmem_done)
             t_scalar = t_arith = t_arith_done = t_agu = t_vmem_done = t_sync
             t_mshr = min(t_mshr, t_sync)
@@ -126,17 +128,20 @@ def simulate_fast(ct: ClassifiedTrace, *, timeline=None) -> CycleReport:
                 timeline.instant("scalar-core", f"barrier[{i}]", t_sync)
             continue
 
-        opclass = _OPCLASS[row["opclass"]]
-        dep = int(row["dep"])
+        if kind != REC_VECTOR:
+            raise EngineError(f"unknown record kind {kind}")
+        opclass = _OPCLASS[cols.opclass[i]]
+        dep = int(cols.dep[i])
+        vl = int(cols.vl[i])
 
-        if kind == KIND_VARITH:
+        if opclass is not VOpClass.MEM:
             if opclass is VOpClass.CSR:
                 # vsetvl executes on the scalar side and returns vl
                 t_scalar += core_model.VSETVL_CYCLES
                 start[i] = completion[i] = t_scalar
                 continue
 
-            occ = vpu_model.arith_occupancy(config, opclass, int(row["vl"]))
+            occ = vpu_model.arith_occupancy(config, opclass, vl)
             pipe_lat = vpu_model.arith_latency(config)
             dispatch = t_scalar + core_model.VECTOR_DISPATCH_CYCLES
             t_scalar = dispatch
@@ -161,80 +166,77 @@ def simulate_fast(ct: ClassifiedTrace, *, timeline=None) -> CycleReport:
             acc_varith += occ
             if timeline is not None:
                 timeline.add("vpu-arith", f"varith[{i}]", s, c,
-                             vl=int(row["vl"]), occupancy=occ)
-            if row["scalar_dest"]:
+                             vl=vl, occupancy=occ)
+            if cols.scalar_dest[i]:
                 t_scalar = max(
                     t_scalar,
                     c + core_model.SCALAR_RESULT_TRANSFER_CYCLES,
                 )
             continue
 
-        if kind == KIND_VMEM:
-            pattern = _PATTERN[row["pattern"]]
-            cost = vpu_model.vmem_cost(
-                config,
-                pattern=pattern,
-                vl=int(row["vl"]),
-                active=int(row["active"]),
-                n_lines=int(row["n_line_reqs"]),
-                dram_reads=int(row["dram_reads"]),
-                dram_writes=int(row["dram_writes"]),
-            )
-            dram_reads += int(row["dram_reads"])
-            dram_writes += int(row["dram_writes"])
+        # vector memory
+        n_lines = int(req_off[i + 1] - req_off[i])
+        cost = vpu_model.vmem_cost(
+            config,
+            pattern=_PATTERN[cols.pattern[i]],
+            vl=vl,
+            active=int(cols.active[i]),
+            n_lines=n_lines,
+            dram_reads=int(row["dram_reads"]),
+            dram_writes=int(row["dram_writes"]),
+        )
+        dram_reads += int(row["dram_reads"])
+        dram_writes += int(row["dram_writes"])
 
-            dispatch = t_scalar + core_model.VECTOR_DISPATCH_CYCLES
-            t_scalar = dispatch
+        dispatch = t_scalar + core_model.VECTOR_DISPATCH_CYCLES
+        t_scalar = dispatch
 
-            ready = dispatch
-            floor = 0.0
-            if dep >= 0:
-                if chaining:
-                    ready = max(ready, start[dep] + first_lat[dep]
-                                + vpu_model.LANE_PIPE_DEPTH)
-                    floor = completion[dep] + vpu_model.LANE_PIPE_DEPTH
-                else:
-                    ready = max(ready, completion[dep])
-
-            # decoupled queue: a slot frees when the (i - q_depth)-th
-            # previous memory instruction completes
-            slot_free = (mem_completions[-q_depth]
-                         if len(mem_completions) >= q_depth else 0.0)
-
-            if vpu.ooo_mem_issue:
-                # the AGU reserves its slot in order, but an instruction
-                # stalled on a register dependency does not hold it: younger
-                # independent loads stream past (OoO memory queue)
-                agu_slot = max(t_agu, dispatch, slot_free)
-                t_agu = agu_slot + cost.addr_cycles
-                s = max(agu_slot, ready)
+        ready = dispatch
+        floor = 0.0
+        if dep >= 0:
+            if chaining:
+                ready = max(ready, start[dep] + first_lat[dep]
+                            + vpu_model.LANE_PIPE_DEPTH)
+                floor = completion[dep] + vpu_model.LANE_PIPE_DEPTH
             else:
-                # strict in-order issue: a dep-blocked gather stalls the pipe
-                s = max(ready, t_agu, slot_free)
-                t_agu = s + cost.addr_cycles
-            busy = max(cost.addr_cycles, cost.service_cycles)
-            c = max(s + cost.first_latency + busy, floor)
-            d = int(row["dram_reads"])
-            if d > 0:
-                # the line-MSHR pool sustains at most line_mshrs/dram_latency
-                # lines per cycle; the instruction's last line cannot return
-                # before the pool has cycled through its share
-                t_mshr = (max(t_mshr, s + config.dram_latency)
-                          + d * config.dram_latency / vpu.line_mshrs)
-                c = max(c, t_mshr)
-            mem_completions.append(c)
-            t_vmem_done = max(t_vmem_done, c)
-            start[i] = s
-            completion[i] = c
-            first_lat[i] = cost.first_latency
-            acc_vmem += busy
-            if timeline is not None:
-                timeline.add("vpu-mem", f"vmem[{i}]", s, c,
-                             vl=int(row["vl"]), lines=int(row["n_line_reqs"]),
-                             dram_reads=d)
-            continue
+                ready = max(ready, completion[dep])
 
-        raise EngineError(f"unknown record kind {kind}")
+        # decoupled queue: a slot frees when the (i - q_depth)-th
+        # previous memory instruction completes
+        slot_free = (mem_completions[-q_depth]
+                     if len(mem_completions) >= q_depth else 0.0)
+
+        if vpu.ooo_mem_issue:
+            # the AGU reserves its slot in order, but an instruction
+            # stalled on a register dependency does not hold it: younger
+            # independent loads stream past (OoO memory queue)
+            agu_slot = max(t_agu, dispatch, slot_free)
+            t_agu = agu_slot + cost.addr_cycles
+            s = max(agu_slot, ready)
+        else:
+            # strict in-order issue: a dep-blocked gather stalls the pipe
+            s = max(ready, t_agu, slot_free)
+            t_agu = s + cost.addr_cycles
+        busy = max(cost.addr_cycles, cost.service_cycles)
+        c = max(s + cost.first_latency + busy, floor)
+        d = int(row["dram_reads"])
+        if d > 0:
+            # the line-MSHR pool sustains at most line_mshrs/dram_latency
+            # lines per cycle; the instruction's last line cannot return
+            # before the pool has cycled through its share
+            t_mshr = (max(t_mshr, s + config.dram_latency)
+                      + d * config.dram_latency / vpu.line_mshrs)
+            c = max(c, t_mshr)
+        mem_completions.append(c)
+        t_vmem_done = max(t_vmem_done, c)
+        start[i] = s
+        completion[i] = c
+        first_lat[i] = cost.first_latency
+        acc_vmem += busy
+        if timeline is not None:
+            timeline.add("vpu-mem", f"vmem[{i}]", s, c,
+                         vl=vl, lines=n_lines,
+                         dram_reads=d)
 
     t_end = max(t_scalar, t_arith, t_arith_done, t_vmem_done)
 

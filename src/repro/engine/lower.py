@@ -33,28 +33,27 @@ import numpy as np
 from repro.config import SdvConfig
 from repro.engine import vpu_model
 from repro.errors import EngineError
-from repro.memory.classify import (
-    KIND_BARRIER,
-    KIND_SCALAR,
-    KIND_VARITH,
-    KIND_VMEM,
-    ClassifiedTrace,
+from repro.memory.classify import ClassifiedTrace
+from repro.trace.events import (
+    OPCLASS_ID,
+    PATTERN_ID,
+    REC_BARRIER,
+    REC_VECTOR,
+    VMemPattern,
+    VOpClass,
 )
-from repro.trace.events import VMemPattern, VOpClass
 
-# Lowered record kinds. Same codes as classify for the shared ones, plus a
-# dedicated code for vsetvl rows so the walk needs no opclass lookup.
-LKIND_SCALAR = KIND_SCALAR
-LKIND_VARITH = KIND_VARITH
-LKIND_VMEM = KIND_VMEM
-LKIND_BARRIER = KIND_BARRIER
-LKIND_CSR = 4
+# Lowered record kinds; walk.c and event.c switch on these codes. A
+# vector record is arithmetic, memory or vsetvl (CSR), so the walk needs
+# no opclass lookup.
+LKIND_SCALAR, LKIND_VARITH, LKIND_VMEM, LKIND_BARRIER, LKIND_CSR = range(5)
 
 # first-latency selector for vector memory rows
 FIRST_NONE, FIRST_L2, FIRST_DRAM = 0, 1, 2
 
-_CSR_ID = list(VOpClass).index(VOpClass.CSR)
-_INDEXED_ID = list(VMemPattern).index(VMemPattern.INDEXED)
+_CSR_ID = OPCLASS_ID[VOpClass.CSR]
+_MEM_ID = OPCLASS_ID[VOpClass.MEM]
+_INDEXED_ID = PATTERN_ID[VMemPattern.INDEXED]
 
 
 def knob_free_config(config: SdvConfig) -> SdvConfig:
@@ -151,38 +150,43 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
     """Compile ``ct`` once into knob-independent flat arrays.
 
     Each kind's fields are gathered one by one through the kind's record
-    indices; a masked copy of whole rows would move every field of the
-    wide row array for the few each kind reads.
+    indices: the counts from the classification's rows, every other
+    field from the trace's own columns.
     """
     config = ct.config.validate()
-    rows = ct.rows
-    n = int(rows.shape[0])
+    cols = ct.trace.cols
+    counts = ct.rows
+    n = int(counts.shape[0])
     core = config.core
     vpu = config.vpu
     l2_lat = config.l2_hit_latency  # hoisted: knob-independent
 
-    kinds_arr = rows["kind"]
-    opclass_all = rows["opclass"]
-    sc_idx = np.flatnonzero(kinds_arr == KIND_SCALAR)
-    is_varith = kinds_arr == KIND_VARITH
-    is_csr = opclass_all == _CSR_ID
-    va_idx = np.flatnonzero(is_varith & ~is_csr)
-    csr_mask = is_varith & is_csr
-    vm_idx = np.flatnonzero(kinds_arr == KIND_VMEM)
+    opclass_all = cols.opclass
+    vector = cols.kind == REC_VECTOR
+    vm_mask = vector & (opclass_all == _MEM_ID)
+    csr_mask = vector & (opclass_all == _CSR_ID)
+    lkind = np.where(cols.kind == REC_BARRIER, LKIND_BARRIER,
+                     np.where(vector, LKIND_VARITH, LKIND_SCALAR))
+    lkind[vm_mask] = LKIND_VMEM
+    lkind[csr_mask] = LKIND_CSR
+    sc_idx = np.flatnonzero(lkind == LKIND_SCALAR)
+    va_idx = np.flatnonzero(lkind == LKIND_VARITH)
+    vm_idx = np.flatnonzero(vm_mask)
 
     # -- scalar blocks (mirrors core_model.scalar_block_time) -------------
-    sc_l2_hits = rows["l2_hits"][sc_idx]
-    sc_dram_reads = rows["dram_reads"][sc_idx]
-    sc_pf = rows["pf_dram_reads"][sc_idx]
-    sc_issue = (rows["n_alu"][sc_idx] * core.alu_cpi
-                + rows["n_mem"][sc_idx]) / core.issue_width
-    sc_p = np.maximum(1, np.minimum(core.mshrs, rows["mlp_hint"][sc_idx]))
+    sc_l2_hits = counts["l2_hits"][sc_idx]
+    sc_dram_reads = counts["dram_reads"][sc_idx]
+    sc_pf = counts["pf_dram_reads"][sc_idx]
+    off = cols.addr_off
+    sc_issue = (cols.n_alu[sc_idx] * core.alu_cpi
+                + (off[sc_idx + 1] - off[sc_idx])) / core.issue_width
+    sc_p = np.maximum(1, np.minimum(core.mshrs, cols.mlp[sc_idx]))
     sc_stall_l2 = sc_l2_hits * l2_lat / sc_p
-    sc_bw_txns = (sc_dram_reads + rows["dram_writes"][sc_idx]
+    sc_bw_txns = (sc_dram_reads + counts["dram_writes"][sc_idx]
                   + sc_pf).astype(np.float64)
 
     # -- vector arithmetic (mirrors vpu_model.arith_occupancy) ------------
-    va_vl = np.maximum(rows["vl"][va_idx].astype(np.int64), 1)
+    va_vl = np.maximum(cols.vl[va_idx].astype(np.int64), 1)
     groups = (va_vl + vpu.lanes - 1) // vpu.lanes
     tree = int(np.ceil(np.log2(max(vpu.lanes, 2))))
     opclass = opclass_all[va_idx]
@@ -205,27 +209,26 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
               if groups.shape[0] else np.empty(0, dtype=np.float64))
 
     # -- vector memory (mirrors vpu_model.vmem_cost) ----------------------
-    vm_lines_i = rows["n_line_reqs"][vm_idx]
-    vm_dr = rows["dram_reads"][vm_idx]
+    req_off = ct.req_off
+    vm_lines_i = req_off[vm_idx + 1] - req_off[vm_idx]
+    vm_dr = counts["dram_reads"][vm_idx]
     vm_addr = np.where(
-        rows["pattern"][vm_idx] == _INDEXED_ID,
-        rows["active"][vm_idx] / vpu.gather_issue_per_cycle,
+        cols.pattern[vm_idx] == _INDEXED_ID,
+        cols.active[vm_idx] / vpu.gather_issue_per_cycle,
         vm_lines_i / vpu.stride_issue_per_cycle,
     )
     vm_l2_lines = np.where(vm_lines_i >= vm_dr, vm_lines_i - vm_dr, 0
                            ).astype(np.float64)
-    vm_txns = (vm_dr + rows["dram_writes"][vm_idx]).astype(np.float64)
+    vm_txns = (vm_dr + counts["dram_writes"][vm_idx]).astype(np.float64)
     vm_first_kind = np.where(
         vm_dr > 0, FIRST_DRAM, np.where(vm_lines_i > 0, FIRST_L2, FIRST_NONE)
     ).astype(np.int8)
 
     # -- per-record walk arrays -------------------------------------------
-    lkind = kinds_arr.astype(np.int64)
-    lkind[csr_mask] = LKIND_CSR
     slot = np.zeros(n, dtype=np.int64)
     for idx in (sc_idx, va_idx, vm_idx):
         slot[idx] = np.arange(idx.shape[0])
-    deps = rows["dep"]
+    deps = cols.dep
     dep_targets = deps[deps >= 0]
     # The walk only records start/completion for vector records; a dep edge
     # into a scalar block (impossible for register dataflow) would read
@@ -233,8 +236,8 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
     if dep_targets.size and np.any(lkind[dep_targets] == LKIND_SCALAR):
         raise EngineError("dependency edge points at a scalar block")
 
-    total_reads = int(rows["dram_reads"].sum() + sc_pf.sum())
-    total_writes = int(rows["dram_writes"].sum())
+    total_reads = int(counts["dram_reads"].sum() + sc_pf.sum())
+    total_writes = int(counts["dram_writes"].sum())
 
     return LoweredTrace(
         base=config,
@@ -243,7 +246,7 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         kind=lkind,
         dep=deps.astype(np.int64),
         slot=slot,
-        scalar_dest=rows["scalar_dest"] != 0,
+        scalar_dest=cols.scalar_dest != 0,
         sc_l2_hits=sc_l2_hits.astype(np.float64),
         sc_dram_reads=sc_dram_reads.astype(np.float64),
         sc_p=sc_p.astype(np.float64),

@@ -24,8 +24,9 @@
  *   c_off, coal  coalesced line requests; a vector memory record walks
  *                coal[c_off[i]:c_off[i+1]];
  *   l1_*, l2_*   set state, fill counts zeroed;
- *   counts       five zeroed rows of n: L1 hits, L2 hits, DRAM reads,
- *                DRAM writes, prefetch DRAM reads;
+ *   counts       one zeroed row of five per record (COUNT_DTYPE): L1
+ *                hits, L2 hits, DRAM reads, DRAM writes, prefetch DRAM
+ *                reads;
  *   levels       one AccessLevel per reference, records in order.
  *
  * Nothing is bounds-checked here; the caller checks every span first.
@@ -91,6 +92,9 @@ enum { M_NONE = 0, M_SCALAR = 1, M_VLOAD = 2, M_VSTORE = 3,
        M_VSTORE_NOFILL = 4 };
 /* repro.memory.classify.AccessLevel */
 enum { LV_L1 = 0, LV_L2 = 1, LV_DRAM = 2 };
+/* the fields of a record's counts row */
+enum { C_L1 = 0, C_L2 = 1, C_DRAM_R = 2, C_DRAM_W = 3, C_PF = 4,
+       N_COUNTS = 5 };
 
 typedef struct {
     int64_t *tag;
@@ -180,15 +184,14 @@ void repro_classify(
     L2 l2 = {{l2_tag, l2_dirty, l2_fill, l2_ways},
              l2_banks - 1, l2_bank_bits, l2_sets, l2_sets - 1};
     const int64_t mask1 = l1_sets - 1;
-    int64_t *l1_hits = counts, *l2_hits = counts + n;
-    int64_t *dram_reads = counts + 2 * n, *dram_writes = counts + 3 * n;
-    int64_t *pf_reads = counts + 4 * n;
     uint8_t *lv = levels;
     int64_t victim;
 
     for (int64_t i = 0; i < n; i++) {
         if (mode[i] == M_NONE)
             continue;
+        int64_t *const c = counts + N_COUNTS * i;
+        int64_t *const dram_writes = c + C_DRAM_W;
         if (mode[i] == M_SCALAR) {
             for (int64_t j = off[i]; j < off[i + 1]; j++) {
                 const int64_t line = addrs[j] >> line_shift;
@@ -197,17 +200,17 @@ void repro_classify(
                 if (w >= 0) {
                     push(&l1, s, line, drop(&l1, s, w) | writes[j]);
                     *lv++ = LV_L1;
-                    l1_hits[i]++;
+                    c[C_L1]++;
                     continue;
                 }
                 if (install(&l1, s, line, writes[j], &victim))
-                    l2_access(&l2, victim, 1, &dram_writes[i]);
-                if (l2_access(&l2, line, 0, &dram_writes[i])) {
+                    l2_access(&l2, victim, 1, dram_writes);
+                if (l2_access(&l2, line, 0, dram_writes)) {
                     *lv++ = LV_L2;
-                    l2_hits[i]++;
+                    c[C_L2]++;
                 } else {
                     *lv++ = LV_DRAM;
-                    dram_reads[i]++;
+                    c[C_DRAM_R]++;
                 }
                 /* next-N-line stream prefetch: fill L1 (and L2 on the
                  * way) with the following lines */
@@ -216,10 +219,10 @@ void repro_classify(
                     const int64_t ps = pline & mask1;
                     if (find(&l1, ps, pline) >= 0)
                         continue;
-                    if (!l2_access(&l2, pline, 0, &dram_writes[i]))
-                        pf_reads[i]++;
+                    if (!l2_access(&l2, pline, 0, dram_writes))
+                        c[C_PF]++;
                     if (install(&l1, ps, pline, 0, &victim))
-                        l2_access(&l2, victim, 1, &dram_writes[i]);
+                        l2_access(&l2, victim, 1, dram_writes);
                 }
             }
             continue;
@@ -232,15 +235,15 @@ void repro_classify(
             const int64_t s = line & mask1;
             const int64_t w = find(&l1, s, line);
             if (w >= 0 && drop(&l1, s, w))
-                l2_access(&l2, line, 1, &dram_writes[i]);
+                l2_access(&l2, line, 1, dram_writes);
             /* unit-stride stores allocate whole lines without a fill */
-            if (l2_access(&l2, line, write, &dram_writes[i])
+            if (l2_access(&l2, line, write, dram_writes)
                     || mode[i] == M_VSTORE_NOFILL) {
                 *lv++ = LV_L2;
-                l2_hits[i]++;
+                c[C_L2]++;
             } else {
                 *lv++ = LV_DRAM;
-                dram_reads[i]++;
+                c[C_DRAM_R]++;
             }
         }
     }

@@ -34,7 +34,6 @@ from repro import native
 from repro.config import SdvConfig
 from repro.errors import TraceError
 from repro.trace.events import (
-    REC_BARRIER,
     REC_SCALAR,
     REC_VECTOR,
     TraceBuffer,
@@ -55,32 +54,16 @@ class AccessLevel(enum.IntEnum):
     DRAM = 2
 
 
-# Row dtype of the columnar classified trace consumed by the fast engine.
-ROW_DTYPE = np.dtype(
-    [
-        ("kind", np.uint8),        # 0 scalar block, 1 vector arith, 2 vector mem,
-                                   # 3 barrier
-        ("n_alu", np.int64),       # scalar block ALU ops
-        ("n_mem", np.int64),       # scalar block memory ops
-        ("l1_hits", np.int64),
-        ("l2_hits", np.int64),
-        ("dram_reads", np.int64),
-        ("dram_writes", np.int64),  # writebacks + store traffic to DRAM
-        ("vl", np.int32),
-        ("active", np.int32),
-        ("opclass", np.uint8),      # VOpClass ordinal (255 for scalar rows)
-        ("pattern", np.uint8),      # VMemPattern ordinal (255 if N/A)
-        ("n_line_reqs", np.int64),  # vector mem: line requests after coalescing
-        ("mlp_hint", np.int64),
-        ("is_write", np.uint8),
-        ("dep", np.int64),          # producing record index (-1 none)
-        ("scalar_dest", np.uint8),  # instruction writes a scalar register
-        ("pf_dram_reads", np.int64),  # prefetcher-issued DRAM fills (non-
-                                      # blocking: bandwidth, not stall)
-    ]
-)
-
-KIND_SCALAR, KIND_VARITH, KIND_VMEM, KIND_BARRIER = 0, 1, 2, 3
+#: one record's row of :attr:`ClassifiedTrace.rows`: the five counts the
+#: cache walk decides for it
+COUNT_DTYPE = np.dtype([
+    ("l1_hits", np.int64),
+    ("l2_hits", np.int64),
+    ("dram_reads", np.int64),     # demand fills
+    ("dram_writes", np.int64),    # writebacks + store traffic to DRAM
+    ("pf_dram_reads", np.int64),  # prefetcher-issued DRAM fills (non-
+                                  # blocking: bandwidth, not stall)
+])
 
 _OPCLASS_ID = {c: i for i, c in enumerate(VOpClass)}
 _PATTERN_ID = {p: i for i, p in enumerate(VMemPattern)}
@@ -88,18 +71,20 @@ _PATTERN_ID = {p: i for i, p in enumerate(VMemPattern)}
 
 @dataclass
 class ClassifiedTrace:
-    """Per-record classified view of a trace.
+    """What the cache walk decided about each record of a trace.
 
-    ``rows`` is a structured array with one row per trace record (columnar,
-    for the fast engine). ``levels`` is one flat ``uint8`` array holding
-    the :class:`AccessLevel` of every line request of
-    :func:`line_requests`, in order: record ``i``'s are
-    ``levels[req_off[i]:req_off[i + 1]]`` (for the event engines).
-    ``trace`` is the original buffer.
+    ``rows`` holds one :data:`COUNT_DTYPE` row per trace record.
+    ``(req_off, lines)`` is the trace's line-request arena
+    (:func:`line_requests`): record ``i`` requests
+    ``lines[req_off[i]:req_off[i + 1]]``, and ``levels`` holds the
+    :class:`AccessLevel` that served each request. Every other record
+    field (kind, operation counts, VL, pattern, deps) is ``trace.cols``'
+    own column; ``trace`` is the original buffer.
     """
 
     rows: np.ndarray
     req_off: np.ndarray
+    lines: np.ndarray
     levels: np.ndarray
     trace: TraceBuffer
     config: SdvConfig
@@ -108,18 +93,24 @@ class ClassifiedTrace:
     totals: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if (self.req_off.shape != (self.rows.shape[0] + 1,)
-                or self.req_off[-1] != self.levels.shape[0]):
-            raise TraceError("levels misaligned with the line requests")
+        n = self.rows.shape[0]
+        if (self.rows.dtype != COUNT_DTYPE or self.rows.shape != (n,)
+                or self.req_off.shape != (n + 1,)
+                or not (self.req_off[-1] == self.levels.shape[0]
+                        == self.lines.shape[0])):
+            raise TraceError("counts, levels and line requests misaligned")
         if not self.totals:
             r = self.rows
+            cols = self.trace.cols
+            scalar = cols.kind == REC_SCALAR
             self.totals = {
                 "l1_hits": int(r["l1_hits"].sum()),
                 "l2_hits": int(r["l2_hits"].sum()),
                 "dram_reads": int(r["dram_reads"].sum()),
                 "dram_writes": int(r["dram_writes"].sum()),
-                "scalar_mem_ops": int(r["n_mem"].sum()),
-                "vector_line_reqs": int(r["n_line_reqs"].sum()),
+                "scalar_mem_ops": int(np.diff(cols.addr_off)[scalar].sum()),
+                "vector_line_reqs": int(
+                    np.diff(self.req_off)[~scalar].sum()),
                 "pf_dram_reads": int(r["pf_dram_reads"].sum()),
             }
 
@@ -283,69 +274,8 @@ def _numpy_line_requests(cols, coalesce_gathers: bool
             lines_all[req_idx])
 
 
-def _prepare_rows(cols, config: SdvConfig
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized prep shared by both cache walks.
-
-    Derives the line requests and fills every knob-independent row
-    field — everything except the hit/miss counters and levels the cache
-    walk itself produces. Returns
-    ``(rows, vm_mask, req_off, lines, span_len, is_scalar)``.
-    """
-    n = cols.n
-    req_off, lines = line_requests(cols, config.vpu.coalesce_gathers)
-    vm_mask = ((cols.kind == REC_VECTOR)
-               & (cols.opclass == _OPCLASS_ID[VOpClass.MEM]))
-    off = cols.addr_off
-    span_len = off[1:] - off[:-1]
-    is_scalar = cols.kind == REC_SCALAR
-
-    rows = np.zeros(n, dtype=ROW_DTYPE)
-    _fill_rows(rows, {
-        "kind": np.where(
-            cols.kind == REC_BARRIER, KIND_BARRIER,
-            np.where(cols.kind == REC_VECTOR,
-                     np.where(vm_mask, KIND_VMEM, KIND_VARITH),
-                     KIND_SCALAR)),
-        "n_alu": cols.n_alu,
-        "n_mem": np.where(is_scalar, span_len, 0),
-        "mlp_hint": cols.mlp,
-        "vl": cols.vl,
-        "active": cols.active,
-        "opclass": cols.opclass,
-        "pattern": cols.pattern,
-        "is_write": cols.is_write,
-        "dep": cols.dep,
-        "scalar_dest": cols.scalar_dest,
-        "n_line_reqs": np.where(vm_mask, np.diff(req_off), 0),
-    })
-    return rows, vm_mask, req_off, lines, span_len, is_scalar
-
-
-#: rows per block in :func:`_fill_rows`
-_FILL_BLOCK = 1 << 15
-
-
-def _fill_rows(rows: np.ndarray, fields: dict[str, np.ndarray]) -> None:
-    """``rows[name] = col`` for every field, one block of rows at a time.
-
-    Assigned field by field, every field would stream the whole wide row
-    array through the cache again; at paper scale that took longer than
-    the cache walk. A block stays in cache while all its fields land.
-    """
-    for lo in range(0, rows.shape[0], _FILL_BLOCK):
-        block = rows[lo:lo + _FILL_BLOCK]
-        for name, col in fields.items():
-            block[name] = col[lo:lo + _FILL_BLOCK]
-
-
-# per-record modes of the compiled walk (M_* in classify.c)
+# per-record modes of the cache walks (M_* in classify.c)
 M_NONE, M_SCALAR, M_VLOAD, M_VSTORE, M_VSTORE_NOFILL = range(5)
-
-#: the row fields the cache walk fills, in the order of its count rows
-_COUNT_FIELDS = ("l1_hits", "l2_hits", "dram_reads", "dram_writes",
-                 "pf_dram_reads")
 
 #: argument types of ``repro_classify`` in ``classify.c``
 _CLASSIFY_ARGTYPES = [
@@ -355,7 +285,7 @@ _CLASSIFY_ARGTYPES = [
     _c_i64, _c_i64, _c_i64,                         # L1 geometry, prefetch
     _c_i64, _c_i64, _c_i64, _c_i64,                 # L2 geometry
     _o64, _ou8, _o64, _o64, _ou8, _o64,             # L1 and L2 set state
-    _o64, _ou8,                                     # counts, levels
+    native.ndarray(COUNT_DTYPE, writeable=True), _ou8,  # rows, levels
 ]
 
 
@@ -370,6 +300,23 @@ def _geometry(config: SdvConfig) -> tuple[int, int, int, int, int, int]:
             l2cfg.bank_bytes // (l2cfg.ways * LINE_BYTES), l2cfg.ways)
 
 
+def _modes(cols) -> np.ndarray:
+    """Each record's ``M_*`` mode: what it does to the caches. A scalar
+    block with memory ops walks the L1D; a vector load, store or
+    unit-stride store (which allocates without a fill) goes to the L2;
+    anything else does nothing."""
+    vm = ((cols.kind == REC_VECTOR)
+          & (cols.opclass == _OPCLASS_ID[VOpClass.MEM]))
+    store = cols.is_write != 0
+    unit = cols.pattern == _PATTERN_ID[VMemPattern.UNIT]
+    off = cols.addr_off
+    mode = np.zeros(cols.n, dtype=np.uint8)
+    mode[(cols.kind == REC_SCALAR) & (off[1:] > off[:-1])] = M_SCALAR
+    mode[vm] = np.where(store, np.where(unit, M_VSTORE_NOFILL, M_VSTORE),
+                        M_VLOAD)[vm]
+    return mode
+
+
 def classify_backend() -> str:
     """The walk classification runs on in this process: ``"compiled"``
     or ``"python"``."""
@@ -381,9 +328,9 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
 
     Consumes the trace's columns directly (zero-copy). The line requests
     (:func:`line_requests`) and the cache walk run in a small C kernel,
-    ``classify.c``, built and loaded by :mod:`repro.native`; NumPy fills
-    every knob-independent row field (:func:`_prepare_rows`). Where no
-    compiler can build it, the NumPy line requests and the dict walk
+    ``classify.c``, built and loaded by :mod:`repro.native`, which writes
+    each record's counts straight into its row. Where no compiler can
+    build it, the NumPy line requests and the dict walk
     (:func:`_dict_walk`) run instead, which are the specification: the
     two agree bit-for-bit on rows, levels and totals, and
     ``tests/memory`` pins that on both paths. A trace whose deps do not
@@ -401,18 +348,15 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
         raise TraceError("trace write flags do not match its address arena")
     # every engine walks deps backward, from this classification on
     cols.check_deps()
-    rows, vm_mask, req_off, lines, span_len, is_scalar = _prepare_rows(
-        cols, config)
+    req_off, lines = line_requests(cols, config.vpu.coalesce_gathers)
+    mode = _modes(cols)
     fn = native.function("repro_classify", _CLASSIFY_ARGTYPES)
     if fn is None:
-        counts, levels = _dict_walk(cols, config, vm_mask, req_off, lines,
-                                    span_len, is_scalar)
+        rows, levels = _dict_walk(cols, config, mode, req_off, lines)
     else:
-        counts, levels = _c_walk(fn, cols, config, vm_mask, req_off, lines,
-                                 span_len, is_scalar)
-    _fill_rows(rows, dict(zip(_COUNT_FIELDS, counts)))
-    ct = ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
-                         trace=trace, config=config)
+        rows, levels = _c_walk(fn, cols, config, mode, req_off, lines)
+    ct = ClassifiedTrace(rows=rows, req_off=req_off, lines=lines,
+                         levels=levels, trace=trace, config=config)
 
     rec = get_recorder()
     if rec.on:
@@ -425,11 +369,11 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     return ct
 
 
-def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
-            req_off: np.ndarray, lines: np.ndarray, span_len: np.ndarray,
-            is_scalar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cache walk in the compiled kernel; returns the ``(5, n)`` count
-    rows (:data:`_COUNT_FIELDS`) and the flat levels."""
+def _c_walk(fn, cols, config: SdvConfig, mode: np.ndarray,
+            req_off: np.ndarray, lines: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The cache walk in the compiled kernel; returns the
+    :data:`COUNT_DTYPE` rows and the flat levels."""
     n = cols.n
     # the kernel indexes without bounds checks: classify_trace checked
     # the arena spans, and the request spans must tile their lines too
@@ -438,16 +382,9 @@ def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
             and (req_off[1:] >= req_off[:-1]).all()):
         raise TraceError("line-request spans do not tile their lines")
 
-    mode = np.zeros(n, dtype=np.uint8)
-    mode[is_scalar & (span_len > 0)] = M_SCALAR
-    store = cols.is_write != 0
-    unit = cols.pattern == _PATTERN_ID[VMemPattern.UNIT]
-    mode[vm_mask] = np.where(store, np.where(unit, M_VSTORE_NOFILL,
-                                             M_VSTORE), M_VLOAD)[vm_mask]
-
     n_sets1, l1_ways, banks, bank_bits, n_sets2, l2_ways = _geometry(config)
     n_sets2_all = banks * n_sets2
-    counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
+    rows = np.zeros(n, dtype=COUNT_DTYPE)
     # one level per request: a scalar block's requests are its arena span
     levels = np.empty(lines.shape[0], dtype=np.uint8)
     fn(n, mode, cols.addr_off, cols.addrs, LINE_SHIFT, cols.writes, req_off,
@@ -459,13 +396,12 @@ def _c_walk(fn, cols, config: SdvConfig, vm_mask: np.ndarray,
        np.zeros(n_sets2_all * l2_ways, dtype=np.int64),
        np.zeros(n_sets2_all * l2_ways, dtype=np.uint8),
        np.zeros(n_sets2_all, dtype=np.int64),
-       counts, levels)
-    return counts, levels
+       rows, levels)
+    return rows, levels
 
 
-def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
-               req_off: np.ndarray, lines: np.ndarray,
-               span_len: np.ndarray, is_scalar: np.ndarray
+def _dict_walk(cols, config: SdvConfig, mode: np.ndarray,
+               req_off: np.ndarray, lines: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """The cache walk in Python: the specification of ``classify.c``.
 
@@ -474,24 +410,22 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
     compiled walk to this one. Returns what :func:`_c_walk` returns.
     """
     n = cols.n
-    unit_id = _PATTERN_ID[VMemPattern.UNIT]
     prefetch_depth = config.core.l1_prefetch_depth
     off = cols.addr_off
     levels = np.empty(lines.shape[0], dtype=np.uint8)
 
     # only records that touch memory interact with the cache state
-    work = np.flatnonzero((is_scalar & (span_len > 0)) | vm_mask)
-    w_scalar = is_scalar[work].tolist()
+    work = np.flatnonzero(mode != M_NONE)
+    w_mode = mode[work].tolist()
     w_lo = off[work].tolist()
     w_hi = off[work + 1].tolist()
     w_rlo = req_off[work].tolist()
     w_rhi = req_off[work + 1].tolist()
-    w_write = cols.is_write[work].tolist()
-    w_fill = (cols.pattern[work] != unit_id).tolist()  # fill_on_store_miss
     writes_all = cols.writes
 
-    counts = np.zeros((len(_COUNT_FIELDS), n), dtype=np.int64)
-    l1_hits_a, l2_hits_a, dram_reads_a, dram_writes_a, pf_a = counts
+    rows = np.zeros(n, dtype=COUNT_DTYPE)
+    l1_hits_a, l2_hits_a, dram_reads_a, dram_writes_a, pf_a = (
+        rows[name] for name in COUNT_DTYPE.names)
 
     # ---- cache state: the L1D and the banked L2 ---------------------------
     # LRU sets as insertion-ordered dicts: oldest key first (the eviction
@@ -561,7 +495,7 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
         # the record's line requests, and where their levels go
         refs = lines[w_rlo[w]:w_rhi[w]].tolist()
         lv = levels[w_rlo[w]:w_rhi[w]]
-        if w_scalar[w]:
+        if w_mode[w] == M_SCALAR:
             wr = writes_all[w_lo[w]:w_hi[w]].tolist()
             m = len(refs)
             dram_writes = dram_reads = pf_reads = l1h = l2h = 0
@@ -629,9 +563,9 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
             continue
 
         # vector memory record
-        is_write = w_write[w]
+        is_write = w_mode[w] != M_VLOAD
         # unit-stride stores allocate whole lines without fetching
-        no_fill_store = is_write and not w_fill[w]
+        no_fill_store = w_mode[w] == M_VSTORE_NOFILL
         dram_writes = dram_reads = l2h = 0
         for j, line in enumerate(refs):
             # home-node recall of lines the scalar side holds
@@ -677,4 +611,4 @@ def _dict_walk(cols, config: SdvConfig, vm_mask: np.ndarray,
         dram_reads_a[i] = dram_reads
         dram_writes_a[i] = dram_writes
 
-    return counts, levels
+    return rows, levels

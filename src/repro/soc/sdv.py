@@ -31,15 +31,10 @@ from repro.isa.csr import CsrFile
 from repro.isa.scalar_ctx import ScalarContext
 from repro.isa.vector_ctx import VectorContext
 from repro.memory.address_space import MemoryImage
-from repro.memory.classify import (
-    KIND_SCALAR,
-    KIND_VARITH,
-    KIND_VMEM,
-    ClassifiedTrace,
-)
+from repro.memory.classify import ClassifiedTrace
 from repro.memory.classify_fast import CLASSIFIERS, DEFAULT_CLASSIFIER
 from repro.soc.hwcounters import HwCounters
-from repro.trace.events import TraceBuffer
+from repro.trace.events import REC_SCALAR, REC_VECTOR, TraceBuffer
 
 
 def _count_cache(name: str) -> None:
@@ -190,27 +185,27 @@ class FpgaSdv:
         ct = self.classify(trace) if classified is None else classified
         return lower_cached(ct, lower=lower_trace)
 
-    def _instret(self, ct: ClassifiedTrace) -> tuple[int, int]:
-        """(scalar, vector) retired-instruction counts of a trace."""
-        rows = ct.rows
-        kinds = rows["kind"]
-        scalar_mask = kinds == KIND_SCALAR
-        scalar = int(rows["n_alu"][scalar_mask].sum()
-                     + rows["n_mem"][scalar_mask].sum())
-        vector = int(((kinds == KIND_VARITH) | (kinds == KIND_VMEM)).sum())
-        return scalar, vector
+    @staticmethod
+    def _instret(trace: TraceBuffer) -> tuple[int, int]:
+        """(scalar, vector) retired-instruction counts of a trace: a
+        scalar block retires its ALU and memory ops, a vector record
+        one instruction."""
+        cols = trace.cols
+        scalar_mask = cols.kind == REC_SCALAR
+        scalar = int(cols.n_alu[scalar_mask].sum()
+                     + np.diff(cols.addr_off)[scalar_mask].sum())
+        return scalar, int(np.count_nonzero(cols.kind == REC_VECTOR))
 
     def time(self, trace: TraceBuffer, *, engine: str = "batch"
              ) -> CycleReport:
         """Cycle-count a sealed trace under the current knob settings."""
         check_engine(engine)
-        ct = self.classify(trace)
         if engine == "batch":
             # reuse the trace-level lowered cache instead of re-lowering
             report = simulate_batch(self.lower(trace), [self.config])[0]
         else:
-            report = ENGINES[engine](ct)
-        scalar, vector = self._instret(ct)
+            report = ENGINES[engine](self.classify(trace))
+        scalar, vector = self._instret(trace)
         self.counters.absorb(report, scalar_instret=scalar,
                              vector_instret=vector)
         return report

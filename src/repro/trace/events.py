@@ -474,7 +474,10 @@ class TraceBuffer:
         verbatim, so loading is adopting the arrays — no per-record loop.
         The caller hands over ownership of ``cols``. Columns from outside
         the program are checked as far as the engines rely on them: the
-        span offsets' shape, the string table and the deps
+        span offsets' shape, the string table, the record codes that
+        lowering and the engines sort records by (every ``kind`` a
+        ``REC_*``, every vector ``opclass`` a :class:`VOpClass`, every
+        vector memory ``pattern`` a :class:`VMemPattern`) and the deps
         (:meth:`TraceColumns.check_deps`).
         """
         buf = cls()
@@ -486,6 +489,20 @@ class TraceBuffer:
             )
         if not cols.strings or cols.strings[0] != "":
             raise TraceError("string table must start with the empty string")
+        kind = cols.kind
+        vector = kind == REC_VECTOR
+        for name, bad in (
+            ("kind", ~np.isin(kind, (REC_SCALAR, REC_VECTOR, REC_BARRIER))),
+            ("opclass", vector
+             & ~np.isin(cols.opclass, range(len(OPCLASS_LIST)))),
+            ("pattern", vector & (cols.opclass == _MEM_ID)
+             & ~np.isin(cols.pattern, range(len(PATTERN_LIST)))),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise TraceError(f"record {i}: {name} "
+                                 f"{int(getattr(cols, name)[i])} is not "
+                                 "a valid code")
         cols.check_deps()
         buf._n = n
         buf._strings = list(cols.strings)

@@ -46,8 +46,8 @@ def save_trace(trace: TraceBuffer, path: str | os.PathLike, *,
 
     ``classified`` is the trace's
     :class:`~repro.memory.classify.ClassifiedTrace`, stored alongside as
-    ``cls_rows``, ``cls_req_off`` and ``cls_levels`` (as they are in
-    memory) for :func:`load_classified`. The file is written to a
+    ``cls_rows``, ``cls_req_off``, ``cls_lines`` and ``cls_levels`` (as
+    they are in memory) for :func:`load_classified`. The file is written to a
     temporary sibling and renamed into place, so ``path`` either holds a
     whole file or none: a failed or interrupted save never leaves a
     truncated one there.
@@ -68,8 +68,9 @@ def save_trace(trace: TraceBuffer, path: str | os.PathLike, *,
         **{name: getattr(c, name) for name in _V2_COLUMNS},
     )
     if classified is not None:
-        members.update(cls_rows=np.ascontiguousarray(classified.rows),
+        members.update(cls_rows=classified.rows,
                        cls_req_off=classified.req_off,
+                       cls_lines=classified.lines,
                        cls_levels=classified.levels)
     path = Path(path)
     # not a cache-entry name: the cache audit flags a leftover as S003
@@ -111,19 +112,44 @@ def load_classified(path: str | os.PathLike, trace: TraceBuffer, config):
     Returns a :class:`~repro.memory.classify.ClassifiedTrace` bound to
     ``trace`` (loaded from the same file) and ``config``. Raises
     :class:`TraceError` when the file holds no classification, or one
-    whose rows or offsets do not match the trace.
+    that does not fit the trace or itself: the counts must be one
+    :data:`~repro.memory.classify.COUNT_DTYPE` row per record, the
+    request offsets must run from 0 without decreasing to the length of
+    both the lines and the levels, every level must name an
+    :class:`~repro.memory.classify.AccessLevel`, and each record's L1
+    hits, L2 hits and DRAM reads must add up to its requests.
     """
-    from repro.memory.classify import ClassifiedTrace
+    from repro.memory.classify import (
+        COUNT_DTYPE,
+        AccessLevel,
+        ClassifiedTrace,
+    )
 
     with np.load(path, allow_pickle=False) as z:
         if "cls_rows" not in z.files:
             raise TraceError(f"{path} holds no classification")
         rows = z["cls_rows"]
         req_off = z["cls_req_off"]
+        lines = z["cls_lines"]
         levels = z["cls_levels"]
-    if rows.shape[0] != len(trace):
+    n = len(trace)
+    if rows.dtype != COUNT_DTYPE or rows.shape != (n,):
         raise TraceError(
-            f"classification has {rows.shape[0]} rows for a trace of "
-            f"{len(trace)} records")
-    return ClassifiedTrace(rows=rows, req_off=req_off, levels=levels,
-                           trace=trace, config=config)
+            f"classification rows {rows.dtype} {rows.shape} do not fit "
+            f"a trace of {n} records")
+    if not (req_off.dtype == lines.dtype == np.int64
+            and levels.dtype == np.uint8
+            and req_off.shape == (n + 1,) and req_off[0] == 0
+            and (req_off[1:] >= req_off[:-1]).all()
+            and req_off[-1] == levels.size == lines.size):
+        raise TraceError("stored line requests do not tile their levels")
+    if levels.size and levels.max() > AccessLevel.DRAM:
+        raise TraceError(f"stored level {int(levels.max())} is no "
+                         "access level")
+    served = rows["l1_hits"] + rows["l2_hits"] + rows["dram_reads"]
+    bad = np.flatnonzero(served != np.diff(req_off))
+    if bad.size:
+        raise TraceError(f"record {int(bad[0])}: stored counts do not "
+                         "match its line requests")
+    return ClassifiedTrace(rows=rows, req_off=req_off, lines=lines,
+                           levels=levels, trace=trace, config=config)

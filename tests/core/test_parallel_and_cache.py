@@ -471,6 +471,44 @@ class TestTraceCache:
         assert load_classified(entry, trace, sdv.config) is not None
         assert len(list(tmp_path.iterdir())) == 2
 
+    @pytest.mark.parametrize("damage", ["kind", "count"])
+    def test_entry_that_does_not_fit_itself_is_regenerated(self, tmp_path,
+                                                          damage):
+        # a whole zip whose record codes name nothing, or whose stored
+        # counts do not add up to the stored line requests: a miss, and
+        # the rewritten classification is a fresh one
+        import numpy as np
+
+        from repro.memory.classify import classify_trace
+        from repro.obs.record import recording
+        from repro.trace.serialize import load_classified, load_trace
+
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        sdv, _ = run_implementation(spec, workload, 8, verify=False,
+                                    trace_cache=tmp_path)
+        entry = trace_cache_path(tmp_path, spec.name, workload, 8, sdv,
+                                 spec=spec)
+        data = dict(np.load(entry))
+        if damage == "kind":
+            data["kind"][-1] = 7
+        else:
+            data["cls_rows"]["dram_reads"][0] += 40
+        np.savez_compressed(entry, **data)
+        with recording() as rec:
+            run_implementation(spec, workload, 8, verify=False,
+                               trace_cache=tmp_path)
+        warned = [r for r in rec.records if r["kind"] == "event"
+                  and r["name"] == "trace_cache.unreadable"]
+        assert len(warned) == 1
+        trace = load_trace(entry)
+        stored = load_classified(entry, trace, sdv.config)
+        fresh = classify_trace(trace, sdv.config)
+        for name in ("rows", "req_off", "lines", "levels"):
+            assert np.array_equal(getattr(stored, name),
+                                  getattr(fresh, name)), name
+        assert stored.totals == fresh.totals
+
     def test_classifier_edit_misses_the_cache(self, tmp_path, monkeypatch):
         # the entry stores the classification, so an edit to the
         # classifier must miss the cache like an edit to the kernel: here

@@ -129,6 +129,20 @@ class TestTraceCacheAudit:
         assert error_rules(found) == ["S005"]
         assert found[0].location == str(entry)
 
+    def test_entry_whose_counts_do_not_fit_is_unreadable(self, tmp_path):
+        # a whole zip whose stored counts disagree with its stored line
+        # requests: every cached run would reject and regenerate it
+        import numpy as np
+
+        self._warm(tmp_path)
+        entry = self._trace_entry(tmp_path)
+        data = dict(np.load(entry))
+        data["cls_rows"]["dram_reads"][0] += 40
+        np.savez_compressed(entry, **data)
+        found = check_trace_cache(tmp_path)
+        assert error_rules(found) == ["S005"]
+        assert found[0].location == str(entry)
+
     def test_stale_schema_version(self, tmp_path):
         self._warm(tmp_path)
         entry = self._trace_entry(tmp_path)

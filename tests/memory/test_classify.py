@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.config import CoreConfig, L2Config, SdvConfig, VpuConfig
+from repro.engine.lower import (
+    LKIND_BARRIER,
+    LKIND_SCALAR,
+    LKIND_VARITH,
+    LKIND_VMEM,
+    lower_trace,
+)
 from repro.errors import TraceError
 from repro.memory.classify import (
     AccessLevel,
-    KIND_BARRIER,
-    KIND_SCALAR,
-    KIND_VARITH,
-    KIND_VMEM,
     _coalesce_lines,
     _numpy_line_requests,
     classify_trace,
@@ -105,20 +108,20 @@ class TestScalarPath:
     def test_row_metadata(self):
         blk = scalar_block([BASE, BASE + 8], n_alu=5)
         ct = classify_trace(build(blk), tiny_cfg())
+        assert lower_trace(ct).kind[0] == LKIND_SCALAR
+        # one line request per memory op, each served by some level
+        assert np.diff(ct.req_off).tolist() == [2]
         row = ct.rows[0]
-        assert row["kind"] == KIND_SCALAR
-        assert row["n_alu"] == 5
-        assert row["n_mem"] == 2
+        assert row["l1_hits"] + row["l2_hits"] + row["dram_reads"] == 2
 
 
 class TestVectorPath:
     def test_unit_load_coalesces_to_lines(self):
         addrs = BASE + 8 * np.arange(16)  # 16 doubles = 2 lines
         ct = classify_trace(build(vload(addrs)), tiny_cfg())
-        row = ct.rows[0]
-        assert row["kind"] == KIND_VMEM
-        assert row["n_line_reqs"] == 2
-        assert row["dram_reads"] == 2
+        assert lower_trace(ct).kind[0] == LKIND_VMEM
+        assert np.diff(ct.req_off).tolist() == [2]
+        assert ct.rows["dram_reads"][0] == 2
 
     def test_l2_hit_on_revisit(self):
         addrs = BASE + 8 * np.arange(8)
@@ -142,13 +145,13 @@ class TestVectorPath:
                           BASE + 24, BASE + 8, BASE + 32, BASE + 40])
         ct = classify_trace(build(vload(addrs, VMemPattern.INDEXED)),
                             tiny_cfg(coalesce_gathers=True))
-        assert ct.rows["n_line_reqs"][0] == 1
+        assert np.diff(ct.req_off).tolist() == [1]
 
     def test_gather_no_coalescing_ablation(self):
         addrs = np.array([BASE, BASE + 8, BASE, BASE + 8])
         ct = classify_trace(build(vload(addrs, VMemPattern.INDEXED)),
                             tiny_cfg(coalesce_gathers=False))
-        assert ct.rows["n_line_reqs"][0] == 4
+        assert np.diff(ct.req_off).tolist() == [4]
 
     def test_unit_store_allocates_without_fill(self):
         addrs = BASE + 8 * np.arange(8)
@@ -175,17 +178,11 @@ class TestVectorPath:
     def test_varith_and_barrier_rows(self):
         arith = VectorInstr(op=VOpClass.ARITH, vl=8, opcode="vfadd")
         ct = classify_trace(build(arith, Barrier()), tiny_cfg())
-        assert ct.rows["kind"][0] == KIND_VARITH
-        assert ct.rows["kind"][1] == KIND_BARRIER
-
-    def test_dep_and_scalar_dest_propagate(self):
-        arith = VectorInstr(op=VOpClass.REDUCE, vl=8, opcode="vfredsum",
-                            dep=0, scalar_dest=True)
-        filler = VectorInstr(op=VOpClass.ARITH, vl=8, opcode="vfadd")
-        ct = classify_trace(build(filler, arith), tiny_cfg())
-        assert ct.rows["dep"][1] == 0
-        assert ct.rows["scalar_dest"][1] == 1
-        assert ct.rows["dep"][0] == -1
+        assert lower_trace(ct).kind.tolist() == [LKIND_VARITH, LKIND_BARRIER]
+        # neither touches memory
+        assert ct.req_off.tolist() == [0, 0, 0]
+        assert (ct.rows["l1_hits"] + ct.rows["l2_hits"]
+                + ct.rows["dram_reads"]).tolist() == [0, 0]
 
 
 class TestCompiledWalk:
@@ -225,6 +222,22 @@ class TestCompiledWalk:
         with pytest.raises(TraceError):
             classify_trace(tr, tiny_cfg())
         assert calls == []
+
+    @pytest.mark.parametrize("coalesce", [True, False])
+    def test_counts_are_the_levels_of_each_span(self, ci_traces, coalesce,
+                                                classify_walk):
+        """Every record's L1 hits, L2 hits and DRAM reads are the number
+        of its line requests each level served, on both walks."""
+        cfg = SdvConfig(vpu=VpuConfig(coalesce_gathers=coalesce)).validate()
+        for trace in ci_traces:
+            ct = classify_trace(trace, cfg)
+            n = ct.rows.shape[0]
+            owner = np.repeat(np.arange(n), np.diff(ct.req_off))
+            for level, name in ((AccessLevel.L1, "l1_hits"),
+                                (AccessLevel.L2, "l2_hits"),
+                                (AccessLevel.DRAM, "dram_reads")):
+                served = np.bincount(owner[ct.levels == level], minlength=n)
+                assert np.array_equal(served, ct.rows[name]), name
 
 
 class TestCoalesceLines:
@@ -331,7 +344,7 @@ class TestLineRequests:
         """A scalar block requests every line it touches, a vector memory
         instruction its :func:`_coalesce_lines` lines, anything else
         nothing; the arena is the specification's; and classification
-        levels that same arena."""
+        keeps that same arena."""
         cfg = SdvConfig(vpu=VpuConfig(coalesce_gathers=coalesce)).validate()
         mem_id = OPCLASS_ID[VOpClass.MEM]
         for trace in ci_traces:
@@ -353,8 +366,7 @@ class TestLineRequests:
             assert req_off[-1] == lines.shape[0]
             ct = classify_trace(trace, cfg)
             assert np.array_equal(ct.req_off, req_off)
-            assert np.array_equal(ct.rows["n_line_reqs"],
-                                  np.where(vm, np.diff(req_off), 0))
+            assert np.array_equal(ct.lines, lines)
 
 
 class TestTotals:

@@ -52,9 +52,11 @@ def both_walks(trace, cfg):
 
 
 def assert_identical(a, b):
-    """rows, request offsets, levels and totals all bit-identical."""
+    """count rows, line requests, levels and totals all bit-identical."""
+    assert a.rows.dtype == b.rows.dtype
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.req_off, b.req_off)
+    assert np.array_equal(a.lines, b.lines)
     assert a.levels.dtype == b.levels.dtype == np.uint8
     assert np.array_equal(a.levels, b.levels)
     assert a.totals == b.totals

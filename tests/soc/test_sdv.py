@@ -127,6 +127,27 @@ class TestTiming:
         assert event.engine == "event"
         assert sdv.time(trace).engine == "batch"  # the default
 
+    def test_event_timing_derives_the_line_requests_once(self,
+                                                         monkeypatch):
+        # the event plan takes its banks from the classification's arena
+        # instead of deriving the line requests again; every derivation
+        # asks the loader for its kernel first
+        from repro import native
+
+        asked = []
+        function = native.function
+
+        def counting(name, *args):
+            asked.append(name)
+            return function(name, *args)
+
+        monkeypatch.setattr(native, "function", counting)
+        sdv = FpgaSdv()
+        sess = sdv.session()
+        stream_triad(sess, n=1024)
+        sdv.time(sess.seal(), engine="event")
+        assert asked.count("repro_line_requests") == 1
+
     def test_timing_deterministic(self):
         sdv = FpgaSdv()
         sess = sdv.session()

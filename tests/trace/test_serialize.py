@@ -104,6 +104,27 @@ class TestRoundTrip:
             load_trace(path)
 
 
+class TestRecordCodes:
+    """Lowering and the engines sort records by their kind, opclass and
+    pattern codes, so a file whose codes name nothing is refused."""
+
+    @pytest.mark.parametrize("column, record, code", [
+        ("kind", -1, 7),       # the barrier
+        ("opclass", 3, 200),   # vfadd
+        ("pattern", 2, 9),     # vle
+        ("pattern", 4, 9),     # vsxe
+    ])
+    def test_code_out_of_range_rejected_on_load(self, tmp_path, column,
+                                                record, code):
+        path = tmp_path / "c.npz"
+        save_trace(make_mixed_trace(), path)
+        data = dict(np.load(path))
+        data[column][record] = code
+        np.savez_compressed(path, **data)
+        with pytest.raises(TraceError, match=f"{column} {code} is not"):
+            load_trace(path)
+
+
 class TestTimingEquivalence:
     def test_retiming_loaded_trace_matches_original(self, tmp_path):
         """The record-once / re-time-later workflow end to end."""
@@ -187,7 +208,9 @@ class TestClassifiedSidecar:
         loaded = load_classified(path, back, cfg)
         assert loaded.trace is back and loaded.config is cfg
         assert np.array_equal(loaded.rows, ct.rows)
+        assert loaded.rows.dtype == ct.rows.dtype
         assert np.array_equal(loaded.req_off, ct.req_off)
+        assert np.array_equal(loaded.lines, ct.lines)
         assert np.array_equal(loaded.levels, ct.levels)
         assert loaded.totals == ct.totals
 
@@ -207,3 +230,35 @@ class TestClassifiedSidecar:
             np.savez_compressed(tmp_path / f"{name}.npz", **payload)
             with pytest.raises(TraceError):
                 load_classified(tmp_path / f"{name}.npz", trace, cfg)
+
+    @pytest.mark.parametrize("damage", [
+        "count", "offset", "lines", "level", "rows_dtype", "offset_start"])
+    def test_classification_that_does_not_fit_itself_raises(self, tmp_path,
+                                                           damage):
+        # the stored arrays each fit the trace's length, but not one
+        # another: a run would time them without complaint
+        trace = make_mixed_trace()
+        cfg = SdvConfig().validate()
+        path = tmp_path / "t.npz"
+        save_trace(trace, path, classified=classify_trace(trace, cfg))
+        data = dict(np.load(path))
+        assert data["cls_req_off"].tolist() == [0, 2, 2, 3, 3, 6, 6]
+        if damage == "count":
+            data["cls_rows"]["dram_reads"][2] += 40
+        elif damage == "offset":  # vfadd gains the vsxe's three requests
+            data["cls_req_off"][4] += 3
+        elif damage == "lines":
+            data["cls_lines"] = data["cls_lines"][:-1]
+        elif damage == "level":
+            data["cls_levels"][0] = 3
+        elif damage == "rows_dtype":
+            data["cls_rows"] = data["cls_rows"].astype(
+                [(name, np.int32) for name in data["cls_rows"].dtype.names])
+        else:
+            data["cls_req_off"] = data["cls_req_off"] + 1
+        np.savez_compressed(path, **data)
+        with pytest.raises(TraceError):
+            load_classified(path, load_trace(path), cfg)
+        # the audit's read-back has no config and refuses it the same way
+        with pytest.raises(TraceError):
+            load_classified(path, load_trace(path), None)
