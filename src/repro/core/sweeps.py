@@ -12,7 +12,8 @@ Efficiency structure (what makes paper-scale sweeps tractable):
   (both are knob-independent) and cached on the trace; a trace-cache
   entry stores the classification with the trace, so a reload skips it;
 * the points of all the task's grids are then timed in **one**
-  ``time_many`` call — on the batch engine one vectorized walk
+  ``time_many`` call (``attribute_many`` when attributions are asked
+  for) — on the batch engine one vectorized walk
   (:mod:`repro.engine.batch_sim`) over the concatenated knob axis, K=14
   for the Figure 3 and Figure 5 grids together — and the cycles are split
   back into one :class:`SweepResult` per grid. :func:`figure_sweeps` is
@@ -29,18 +30,18 @@ bandwidth 1..64 B/cycle in powers of two, VL in {8,...,256} plus scalar.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import inspect
 import os
 import pickle
-import pkgutil
 import sys
 import time
 import zipfile
 import zlib
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import native
@@ -54,6 +55,7 @@ from repro.engine.results import CycleReport
 from repro.errors import ConfigError, KernelError, TraceError
 from repro.kernels.base import KernelSpec
 from repro.memory.classify import classify_backend
+from repro.obs.attribution import attribute_many
 from repro.obs.record import get_recorder, recording, set_recording
 from repro.soc.sdv import FpgaSdv
 from repro.trace.events import TraceBuffer
@@ -87,83 +89,49 @@ def workload_fingerprint(workload) -> str:
     return hashlib.sha256(pickle.dumps(workload, protocol=4)).hexdigest()[:16]
 
 
-#: trace-machinery modules whose source co-determines every recorded
-#: trace: Dep semantics and the template expansion live in ``template``, the
-#: object-vs-columnar emission switch in ``modes``. An edit there changes
-#: the dep/address columns of cached traces without touching any kernel,
-#: so they are always part of the fingerprint.
-_TRACE_MACHINERY_MODULES = ("repro.trace.template", "repro.trace.modes")
+#: the parts of the ``repro`` package that time, orchestrate, observe or
+#: check traces; they never shape what a trace-cache entry holds, so an
+#: edit there keeps every entry
+_UNHASHED = ("engine", "core", "obs", "lint", "cli.py")
 
-#: the classifier whose result every cache entry stores next to its
-#: trace, and the source of its compiled cache walk
-_CLASSIFIER_MODULE = "repro.memory.classify"
-_CLASSIFIER_C = Path(__file__).resolve().parents[1] / "memory" / "classify.c"
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _emitter_modules(mod_name: str) -> set[str]:
-    """The modules of a ``repro`` emitter's package, plus every
-    ``repro.kernels`` module they import a name from, transitively.
+def _read_source(path: Path) -> bytes:
+    """The bytes of one file the cache key hashes."""
+    return path.read_bytes()
 
-    The package is enumerated from disk and the imports read from each
-    module's own namespace, never from ``sys.modules``, which would make
-    the key import-order dependent and break parent/worker agreement.
-    """
-    try:
-        mod = importlib.import_module(mod_name)
-    except ImportError:
-        return set()
-    pkg_name = mod_name if hasattr(mod, "__path__") \
-        else mod_name.rsplit(".", 1)[0]
-    pkg = importlib.import_module(pkg_name)
-    found = {f"{pkg_name}.{info.name}"
-             for info in pkgutil.iter_modules(getattr(pkg, "__path__", []))
-             if not info.ispkg}
-    todo = sorted(found)
-    while todo:
-        try:
-            namespace = vars(importlib.import_module(todo.pop()))
-        except ImportError:
-            continue
-        for obj in namespace.values():
-            dep = getattr(obj, "__module__", None)
-            if isinstance(dep, str) and dep.startswith("repro.kernels.") \
-                    and dep not in found:
-                found.add(dep)
-                todo.append(dep)
-    return found
+
+@functools.cache
+def _package_digest() -> str:
+    """Hash of every ``.py`` and ``.c`` file of the ``repro`` package
+    outside :data:`_UNHASHED`, read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*")):
+        rel = path.relative_to(_PACKAGE_ROOT)
+        if path.suffix in (".py", ".c") and rel.parts[0] not in _UNHASHED:
+            h.update(rel.as_posix().encode() + b"\0"
+                     + _read_source(path) + b"\0")
+    return h.hexdigest()
 
 
 def kernel_fingerprint(spec: KernelSpec) -> str:
     """Content hash of the code that makes a trace-cache entry.
 
-    A cached entry is only as good as the code that made it: if a
-    kernel's scalar or vector implementation changes (or the module around
-    it — templated emitters lean on module-level helpers), previously
-    cached traces must not be served. Hashing the defining modules' source
-    invalidates them automatically. Beyond the defining module itself,
-    the hash covers:
-
-    * every module of the emitter's ``repro.*`` package (templated
-      emitters split helpers across ``kernels/<k>/``; when the emitter is
-      defined in the package's ``__init__``, as PageRank's spec wrappers
-      are, that package) and every ``repro.kernels`` module those modules
-      import a name from, transitively (PageRank's accumulate pass is
-      SpMV's SELL sweep over SpMV's storage format),
-    * the trace machinery (:data:`_TRACE_MACHINERY_MODULES`) — the
-      template ``Dep``/address-stream semantics determine the recorded
-      dep columns, so editing them must invalidate every cached trace,
-      and
-    * the classifier (:data:`_CLASSIFIER_MODULE` and ``classify.c``),
-      whose result the entry stores, so a classifier edit misses the
-      cache instead of serving a stale classification.
-
-    Non-``repro`` emitters (ad-hoc test stand-ins) hash only their own
-    module, keeping the key independent of unrelated test-file churn.
-    Callables without retrievable source (ad-hoc lambdas, C extensions)
-    fall back to their repr, which at least separates distinct functions.
+    An entry holds a recorded trace and its classification, and any
+    module of the ``repro`` package may shape them (the emitters, the ISA
+    contexts, the trace machinery, the memory image, the classifier, the
+    workloads) except those that only time, orchestrate, observe or check
+    traces (:data:`_UNHASHED`). The key therefore hashes every other
+    ``.py`` and ``.c`` file of the package: an edit there misses the
+    cache instead of serving a stale entry, while an edit to an engine,
+    the harness or observability keeps it (record once, re-time later).
+    An emitter defined outside ``repro`` (an ad-hoc stand-in) adds its
+    own module; a callable without retrievable source (an ad-hoc lambda,
+    a C extension) adds its repr, which at least separates distinct
+    functions.
     """
-    parts = [spec.name]
-    mod_names: set[str] = {*_TRACE_MACHINERY_MODULES, _CLASSIFIER_MODULE}
+    parts = [spec.name, _package_digest()]
     for fn in (spec.scalar, spec.vector):
         mod_name = getattr(fn, "__module__", None)
         if mod_name is None:
@@ -171,20 +139,12 @@ def kernel_fingerprint(spec: KernelSpec) -> str:
                 parts.append(inspect.getsource(fn))
             except (OSError, TypeError):
                 parts.append(repr(fn))
-            continue
-        mod_names.add(mod_name)
-        if mod_name.startswith("repro."):
-            mod_names |= _emitter_modules(mod_name)
-    for name in sorted(mod_names):
-        try:
-            mod = importlib.import_module(name)
-            parts.append(inspect.getsource(mod))
-        except (ImportError, OSError, TypeError):
-            parts.append(f"<no-source:{name}>")
-    try:
-        parts.append(_CLASSIFIER_C.read_text(encoding="utf-8"))
-    except OSError:
-        parts.append(f"<no-source:{_CLASSIFIER_C.name}>")
+        elif not mod_name.startswith("repro."):
+            try:
+                parts.append(inspect.getsource(
+                    importlib.import_module(mod_name)))
+            except (ImportError, OSError, TypeError):
+                parts.append(f"<no-source:{mod_name}>")
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()[:12]
 
 
@@ -382,45 +342,25 @@ def _time_grids(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             ct = sdv.classify(trace)
             # "python" here is the fallback a missing compiler forces
             classify_attrs["walk"] = classify_backend()
-        if engine == "batch":
-            with rec.span(f"lower:{kernel}:{label}", kernel=kernel,
-                          impl=label):
-                lowered = sdv.lower(trace, classified=ct)
-            with rec.span(f"walk:{kernel}:{label}", kernel=kernel,
-                          impl=label, engine=engine,
-                          points=len(configs)) as walk_attrs:
-                if attributions:
-                    # ONE walk times every sweep point AND every
-                    # attribution-ladder rung (the ladder's L0 column
-                    # *is* the sweep cycle count, bit-for-bit)
-                    from repro.obs.attribution import attribute_many
-
-                    atts = attribute_many(ct, configs, lowered=lowered)
-                    rows = [measurement(k, att.total, att)
-                            for k, att in zip(keys, atts)]
-                else:
-                    cycles = sdv.time_many(trace, configs, reports=False,
-                                           lowered=lowered)
-                    rows = [measurement(k, float(c))
-                            for k, c in zip(keys, cycles)]
+        with rec.span(f"lower:{kernel}:{label}", kernel=kernel, impl=label):
+            lowered = sdv.lower(trace, classified=ct)
+        with rec.span(f"walk:{kernel}:{label}", kernel=kernel, impl=label,
+                      engine=engine, points=len(configs)) as walk_attrs:
+            if attributions:
+                # the ladder's L0 rung *is* the sweep cycle count,
+                # bit-for-bit, so the rows come from the attributions
+                atts = attribute_many(ct, configs, engine=engine,
+                                      lowered=lowered)
+                rows = [measurement(k, att.total, att)
+                        for k, att in zip(keys, atts)]
+            else:
+                cycles = sdv.time_many(trace, configs, engine=engine,
+                                       reports=False, lowered=lowered)
+                rows = [measurement(k, float(c))
+                        for k, c in zip(keys, cycles)]
+            if engine == "batch":
                 # "numpy" here is the fallback a missing compiler forces
                 walk_attrs["walk"] = walk_backend()
-        else:
-            with rec.span(f"walk:{kernel}:{label}", kernel=kernel,
-                          impl=label, engine=engine, points=len(configs)):
-                reports = sdv.time_many(trace, configs, engine=engine)
-                rows = [measurement(k, r.cycles)
-                        for k, r in zip(keys, reports)]
-            if attributions:
-                from repro.obs.attribution import attribute
-
-                with rec.span(f"attribute:{kernel}:{label}", kernel=kernel,
-                              impl=label):
-                    lowered = sdv.lower(trace, classified=ct)
-                    rows = [replace(m, attribution=attribute(
-                                replace(ct, config=cfg), engine=engine,
-                                lowered=lowered))
-                            for m, cfg in zip(rows, configs)]
 
     placement = None
     if roofline:
@@ -607,7 +547,8 @@ def latency_sweep(
 
     ``attributions=True`` additionally decomposes every sweep point's
     cycles into the :mod:`repro.obs.attribution` buckets (attached per
-    measurement) at the cost of ~3 extra vectorized walks per impl.
+    measurement): on ``batch`` K + 3 more columns of the same walk, on
+    ``event`` one DES run per distinct ladder rung.
     ``jobs > 1`` fans the implementations out across worker processes,
     one task each (see ``docs/parallelism.md``).
     """

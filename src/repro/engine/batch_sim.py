@@ -76,7 +76,7 @@ def walk_backend() -> str:
 def _check_configs(lowered: LoweredTrace,
                    configs: Sequence[SdvConfig]) -> None:
     if not configs:
-        raise EngineError("simulate_batch needs at least one config")
+        raise EngineError("timing needs at least one config")
     for k, cfg in enumerate(configs):
         if knob_free_config(cfg) != lowered.base_key:
             raise EngineError(

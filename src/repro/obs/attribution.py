@@ -40,10 +40,10 @@ a monotone ladder so every bucket is non-negative; the base level L4 is
 split between ``vpu_busy``/``issue_decode``/``serial_other`` using
 knob-independent demand terms from the lowered trace. Because the deltas
 come from re-timing with the *same* engine that timed the run, each run is
-attributed by its own engine: ``batch`` times all five rungs in its one
-walk (:func:`attribute_many`), ``event`` re-runs the DES at each rung.
-Both are deterministic to the bit, and equal to the ladder re-timed with
-their specifications.
+attributed by its own engine (:func:`attribute_many`): ``batch`` times
+every rung of every sweep point in its one walk, ``event`` runs the DES
+once per distinct rung. Both are deterministic to the bit, and equal to
+the ladder re-timed with their specifications.
 
 **Bit-exactness.** Floating-point addition is not associative, so the
 buckets are summed in the fixed left-to-right order of
@@ -291,21 +291,43 @@ def _empty(engine: str) -> CycleAttribution:
 
 def attribute(ct: ClassifiedTrace, *, engine: str = "batch",
               lowered: LoweredTrace | None = None) -> CycleAttribution:
-    """Attribute one classified trace's cycles at its bound config.
-
-    ``batch`` is :func:`attribute_many` at the trace's own config: one
-    lowering and one walk over the five rungs. ``event`` re-runs the DES
-    at each rung. ``lowered`` (when the caller has it cached) skips a
-    re-lowering.
+    """Attribute one classified trace's cycles at its bound config:
+    :func:`attribute_many` at that one config. ``lowered`` (when the
+    caller has it cached) skips a re-lowering.
     """
-    if engine not in ENGINES:
-        raise EngineError(
-            f"unknown engine '{engine}' (choose from {sorted(ENGINES)})")
-    if engine == "batch":
-        return attribute_many(ct, [ct.config], lowered=lowered)[0]
-    if ct.rows.shape[0] == 0:
-        return _empty(engine)
-    return _ladder_attribution(ct, ENGINES[engine], lowered=lowered)
+    return attribute_many(ct, [ct.config], engine=engine,
+                          lowered=lowered)[0]
+
+
+def _timed_ladders(ct: ClassifiedTrace, configs, simulate,
+                   lowered: LoweredTrace) -> list[CycleAttribution]:
+    """Attribute ``ct`` at each config by re-timing it with ``simulate``
+    at every rung of that config's ladder.
+
+    ``simulate`` maps a classified trace to a :class:`CycleReport`; each
+    attribution carries the engine name its L0 report does. The trace's
+    classification only depends on cache *geometry*, which no rung
+    touches, so re-binding the config is sound. A rung shared by several
+    configs is timed once: L2-L4 remove both knobs, so every point of a
+    sweep shares them, and L1 of a latency point at full bandwidth is its
+    L0.
+    """
+    ladders = [attribution_ladder(cfg) for cfg in configs]
+    reports = {}
+    for ladder in ladders:
+        for rung in ladder:
+            if rung not in reports:
+                reports[rung] = simulate(dataclasses.replace(ct, config=rung))
+    issue_demand, vpu_demand = _demands(lowered)
+    return [
+        _from_ladder(
+            tuple(float(reports[rung].cycles) for rung in ladder),
+            issue_demand, vpu_demand, engine=reports[ladder[0]].engine,
+            dram_latency_demand=(lowered.total_dram_reads
+                                 * ladder[0].dram_latency),
+        )
+        for ladder in ladders
+    ]
 
 
 def _ladder_attribution(ct: ClassifiedTrace, simulate, *,
@@ -313,51 +335,48 @@ def _ladder_attribution(ct: ClassifiedTrace, simulate, *,
                         ) -> CycleAttribution:
     """Attribute ``ct`` by re-timing it with ``simulate`` at each rung.
 
-    ``simulate`` maps a classified trace to a :class:`CycleReport`; the
-    attribution carries the engine name its reports do. The trace's
-    classification only depends on cache *geometry*, which no level
-    touches, so re-binding the config is sound. The tests also run this
-    with the specifications (``simulate_fast``, ``simulate_events``) to
+    The specification of attribution: the tests also run this with the
+    engines' specifications (``simulate_fast``, ``simulate_events``) to
     pin both engines' attributions to them.
     """
-    reports = [simulate(dataclasses.replace(ct, config=cfg))
-               for cfg in attribution_ladder(ct.config)]
-    times = tuple(float(r.cycles) for r in reports)
     if lowered is None:
         lowered = lower_trace(ct)
-    issue_demand, vpu_demand = _demands(lowered)
-    return _from_ladder(
-        times, issue_demand, vpu_demand, engine=reports[0].engine,
-        dram_latency_demand=lowered.total_dram_reads * ct.config.dram_latency,
-    )
+    return _timed_ladders(ct, [ct.config], simulate, lowered)[0]
 
 
-def attribute_many(ct: ClassifiedTrace, configs, *,
+def attribute_many(ct: ClassifiedTrace, configs, *, engine: str = "batch",
                    lowered: LoweredTrace | None = None
                    ) -> list[CycleAttribution]:
-    """Vectorized attribution of one trace at many knob settings.
+    """Attribution of one trace at many knob settings.
 
-    The sweep counterpart of :func:`attribute`: the classified trace is
-    lowered **once** and every ladder rung of every config is timed in a
-    **single** batch walk with a combined axis of ``2K + 3`` columns —
-    L0 and L1 per config (actual knobs / limiter at peak), then the three
-    knob-free idealizations L2 (zero DRAM latency), L3 (plus a
-    zero-latency NoC) and L4 (plus 1-cycle caches). L3/L4 reuse the same
-    lowered arrays via the walk's ``l2_lat`` axis: the NoC and cache
-    latencies enter the timing model only through the L2 hit latency, so
-    idealizing them is a per-column latency substitution, not a
-    re-lowering. Total work for K sweep points: one walk, not 5K runs.
+    The sweep counterpart of :func:`attribute`; every config may differ
+    from the trace's own only in the two knobs. On ``batch`` the
+    classified trace is lowered **once** and every ladder rung of every
+    config is timed in a **single** walk with a combined axis of
+    ``2K + 3`` columns — L0 and L1 per config (actual knobs / limiter at
+    peak), then the three knob-free idealizations L2 (zero DRAM latency),
+    L3 (plus a zero-latency NoC) and L4 (plus 1-cycle caches). L3/L4
+    reuse the same lowered arrays via the walk's ``l2_lat`` axis: the NoC
+    and cache latencies enter the timing model only through the L2 hit
+    latency, so idealizing them is a per-column latency substitution, not
+    a re-lowering. Total work for K sweep points: one walk, not 5K runs.
+    Any other engine re-times each distinct rung once
+    (:func:`_timed_ladders`).
 
-    ``attribute(engine="batch")`` is this function at the trace's own
-    config; the agreement tests pin each config's attribution to the
-    ladder re-timed with ``simulate_fast``.
+    The agreement tests pin each config's attribution to the ladder
+    re-timed with the engine's specification.
     """
+    if engine not in ENGINES:
+        raise EngineError(
+            f"unknown engine '{engine}' (choose from {sorted(ENGINES)})")
     configs = list(configs)
     if lowered is None:
         lowered = lower_trace(ct)
     _check_configs(lowered, configs)
     if lowered.n == 0:
-        return [_empty("batch") for _ in configs]
+        return [_empty(engine) for _ in configs]
+    if engine != "batch":
+        return _timed_ladders(ct, configs, ENGINES[engine], lowered)
 
     K = len(configs)
     lat, den, num = _knob_axes(lowered, configs)

@@ -26,7 +26,6 @@ from repro.core.sweeps import (
 from repro.engine import check_engine
 from repro.engine.event_fast import simulate_events_fast
 from repro.engine.fast_sim import simulate_fast
-from repro.engine.results import CycleReport
 from repro.kernels import KERNELS
 from repro.obs.attribution import BUCKET_LABELS, BUCKET_ORDER, CycleAttribution
 from repro.obs.manifest import build_manifest
@@ -42,11 +41,10 @@ from repro.workloads import get_scale
 
 @dataclass
 class ProfileEntry:
-    """One implementation's timed + attributed run."""
+    """One implementation's attributed run."""
 
     impl: str
     vl: int | None
-    report: CycleReport
     attribution: CycleAttribution
     timeline: TimelineRecorder | None = None
 
@@ -159,9 +157,8 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                     config=sdv.config,
                     workload_fp=workload_fingerprint(workload),
                 )
-            report = sdv.time(trace, engine=engine)
+            # the attribution's L0 rung is the run's cycle count
             att = sdv.attribute(trace, engine=engine)
-            report.attribution = att
             timeline = None
             if timelines:
                 timeline = TimelineRecorder()
@@ -171,8 +168,7 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                 else:
                     simulate_fast(ct, timeline=timeline)
             result.entries.append(ProfileEntry(
-                impl=label, vl=vl, report=report, attribution=att,
-                timeline=timeline,
+                impl=label, vl=vl, attribution=att, timeline=timeline,
             ))
     result.records = rec.records[start:]
     return result

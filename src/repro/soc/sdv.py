@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.config import SdvConfig
 from repro.engine import ENGINES, check_engine
-from repro.engine.batch_sim import batch_cycles, simulate_batch
+from repro.engine.batch_sim import (
+    _check_configs,
+    batch_cycles,
+    simulate_batch,
+)
 from repro.engine.lower import LoweredTrace, lower_cached, lower_trace
 from repro.engine.results import CycleReport
 from repro.isa.csr import CsrFile
@@ -199,16 +203,7 @@ class FpgaSdv:
     def time(self, trace: TraceBuffer, *, engine: str = "batch"
              ) -> CycleReport:
         """Cycle-count a sealed trace under the current knob settings."""
-        check_engine(engine)
-        if engine == "batch":
-            # reuse the trace-level lowered cache instead of re-lowering
-            report = simulate_batch(self.lower(trace), [self.config])[0]
-        else:
-            report = ENGINES[engine](self.classify(trace))
-        scalar, vector = self._instret(trace)
-        self.counters.absorb(report, scalar_instret=scalar,
-                             vector_instret=vector)
-        return report
+        return self.time_many(trace, [self.config], engine=engine)[0]
 
     def attribute(self, trace: TraceBuffer, *, engine: str = "batch"):
         """Cycle attribution of a sealed trace at the current knobs.
@@ -231,13 +226,15 @@ class FpgaSdv:
                   ) -> list[CycleReport] | np.ndarray:
         """Time one sealed trace at many knob settings in one call.
 
-        With ``engine="batch"`` the trace is lowered once and every config
-        is timed in a single walk; ``event`` runs the DES once per config.
-        With ``reports=False`` the batch path returns a bare float64
-        cycles vector — no per-point :class:`CycleReport` objects are
-        built (the sweep path) and hardware counters are not updated.
-        ``lowered`` is the trace's :meth:`lower` result when the caller
-        already holds it (batch only).
+        Every config may differ from the SDV's own only in the latency and
+        bandwidth knobs (:class:`EngineError` otherwise). ``batch`` times
+        them all in one walk over the trace's lowering; ``event``
+        classifies the trace once and runs the DES once per config. With
+        ``reports=True`` each report is added to :attr:`counters`; with
+        ``reports=False`` a bare float64 cycles vector is returned, no
+        per-point :class:`CycleReport` is kept and the counters are left
+        alone (the sweep path). ``lowered`` is the trace's :meth:`lower`
+        result when the caller already holds it.
         """
         check_engine(engine)
         configs = list(configs)
@@ -247,19 +244,19 @@ class FpgaSdv:
             if not reports:
                 return batch_cycles(lowered, configs)
             out = simulate_batch(lowered, configs)
-            for report in out:
-                self.counters.absorb(report)
-            return out
-        saved = self.config
-        try:
-            out = []
-            for cfg in configs:
-                self.config = cfg.validate()
-                out.append(self.time(trace, engine=engine))
-        finally:
-            self.config = saved
-        if not reports:
-            return np.array([r.cycles for r in out])
+        else:
+            ct = self.classify(trace)
+            if lowered is None:
+                lowered = self.lower(trace, classified=ct)
+            _check_configs(lowered, configs)
+            out = [ENGINES[engine](dataclasses.replace(ct, config=cfg))
+                   for cfg in configs]
+            if not reports:
+                return np.array([r.cycles for r in out])
+        scalar, vector = self._instret(trace)
+        for report in out:
+            self.counters.absorb(report, scalar_instret=scalar,
+                                 vector_instret=vector)
         return out
 
     def run(self, build_fn, *args, engine: str = "batch", **kwargs):

@@ -83,3 +83,29 @@ def batch_walk(request, monkeypatch) -> str:
 def classify_walk(request, monkeypatch) -> str:
     """Classify on the compiled cache walk or on the Python dict walk."""
     return _pick_walk(request, monkeypatch, "python")
+
+
+@pytest.fixture
+def edit_source(monkeypatch):
+    """``edit(rel_path)`` makes the trace-cache key read the ``repro``
+    file at ``rel_path`` (relative to the package) with one more comment
+    line, as if it had been edited; the key's once-per-process digest is
+    recomputed now and again after the test."""
+    import repro.core.sweeps as sweeps_mod
+
+    edited: set[str] = set()
+    real = sweeps_mod._read_source
+
+    def read(path):
+        src = real(path)
+        rel = path.relative_to(sweeps_mod._PACKAGE_ROOT).as_posix()
+        return src + b"\n# edited\n" if rel in edited else src
+
+    def edit(rel_path: str) -> None:
+        assert (sweeps_mod._PACKAGE_ROOT / rel_path).is_file(), rel_path
+        edited.add(rel_path)
+        sweeps_mod._package_digest.cache_clear()
+
+    monkeypatch.setattr(sweeps_mod, "_read_source", read)
+    yield edit
+    sweeps_mod._package_digest.cache_clear()

@@ -509,13 +509,12 @@ class TestTraceCache:
                                   getattr(fresh, name)), name
         assert stored.totals == fresh.totals
 
-    def test_classifier_edit_misses_the_cache(self, tmp_path, monkeypatch):
+    def test_classifier_edit_misses_the_cache(self, tmp_path, monkeypatch,
+                                              edit_source):
         # the entry stores the classification, so an edit to the
         # classifier must miss the cache like an edit to the kernel: here
         # the "edit" runs every L1 set with one way, in the code that
         # classifies and in the source the fingerprint hashes
-        import inspect as real_inspect
-
         import repro.memory.classify as classify_mod
 
         spec = KERNELS["spmv"]
@@ -523,21 +522,13 @@ class TestTraceCache:
         before = latency_sweep(spec, workload, vls=(8,),
                                trace_cache=tmp_path, verify=False)
         real_geometry = classify_mod._geometry
-        real_getsource = real_inspect.getsource
 
         def one_way(config):
             sets, _ways, *l2 = real_geometry(config)
             return (sets, 1, *l2)
 
-        def edited_getsource(obj):
-            src = real_getsource(obj)
-            if getattr(obj, "__name__", "") == "repro.memory.classify":
-                return src + "\n# _geometry: one L1 way\n"
-            return src
-
         monkeypatch.setattr(classify_mod, "_geometry", one_way)
-        monkeypatch.setattr(sweeps_mod.inspect, "getsource",
-                            edited_getsource)
+        edit_source("memory/classify.py")
         uncached = latency_sweep(spec, workload, vls=(8,), verify=False)
         assert uncached.series("scalar") != before.series("scalar")
         cached = latency_sweep(spec, workload, vls=(8,),
@@ -545,17 +536,50 @@ class TestTraceCache:
         for impl in uncached.impls:
             assert cached.series(impl) == uncached.series(impl)
 
-    def test_classify_c_edit_changes_the_fingerprint(self, tmp_path,
-                                                     monkeypatch):
+    def test_classify_c_edit_changes_the_fingerprint(self, edit_source):
         from repro.core.sweeps import kernel_fingerprint
 
         spec = KERNELS["fft"]
         base = kernel_fingerprint(spec)
-        edited = tmp_path / "classify.c"
-        edited.write_text(sweeps_mod._CLASSIFIER_C.read_text()
-                          + "\n/* one L1 way */\n")
-        monkeypatch.setattr(sweeps_mod, "_CLASSIFIER_C", edited)
+        edit_source("memory/classify.c")
         assert kernel_fingerprint(spec) != base
+
+    @pytest.mark.parametrize("edited_file", [
+        "memory/address_space.py",   # where the memory image places arrays
+        "isa/vector_ctx.py",         # what each vector instruction records
+        "trace/events.py",           # the record columns
+    ])
+    def test_recording_machinery_edit_stales_the_entry(
+            self, tmp_path, edit_source, edited_file):
+        # an entry's trace is shaped by more than the emitters: an edit
+        # anywhere in the code that records or classifies it must change
+        # the key, and the audit then flags the entry
+        from repro.core.sweeps import kernel_fingerprint
+        from repro.lint.config_rules import check_trace_cache
+
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        run_implementation(spec, workload, 8, verify=False,
+                           trace_cache=tmp_path)
+        base = kernel_fingerprint(spec)
+        edit_source(edited_file)
+        assert kernel_fingerprint(spec) != base
+        assert [f.rule for f in check_trace_cache(tmp_path)] == ["S002"]
+
+    @pytest.mark.parametrize("edited_file", [
+        "engine/batch_sim.py", "core/sweeps.py", "obs/record.py",
+        "cli.py",
+    ])
+    def test_timing_edit_keeps_the_entry(self, edit_source, edited_file):
+        # the engines, the harness and observability only re-time,
+        # orchestrate and observe a recorded trace: record once, re-time
+        # after editing them
+        from repro.core.sweeps import kernel_fingerprint
+
+        spec = KERNELS["fft"]
+        base = kernel_fingerprint(spec)
+        edit_source(edited_file)
+        assert kernel_fingerprint(spec) == base
 
     def test_cache_hit_skips_kernel_execution(self, tmp_path):
         # wrappers keep the cache key stable across both runs (the key
@@ -599,59 +623,34 @@ class TestTraceCache:
             trace_cache_path(tmp_path, spec.name, workload, 8, sdv,
                              spec=edited)
 
-    def test_template_machinery_edit_invalidates_cache(self, monkeypatch):
+    def test_template_machinery_edit_invalidates_cache(self, edit_source):
         # the cache key must cover the trace-template machinery (Dep
         # semantics, replicate fixups, emission mode), not just the
         # kernel emitters: an edit there changes every recorded dep and
         # address column without touching any kernels/ file
-        import inspect as real_inspect
-
-        import repro.core.sweeps as sweeps_mod
         from repro.core.sweeps import kernel_fingerprint
 
         spec = KERNELS["fft"]
         base = kernel_fingerprint(spec)
         assert base == kernel_fingerprint(spec)  # deterministic
-
-        real_getsource = real_inspect.getsource
-
-        def edited_getsource(obj):
-            src = real_getsource(obj)
-            if getattr(obj, "__name__", "") == "repro.trace.template":
-                return src + "\n# Dep.prev now steps by 2 iterations\n"
-            return src
-
-        monkeypatch.setattr(sweeps_mod.inspect, "getsource",
-                            edited_getsource)
+        edit_source("trace/template.py")
         assert kernel_fingerprint(spec) != base
 
     @pytest.mark.parametrize("edited_module", [
-        "repro.kernels.pagerank.vector",    # wrapped by the package init
-        "repro.kernels.spmv.vector",        # its accumulate pass
-        "repro.kernels.spmv.formats",       # the SELL format it sweeps
+        "kernels/pagerank/vector.py",    # wrapped by the package init
+        "kernels/spmv/vector.py",        # its accumulate pass
+        "kernels/spmv/formats.py",       # the SELL format it sweeps
     ])
     def test_pagerank_key_covers_the_modules_it_emits_with(
-            self, monkeypatch, edited_module):
+            self, edit_source, edited_module):
         # PageRank's spec callables live in its package __init__ and its
         # accumulate pass is SpMV's SELL sweep: an edit to any module its
         # trace comes from must miss the cache
-        import inspect as real_inspect
-
-        import repro.core.sweeps as sweeps_mod
         from repro.core.sweeps import kernel_fingerprint
 
         spec = KERNELS["pagerank"]
         base = kernel_fingerprint(spec)
-        real_getsource = real_inspect.getsource
-
-        def edited_getsource(obj):
-            src = real_getsource(obj)
-            if getattr(obj, "__name__", "") == edited_module:
-                return src + "\n# one more ALU op per slot\n"
-            return src
-
-        monkeypatch.setattr(sweeps_mod.inspect, "getsource",
-                            edited_getsource)
+        edit_source(edited_module)
         assert kernel_fingerprint(spec) != base
 
     def test_cache_key_distinguishes_vl_and_workload(self, tmp_path):

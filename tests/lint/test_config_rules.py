@@ -160,21 +160,11 @@ class TestTraceCacheAudit:
         assert error_rules(found) == ["S002"]
 
     def test_classifier_edit_stales_the_entry(self, tmp_path,
-                                              monkeypatch):
+                                              edit_source):
         # an entry stores its classification, so an edit to the
         # classifier's source stales it like an edit to the emitters
-        import inspect
-
         self._warm(tmp_path)
-        real_getsource = inspect.getsource
-
-        def edited_getsource(obj):
-            src = real_getsource(obj)
-            if getattr(obj, "__name__", "") == "repro.memory.classify":
-                return src + "\n# one L1 way\n"
-            return src
-
-        monkeypatch.setattr(inspect, "getsource", edited_getsource)
+        edit_source("memory/classify.py")
         found = check_trace_cache(tmp_path)
         assert error_rules(found) == ["S002"]
         assert "classifies" in found[0].message

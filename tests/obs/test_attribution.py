@@ -10,6 +10,7 @@ the batch engine and the ladder re-timed with its specification,
 ``simulate_fast`` (``fast`` below), cover the full CI grid.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -20,8 +21,11 @@ from repro.core.sweeps import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_LATENCIES,
     DEFAULT_VLS,
+    bandwidth_sweep,
+    latency_sweep,
     run_implementation,
 )
+from repro.engine import ENGINES
 from repro.engine.fast_sim import simulate_fast
 from repro.errors import EngineError
 from repro.kernels import KERNELS
@@ -147,6 +151,46 @@ class TestCrossEngineAgreement:
                 assert att.total == single.total
         finally:
             sdv.config = base
+
+
+class TestEventSweep:
+    @pytest.mark.parametrize("axis", ["latency", "bandwidth"])
+    def test_each_distinct_rung_is_timed_once(self, axis, monkeypatch):
+        """An attributed event sweep times every distinct ladder rung of
+        an implementation once, and each point's attribution is the
+        ladder re-timed at that point's config."""
+        spec = KERNELS["spmv"]
+        workload = _workload("spmv", "smoke")
+        real = ENGINES["event"]
+        timed = []
+
+        def counting(ct):
+            timed.append(ct.config)
+            return real(ct)
+
+        monkeypatch.setitem(ENGINES, "event", counting)
+        sweep = latency_sweep if axis == "latency" else bandwidth_sweep
+        result = sweep(spec, workload, vls=(8,), verify=False,
+                       engine="event", attributions=True)
+        monkeypatch.undo()
+
+        for impl, vl in (("scalar", None), ("vl8", 8)):
+            sdv, trace = run_implementation(spec, workload, vl,
+                                            verify=False)
+            ct = sdv.classify(trace)
+            rows = [m for m in result.measurements if m.impl == impl]
+            configs = [sdv.config.with_extra_latency(m.extra_latency)
+                       .with_bandwidth(m.bandwidth_bpc) for m in rows]
+            rungs = {rung for cfg in configs
+                     for rung in attribution_ladder(cfg)}
+            # 7 L0 rungs; L1 is an L0 of the same grid; L2-L4 are shared
+            assert len(rungs) == 10
+            for m, cfg in zip(rows, configs):
+                ref = _ladder_attribution(
+                    dataclasses.replace(ct, config=cfg), real)
+                assert m.attribution.as_dict() == ref.as_dict()
+                assert m.cycles == ref.total
+        assert len(timed) == len(set(timed)) == 2 * 10
 
 
 class TestPaperStory:

@@ -26,10 +26,27 @@ class TestProfileKernel:
         assert [e.impl for e in r.entries] == ["scalar", "vl8", "vl64"]
         for e in r.entries:
             e.attribution.check()
-            assert e.report.attribution is e.attribution
         table = r.render()
         assert "DRAM latency stall" in table and "vl64" in table
         assert "%" in r.render(fractions=True)
+
+    def test_profile_times_each_impl_once(self, monkeypatch):
+        # the attribution's L0 rung is the run: on event, L0, L2, L3 and
+        # L4 (L1 is L0 at full bandwidth) and no separate timing run
+        from repro.engine import ENGINES
+
+        real = ENGINES["event"]
+        timed = []
+
+        def counting(ct):
+            timed.append(ct.config)
+            return real(ct)
+
+        monkeypatch.setitem(ENGINES, "event", counting)
+        r = profile_kernel("fft", scale="smoke", vls=(8,), seed=7,
+                           engine="event")
+        assert len(r.entries) == 2
+        assert len(timed) == 2 * 4
 
     def test_profile_rejects_specification_engines(self):
         for name in ("fast", "event-ref"):
@@ -199,25 +216,30 @@ class TestInstrumentedSweep:
 
     @pytest.mark.parametrize("engine,stages", [
         ("batch", ("classify", "lower", "walk")),
-        ("event", ("classify", "walk")),
+        ("event", ("classify", "lower", "walk")),
     ])
     def test_retime_stage_spans(self, engine, stages):
+        # one path on both engines, attributed or not: the attribution
+        # ladder is timed inside the walk stage
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        with recording() as rec:
-            latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
-                          verify=False, engine=engine)
-        by_name = {s["name"]: s for s in spans(rec.records)}
-        for impl in ("scalar", "vl8"):
-            parent = by_name[f"re-time:fft:{impl}"]
-            for stage in ("classify", "lower", "walk"):
-                child = by_name.get(f"{stage}:fft:{impl}")
-                if stage not in stages:
-                    assert child is None
-                    continue
-                assert child["depth"] == parent["depth"] + 1
-                assert parent["t0"] <= child["t0"] <= child["t1"] \
-                    <= parent["t1"]
+        for attributions in (False, True):
+            with recording() as rec:
+                latency_sweep(spec, workload, latencies=[0, 64], vls=(8,),
+                              verify=False, engine=engine,
+                              attributions=attributions)
+            by_name = {s["name"]: s for s in spans(rec.records)}
+            for impl in ("scalar", "vl8"):
+                parent = by_name[f"re-time:fft:{impl}"]
+                children = {name.split(":")[0] for name, s in
+                            by_name.items()
+                            if s["depth"] == parent["depth"] + 1
+                            and name.endswith(f":fft:{impl}")}
+                assert children == set(stages)
+                for stage in stages:
+                    child = by_name[f"{stage}:fft:{impl}"]
+                    assert parent["t0"] <= child["t0"] <= child["t1"] \
+                        <= parent["t1"]
 
     def test_walk_span_names_the_walk(self, batch_walk):
         spec = KERNELS["fft"]

@@ -1,9 +1,11 @@
 """Unit tests for the FpgaSdv top level."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import ConfigError, EngineError, TraceError
 from repro.kernels.micro import stream_triad
 from repro.soc import FpgaSdv
 
@@ -147,6 +149,48 @@ class TestTiming:
         stream_triad(sess, n=1024)
         sdv.time(sess.seal(), engine="event")
         assert asked.count("repro_line_requests") == 1
+
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_time_many_counts_like_time(self, engine):
+        # every report a timing call returns is counted with the trace's
+        # retired instructions, one call or many configs at once
+        sess = FpgaSdv().session()
+        stream_builder(sess, n=256)
+        trace = sess.seal()
+        one, many = FpgaSdv(), FpgaSdv()
+        latencies = (0, 256)
+        for lat in latencies:
+            one.configure(extra_latency=lat).time(trace, engine=engine)
+        reports = many.time_many(
+            trace, [many.config.with_extra_latency(lat)
+                    for lat in latencies], engine=engine)
+        assert [r.cycles for r in reports] == one.counters.history
+        for name in ("runs", "instret", "vector_fraction", "cycles",
+                     "dram_reads", "dram_writes"):
+            assert getattr(many.counters, name) == \
+                getattr(one.counters, name), name
+        assert many.counters.vector_fraction > 0
+        # the sweep path returns bare cycles and counts nothing
+        cycles = many.time_many(trace, [many.config], engine=engine,
+                                reports=False)
+        assert cycles.dtype == np.float64
+        assert cycles.tolist() == [reports[0].cycles]
+        assert many.counters.runs == len(latencies)
+
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_time_many_rejects_a_config_from_another_build(self, engine):
+        # the knobs are all a config may change: the trace was classified
+        # and lowered for the SDV's own caches
+        sdv = FpgaSdv()
+        sess = sdv.session()
+        stream_builder(sess, n=256)
+        trace = sess.seal()
+        cfg = sdv.config
+        wider_l2 = dataclasses.replace(
+            cfg, l2=dataclasses.replace(cfg.l2, ways=2 * cfg.l2.ways))
+        with pytest.raises(EngineError, match="latency/bandwidth knobs"):
+            sdv.time_many(trace, [cfg.with_extra_latency(64),
+                                  wider_l2.validate()], engine=engine)
 
     def test_timing_deterministic(self):
         sdv = FpgaSdv()
