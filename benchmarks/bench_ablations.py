@@ -130,15 +130,14 @@ def test_ablation_ooo_mem_issue(workloads, benchmark):
 
 def test_ablation_sell_compact_vs_padded(benchmark):
     """Compact (jagged) slots vs padded ELLPACK on a power-law matrix."""
-    import scipy.sparse as sp
     from repro.kernels.spmv import spmv_vector
     from repro.soc import FpgaSdv
+    from repro.workloads.csr import CsrMatrix
     from repro.workloads.graphs import rmat_graph
 
     g = rmat_graph(2 ** 11, edge_factor=8, seed=3)
-    mat = sp.csr_matrix(
-        (np.ones(g.indices.shape[0]), g.indices, g.indptr), shape=(g.n, g.n)
-    )
+    mat = CsrMatrix(shape=(g.n, g.n), indptr=g.indptr, indices=g.indices,
+                    data=np.ones(g.indices.shape[0]))
     out = {}
     for compact in (True, False):
         sdv = FpgaSdv().configure(max_vl=256)

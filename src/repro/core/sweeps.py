@@ -83,7 +83,7 @@ def impl_label(vl: int | None) -> str:
 def workload_fingerprint(workload) -> str:
     """Stable content hash of a prepared workload (trace-cache key part).
 
-    Workloads are plain data (NumPy arrays, scipy matrices, graphs), so
+    Workloads are plain data (NumPy arrays, CSR matrices, graphs), so
     their pickle is deterministic for a given prepare(scale, seed).
     """
     return hashlib.sha256(pickle.dumps(workload, protocol=4)).hexdigest()[:16]

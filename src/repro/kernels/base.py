@@ -8,7 +8,8 @@ uniformly:
 * ``scalar(session, workload)`` / ``vector(session, workload)`` — execute
   the implementation against a :class:`repro.soc.Session` (functional result
   + trace) and return a :class:`KernelOutput`;
-* ``reference(workload)`` — the ground-truth result (scipy/networkx/numpy);
+* ``reference(workload)`` — the ground-truth result, in NumPy (tests
+  check the SpMV, BFS and PageRank references against scipy and networkx);
 * ``check(output, reference)`` — correctness predicate used by tests and by
   the harness's ``--verify`` mode.
 """

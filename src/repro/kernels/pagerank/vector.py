@@ -20,7 +20,6 @@ Per iteration:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
 from repro.kernels.spmv.formats import build_sell
@@ -29,6 +28,7 @@ from repro.soc.sdv import Session
 from repro.trace import modes
 from repro.trace.events import VMemPattern, VOpClass
 from repro.trace.template import Dep, RecordBatch, TraceTemplate
+from repro.workloads.csr import CsrMatrix
 from repro.workloads.graphs import CsrGraph
 
 ALU_PER_STRIP = 3
@@ -197,9 +197,8 @@ def pagerank_vector(session: Session, g: CsrGraph, *, iters: int,
     chunk = vec.max_vl
 
     # host-side data preparation (one-time, untimed — same for both variants)
-    pattern = sp.csr_matrix(
-        (np.ones(g.t_indices.shape[0]), g.t_indices, g.t_indptr), shape=(n, n)
-    )
+    pattern = CsrMatrix(shape=(n, n), indptr=g.t_indptr, indices=g.t_indices,
+                        data=np.ones(g.t_indices.shape[0]))
     sell = build_sell(pattern, chunk=chunk, sigma=min(SIGMA, n))
     outdeg = g.out_degrees.astype(np.float64)
     dangling = (outdeg == 0).astype(np.float64)

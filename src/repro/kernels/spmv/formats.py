@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import KernelError
+from repro.workloads.csr import CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class SellMatrix:
         return int(self.slot_off[k + 1] - self.slot_off[k])
 
 
-def build_sell(mat: sp.csr_matrix, chunk: int, sigma: int | None = None,
+def build_sell(mat: CsrMatrix, chunk: int, sigma: int | None = None,
                *, compact: bool = True) -> SellMatrix:
     """Convert CSR to SELL-C-sigma. ``sigma=None`` sorts globally."""
     if mat.shape[0] != mat.shape[1]:

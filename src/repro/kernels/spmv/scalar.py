@@ -24,10 +24,10 @@ latency slope for it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
 from repro.soc.sdv import Session
+from repro.workloads.csr import CsrMatrix
 
 #: scalar ALU/branch ops per inner-loop iteration (fma counts 2: mul+add on
 #: a single-FPU core, plus index increment and loop branch)
@@ -36,7 +36,7 @@ ALU_PER_NNZ = 4
 ALU_PER_ROW = 4
 
 
-def spmv_scalar(session: Session, mat: sp.csr_matrix,
+def spmv_scalar(session: Session, mat: CsrMatrix,
                 x_in: np.ndarray | None = None) -> KernelOutput:
     """Run scalar CSR SpMV on the SDV session; returns y."""
     n = mat.shape[0]

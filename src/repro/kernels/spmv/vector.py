@@ -26,7 +26,6 @@ load never stalls the in-order memory pipe waiting for its index register.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
 from repro.kernels.spmv.formats import SellMatrix, build_sell
@@ -41,6 +40,7 @@ from repro.trace.template import (
     ragged_arange,
     record_starts,
 )
+from repro.workloads.csr import CsrMatrix
 
 #: scalar loop-control ops per chunk and per slot (pointer bumps, branches)
 ALU_PER_CHUNK = 6
@@ -171,7 +171,7 @@ def sell_sweep(trace: TraceBuffer, sell: SellMatrix, n: int, *,
     batch.commit()
 
 
-def spmv_vector(session: Session, mat: sp.csr_matrix,
+def spmv_vector(session: Session, mat: CsrMatrix,
                 x_in: np.ndarray | None = None,
                 sigma: int = DEFAULT_SIGMA, *,
                 compact: bool = True) -> KernelOutput:

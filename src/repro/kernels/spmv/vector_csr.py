@@ -21,16 +21,16 @@ formats.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels.base import KernelOutput
 from repro.soc.sdv import Session
+from repro.workloads.csr import CsrMatrix
 
 ALU_PER_ROW = 6
 ALU_PER_STRIP = 2
 
 
-def spmv_vector_csr(session: Session, mat: sp.csr_matrix,
+def spmv_vector_csr(session: Session, mat: CsrMatrix,
                     x_in: np.ndarray | None = None) -> KernelOutput:
     """Run row-at-a-time CSR-vector SpMV; returns y."""
     n = mat.shape[0]

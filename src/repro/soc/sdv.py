@@ -216,7 +216,8 @@ class FpgaSdv:
 
         check_engine(engine)
         ct = self.classify(trace)
-        att = attribute(ct, engine=engine, lowered=self.lower(trace))
+        att = attribute(ct, engine=engine,
+                        lowered=self.lower(trace, classified=ct))
         self.counters.record_attribution(att)
         return att
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import WorkloadError
 from repro.util.prng import make_rng
+from repro.workloads.csr import CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ CAGE10_STATS = CageStats(n=11397, nnz=150645, min_row=5, max_row=33)
 
 def cage_like(stats: CageStats, *, seed: int = 7,
               band_fraction: float = 0.7,
-              bandwidth_rows: int = 600) -> sp.csr_matrix:
+              bandwidth_rows: int = 600) -> CsrMatrix:
     """Synthesize a CSR matrix matched to ``stats``.
 
     Structure: every row has its diagonal entry; the remaining degree is
@@ -55,6 +55,9 @@ def cage_like(stats: CageStats, *, seed: int = 7,
     """
     if stats.n < 4 or stats.nnz < stats.n:
         raise WorkloadError(f"degenerate cage stats: {stats}")
+    if not 0.0 <= band_fraction <= 1.0:
+        raise WorkloadError(f"band_fraction must be in [0, 1], got "
+                            f"{band_fraction}")
     rng = make_rng(seed, "cage", stats.n, stats.nnz)
     n = stats.n
 
@@ -77,35 +80,33 @@ def cage_like(stats: CageStats, *, seed: int = 7,
             deg[idx[mask]] -= 1
             diff += int(mask.sum())
 
-    rows_out = []
-    cols_out = []
+    # every row's column draws in one call, in row order: the row's
+    # n_band near-band columns, then its d - n_band uniform ones (with
+    # array bounds the generator draws element by element, from the same
+    # stream that one call per row and kind would use)
     band = max(2, bandwidth_rows)
-    for i in range(n):
-        d = int(deg[i])
-        n_band = int(round(d * band_fraction))
-        lo = max(0, i - band)
-        hi = min(n, i + band + 1)
-        near = rng.integers(lo, hi, size=n_band)
-        far = rng.integers(0, n, size=d - n_band)
-        cols = np.concatenate([near, far, [i]])
-        cols = np.unique(cols)
-        rows_out.append(np.full(cols.shape[0], i, dtype=np.int64))
-        cols_out.append(cols)
-
-    rows = np.concatenate(rows_out)
-    cols = np.concatenate(cols_out)
-    vals = rng.uniform(0.01, 1.0, size=rows.shape[0])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
-    return mat
+    n_band = np.rint(deg * band_fraction).astype(np.int64)
+    row = np.repeat(np.arange(n, dtype=np.int64), deg)
+    pos = np.arange(row.shape[0]) - np.repeat(np.cumsum(deg) - deg, deg)
+    near = pos < n_band[row]
+    cols = rng.integers(np.where(near, np.maximum(row - band, 0), 0),
+                        np.where(near, np.minimum(row + band + 1, n), n))
+    # with the diagonal, each row's sorted unique columns
+    keys = np.unique(np.concatenate([row * n + cols,
+                                     np.arange(n, dtype=np.int64) * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
+    vals = rng.uniform(0.01, 1.0, size=keys.shape[0])
+    return CsrMatrix(shape=(n, n),
+                     indptr=np.searchsorted(rows, np.arange(n + 1)),
+                     indices=cols, data=vals)
 
 
-def cage10_like(*, seed: int = 7) -> sp.csr_matrix:
+def cage10_like(*, seed: int = 7) -> CsrMatrix:
     """The default SpMV input: synthetic stand-in for cage10."""
     return cage_like(CAGE10_STATS, seed=seed)
 
 
-def scaled_cage_like(n: int, *, seed: int = 7) -> sp.csr_matrix:
+def scaled_cage_like(n: int, *, seed: int = 7) -> CsrMatrix:
     """A smaller matrix with cage10's row-degree *profile* (for CI runs)."""
     if n < 64:
         raise WorkloadError(f"scaled cage matrix needs n >= 64, got {n}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -148,11 +147,3 @@ def grid_graph(side: int) -> CsrGraph:
     return CsrGraph(n=n, indptr=indptr, indices=indices,
                     t_indptr=t_indptr, t_indices=t_indices)
 
-
-def graph_to_networkx(g: CsrGraph) -> nx.DiGraph:
-    """Convert to networkx for reference results in tests."""
-    G = nx.DiGraph()
-    G.add_nodes_from(range(g.n))
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    G.add_edges_from(zip(src.tolist(), g.indices.tolist()))
-    return G

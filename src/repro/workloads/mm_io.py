@@ -1,10 +1,12 @@
 """MatrixMarket I/O.
 
 The paper's SpMV input (cage10) ships as a ``.mtx`` file from SuiteSparse.
-scipy has ``mmread``, but we implement the coordinate format directly so
-the loader (a) has no hidden format surprises in tests and (b) documents
-exactly which subset we accept: ``matrix coordinate real/integer/pattern
-general/symmetric``.
+scipy has ``mmread``, but the runtime needs only NumPy, and implementing
+the coordinate format directly means the loader (a) has no hidden format
+surprises in tests and (b) documents exactly which subset we accept:
+``matrix coordinate real/integer/pattern general/symmetric``. It reads
+into a :class:`~repro.workloads.csr.CsrMatrix`; duplicate entries are
+summed and a symmetric file's off-diagonal entries are mirrored.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import WorkloadError
+from repro.workloads.csr import CsrMatrix
 
 
-def read_matrix_market(path: str | os.PathLike) -> sp.csr_matrix:
+def read_matrix_market(path: str | os.PathLike) -> CsrMatrix:
     """Read a MatrixMarket coordinate file into CSR."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -60,7 +62,7 @@ def read_matrix_market(path: str | os.PathLike) -> sp.csr_matrix:
 
 
 def _build_csr(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-               vals: np.ndarray, symmetry: str) -> sp.csr_matrix:
+               vals: np.ndarray, symmetry: str) -> CsrMatrix:
     if symmetry == "symmetric":
         off = rows != cols
         rows2 = np.concatenate([rows, cols[off]])
@@ -71,20 +73,31 @@ def _build_csr(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
     if rows2.size and (rows2.min() < 0 or rows2.max() >= nrows
                        or cols2.min() < 0 or cols2.max() >= ncols):
         raise WorkloadError("index out of declared matrix bounds")
-    mat = sp.csr_matrix((vals2, (rows2, cols2)), shape=(nrows, ncols))
-    mat.sort_indices()
-    return mat
+    # entries sorted by (row, column); a repeated entry's values summed in
+    # file order
+    order = np.lexsort((cols2, rows2))
+    rows2, cols2, vals2 = rows2[order], cols2[order], vals2[order]
+    first = np.ones(rows2.shape[0], dtype=bool)
+    first[1:] = (rows2[1:] != rows2[:-1]) | (cols2[1:] != cols2[:-1])
+    data = vals2[first]
+    np.add.at(data, np.cumsum(first)[~first] - 1, vals2[~first])
+    return CsrMatrix(shape=(nrows, ncols),
+                     indptr=np.searchsorted(rows2[first],
+                                            np.arange(nrows + 1)),
+                     indices=cols2[first], data=data)
 
 
-def write_matrix_market(path: str | os.PathLike, mat: sp.spmatrix,
-                        *, comment: str = "") -> None:
-    """Write a CSR/COO matrix as 'matrix coordinate real general'."""
-    coo = mat.tocoo()
+def write_matrix_market(path: str | os.PathLike, mat, *,
+                        comment: str = "") -> None:
+    """Write a CSR matrix (anything with ``shape``, ``indptr``,
+    ``indices`` and ``data``) as 'matrix coordinate real general'."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         if comment:
             for line in comment.splitlines():
                 fh.write(f"% {line}\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
+        fh.write(f"{mat.shape[0]} {mat.shape[1]} {rows.shape[0]}\n")
+        for r, c, v in zip(rows.tolist(), np.asarray(mat.indices).tolist(),
+                           np.asarray(mat.data, dtype=np.float64).tolist()):
             fh.write(f"{r + 1} {c + 1} {v:.17g}\n")

@@ -13,7 +13,8 @@ from repro.kernels.bfs import (
 )
 from repro.soc import FpgaSdv
 from repro.trace.stats import summarize_trace
-from repro.workloads.graphs import graph_to_networkx, rmat_graph
+from repro.workloads.graphs import rmat_graph
+from tests.oracles import graph_to_networkx
 
 
 @pytest.fixture(scope="module")

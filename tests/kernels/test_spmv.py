@@ -86,7 +86,9 @@ class TestSellFormat:
     def test_reconstruction(self, mat):
         small = scaled_cage_like(128, seed=3)
         sell = build_sell(small, chunk=16, sigma=64)
-        assert np.allclose(sell_to_dense(sell), small.toarray())
+        dense = sp.csr_matrix((small.data, small.indices, small.indptr),
+                              shape=small.shape).toarray()
+        assert np.allclose(sell_to_dense(sell), dense)
 
     def test_compact_has_no_padding(self, mat):
         sell = build_sell(mat, chunk=64, sigma=mat.shape[0], compact=True)

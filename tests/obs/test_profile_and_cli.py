@@ -296,6 +296,25 @@ class TestInstrumentedSweep:
         assert counts == {"classify_cache.misses": 2,  # scalar + vl8
                           "lower_cache.misses": 2}
 
+    @pytest.mark.parametrize("engine", ["batch", "event"])
+    def test_attribute_classifies_once(self, engine):
+        # FpgaSdv.attribute lowers the classification it already holds,
+        # so a fresh trace is classified once and never looked up again
+        from repro.soc import FpgaSdv
+
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        sdv = FpgaSdv().configure(max_vl=8)
+        sess = sdv.session()
+        spec.vector(sess, workload)
+        trace = sess.seal()
+        counts = self._cache_counts(
+            lambda: sdv.attribute(trace, engine=engine))
+        assert {k: v for k, v in counts.items()
+                if k.startswith("classify_cache.")} == {
+                    "classify_cache.misses": 1}
+        assert counts["lower_cache.misses"] == 1
+
     @pytest.mark.parametrize("attributions", [False, True])
     def test_event_sweep_lowers_each_trace_once(self, attributions,
                                                 monkeypatch):
@@ -303,10 +322,11 @@ class TestInstrumentedSweep:
         # lowering, so an event sweep compiles each trace exactly once
         from repro.engine.lower import lower_trace as real
 
-        lowered = Counter()
+        # the lowered traces (scalar, vl8), held so that no id is reused
+        lowered = []
 
         def counting(ct):
-            lowered[id(ct.trace)] += 1
+            lowered.append(ct.trace)
             return real(ct)
 
         # every module that binds the name, however it was imported
@@ -319,7 +339,7 @@ class TestInstrumentedSweep:
         figure_sweeps(spec, workload, latencies=[0, 64], bandwidths=[8],
                       vls=(8,), verify=False, engine="event",
                       attributions=attributions)
-        assert sorted(lowered.values()) == [1, 1]  # scalar + vl8
+        assert sorted(Counter(map(id, lowered)).values()) == [1, 1]
 
     def test_cache_hits_mean_reuse(self, tmp_path):
         # a figure over cached traces loads each trace once: its

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.graphs import CsrGraph, graph_to_networkx, rmat_graph
+from repro.workloads.graphs import CsrGraph, rmat_graph
+from tests.oracles import graph_to_networkx
 
 
 class TestRmat:

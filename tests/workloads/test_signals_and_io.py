@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import WorkloadError
+from repro.workloads.cage import scaled_cage_like
+from repro.workloads.csr import CsrMatrix
 from repro.workloads.mm_io import read_matrix_market, write_matrix_market
 from repro.workloads.scales import get_scale
 from repro.workloads.signals import make_signal
@@ -40,17 +43,63 @@ class TestSignals:
             make_signal(64, kind="square")
 
 
+def _scipy_csr(rows, cols, vals, shape):
+    """scipy's CSR of the same coordinate data (duplicates summed)."""
+    return sp.csr_matrix((np.asarray(vals, dtype=np.float64),
+                          (np.asarray(rows), np.asarray(cols))), shape=shape)
+
+
+def _assert_same(mat, ref):
+    assert isinstance(mat, CsrMatrix)
+    assert mat.shape == ref.shape and mat.nnz == ref.nnz
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert mat.data.tobytes() == ref.data.tobytes()
+
+
 class TestMatrixMarket:
     def test_roundtrip(self, tmp_path):
-        import scipy.sparse as sp
         rng = np.random.default_rng(0)
         dense = rng.random((10, 10))
         dense[dense < 0.7] = 0
         mat = sp.csr_matrix(dense)
         path = tmp_path / "m.mtx"
         write_matrix_market(path, mat, comment="test matrix")
-        back = read_matrix_market(path)
-        assert (mat != back).nnz == 0
+        _assert_same(read_matrix_market(path), mat)
+
+    def test_roundtrip_of_the_numpy_type(self, tmp_path):
+        mat = scaled_cage_like(256, seed=5)
+        path = tmp_path / "cage.mtx"
+        write_matrix_market(path, mat)
+        _assert_same(read_matrix_market(path), sp.csr_matrix(
+            (mat.data, mat.indices, mat.indptr), shape=mat.shape))
+
+    def test_duplicates_summed(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 6\n1 1 0.1\n3 2 4.0\n1 1 0.2\n2 3 -1.5\n1 1 0.3\n"
+            "3 2 0.5\n"
+        )
+        m = read_matrix_market(path)
+        # summed in file order: (0.1 + 0.2) + 0.3
+        _assert_same(m, _scipy_csr([0, 2, 0, 1, 0, 2], [0, 1, 0, 2, 0, 1],
+                                   [0.1, 4.0, 0.2, -1.5, 0.3, 0.5], (3, 3)))
+        assert m.nnz == 3 and m.data[0] == (0.1 + 0.2) + 0.3
+
+    def test_random_coordinates_match_scipy(self, tmp_path):
+        # unsorted, with repeated entries
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 20, 300)
+        cols = rng.integers(0, 30, 300)
+        vals = rng.uniform(-1.0, 1.0, 300)
+        path = tmp_path / "r.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n20 30 300\n"
+            + "".join(f"{r + 1} {c + 1} {v:.17g}\n"
+                      for r, c, v in zip(rows, cols, vals)))
+        _assert_same(read_matrix_market(path),
+                     _scipy_csr(rows, cols, vals, (20, 30)))
 
     def test_pattern_field(self, tmp_path):
         path = tmp_path / "p.mtx"
@@ -59,8 +108,7 @@ class TestMatrixMarket:
             "2 2 2\n1 1\n2 2\n"
         )
         m = read_matrix_market(path)
-        assert m.nnz == 2
-        assert m[0, 0] == 1.0
+        _assert_same(m, _scipy_csr([0, 1], [0, 1], [1.0, 1.0], (2, 2)))
 
     def test_symmetric_mirrored(self, tmp_path):
         path = tmp_path / "s.mtx"
@@ -69,8 +117,10 @@ class TestMatrixMarket:
             "3 3 2\n2 1 5.0\n3 3 1.0\n"
         )
         m = read_matrix_market(path)
-        assert m[1, 0] == 5.0 and m[0, 1] == 5.0
-        assert m.nnz == 3  # diagonal entry not duplicated
+        # the diagonal entry is not duplicated
+        _assert_same(m, _scipy_csr([1, 0, 2], [0, 1, 2], [5.0, 5.0, 1.0],
+                                   (3, 3)))
+        assert m.nnz == 3
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.mtx"
@@ -79,7 +129,8 @@ class TestMatrixMarket:
             "% a comment\n% another\n"
             "1 1 1\n1 1 2.5\n"
         )
-        assert read_matrix_market(path)[0, 0] == 2.5
+        _assert_same(read_matrix_market(path),
+                     _scipy_csr([0], [0], [2.5], (1, 1)))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.mtx"
