@@ -36,13 +36,13 @@ from repro.core.sweeps import (
     DEFAULT_BANDWIDTHS,
     DEFAULT_LATENCIES,
     DEFAULT_SWEEP_ENGINE,
-    DEFAULT_VLS,
     bandwidth_sweep,
     latency_sweep,
 )
 from repro.engine import ENGINES
 from repro.errors import ConfigError
 from repro.kernels import KERNELS
+from repro.lint.config_rules import parse_vls
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.perfetto import trace_events_from_spans, write_trace
 from repro.obs.record import (
@@ -61,34 +61,13 @@ def _kernel_names(arg: str) -> list[str]:
     return list(KERNELS) if arg == "all" else [arg]
 
 
-def _vls(arg: str) -> tuple[int, ...]:
-    """The ``--vls`` type: 'paper' or a comma list of VLs the config
-    rules accept."""
-    if arg == "paper":
-        return DEFAULT_VLS
-    try:
-        vls = tuple(int(x) for x in arg.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"'{arg}' is neither 'paper' nor a comma list of integers"
-        ) from None
-    from repro.lint.config_rules import check_vls
-    from repro.lint.findings import Severity
-
-    errors = [f.message for f in check_vls(vls)
-              if f.severity >= Severity.ERROR]
-    if errors:
-        raise argparse.ArgumentTypeError("; ".join(errors))
-    return vls
-
-
 #: the study flags a subcommand may take, with their add_argument options
 _STUDY_FLAGS: dict[str, dict] = {
     "--kernel": dict(default="all", choices=(*KERNELS, "all"),
                      help="kernel to run (default all)"),
     "--scale": dict(default="ci", choices=SCALE_NAMES,
                     help="workload scale (default ci)"),
-    "--vls": dict(default="paper", type=_vls,
+    "--vls": dict(default="paper", type=parse_vls,
                   help="comma list of VLs or 'paper' (8..256)"),
     "--seed": dict(type=int, default=7),
     "--no-verify": dict(action="store_true",
@@ -483,8 +462,7 @@ def _run(args) -> int:
         from repro.core.sweeps import run_implementation
         vmax = max(vls)
         sdv, trace = run_implementation(spec, workload, vmax, verify=False)
-        report = sdv.time(trace, engine=args.engine)
-        report.attribution = sdv.attribute(trace, engine=args.engine)
+        sdv.attribute(trace, engine=args.engine)  # adds its L0 run
         print()
         print(render_counters(sdv.counters, label=f"spmv/vl{vmax}"))
         return 0

@@ -4,8 +4,9 @@ Kernels are written against :class:`VectorContext`, an intrinsics-level API
 mirroring the builtins the paper's LLVM-EPI compiler exposes: ``vsetvl``
 strip-mining, unit-stride/strided/indexed loads and stores, FP and integer
 arithmetic, mask ops, ``viota``/``vcompress`` style permutes, and reductions.
-Every intrinsic executes functionally on NumPy data *and* appends a
-:class:`repro.trace.VectorInstr` to the active trace.
+Every intrinsic executes functionally on NumPy data *and* appends one
+vector record (a :class:`repro.trace.VectorInstr` in the row view) to the
+active trace.
 
 The scalar side uses :class:`ScalarContext`, which supports both an
 instruction-level mini-interpreter (for clarity on small inputs) and

@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.memory.address_space import Allocation, MemoryImage
-from repro.trace import modes
-from repro.trace.events import MLP_UNBOUNDED, Barrier, ScalarBlock, TraceBuffer
+from repro.trace.events import MLP_UNBOUNDED, TraceBuffer
 
 _EMPTY_ADDRS = np.empty(0, dtype=np.int64)
 _EMPTY_WRITES = np.empty(0, dtype=bool)
@@ -52,7 +51,6 @@ class ScalarContext:
     def __init__(self, mem: MemoryImage, trace: TraceBuffer) -> None:
         self.mem = mem
         self.trace = trace
-        self.instret = 0
         # interpreter accumulation state
         self._addrs: list[int] = []
         self._writes: list[bool] = []
@@ -77,52 +75,33 @@ class ScalarContext:
         else:
             writes = np.ascontiguousarray(writes, dtype=bool)
         self.mem.check_addresses(addrs)
-        if modes.object_emission_enabled():
-            block = ScalarBlock(
-                n_alu_ops=int(n_alu_ops),
-                mem_addrs=addrs,
-                mem_is_write=writes,
-                mem_bytes=mem_bytes,
-                mlp_hint=mlp_hint,
-                label=label,
+        if addrs.shape != writes.shape:
+            raise TraceError(
+                f"block '{label}': addrs {addrs.shape} vs "
+                f"writes {writes.shape}"
             )
-            self.trace.append(block)
-        else:
-            if addrs.shape != writes.shape:
-                raise TraceError(
-                    f"block '{label}': addrs {addrs.shape} vs "
-                    f"writes {writes.shape}"
-                )
-            if n_alu_ops < 0:
-                raise TraceError(f"block '{label}': negative n_alu_ops")
-            if mlp_hint < 1:
-                raise TraceError(f"block '{label}': mlp_hint must be >= 1")
-            self.trace.emit_scalar_block(
-                addrs, writes, int(n_alu_ops), mem_bytes=mem_bytes,
-                mlp_hint=mlp_hint, label_id=self.trace.intern(label),
-            )
-        self.instret += int(n_alu_ops) + addrs.shape[0]
+        if n_alu_ops < 0:
+            raise TraceError(f"block '{label}': negative n_alu_ops")
+        if mlp_hint < 1:
+            raise TraceError(f"block '{label}': mlp_hint must be >= 1")
+        self.trace.emit_scalar_block(
+            addrs, writes, int(n_alu_ops), mem_bytes=mem_bytes,
+            mlp_hint=mlp_hint, label_id=self.trace.intern(label),
+        )
 
     def emit_alu(self, n_ops: int, *, label: str = "") -> None:
         """Emit a compute-only block (loop control, address arithmetic...)."""
         if n_ops <= 0:
             return
-        if modes.object_emission_enabled():
-            self.emit_block(_EMPTY_ADDRS, False, n_ops, label=label)
-            return
         self.trace.emit_scalar_block(
             _EMPTY_ADDRS, _EMPTY_WRITES, int(n_ops),
             label_id=self.trace.intern(label),
         )
-        self.instret += int(n_ops)
 
     def barrier(self, label: str = "") -> None:
         """Record a synchronization point (flushes any interpreter state)."""
         self.flush()
-        if modes.object_emission_enabled():
-            self.trace.append(Barrier(label=label))
-        else:
-            self.trace.emit_barrier(self.trace.intern(label))
+        self.trace.emit_barrier(self.trace.intern(label))
 
     # ------------------------------------------------------- mini-interpreter
 

@@ -1,7 +1,8 @@
 """Intrinsics-level RVV v0.7.1 execution context.
 
 Each method is one vector instruction: it computes the functional result on
-NumPy data and appends the corresponding :class:`VectorInstr` to the trace.
+NumPy data and appends the corresponding record to the trace's columns (a
+:class:`VectorInstr` in the trace's row view).
 Naming follows the EPI builtins / RVV mnemonics (``vle``, ``vlse``, ``vlxe``,
 ``vfmacc``, ``vmseq``, ``viota``, ``vcompress``, ``vfredsum``, ...), with
 the ``.vv``/``.vx``/``.vf`` operand forms folded into Python overloading
@@ -26,13 +27,11 @@ from repro.errors import IsaError
 from repro.isa.csr import CsrFile
 from repro.isa.vreg import VMask, VReg
 from repro.memory.address_space import Allocation, MemoryImage
-from repro.trace import modes
 from repro.trace.events import (
     NO_ID,
     OPCLASS_ID,
     PATTERN_ID,
     TraceBuffer,
-    VectorInstr,
     VMemPattern,
     VOpClass,
 )
@@ -58,7 +57,6 @@ class VectorContext:
         self.mem = mem
         self.trace = trace
         self.csr = csr if csr is not None else CsrFile(max_vl)
-        self.instret = 0  # vector instructions retired (functional counter)
 
     # ------------------------------------------------------------------ utils
 
@@ -78,18 +76,11 @@ class VectorContext:
               scalar_dest: bool = False) -> int:
         """Append to the trace; returns the record index (VReg.src).
 
-        Default path writes the buffer columns directly (no dataclass);
-        with :func:`repro.trace.modes.object_emission` on, it builds the
-        validated :class:`VectorInstr` instead — same record either way.
+        Writes the buffer's columns directly, with no per-record
+        dataclass; the record satisfies the trace format
+        (:meth:`repro.trace.events.TraceColumns.problems`), which the
+        equality grid checks for every kernel.
         """
-        self.instret += 1
-        if modes.object_emission_enabled():
-            self.trace.append(VectorInstr(
-                op=op, vl=vl, opcode=opcode, pattern=pattern, addrs=addrs,
-                is_write=is_write, elem_bytes=elem_bytes, masked=masked,
-                active=active, dep=dep, scalar_dest=scalar_dest,
-            ))
-            return len(self.trace) - 1
         return self.trace.emit_vector(
             OPCLASS_ID[op], vl, self.trace.intern(opcode),
             pattern_id=NO_ID if pattern is None else PATTERN_ID[pattern],

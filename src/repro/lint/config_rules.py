@@ -16,6 +16,7 @@ it, so a damaged one is reported too.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import zipfile
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from repro.config import SdvConfig
 from repro.errors import ReproError
-from repro.lint.findings import Finding
+from repro.lint.findings import Finding, Severity
 from repro.lint.rules import finding
 from repro.util.mathx import is_pow2
 from repro.util.units import LINE_BYTES
@@ -109,6 +110,26 @@ def check_vls(vls: Sequence[int], where: str = "vl-grid") -> list[Finding]:
                 "registers"))
     out.extend(_tidy(vls, where))
     return out
+
+
+def parse_vls(arg: str) -> tuple[int, ...]:
+    """The ``--vls`` flag's type, for the study commands and lint: 'paper'
+    (the figures' VLs) or a comma list of VLs :func:`check_vls` finds no
+    error in; anything else is an ``argparse`` usage error naming it."""
+    if arg == "paper":
+        from repro.core.sweeps import DEFAULT_VLS
+        return DEFAULT_VLS
+    try:
+        vls = tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"'{arg}' is neither 'paper' nor a comma list of integers"
+        ) from None
+    errors = [f.message for f in check_vls(vls)
+              if f.severity >= Severity.ERROR]
+    if errors:
+        raise argparse.ArgumentTypeError("; ".join(errors))
+    return vls
 
 
 def _tidy(points: Sequence[int], where: str) -> list[Finding]:

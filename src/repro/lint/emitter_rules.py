@@ -199,8 +199,7 @@ def lint_source(path: str | Path, text: str | None = None, *,
     """Lint one Python source file; returns its findings.
 
     ``hot_path_rules`` controls E003 (object-path emission in loops); by
-    default it applies to kernel emitters only — the ISA contexts keep a
-    validated object fallback path by design.
+    default it applies to kernel emitters only.
     """
     p = Path(path)
     if text is None:

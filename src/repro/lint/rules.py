@@ -97,10 +97,12 @@ _ALL_RULES = (
          "kind/opclass/pattern holds a value outside its encoding, or a "
          "MEM record lacks a pattern / a non-MEM record carries one",
          "use the REC_*/OPCLASS_ID/PATTERN_ID encodings"),
-    Rule("T105", _E, "active exceeds vl",
-         "a vector record claims more active (unmasked) elements than "
-         "its vector length",
-         "active must be <= vl (and equals vl when unmasked)"),
+    Rule("T105", _E, "active elements do not fit",
+         "a vector record's active (unmasked) element count is negative "
+         "or exceeds its vector length, or a MEM record does not own "
+         "exactly one address per active element",
+         "0 <= active <= vl (active equals vl when unmasked), and a MEM "
+         "record's addresses are its active elements'"),
     Rule("T106", _E, "non-neutral barrier row",
          "a barrier row must hold the neutral column values (vl 0, no "
          "addresses, no dep)",
@@ -112,6 +114,11 @@ _ALL_RULES = (
          "a record's vl exceeds what any legal vsetvl could grant "
          "(max_vl * 8 at the smallest SEW, LMUL 8)",
          "check the emitter's vsetvl arithmetic"),
+    Rule("T109", _E, "scalar block counts out of range",
+         "a scalar block has a negative ALU-op count or an mlp below 1 "
+         "(the timing model overlaps up to mlp of its misses)",
+         "n_alu >= 0 and mlp >= 1 (MLP_UNBOUNDED when the misses are "
+         "independent)"),
     # ---- emitter AST lint (E0xx) ----------------------------------------
     Rule("E000", _E, "unparseable emitter source",
          "the file cannot be parsed as Python, so no emitter rule can "

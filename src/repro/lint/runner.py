@@ -22,12 +22,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.kernels import KERNELS
 from repro.lint.concurrency_rules import lint_concurrency
-from repro.lint.config_rules import check_sweep, check_trace_cache
+from repro.lint.config_rules import check_sweep, check_trace_cache, parse_vls
 from repro.lint.emitter_rules import lint_paths
 from repro.lint.findings import Finding, FindingsReport, Severity
 from repro.lint.rules import render_catalog
 from repro.lint.trace_rules import analyze_snapshot, check_trace_buffer
+from repro.workloads.scales import SCALE_NAMES
 
 #: every pass family, in execution order.
 FAMILIES = ("template", "emitter", "concurrency", "config", "cache")
@@ -53,7 +55,6 @@ class LintOptions:
 
 
 def _lint_templates(opts: LintOptions) -> list[Finding]:
-    from repro.kernels import KERNELS
     from repro.soc.sdv import FpgaSdv
     from repro.trace.template import capture_replications
     from repro.workloads import get_scale
@@ -157,11 +158,11 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", action="append", choices=FAMILIES,
                    help="pass family to run (repeatable; default: "
                         "template+emitter+config)")
-    p.add_argument("--kernel", default="all",
-                   help="kernel to analyze: spmv|bfs|pagerank|fft|all")
-    p.add_argument("--vls", default="8,64",
+    p.add_argument("--kernel", default="all", choices=(*KERNELS, "all"),
+                   help="kernel to analyze (default all)")
+    p.add_argument("--vls", default="8,64", type=parse_vls,
                    help="comma list of VLs for the template pass")
-    p.add_argument("--scale", default="ci",
+    p.add_argument("--scale", default="ci", choices=SCALE_NAMES,
                    help="workload scale for the template pass "
                         "(default ci)")
     p.add_argument("--seed", type=int, default=7)
@@ -184,14 +185,7 @@ def run_lint_cli(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_catalog())
         return 0
-    if args.kernel == "all":
-        kernels = None
-    else:
-        from repro.kernels import KERNELS
-        if args.kernel not in KERNELS:
-            print(f"unknown kernel '{args.kernel}'", file=sys.stderr)
-            return 2
-        kernels = (args.kernel,)
+    kernels = None if args.kernel == "all" else (args.kernel,)
     families = tuple(args.family) if args.family else DEFAULT_FAMILIES
     if args.all:
         families = FAMILIES
@@ -199,7 +193,7 @@ def run_lint_cli(args: argparse.Namespace) -> int:
     opts = LintOptions(
         families=families,
         kernels=kernels,
-        vls=tuple(int(x) for x in args.vls.split(",")),
+        vls=args.vls,
         scale=args.scale,
         seed=args.seed,
         trace_cache=args.trace_cache,

@@ -22,10 +22,12 @@ replicated iterations create:
   severity ("beyond the dependence window") — ``Dep.prev`` chains that
   long do not occur in practice and a barrier is the right fix.
 
-**Columnar invariants** (:func:`check_trace_buffer`) validate a sealed
-:class:`~repro.trace.events.TraceBuffer` against the v2 schema: dtypes,
-monotone arena offsets, arena bounds, enum encodings, backward-only
-deps, neutral barrier rows, and ISA-legal vector lengths.
+**Columnar invariants** (:func:`check_trace_buffer`) report where a sealed
+:class:`~repro.trace.events.TraceBuffer` breaks the trace format, as
+:meth:`~repro.trace.events.TraceColumns.problems` states it: dtypes,
+monotone arena offsets, arena bounds, enum encodings, active elements,
+neutral barrier rows, backward-only deps, ISA-legal vector lengths and
+scalar block counts. Loading a trace file checks the same statement.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ import numpy as np
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import finding
 from repro.trace.events import (
-    NO_ID,
-    OPCLASS_LIST,
-    PATTERN_LIST,
     REC_BARRIER,
     REC_SCALAR,
     REC_VECTOR,
@@ -491,148 +490,9 @@ def analyze_snapshot(snap: TemplateSnapshot,
 
 # ------------------------------------------------- columnar trace invariants
 
-#: expected dtype of every TraceColumns field (v2 schema conformance).
-_SCHEMA = {
-    "kind": np.uint8, "n_alu": np.int64, "mlp": np.int64,
-    "mem_bytes": np.int32, "vl": np.int32, "active": np.int32,
-    "opclass": np.uint8, "pattern": np.uint8, "is_write": np.uint8,
-    "masked": np.uint8, "dep": np.int64, "scalar_dest": np.uint8,
-    "opcode_id": np.int32, "label_id": np.int32,
-}
-
-_MEM_OPCLASS = OPCLASS_LIST.index(
-    next(c for c in OPCLASS_LIST if c.value == "mem"))
-
-
-def _first_bad(mask: np.ndarray) -> int:
-    return int(np.flatnonzero(mask)[0])
-
-
 def check_trace_buffer(trace: TraceBuffer, label: str = "trace", *,
                        hw_max_vl: int = 256) -> list[Finding]:
-    """Validate a trace's columnar form against the schema invariants."""
-    out: list[Finding] = []
-    c = trace.cols
-    n = c.n
-
-    def loc(i: int | None = None) -> str:
-        return label if i is None else f"{label}#rec{i}"
-
-    # T103: dtypes, shapes, string table
-    for name, dtype in _SCHEMA.items():
-        col = getattr(c, name)
-        if col.dtype != dtype:
-            out.append(finding(
-                "T103", loc(),
-                f"column '{name}' has dtype {col.dtype}, schema v2 "
-                f"requires {np.dtype(dtype)}"))
-        if col.shape != (n,):
-            out.append(finding(
-                "T103", loc(),
-                f"column '{name}' has shape {col.shape}, expected ({n},)"))
-    if c.addr_off.shape != (n + 1,):
-        out.append(finding(
-            "T103", loc(),
-            f"addr_off has shape {c.addr_off.shape}, expected ({n + 1},)"))
-        return out  # arena checks below would be meaningless
-    if not c.strings or c.strings[0] != "":
-        out.append(finding(
-            "T103", loc(), "string table must start with the empty string"))
-
-    # T101/T102: arena offsets
-    d = np.diff(c.addr_off)
-    if int(c.addr_off[0]) != 0 or bool((d < 0).any()):
-        i = 0 if int(c.addr_off[0]) != 0 else _first_bad(d < 0)
-        out.append(finding(
-            "T101", loc(i),
-            "addr_off must start at 0 and be nondecreasing"))
-    if int(c.addr_off[-1]) != c.addrs.shape[0]:
-        out.append(finding(
-            "T102", loc(),
-            f"addr_off ends at {int(c.addr_off[-1])} but the arena "
-            f"holds {c.addrs.shape[0]} addresses"))
-    if c.writes.shape != c.addrs.shape:
-        out.append(finding(
-            "T102", loc(),
-            f"writes arena {c.writes.shape} does not align with the "
-            f"address arena {c.addrs.shape}"))
-    if n == 0:
-        return out
-
-    # T104: enum encodings
-    bad = ~np.isin(c.kind, (REC_SCALAR, REC_VECTOR, REC_BARRIER))
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i), f"unknown record kind {int(c.kind[i])}"))
-        return out  # kind-conditional checks below need valid kinds
-    vec = c.kind == REC_VECTOR
-    bad = vec & (c.opclass >= len(OPCLASS_LIST))
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i),
-            f"vector record with opclass id {int(c.opclass[i])}"))
-    bad = ~vec & (c.opclass != NO_ID)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i), "non-vector record carries an opclass"))
-    is_mem = vec & (c.opclass == _MEM_OPCLASS)
-    bad = is_mem & (c.pattern >= len(PATTERN_LIST))
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i),
-            f"MEM record with pattern id {int(c.pattern[i])} "
-            "(needs unit/strided/indexed)"))
-    bad = ~is_mem & (c.pattern != NO_ID)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i), "non-MEM record carries a memory pattern"))
-    bad = ~is_mem & vec & (np.diff(c.addr_off) > 0)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T104", loc(i), "non-MEM vector record owns arena addresses"))
-
-    # T107: deps point backward
-    bad = (c.dep < -1) | (c.dep >= np.arange(n))
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T107", loc(i),
-            f"dep {int(c.dep[i])} does not reference an earlier record"))
-
-    # T105: active <= vl
-    bad = vec & (c.active > c.vl)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T105", loc(i),
-            f"active={int(c.active[i])} exceeds vl={int(c.vl[i])}"))
-
-    # T106: barrier rows neutral
-    barrier = c.kind == REC_BARRIER
-    bad = barrier & ((c.vl != 0) | (c.active != 0) | (c.dep != -1)
-                     | (np.diff(c.addr_off) != 0) | (c.n_alu != 0))
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T106", loc(i), "barrier row carries non-neutral fields"))
-
-    # T108: vl within what any legal vsetvl could grant
-    vl_cap = hw_max_vl * 8 * 8  # SEW 8 with LMUL 8 relative to DP count
-    bad = vec & (c.vl > vl_cap)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding(
-            "T108", loc(i),
-            f"vl={int(c.vl[i])} exceeds the ISA ceiling {vl_cap} "
-            f"(hw max VL {hw_max_vl} DP elements)"))
-    bad = vec & (c.vl < 0)
-    if bad.any():
-        i = _first_bad(bad)
-        out.append(finding("T108", loc(i), "negative vl"))
-    return out
+    """T1xx: the trace format's violations in a sealed trace
+    (:meth:`~repro.trace.events.TraceColumns.problems`), as findings."""
+    return [finding(rule, label if i is None else f"{label}#rec{i}", message)
+            for rule, i, message in trace.cols.problems(hw_max_vl)]

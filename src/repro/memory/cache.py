@@ -1,17 +1,16 @@
-"""Set-associative LRU cache model.
+"""Set-associative LRU cache model: the LRU reference.
 
-Used for both the core's private L1D and each shared-L2 bank. The model is
-*behavioural*: it answers hit/miss (and writeback) questions for a stream of
-line addresses in program order; timing is applied later by the engines.
+Nothing in ``repro`` instantiates it. Classification walks the core's
+private L1D and each shared-L2 bank in ``classify.c`` or in
+:func:`repro.memory.classify._dict_walk`, which follow this class's
+per-set true-LRU policy, and the tests check :mod:`repro.memory.reuse`'s
+miss-ratio curve against it. The model is *behavioural*: it answers
+hit/miss (and writeback) questions for a stream of line addresses in
+program order.
 
-Performance notes:
-
-* state per set is a plain Python list of tags ordered MRU-first — sets are
-  small (8/16 ways) so ``list.remove`` + ``insert(0, ...)`` beats any
-  fancier structure at these sizes;
-* consecutive accesses to the same line are pre-coalesced by the caller
-  (see :mod:`repro.memory.classify`), which removes ~8x of the stream for
-  unit-stride traffic.
+State per set is a plain Python list of tags ordered MRU-first — sets are
+small (8/16 ways) so ``list.remove`` + ``insert(0, ...)`` beats any fancier
+structure at these sizes.
 """
 
 from __future__ import annotations

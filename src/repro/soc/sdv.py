@@ -209,16 +209,25 @@ class FpgaSdv:
         """Cycle attribution of a sealed trace at the current knobs.
 
         Returns a :class:`repro.obs.attribution.CycleAttribution` whose
-        buckets sum bit-exactly to the cycle total ``engine`` times; the
-        buckets are also folded into :attr:`counters`.
+        buckets sum bit-exactly to the cycle total ``engine`` times. Its
+        L0 rung is the run at the current knobs, so it is added to
+        :attr:`counters` as :meth:`time` adds a run: cycles, the
+        lowering's DRAM reads and writes, retired instructions, and the
+        buckets.
         """
         from repro.obs.attribution import attribute  # avoid import cycle
 
         check_engine(engine)
         ct = self.classify(trace)
-        att = attribute(ct, engine=engine,
-                        lowered=self.lower(trace, classified=ct))
-        self.counters.record_attribution(att)
+        lowered = self.lower(trace, classified=ct)
+        att = attribute(ct, engine=engine, lowered=lowered)
+        scalar, vector = self._instret(trace)
+        self.counters.absorb(
+            CycleReport(cycles=att.total, engine=att.engine,
+                        dram_reads=lowered.total_dram_reads,
+                        dram_writes=lowered.total_dram_writes,
+                        attribution=att),
+            scalar_instret=scalar, vector_instret=vector)
         return att
 
     def time_many(self, trace: TraceBuffer, configs: Sequence[SdvConfig],

@@ -200,14 +200,144 @@ class TraceColumns:
         """Raise :class:`TraceError` unless every dep is -1 or names an
         earlier record: the engines read a producer's times before its
         consumer's, so any other dep would read a record not yet timed."""
-        dep = self.dep
-        bad = (dep < -1) | (dep >= np.arange(dep.shape[0]))
+        bad = _bad_deps(self.dep)
         if bad.any():
             i = int(np.argmax(bad))
-            raise TraceError(f"record {i}: dep {int(dep[i])} does not "
+            raise TraceError(f"record {i}: dep {int(self.dep[i])} does not "
                              "reference an earlier record")
 
+    def problems(self, hw_max_vl: int = 256
+                 ) -> list[tuple[str, int | None, str]]:
+        """Every way these columns break the trace format, as ``(rule,
+        record or None, message)`` under the T1xx ids of the lint catalog
+        (:mod:`repro.lint.rules`); empty for a well-formed trace.
 
+        This is the one statement of what a sealed trace satisfies. Trace
+        files and cache entries are checked against it at load
+        (:meth:`check`), lint reports it, and the equality grid asserts
+        it for every trace the emitters make. Each clause names its first
+        offending record. ``hw_max_vl`` is the VPU's maximum VL in DP
+        elements, which bounds ``vl`` (T108).
+        """
+        out: list[tuple[str, int | None, str]] = []
+
+        def first(rule: str, bad: np.ndarray, message) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                out.append((rule, i, message(i)))
+
+        n = self.kind.size
+        # T103: dtypes and shapes (every column 1-D); the clauses after it
+        # read the columns as their schema types
+        for name, dtype, shape in (
+                *((name, dtype, (n,)) for name, dtype in _RECORD_DTYPES),
+                ("addr_off", np.int64, (n + 1,)),
+                ("addrs", np.int64, (self.addrs.size,)),
+                ("writes", np.bool_, (self.writes.size,))):
+            col = getattr(self, name)
+            if col.dtype != dtype:
+                out.append(("T103", None, f"column '{name}' has dtype "
+                            f"{col.dtype}, schema v2 requires "
+                            f"{np.dtype(dtype)}"))
+            if col.shape != shape:
+                out.append(("T103", None, f"column '{name}' has shape "
+                            f"{col.shape}, expected {shape}"))
+        if out:
+            return out
+        # T103: the string table
+        if not self.strings or self.strings[0] != "":
+            out.append(("T103", None,
+                        "string table must start with the empty string"))
+        for name in ("opcode_id", "label_id"):
+            ids = getattr(self, name)
+            first("T103", (ids < 0) | (ids >= len(self.strings)),
+                  lambda i: f"{name} {int(ids[i])} names no string")
+        # T101/T102: the arena offsets and bounds
+        off = self.addr_off
+        n_addr = np.diff(off)
+        if off[0] != 0 or (n_addr < 0).any():
+            out.append(("T101", 0 if off[0] != 0
+                        else int(np.argmax(n_addr < 0)),
+                        "addr_off must start at 0 and be nondecreasing"))
+        if int(off[-1]) != self.addrs.shape[0]:
+            out.append(("T102", None, f"addr_off ends at {int(off[-1])} "
+                        f"but the arena holds {self.addrs.shape[0]} "
+                        "addresses"))
+        if self.writes.shape != self.addrs.shape:
+            out.append(("T102", None, f"writes arena {self.writes.shape} "
+                        "does not align with the address arena "
+                        f"{self.addrs.shape}"))
+        if n == 0:
+            return out
+        # T104: the record codes
+        kind = self.kind
+        bad = ~np.isin(kind, (REC_SCALAR, REC_VECTOR, REC_BARRIER))
+        if bad.any():
+            first("T104", bad, lambda i: f"kind {int(kind[i])} is not a "
+                  "record kind")
+            return out  # the clauses below are per kind
+        vec = kind == REC_VECTOR
+        mem = vec & (self.opclass == _MEM_ID)
+        opclass, pattern = self.opclass, self.pattern
+        first("T104", vec & (opclass >= len(OPCLASS_LIST)),
+              lambda i: f"opclass {int(opclass[i])} is not an op class")
+        first("T104", ~vec & (opclass != NO_ID),
+              lambda i: "non-vector record carries an opclass")
+        first("T104", mem & (pattern >= len(PATTERN_LIST)),
+              lambda i: f"pattern {int(pattern[i])} is not a memory "
+              "pattern (needs unit/strided/indexed)")
+        first("T104", ~mem & (pattern != NO_ID),
+              lambda i: "non-MEM record carries a memory pattern")
+        first("T104", vec & ~mem & (n_addr > 0),
+              lambda i: "non-MEM vector record owns arena addresses")
+        # T105: active elements
+        vl, active = self.vl, self.active
+        first("T105", vec & ((active < 0) | (active > vl)),
+              lambda i: f"active={int(active[i])} is not within "
+              f"0..vl={int(vl[i])}")
+        first("T105", mem & (n_addr != active),
+              lambda i: f"MEM record owns {int(n_addr[i])} addresses "
+              f"for active={int(active[i])}")
+        # T106: neutral barrier rows
+        first("T106", (kind == REC_BARRIER)
+              & ((vl != 0) | (active != 0) | (self.dep != -1)
+                 | (n_addr != 0) | (self.n_alu != 0)),
+              lambda i: "barrier row carries non-neutral fields")
+        # T107: deps point backward
+        first("T107", _bad_deps(self.dep),
+              lambda i: f"dep {int(self.dep[i])} does not reference an "
+              "earlier record")
+        # T108: vl within what any legal vsetvl could grant (SEW 8 with
+        # LMUL 8, relative to the DP element count)
+        cap = hw_max_vl * 8 * 8
+        first("T108", vec & ((vl < 0) | (vl > cap)),
+              lambda i: f"vl={int(vl[i])} is outside the ISA range "
+              f"0..{cap} (hw max VL {hw_max_vl} DP elements)")
+        # T109: scalar block counts
+        n_alu, mlp = self.n_alu, self.mlp
+        first("T109", (kind == REC_SCALAR) & ((n_alu < 0) | (mlp < 1)),
+              lambda i: f"scalar block has n_alu={int(n_alu[i])} and "
+              f"mlp={int(mlp[i])} (needs n_alu >= 0 and mlp >= 1)")
+        return out
+
+    def check(self, hw_max_vl: int = 256) -> None:
+        """Raise :class:`TraceError` naming the first of
+        :meth:`problems`, if there is one."""
+        found = self.problems(hw_max_vl)
+        if found:
+            rule, i, message = found[0]
+            where = "" if i is None else f" at record {i}"
+            raise TraceError(f"{rule}{where}: {message}")
+
+
+def _bad_deps(dep: np.ndarray) -> np.ndarray:
+    """The records whose dep is neither -1 nor an earlier record."""
+    return (dep < -1) | (dep >= np.arange(dep.shape[0]))
+
+
+#: a pending record row: every per-record column of a sealed trace, in
+#: schema order, then the record's arena length (which the columns keep
+#: as the ``addr_off`` prefix sums)
 _COL_DTYPES = (
     ("kind", np.uint8), ("n_alu", np.int64), ("mlp", np.int64),
     ("mem_bytes", np.int32), ("vl", np.int32), ("active", np.int32),
@@ -215,6 +345,10 @@ _COL_DTYPES = (
     ("masked", np.uint8), ("dep", np.int64), ("scalar_dest", np.uint8),
     ("opcode_id", np.int32), ("label_id", np.int32), ("n_addr", np.int64),
 )
+
+#: the per-record columns of :class:`TraceColumns` (what a trace file
+#: stores beside the arena and the strings)
+_RECORD_DTYPES = _COL_DTYPES[:-1]
 
 _MEM_ID = OPCLASS_ID[VOpClass.MEM]
 
@@ -242,9 +376,10 @@ class _RecordsView:
 class TraceBuffer:
     """Append-only program-order trace, stored structure-of-arrays.
 
-    Single records arrive through :meth:`append` (dataclass compat path)
-    or the validation-free fast emitters (:meth:`emit_vector`,
-    :meth:`emit_scalar_block`, :meth:`emit_barrier`); whole pre-expanded
+    Single records arrive through the validation-free emitters
+    (:meth:`emit_vector`, :meth:`emit_scalar_block`,
+    :meth:`emit_barrier`; the ISA contexts' path) or :meth:`append`
+    (a record dataclass, for traces built by hand); whole pre-expanded
     record batches arrive through :meth:`extend_columns` (the template
     engine's path). Appends go to plain Python lists and are flushed to
     NumPy chunks lazily, so both paths stay allocation-cheap.
@@ -292,8 +427,9 @@ class TraceBuffer:
         """Append one vector instruction; returns its record index.
 
         No validation — the ISA contexts (and the template expander) are
-        trusted to satisfy the :class:`VectorInstr` invariants. The object
-        reference path (``append``) keeps full validation.
+        trusted to satisfy the trace format
+        (:meth:`TraceColumns.problems`). :meth:`append` validates through
+        the record dataclasses.
         """
         if self._sealed:
             raise TraceError("trace is sealed; create a new buffer")
@@ -383,7 +519,8 @@ class TraceBuffer:
     # ----------------------------------------------------------- compat API
 
     def append(self, record: Record) -> None:
-        """Dataclass reference path: validate via the record types."""
+        """Append one record dataclass (validated by its type): the
+        inverse of the row view, for traces built by hand."""
         if self._sealed:
             raise TraceError("trace is sealed; create a new buffer")
         if isinstance(record, VectorInstr):
@@ -473,37 +610,12 @@ class TraceBuffer:
         The deserializer's path: a v2 trace file stores the columnar form
         verbatim, so loading is adopting the arrays — no per-record loop.
         The caller hands over ownership of ``cols``. Columns from outside
-        the program are checked as far as the engines rely on them: the
-        span offsets' shape, the string table, the record codes that
-        lowering and the engines sort records by (every ``kind`` a
-        ``REC_*``, every vector ``opclass`` a :class:`VOpClass`, every
-        vector memory ``pattern`` a :class:`VMemPattern`) and the deps
-        (:meth:`TraceColumns.check_deps`).
+        the program must satisfy the trace format
+        (:meth:`TraceColumns.check` raises :class:`TraceError` otherwise).
         """
+        cols.check()
         buf = cls()
         n = cols.n
-        if cols.addr_off.shape != (n + 1,):
-            raise TraceError(
-                f"addr_off has shape {cols.addr_off.shape}, "
-                f"expected ({n + 1},)"
-            )
-        if not cols.strings or cols.strings[0] != "":
-            raise TraceError("string table must start with the empty string")
-        kind = cols.kind
-        vector = kind == REC_VECTOR
-        for name, bad in (
-            ("kind", ~np.isin(kind, (REC_SCALAR, REC_VECTOR, REC_BARRIER))),
-            ("opclass", vector
-             & ~np.isin(cols.opclass, range(len(OPCLASS_LIST)))),
-            ("pattern", vector & (cols.opclass == _MEM_ID)
-             & ~np.isin(cols.pattern, range(len(PATTERN_LIST)))),
-        ):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise TraceError(f"record {i}: {name} "
-                                 f"{int(getattr(cols, name)[i])} is not "
-                                 "a valid code")
-        cols.check_deps()
         buf._n = n
         buf._strings = list(cols.strings)
         buf._sid = {s: i for i, s in enumerate(buf._strings)}

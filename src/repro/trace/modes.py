@@ -1,34 +1,26 @@
-"""Process-wide trace-generation mode toggles.
+"""Process-wide trace-generation mode toggle.
 
-Three generation paths produce byte-identical record streams:
+Two generation paths produce byte-identical record streams:
 
-* **object** — ISA contexts build one validated dataclass per record and
-  ``append`` it (the original reference path; slowest).
-* **columnar** — ISA contexts call the buffer's validation-free fast
-  emitters directly (default when templating is off).
+* **the loops** — the kernels' per-iteration code calls the ISA contexts,
+  which write each record into the buffer's columns. This is the
+  specification the templated emitters are pinned to; it runs when
+  templating is off.
 * **templated** — strip-mined kernel loops record one iteration through
   :class:`repro.trace.template.TraceTemplate` and replicate it vectorized
   (the default).
 
-The benchmarks and the equality-grid tests flip these switches to compare
-the paths; everything else should leave them at the defaults.
+Both must satisfy the one statement of the trace format,
+:meth:`repro.trace.events.TraceColumns.problems`. The benchmarks and the
+equality-grid tests flip this switch to compare the paths; everything
+else should leave it at the default.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-_OBJECT_EMIT = False
 _TEMPLATING = True
-
-
-def set_object_emission(enabled: bool) -> None:
-    global _OBJECT_EMIT
-    _OBJECT_EMIT = bool(enabled)
-
-
-def object_emission_enabled() -> bool:
-    return _OBJECT_EMIT
 
 
 def set_templating(enabled: bool) -> None:
@@ -37,17 +29,7 @@ def set_templating(enabled: bool) -> None:
 
 
 def templating_enabled() -> bool:
-    return _TEMPLATING and not _OBJECT_EMIT
-
-
-@contextmanager
-def object_emission(enabled: bool = True):
-    prev = _OBJECT_EMIT
-    set_object_emission(enabled)
-    try:
-        yield
-    finally:
-        set_object_emission(prev)
+    return _TEMPLATING
 
 
 @contextmanager

@@ -11,7 +11,10 @@ the pooled address/write arena with per-record offsets, and the interned
 string table. Saving is a handful of array writes and loading is
 :meth:`repro.trace.events.TraceBuffer.from_columns` — no per-record Python
 loop in either direction. Files are opened with ``allow_pickle=False``, so
-a file with a pickled member is refused rather than unpickled.
+a file with a pickled member is refused rather than unpickled, and a file
+whose columns break the trace format
+(:meth:`repro.trace.events.TraceColumns.problems`) is refused with a
+:class:`TraceError` naming the rule.
 
 A file may also hold the trace's knob-independent classification (the
 ``cls_*`` members, see :func:`save_trace`): a trace-cache entry keeps both
@@ -26,18 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.events import TraceBuffer, TraceColumns
+from repro.trace.events import _RECORD_DTYPES, TraceBuffer, TraceColumns
 
 #: current on-disk format; also part of the sweep trace-cache key, so stale
 #: cache entries from an older schema are never picked up.
 FORMAT_VERSION = 2
 
 #: the fixed-width columns of a v2 file, in schema order
-_V2_COLUMNS = (
-    "kind", "n_alu", "mlp", "mem_bytes", "vl", "active", "opclass",
-    "pattern", "is_write", "masked", "dep", "scalar_dest",
-    "opcode_id", "label_id",
-)
+_V2_COLUMNS = tuple(name for name, _ in _RECORD_DTYPES)
 
 
 def save_trace(trace: TraceBuffer, path: str | os.PathLike, *,

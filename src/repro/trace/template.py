@@ -41,7 +41,7 @@ one value per loop.
 Expansion is bit-exact: a loop appends exactly the records the equivalent
 per-iteration emission loop would have appended, in the same order with
 the same fields — the property tests in ``tests/trace/test_template.py``
-pin this against the object path.
+pin this against per-iteration appends of the record dataclasses.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def record_starts(start: int, sizes: np.ndarray) -> np.ndarray:
 # (kind, mlp, mem_bytes, opclass, pattern, is_write, masked, scalar_dest).
 # The per-slot string (opcode or label) lives in ``_strs`` and is interned
 # lazily at expansion time, so a recorded-but-never-expanded body leaves
-# the buffer's string table exactly as the object path would.
+# the buffer's string table exactly as per-iteration emission would.
 _K_KIND, _K_MLP, _K_BYTES, _K_OPCLASS, _K_PATTERN = 0, 1, 2, 3, 4
 _K_WRITE, _K_MASKED, _K_SDEST = 5, 6, 7
 
@@ -519,8 +519,8 @@ class TraceTemplate:
         for t, (sc, v, name) in enumerate(zip(self._scal, self._var,
                                               self._strs)):
             kind, mlp, nbytes, opclass, pattern, write, masked, sdest = sc
-            # intern in slot order — the exact order the object path's
-            # first iteration would have interned
+            # intern in slot order — the exact order per-iteration
+            # emission's first iteration would have interned
             sid = intern(name)
             vl, active, n_alu, d, base_addrs, ioff, flat, c, w = v
             if active is None:

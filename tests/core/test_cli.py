@@ -47,6 +47,23 @@ class TestFigures:
         out = capsys.readouterr().out
         assert "measured" in out and "8.78x" in out
 
+    def test_headline_times_the_counter_view_once(self, capsys,
+                                                  monkeypatch):
+        # the sweep runs the DES at 7 latencies for scalar and vl256; the
+        # counter view's attribution then needs 4 distinct ladder rungs
+        # (at full bandwidth L1 is L0), whose L0 is the counters' run
+        from repro.engine import ENGINES
+
+        runs = []
+        des = ENGINES["event"]
+        monkeypatch.setitem(ENGINES, "event",
+                            lambda ct: runs.append(1) or des(ct))
+        rc = main(["headline", "--scale", "smoke", "--vls", "256",
+                   "--engine", "event", "--no-verify"])
+        assert rc == 0
+        assert "runs absorbed" in capsys.readouterr().out
+        assert len(runs) == 2 * len(DEFAULT_LATENCIES) + 4
+
     def test_unknown_kernel_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fig3", "--kernel", "nope", "--scale", "smoke"])

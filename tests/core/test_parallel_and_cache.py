@@ -471,6 +471,37 @@ class TestTraceCache:
         assert load_classified(entry, trace, sdv.config) is not None
         assert len(list(tmp_path.iterdir())) == 2
 
+    def test_entry_that_breaks_the_trace_format_is_regenerated(self,
+                                                               tmp_path):
+        # mlp 0 on a scalar block with memory ops would time the vl8
+        # column wrong: load refuses it (T109), so the cached run
+        # regenerates the entry and every row equals the uncached one
+        import numpy as np
+
+        from repro.obs.record import recording
+
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        cold = latency_sweep(spec, workload, vls=(8,), verify=False)
+        latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
+                      verify=False)
+        sdv = FpgaSdv().configure(max_vl=8)
+        entry = trace_cache_path(tmp_path, spec.name, workload, 8, sdv,
+                                 spec=spec)
+        data = dict(np.load(entry))
+        blocks = (data["kind"] == 0) & (np.diff(data["addr_off"]) > 0)
+        data["mlp"][np.flatnonzero(blocks)[0]] = 0
+        np.savez_compressed(entry, **data)
+        with recording() as rec:
+            again = latency_sweep(spec, workload, vls=(8,),
+                                  trace_cache=tmp_path, verify=False)
+        for impl in cold.impls:
+            assert again.series(impl) == cold.series(impl)
+        warned = [r for r in rec.records if r["kind"] == "event"
+                  and r["name"] == "trace_cache.unreadable"]
+        assert [r["level"] for r in warned] == ["warn"]
+        assert "T109" in warned[0]["attrs"]["error"]
+
     @pytest.mark.parametrize("damage", ["kind", "count"])
     def test_entry_that_does_not_fit_itself_is_regenerated(self, tmp_path,
                                                           damage):

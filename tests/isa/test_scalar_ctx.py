@@ -6,6 +6,7 @@ import pytest
 from repro.errors import AccessError, TraceError
 from repro.isa.scalar_ctx import ScalarContext, interleave_streams
 from repro.memory.address_space import MemoryImage
+from repro.soc.sdv import FpgaSdv
 from repro.trace.events import Barrier, ScalarBlock, TraceBuffer
 
 
@@ -69,10 +70,14 @@ class TestColumnarEmission:
         assert len(trace) == 0
 
     def test_instret_counts(self, env):
-        mem, _, scl = env
+        # the hardware counters count retired instructions from the
+        # sealed trace's columns: a block retires its ALU and memory ops
+        mem, trace, scl = env
         a = mem.alloc("x", 4, np.float64)
         scl.emit_block(a.addr(np.arange(4)), False, 6)
-        assert scl.instret == 10
+        scl.emit_alu(3)
+        scl.barrier()
+        assert FpgaSdv._instret(trace.seal()) == (13, 0)
 
 
 class TestInterpreter:

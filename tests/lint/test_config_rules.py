@@ -143,6 +143,21 @@ class TestTraceCacheAudit:
         assert error_rules(found) == ["S005"]
         assert found[0].location == str(entry)
 
+    def test_entry_that_breaks_the_trace_format_is_unreadable(self,
+                                                              tmp_path):
+        # a whole zip whose trace has a scalar block with mlp 0: load
+        # refuses it (T109), so every cached run would regenerate it
+        import numpy as np
+
+        self._warm(tmp_path)
+        entry = self._trace_entry(tmp_path)
+        data = dict(np.load(entry))
+        data["mlp"][np.flatnonzero(data["kind"] == 0)[0]] = 0
+        np.savez_compressed(entry, **data)
+        found = check_trace_cache(tmp_path)
+        assert error_rules(found) == ["S005"]
+        assert "T109" in found[0].message
+
     def test_stale_schema_version(self, tmp_path):
         self._warm(tmp_path)
         entry = self._trace_entry(tmp_path)

@@ -54,8 +54,29 @@ class TestCli:
         assert "T001" in out and "E001" in out and "C001" in out
 
     def test_unknown_kernel_is_usage_error(self, capsys):
-        rc = lint_main(["--kernel", "nope", "--family", "config"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--kernel", "nope", "--family", "config"])
+        assert exc.value.code == 2
+        assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--vls", "8,x"], "8,x"),
+        (["--vls", "7"], "VL 7"),
+        (["--family", "template", "--kernel", "spmv", "--scale", "nope"],
+         "nope"),
+        (["--kernel", "nope", "--family", "config"], "nope"),
+    ])
+    @pytest.mark.parametrize("entry", ["module", "repro-sdv"])
+    def test_bad_study_flag_is_a_usage_error(self, entry, argv, value,
+                                             capsys):
+        # the study commands' parsing: exit 2 and one line naming the
+        # value, before any pass runs
+        run = lint_main if entry == "module" else \
+            (lambda args: cli_main(["lint", *args]))
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert value in capsys.readouterr().err
 
     def test_json_output(self, capsys):
         rc = lint_main(["--family", "config", "--json"])

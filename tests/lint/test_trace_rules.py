@@ -211,6 +211,8 @@ def _sealed_trace() -> TraceBuffer:
     tr.emit_barrier()
     tr.emit_vector(mem_id, STRIP, tr.intern("vse"), pattern_id=unit,
                    addrs=lane_block(B), is_write=True, dep=1)
+    tr.emit_scalar_block(lane_block(A)[:2], np.array([False, True]), 3,
+                         mlp_hint=2)
     return tr.seal()
 
 
@@ -225,6 +227,11 @@ class TestTraceBufferInvariants:
         (lambda c: c.kind.__setitem__(1, 7), "T104"),
         (lambda c: c.opclass.__setitem__(1, 200), "T104"),
         (lambda c: c.active.__setitem__(0, STRIP + 1), "T105"),
+        pytest.param(lambda c: c.active.__setitem__(0, STRIP - 1), "T105",
+                     id="active-below-addresses"),
+        pytest.param(lambda c: c.mlp.__setitem__(4, 0), "T109", id="mlp-0"),
+        pytest.param(lambda c: c.n_alu.__setitem__(4, -1), "T109",
+                     id="n_alu-negative"),
         (lambda c: c.vl.__setitem__(2, 1), "T106"),
         (lambda c: c.dep.__setitem__(0, 0), "T107"),
         (lambda c: c.vl.__setitem__(1, 10 ** 6), "T108"),

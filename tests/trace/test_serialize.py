@@ -121,7 +121,69 @@ class TestRecordCodes:
         data = dict(np.load(path))
         data[column][record] = code
         np.savez_compressed(path, **data)
-        with pytest.raises(TraceError, match=f"{column} {code} is not"):
+        with pytest.raises(TraceError, match=f"T104 .*{column} {code} is not"):
+            load_trace(path)
+
+
+def _record(d, kind, *, mem=False):
+    """The first record of ``kind`` (with memory ops when ``mem``)."""
+    mask = d["kind"] == kind
+    if mem:
+        mask &= np.diff(d["addr_off"]) > 0
+    return int(np.flatnonzero(mask)[0])
+
+
+class TestTraceFormatOnLoad:
+    """A trace file is input from outside the program: a change to one
+    field that breaks the trace format is refused at load, naming the
+    rule, before it can time wrong or fail inside an engine."""
+
+    @pytest.fixture(scope="class")
+    def spmv_file(self, tmp_path_factory):
+        from repro.core.sweeps import run_implementation
+        from repro.kernels import KERNELS
+        from repro.workloads import get_scale
+
+        spec = KERNELS["spmv"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        _, trace = run_implementation(spec, workload, 8, verify=False)
+        path = tmp_path_factory.mktemp("spmv") / "spmv-vl8.npz"
+        save_trace(trace, path)
+        return path
+
+    def test_saved_trace_loads(self, spmv_file):
+        assert load_trace(spmv_file).cols.problems() == []
+
+    @pytest.mark.parametrize("change, rule", [
+        ("mlp-0", "T109"), ("n_alu-negative", "T109"),
+        ("active-above-vl", "T105"), ("vl-negative", "T105"),
+        ("active-below-addresses", "T105"), ("barrier-vl", "T106"),
+        ("dep-float64", "T103"), ("addr_off-decreasing", "T101"),
+    ])
+    def test_broken_field_is_refused(self, spmv_file, tmp_path, change,
+                                     rule):
+        d = dict(np.load(spmv_file))
+        vec, vmem = _record(d, 1), _record(d, 1, mem=True)
+        smem = _record(d, 0, mem=True)
+        if change == "mlp-0":  # on a block with memory ops: times wrong
+            d["mlp"][smem] = 0
+        elif change == "n_alu-negative":
+            d["n_alu"][_record(d, 0)] = -1000
+        elif change == "active-above-vl":
+            d["active"][vec] = d["vl"][vec] + 1
+        elif change == "vl-negative":
+            d["vl"][vec] = -5
+        elif change == "active-below-addresses":
+            d["active"][vmem] -= 1
+        elif change == "barrier-vl":
+            d["vl"][_record(d, 2)] = 5
+        elif change == "dep-float64":
+            d["dep"] = d["dep"].astype(np.float64)
+        else:
+            d["addr_off"][smem + 1] = d["addr_off"][smem] - 1
+        path = tmp_path / "broken.npz"
+        np.savez_compressed(path, **d)
+        with pytest.raises(TraceError, match=f"^{rule}"):
             load_trace(path)
 
 

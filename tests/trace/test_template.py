@@ -1,4 +1,4 @@
-"""Property tests: ``TraceTemplate.replicate`` ≡ the per-iteration object path.
+"""Property tests: ``TraceTemplate.replicate`` ≡ per-iteration record appends.
 
 The templated generation path exists purely for speed — its contract is
 that ``replicate(n)`` appends *exactly* the records an equivalent
